@@ -54,4 +54,4 @@ print("=== image count grows with z, shrinks with N ===")
 for n_box in (2, 4, 16):
     for zz in (0.5, 10.0, 100.0):
         print(f"N={n_box:3d} z={zz:6.1f}: K_min = "
-              f"{minimal_image_cutoff(n_box, zz, n_box, n_box)}")
+              f"{minimal_image_cutoff(n_box, zz, 0, n_box)}")

@@ -43,6 +43,7 @@ from .propagators import (
     free_kernel,
     greens_residual,
     greens_residual_fd,
+    kernel_table,
     minimal_image_cutoff,
     momentum_kernel_phase,
     periodic_kernel,
@@ -86,6 +87,7 @@ __all__ = [
     "greens_residual_fd",
     "inner_product",
     "jacobi_anger",
+    "kernel_table",
     "load_wavefunction",
     "minimal_image_cutoff",
     "momentum_kernel_phase",

@@ -18,14 +18,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .dynamics import WallSupportError
 from .lattice import PhysicalParams, dimensionless_time
-from .propagators import PropagatorKernel, continuum_sweep, evolve
-from .stateio import load_wavefunction, save_wavefunction
+from .propagators import PropagatorKernel, continuum_sweep, evolve, kernel_table
+from .stateio import load_wavefunction, save_wavefunction, write_atomic
 from .verify import SUITE_NAMES, run_suite
 
 _SYSTEM_CHOICES = ("free", "box", "box-images", "periodic")
@@ -36,7 +35,7 @@ _SYSTEM_TO_KERNEL = {
     "periodic": "periodic",
 }
 _CONFIG_KEYS = {
-    "hbar", "mass", "mu0", "system", "N", "image_cutoff", "times",
+    "hbar", "mass", "mu0", "system", "N", "times",
     "format", "seed", "tolerances", "suite", "dx", "mu0_list",
 }
 
@@ -48,7 +47,6 @@ class RunConfig:
     mu0: float = 1.0
     system: str = "free"
     n: int | None = None
-    image_cutoff: int | None = None
     times: tuple[float, ...] = (1.0,)
     output_format: str = "csv"
     seed: int = 0
@@ -65,8 +63,6 @@ class RunConfig:
             raise ValueError(f"format must be csv or json, got {self.output_format!r}")
         if not self.times:
             raise ValueError("times must be nonempty")
-        if self.image_cutoff is not None and int(self.image_cutoff) < 1:
-            raise ValueError("image_cutoff must be >= 1")
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"suite must be one of {SUITE_NAMES}")
 
@@ -74,17 +70,11 @@ class RunConfig:
         return PhysicalParams(hbar=self.hbar, mass=self.mass, mu0=self.mu0)
 
     def kernel(self) -> PropagatorKernel:
-        system = _SYSTEM_TO_KERNEL[self.system]
-        if system == "free":
+        if self.system == "free":
             return PropagatorKernel.free(self.params())
         if self.n is None:
             raise ValueError(f"system {self.system!r} needs N")
-        if system == "box-spectral":
-            return PropagatorKernel.box_spectral(self.n, self.params())
-        if system == "box-images":
-            return PropagatorKernel.box_images(self.n, self.params(),
-                                               self.image_cutoff)
-        return PropagatorKernel.periodic(self.n, self.params(), self.image_cutoff)
+        return PropagatorKernel(_SYSTEM_TO_KERNEL[self.system], self.params(), n=self.n)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -102,8 +92,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ValueError(f"config {path} has unknown keys {sorted(unknown)}")
     kwargs = {}
     for src, dst in (("hbar", "hbar"), ("mass", "mass"), ("mu0", "mu0"),
-                     ("system", "system"), ("N", "n"),
-                     ("image_cutoff", "image_cutoff"), ("seed", "seed"),
+                     ("system", "system"), ("N", "n"), ("seed", "seed"),
                      ("format", "output_format"), ("suite", "suite"),
                      ("dx", "dx"), ("tolerances", "tolerances")):
         if src in raw:
@@ -118,8 +107,7 @@ def load_config(path: str | None) -> RunConfig:
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
     for attr, key in (("hbar", "hbar"), ("mass", "mass"), ("mu0", "mu0"),
-                      ("system", "system"), ("N", "n"),
-                      ("image_cutoff", "image_cutoff"), ("seed", "seed"),
+                      ("system", "system"), ("N", "n"), ("seed", "seed"),
                       ("format", "output_format"), ("suite", "suite"),
                       ("dx", "dx")):
         value = getattr(args, attr, None)
@@ -160,7 +148,7 @@ def _fmt(value) -> str:
 
 def _emit_table(header: list[str], rows: list[dict], fmt: str,
                 out_path: str | None) -> None:
-    """Materialize the whole table, then write; errors cannot leave a stub file."""
+    """Materialize the whole table, then write it atomically: no stub file."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -173,7 +161,7 @@ def _emit_table(header: list[str], rows: list[dict], fmt: str,
     if out_path is None:
         sys.stdout.write(text)
     else:
-        Path(out_path).write_text(text)
+        write_atomic(out_path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -182,30 +170,23 @@ def _emit_table(header: list[str], rows: list[dict], fmt: str,
 
 def cmd_kernel(args: argparse.Namespace, config: RunConfig) -> int:
     kernel = config.kernel()
-    params = config.params()
-    if config.system == "free" or config.system == "periodic":
-        j_lo = args.j_min if args.j_min is not None else -4
-        j_hi = args.j_max if args.j_max is not None else 4
-        r_lo = args.r_min if args.r_min is not None else -4
-        r_hi = args.r_max if args.r_max is not None else 4
-    else:
-        j_lo = args.j_min if args.j_min is not None else 0
-        j_hi = args.j_max if args.j_max is not None else config.n
-        r_lo = args.r_min if args.r_min is not None else 0
-        r_hi = args.r_max if args.r_max is not None else config.n
+    lo, hi = (-4, 4) if config.system in ("free", "periodic") else (0, config.n)
+    j_lo, j_hi, r_lo, r_hi = (default if v is None else v for v, default in (
+        (args.j_min, lo), (args.j_max, hi), (args.r_min, lo), (args.r_max, hi)))
     if j_lo > j_hi or r_lo > r_hi:
         raise ValueError("empty index range")
 
+    js, rs = range(j_lo, j_hi + 1), range(r_lo, r_hi + 1)
     rows = []
     for dt in config.times:
-        z = dimensionless_time(params, dt)
-        for j in range(j_lo, j_hi + 1):
-            for r in range(r_lo, r_hi + 1):
-                value = kernel(j, r, dt)
+        z = dimensionless_time(kernel.params, dt)
+        table = kernel_table(kernel, js, rs, dt).tolist()
+        for j, values in zip(js, table):
+            for r, value in zip(rs, values):
                 rows.append({
                     "system": config.system, "j": j, "r": r,
                     "dt": float(dt), "z": z,
-                    "re": float(value.real), "im": float(value.imag),
+                    "re": value.real, "im": value.imag,
                 })
     _emit_table(["system", "j", "r", "dt", "z", "re", "im"], rows,
                 config.output_format, args.out)
@@ -282,7 +263,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--system", choices=_SYSTEM_CHOICES)
     sub.add_argument("--N", type=int, help="box intervals (walls at 0 and N)")
-    sub.add_argument("--image-cutoff", dest="image_cutoff", type=int)
     sub.add_argument("--mu0", type=float)
     sub.add_argument("--hbar", type=float)
     sub.add_argument("--mass", type=float)

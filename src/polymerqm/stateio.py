@@ -12,7 +12,9 @@ load/save cycle is lossless.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,24 +28,34 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to a temp file beside `path`, then rename it into place.
+
+    The rename installs a new file: an old file's mode and owner, or a
+    symlink at `path`, are replaced, not kept or written through.  The
+    random temp name is created exclusively, so writers never share it.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_wavefunction(psi: LatticeWavefunction, csv_path: str | Path) -> None:
-    csv_path = Path(csv_path)
     lat = psi.lattice
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_HEADER)
-        for n, a in zip(lat.sites, psi.amplitudes):
-            writer.writerow([int(n), repr(float(a.real)), repr(float(a.imag))])
-    meta = {
-        "hbar": lat.params.hbar,
-        "mass": lat.params.mass,
-        "mu0": lat.params.mu0,
-        "n_min": lat.n_min,
-        "n_max": lat.n_max,
-    }
-    with open(sidecar_path(csv_path), "w") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(_HEADER)
+    for n, a in zip(lat.sites, psi.amplitudes):
+        writer.writerow([int(n), repr(float(a.real)), repr(float(a.imag))])
+    meta = {"hbar": lat.params.hbar, "mass": lat.params.mass, "mu0": lat.params.mu0,
+            "n_min": lat.n_min, "n_max": lat.n_max}
+    write_atomic(csv_path, buf.getvalue())
+    write_atomic(sidecar_path(csv_path), json.dumps(meta, indent=2) + "\n")
 
 
 def load_wavefunction(csv_path: str | Path) -> LatticeWavefunction:

@@ -256,3 +256,40 @@ def test_evolve_requires_out(tmp_path):
     save_wavefunction(delta_state(Lattice(PhysicalParams(), 0, 1), 0), src)
     rc = main(["evolve", str(src), "--system", "free", "--dt", "1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("system", ["free", "box", "box-images", "periodic"])
+def test_kernel_dt_zero_is_exact_identity(tmp_path, system):
+    out = tmp_path / "k.csv"
+    rc = main(["kernel", "--system", system, "--N", "3", "--dt", "0",
+               "--j-min", "0", "--j-max", "3", "--r-min", "0", "--r-max", "3",
+               "--out", str(out)])
+    assert rc == 0
+    for row in read_csv(out):
+        j, r = int(row["j"]), int(row["r"])
+        on = j == r and (system in ("free", "periodic") or 0 < j < 3)
+        assert float(row["re"]) == (1.0 if on else 0.0)
+        assert float(row["im"]) == 0.0
+
+
+def test_image_cutoff_flag_and_key_are_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--system", "periodic", "--N", "4", "--image-cutoff", "3"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "periodic", "N": 4, "image_cutoff": 3}))
+    assert main(["kernel", "--config", str(cfg)]) == 2
+
+
+def test_failed_table_write_keeps_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "k.csv"
+    out.write_text("old\n")
+
+    def no_rename(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("polymerqm.stateio.os.replace", no_rename)
+    rc = main(["kernel", "--system", "free", "--dt", "1", "--out", str(out)])
+    assert rc == 2
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["k.csv"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polymerqm.dynamics import WallSupportError, box_spectrum, dispersion_energy
 from polymerqm.lattice import (
@@ -24,6 +25,7 @@ from polymerqm.propagators import (
     free_kernel,
     greens_residual,
     greens_residual_fd,
+    kernel_table,
     minimal_image_cutoff,
     momentum_kernel_phase,
     periodic_kernel,
@@ -252,6 +254,7 @@ def test_image_cutoff_validation():
 
 
 def test_evolve_box_images_matches_spectral():
+    # the circle step of the images against the scalar spectral sum
     rng = np.random.default_rng(21)
     n = 6
     lat = Lattice(P1, 0, n)
@@ -259,9 +262,9 @@ def test_evolve_box_images_matches_spectral():
     amps[1:n] = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
     psi = LatticeWavefunction(lat, amps)
     for dt in (0.6, 2.4):
-        a = evolve(psi, PropagatorKernel.box_spectral(n, P1), dt)
+        a = _dense_sum(PropagatorKernel.box_spectral(n, P1), psi, lat.sites, dt)
         b = evolve(psi, PropagatorKernel.box_images(n, P1), dt)
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-11
+        assert np.max(np.abs(a - b.amplitudes)) <= 1e-11
 
 
 def test_evolve_periodic_translation_equivariance():
@@ -271,10 +274,151 @@ def test_evolve_periodic_translation_equivariance():
     lat = Lattice(P1, 0, 1)
     psi = LatticeWavefunction(lat, [0.8, 0.6j])
     shifted = LatticeWavefunction(Lattice(P1, 2 * n, 2 * n + 1), psi.amplitudes)
-    out = evolve(psi, kernel, 1.5, out_window=(0, 2 * n - 1))
+    out = _dense_sum(kernel, psi, range(0, 2 * n), 1.5)
     out_shifted = evolve(shifted, kernel, 1.5,
                          out_window=(2 * n, 4 * n - 1))
-    assert np.max(np.abs(out.amplitudes - out_shifted.amplitudes)) <= 1e-12
+    assert np.max(np.abs(out - out_shifted.amplitudes)) <= 1e-12
+
+
+def test_image_cutoff_depends_on_separation_only():
+    # check-route cost and value do not move with absolute site index
+    n, z = 5, 3.0
+    shift = 2 * n * 10**4
+    for j, r in ((2, 1), (0, 7), (-3, 4), (9, -6)):
+        assert minimal_image_cutoff(n, z, j + shift, r + shift) == \
+            minimal_image_cutoff(n, z, j, r)
+        assert periodic_kernel(j + shift, r + shift, z, n, P1) == \
+            periodic_kernel(j, r, z, n, P1)
+
+
+# ---------------------------------------------------------------------------
+# evolution engine against the scalar check routes
+# ---------------------------------------------------------------------------
+
+def _dense_sum(kernel, psi, out_sites, dt):
+    """sum_r k(j, r, dt) psi_r with the scalar check-route kernel."""
+    return np.array([sum(kernel(int(j), int(r), dt) * a
+                         for r, a in zip(psi.lattice.sites, psi.amplitudes))
+                     for j in out_sites])
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_property_evolve_equals_dense_sum(data):
+    system = data.draw(st.sampled_from(
+        ["free", "periodic", "box-spectral", "box-images"]))
+    z = data.draw(st.floats(min_value=0.0, max_value=12.0))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    window = None
+    if system.startswith("box"):
+        n = data.draw(st.integers(min_value=2, max_value=10))
+        a = data.draw(st.integers(min_value=1, max_value=n - 1))
+        lat = Lattice(P1, a, data.draw(st.integers(min_value=a, max_value=n - 1)))
+    else:
+        n = data.draw(st.integers(min_value=2, max_value=6)) \
+            if system == "periodic" else None
+        # periodic windows may be wider than the period 2N
+        width = data.draw(st.integers(min_value=1, max_value=6 * (n or 2)))
+        offset = data.draw(st.integers(min_value=-10**6, max_value=10**6))
+        lat = Lattice(P1, offset, offset + width - 1)
+        if width > 6 or data.draw(st.booleans()):
+            lo = offset + data.draw(st.integers(min_value=-20, max_value=width + 5))
+            window = (lo, lo + data.draw(st.integers(min_value=0, max_value=15)))
+    kernel = PropagatorKernel(system, P1, n=n)
+    rng = np.random.default_rng(seed)
+    psi = LatticeWavefunction(lat, rng.normal(size=lat.num_sites)
+                              + 1j * rng.normal(size=lat.num_sites))
+    out = evolve(psi, kernel, z, window)
+    want = _dense_sum(kernel, psi, out.lattice.sites, z)
+    scale = float(np.sum(np.abs(psi.amplitudes)))
+    assert np.max(np.abs(out.amplitudes - want)) <= 1e-13 * scale
+
+
+def test_evolve_periodic_far_offset_is_relabelled():
+    # a one-period window at offset 1e5 gives the offset-0 result, relabelled
+    n, far = 16, 10**5
+    kernel = PropagatorKernel.periodic(n, P1)
+    amps = np.random.default_rng(5).normal(size=2 * n) + 0.5j
+    near = LatticeWavefunction(Lattice(P1, 0, 2 * n - 1), amps)
+    moved = LatticeWavefunction(Lattice(P1, far, far + 2 * n - 1), amps)
+    a = evolve(near, kernel, 7.0, out_window=(0, 2 * n - 1))
+    b = evolve(moved, kernel, 7.0, out_window=(far, far + 2 * n - 1))
+    assert b.lattice.n_min == far
+    assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-13
+
+
+@pytest.mark.parametrize("system", ["periodic", "box-spectral"])
+def test_evolve_circle_step_error_scales_with_z(system):
+    # the circle-step phases carry an error of about z * eps; pin it at
+    # z = 1e4 against the Bessel-table check routes
+    n, z = 5, 1.0e4
+    kernel = PropagatorKernel(system, P1, n=n)
+    amps = np.random.default_rng(11).normal(size=n - 1) + 0.3j
+    psi = LatticeWavefunction(Lattice(P1, 1, n - 1), amps)
+    out = evolve(psi, kernel, z, out_window=(0, n))
+    want = _dense_sum(kernel, psi, out.lattice.sites, z)
+    scale = float(np.sum(np.abs(amps)))
+    assert np.max(np.abs(out.amplitudes - want)) <= 2 * z * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("system", ["free", "periodic", "box-spectral", "box-images"])
+def test_evolve_dt_zero_is_exact_identity(system):
+    n = 6
+    amps = np.array([0.0, -0.5 + 1e-17j, 2.0, 0.0, -3.25j, 1e-300, 0.0])
+    psi = LatticeWavefunction(Lattice(P1, 0, n), amps)
+    kernel = PropagatorKernel(system, P1, n=None if system == "free" else n)
+    out = evolve(psi, kernel, 0.0, out_window=(0, n))
+    assert np.array_equal(out.amplitudes, amps)
+
+
+@pytest.mark.parametrize("system", ["box-spectral", "box-images"])
+def test_evolve_box_walls_exactly_zero(system):
+    spec = box_spectrum(7, P1)
+    out = evolve(spec.eigenstate(3), PropagatorKernel(system, P1, n=7), 2.3)
+    assert out.amplitudes[0] == 0.0 and out.amplitudes[7] == 0.0
+
+
+def test_evolve_rejects_explicit_image_cutoff():
+    psi = LatticeWavefunction(Lattice(P1, 1, 2), [0.6, 0.8])
+    for kernel in (PropagatorKernel.periodic(4, P1, image_cutoff=3),
+                   PropagatorKernel.box_images(4, P1, image_cutoff=3)):
+        with pytest.raises(ValueError):
+            evolve(psi, kernel, 1.0)
+        with pytest.raises(ValueError):
+            kernel_table(kernel, [1], [1], 1.0)
+
+
+@pytest.mark.parametrize("system,n,js,rs", [
+    ("free", None, range(-9, 7), range(-30, 12)),
+    ("periodic", 3, range(-4, 15), range(995, 1003)),
+    ("box-spectral", 6, range(0, 7), range(0, 7)),
+    ("box-images", 5, range(1, 6), range(0, 4)),
+])
+def test_kernel_table_matches_scalar_kernels(system, n, js, rs):
+    kernel = PropagatorKernel(system, P1, n=n)
+    for dt in (0.0, 0.8, 9.5):
+        table = kernel_table(kernel, js, rs, dt)
+        want = np.array([[kernel(j, r, dt) for r in rs] for j in js])
+        assert table.shape == (len(js), len(rs))
+        assert np.max(np.abs(table - want)) <= 1e-14
+    identity = kernel_table(kernel, js, rs, 0.0)
+    jj, rr = np.meshgrid(js, rs, indexing="ij")
+    if system == "periodic":
+        expect = (jj - rr) % (2 * n) == 0
+    elif system == "free":
+        expect = jj == rr
+    else:
+        expect = (jj == rr) & (jj > 0) & (jj < n)
+    assert np.array_equal(identity, expect.astype(complex))
+
+
+def test_kernel_table_box_walls_and_domain():
+    table = kernel_table(PropagatorKernel.box_images(5, P1), range(6), range(6), 1.3)
+    assert np.all(table[[0, 5], :] == 0.0) and np.all(table[:, [0, 5]] == 0.0)
+    with pytest.raises(ValueError):
+        kernel_table(PropagatorKernel.box_spectral(5, P1), [0, 6], [1], 1.0)
+    with pytest.raises(ValueError):
+        kernel_table(PropagatorKernel.schrodinger_free(P1), [0], [1], 1.0)
 
 
 def test_kernel_object_dispatch_matches_functions():

@@ -92,3 +92,29 @@ def test_malformed_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="malformed row"):
         load_wavefunction(path)
+
+
+def test_file_bytes_are_pinned(tmp_path):
+    lat = Lattice(PhysicalParams(mu0=0.5), -1, 0)
+    save_wavefunction(LatticeWavefunction(lat, [0.25 - 1j, 0.0]), tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == \
+        b"n,re,im\r\n-1,0.25,-1.0\r\n0,0.0,0.0\r\n"
+    assert (tmp_path / "s.json").read_text() == (
+        '{\n  "hbar": 1.0,\n  "mass": 1.0,\n  "mu0": 0.5,\n'
+        '  "n_min": -1,\n  "n_max": 0\n}\n')
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.json"]
+
+
+def test_failed_save_leaves_old_files_whole(tmp_path, monkeypatch):
+    psi = _sample_state()
+    path = tmp_path / "state.csv"
+    save_wavefunction(psi, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def no_rename(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("polymerqm.stateio.os.replace", no_rename)
+    with pytest.raises(OSError):
+        save_wavefunction(LatticeWavefunction(psi.lattice, np.ones(5)), path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
