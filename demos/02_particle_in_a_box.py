@@ -14,7 +14,6 @@ import numpy as np
 
 from polymerqm import (
     PhysicalParams,
-    PotentialSpec,
     PropagatorKernel,
     apply_hamiltonian,
     box_spectral_kernel,
@@ -40,14 +39,14 @@ print()
 print("=== H psi = E psi residuals ===")
 for l in (1, N // 2, N - 1):
     state = spec.eigenstate(l)
-    h_state = apply_hamiltonian(state, PotentialSpec.box(N))
+    h_state = apply_hamiltonian(state, N)
     resid = np.max(np.abs(h_state.amplitudes
                           - spec.energies[l - 1] * state.amplitudes))
     print(f"level {l}: max residual {resid:.2e}")
 
 print()
 print("=== eigenstates evolve by a pure phase ===")
-kernel = PropagatorKernel.box_spectral(N, params)
+kernel = PropagatorKernel.box(N, params)
 dt = 1.3
 for l in (1, 3, 7):
     state = spec.eigenstate(l)

@@ -9,7 +9,6 @@ condition, composition, Green's-function character, continuum limit).
 from .bessel import BesselTable, bessel_jn, bessel_table, jacobi_anger, truncation_window
 from .dynamics import (
     BoxSpectrum,
-    PotentialSpec,
     WallSupportError,
     apply_hamiltonian,
     box_spectrum,
@@ -62,7 +61,6 @@ __all__ = [
     "LatticeWavefunction",
     "MomentumGrid",
     "PhysicalParams",
-    "PotentialSpec",
     "PropagatorKernel",
     "SweepPoint",
     "WallSupportError",

@@ -135,9 +135,11 @@ def bessel_jn(n: int, z: float) -> float:
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
-def unit_imaginary_power(m: int) -> complex:
-    """i**m for any integer m, exact via m mod 4 (no floating drift)."""
-    return complex(_I_POWERS[int(m) % 4])
+def unit_imaginary_power(m):
+    """i**m, exact via m mod 4: a complex for an integer, an array for an array."""
+    if np.ndim(m) == 0:
+        return complex(_I_POWERS[int(m) % 4])
+    return _I_POWERS[np.asarray(m, dtype=np.int64) % 4]
 
 
 def jacobi_anger(z: float, phi: float, window: int) -> complex:
@@ -163,5 +165,5 @@ def jacobi_anger(z: float, phi: float, window: int) -> complex:
         return complex(table.values[0])
     # n and -n terms pair up to 2 i^n J_n(z) cos(n phi).
     n = np.arange(1, window + 1)
-    terms = 2.0 * _I_POWERS[n % 4] * table.values[1:] * np.cos(n * phi)
+    terms = 2.0 * unit_imaginary_power(n) * table.values[1:] * np.cos(n * phi)
     return complex(table.values[0] + np.sum(terms))

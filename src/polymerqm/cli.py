@@ -27,13 +27,9 @@ from .propagators import PropagatorKernel, continuum_sweep, evolve, kernel_table
 from .stateio import load_wavefunction, save_wavefunction, write_atomic
 from .verify import SUITE_NAMES, run_suite
 
+# "box-images" is an alias of "box": the box engine is the image
+# construction, the odd part of the circle step
 _SYSTEM_CHOICES = ("free", "box", "box-images", "periodic")
-_SYSTEM_TO_KERNEL = {
-    "free": "free",
-    "box": "box-spectral",
-    "box-images": "box-images",
-    "periodic": "periodic",
-}
 _CONFIG_KEYS = {
     "hbar", "mass", "mu0", "system", "N", "times",
     "format", "seed", "tolerances", "suite", "dx", "mu0_list",
@@ -74,7 +70,8 @@ class RunConfig:
             return PropagatorKernel.free(self.params())
         if self.n is None:
             raise ValueError(f"system {self.system!r} needs N")
-        return PropagatorKernel(_SYSTEM_TO_KERNEL[self.system], self.params(), n=self.n)
+        system = "box" if self.system == "box-images" else self.system
+        return PropagatorKernel(system, self.params(), n=self.n)
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -23,32 +23,6 @@ class WallSupportError(ValueError):
     """Raised when a box state has nonzero amplitude at or beyond a wall."""
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Potential selector: free particle, or a box with walls at sites 0 and n."""
-
-    kind: str
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("free", "box"):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "box":
-            if self.n is None or int(self.n) < 2:
-                raise ValueError(f"box needs n >= 2 lattice intervals, got {self.n}")
-            object.__setattr__(self, "n", int(self.n))
-        elif self.n is not None:
-            raise ValueError("free potential takes no n")
-
-    @classmethod
-    def free(cls) -> "PotentialSpec":
-        return cls(kind="free")
-
-    @classmethod
-    def box(cls, n: int) -> "PotentialSpec":
-        return cls(kind="box", n=n)
-
-
 def _box_interior_amplitudes(psi: LatticeWavefunction, n_box: int) -> np.ndarray:
     """Embed a box state into the full 0..N window, checking wall support.
 
@@ -71,23 +45,26 @@ def _box_interior_amplitudes(psi: LatticeWavefunction, n_box: int) -> np.ndarray
 
 
 def apply_hamiltonian(psi: LatticeWavefunction,
-                      potential: PotentialSpec) -> LatticeWavefunction:
+                      n_box: int | None = None) -> LatticeWavefunction:
     """Apply the polymer Hamiltonian to a windowed state.
 
-    Free: the output window grows by one site on each side (the stencil
-    widens support).  Box: the output lives on sites 0..N with walls
-    pinned to zero.
+    n_box None is the free particle: the output window grows by one site
+    on each side (the stencil widens support).  Otherwise the box with
+    walls at sites 0 and n_box >= 2: the output lives on sites 0..N with
+    walls pinned to zero.
     """
     params = psi.lattice.params
     c = 0.5 * params.energy_scale
 
-    if potential.kind == "free":
+    if n_box is None:
         # convolution with [-1, 2, -1] is the zero-padded stencil
         out = c * np.convolve(psi.amplitudes, [-1.0, 2.0, -1.0])
         lat = Lattice(params, psi.lattice.n_min - 1, psi.lattice.n_max + 1)
         return LatticeWavefunction(lat, out)
 
-    n_box = potential.n
+    n_box = int(n_box)
+    if n_box < 2:
+        raise ValueError(f"box needs n >= 2 lattice intervals, got {n_box}")
     full = _box_interior_amplitudes(psi, n_box)
     out = c * np.convolve(full, [-1.0, 2.0, -1.0])[1:-1]
     out[0] = 0.0

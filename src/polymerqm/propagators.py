@@ -1,21 +1,21 @@
 """Closed-form propagator kernels and the consistency machinery around them.
 
-Systems covered:
+Systems (`PropagatorKernel.system`):
 
-  free             i^(r-j) J_(r-j)(z) e^(-iz),  z = hbar*dt/(m*mu0^2)
-  box-spectral     (2/N) sum_l sin(l pi j/N) sin(l pi r/N) e^(-iz(1-cos(l pi/N)))
-  box-images       twice the odd part of the periodic kernel
-  periodic         sum over images k of the free kernel at r + 2kN
-  schrodinger-free sqrt(m/(2 pi i hbar dt)) exp(i m (x_j-x_r)^2 / (2 hbar dt))
-  schrodinger-box-packet   truncated continuum mode sum (reference density)
+  free      i^(r-j) J_(r-j)(z) e^(-iz),  z = hbar*dt/(m*mu0^2)
+  box       (2/N) sum_l sin(l pi j/N) sin(l pi r/N) e^(-iz(1-cos(l pi/N))),
+            equal to twice the odd part of the periodic kernel
+  periodic  sum over images k of the free kernel at r + 2kN
 
 The hot path (`evolve`, `kernel_table`) uses one kernel vector per
 (system, dt): free orders applied by convolution, or the 2N-site circle,
 where the image sum is an exact finite sum over 2N momenta applied by
-FFT (the box is its odd part).  The scalar kernels are the independent
-check routes; the two Schrodinger entries are continuum reference
-densities.  Image and composition sums use numpy's pairwise summation
-over a fixed index order, so results do not depend on evaluation order.
+FFT (the box is its odd part).  The scalar kernels (free, box spectral
+sum, box image sum, periodic image sum) are the independent check
+routes; `schrodinger_free_kernel` and `schrodinger_box_evolve` are the
+continuum references.  Image and composition sums use numpy's pairwise
+summation over a fixed index order, so results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_table, truncation_window, unit_imaginary_power, _I_POWERS
+from .bessel import bessel_table, truncation_window, unit_imaginary_power
 from .dynamics import dispersion_energy, _box_interior_amplitudes
 from .lattice import (
     Lattice,
@@ -34,8 +34,7 @@ from .lattice import (
     dimensionless_time,
 )
 
-_POLYMER_SYSTEMS = ("free", "box-spectral", "box-images", "periodic")
-_ALL_SYSTEMS = _POLYMER_SYSTEMS + ("schrodinger-free", "schrodinger-box-packet")
+_SYSTEMS = ("free", "box", "periodic")
 
 
 def _signed_terms(orders: np.ndarray, table, z: float) -> np.ndarray:
@@ -46,7 +45,7 @@ def _signed_terms(orders: np.ndarray, table, z: float) -> np.ndarray:
     bit-for-bit).  A negative argument flips i^|m| to its conjugate.
     """
     mag = np.abs(np.asarray(orders))
-    phases = _I_POWERS[mag % 4]
+    phases = unit_imaginary_power(mag)
     if z < 0.0:
         phases = np.conj(phases)
     return phases * table.values[mag]
@@ -190,95 +189,49 @@ def schrodinger_free_kernel(xj: float, xr: float, dt: float,
 
 @dataclass(frozen=True)
 class PropagatorKernel:
-    """Immutable kernel selector; call it as kernel(j, r, dt)."""
+    """A lattice system: free, a box with walls at sites 0 and n, or period 2n.
+
+    Calling it as kernel(j, r, dt) evaluates the scalar closed form (free
+    Bessel term, box spectral sum, periodic image sum): the check route
+    that `evolve` and `kernel_table`, which share one kernel vector per
+    dt, are tested against.
+    """
 
     system: str
     params: PhysicalParams
     n: int | None = None
-    image_cutoff: int | None = None
-    mode_cutoff: int | None = None
 
     def __post_init__(self):
-        if self.system not in _ALL_SYSTEMS:
+        if self.system not in _SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; "
-                             f"expected one of {_ALL_SYSTEMS}")
-        needs_n = self.system in ("box-spectral", "box-images", "periodic",
-                                  "schrodinger-box-packet")
-        if needs_n:
-            if self.n is None or int(self.n) < 2:
-                raise ValueError(f"{self.system} needs n >= 2, got {self.n}")
+                             f"expected one of {_SYSTEMS}")
+        if self.system == "free":
+            if self.n is not None:
+                raise ValueError("free takes no box size")
+        elif self.n is None or int(self.n) < 2:
+            raise ValueError(f"{self.system} needs n >= 2, got {self.n}")
+        else:
             object.__setattr__(self, "n", int(self.n))
-        elif self.n is not None:
-            raise ValueError(f"{self.system} takes no box size")
-        if self.image_cutoff is not None:
-            if self.system not in ("box-images", "periodic"):
-                raise ValueError(f"{self.system} takes no image cutoff")
-            if int(self.image_cutoff) < 1:
-                raise ValueError("image_cutoff must be >= 1")
-        if self.system == "schrodinger-box-packet":
-            if self.mode_cutoff is None or int(self.mode_cutoff) < 1:
-                raise ValueError("schrodinger-box-packet needs mode_cutoff >= 1")
-        elif self.mode_cutoff is not None:
-            raise ValueError(f"{self.system} takes no mode cutoff")
 
-    # constructors ---------------------------------------------------------
     @classmethod
     def free(cls, params: PhysicalParams = PhysicalParams()) -> "PropagatorKernel":
         return cls("free", params)
 
     @classmethod
-    def box_spectral(cls, n: int,
-                     params: PhysicalParams = PhysicalParams()) -> "PropagatorKernel":
-        return cls("box-spectral", params, n=n)
+    def box(cls, n: int, params: PhysicalParams = PhysicalParams()) -> "PropagatorKernel":
+        return cls("box", params, n=n)
 
     @classmethod
-    def box_images(cls, n: int, params: PhysicalParams = PhysicalParams(),
-                   image_cutoff: int | None = None) -> "PropagatorKernel":
-        return cls("box-images", params, n=n, image_cutoff=image_cutoff)
+    def periodic(cls, n: int,
+                 params: PhysicalParams = PhysicalParams()) -> "PropagatorKernel":
+        return cls("periodic", params, n=n)
 
-    @classmethod
-    def periodic(cls, n: int, params: PhysicalParams = PhysicalParams(),
-                 image_cutoff: int | None = None) -> "PropagatorKernel":
-        return cls("periodic", params, n=n, image_cutoff=image_cutoff)
-
-    @classmethod
-    def schrodinger_free(cls,
-                         params: PhysicalParams = PhysicalParams()) -> "PropagatorKernel":
-        return cls("schrodinger-free", params)
-
-    @classmethod
-    def schrodinger_box_packet(cls, n: int, mode_cutoff: int,
-                               params: PhysicalParams = PhysicalParams()
-                               ) -> "PropagatorKernel":
-        return cls("schrodinger-box-packet", params, n=n, mode_cutoff=mode_cutoff)
-
-    # evaluation -----------------------------------------------------------
     def __call__(self, j: int, r: int, dt: float) -> complex:
         if self.system == "free":
             return free_kernel(j, r, dt, self.params)
-        if self.system == "box-spectral":
+        if self.system == "box":
             return box_spectral_kernel(j, r, dt, self.n, self.params)
-        if self.system == "box-images":
-            return box_images_kernel(j, r, dt, self.n, self.params, self.image_cutoff)
-        if self.system == "periodic":
-            return periodic_kernel(j, r, dt, self.n, self.params, self.image_cutoff)
-        if self.system == "schrodinger-free":
-            mu0 = self.params.mu0
-            return schrodinger_free_kernel(j * mu0, r * mu0, dt, self.params)
-        # schrodinger-box-packet: truncated continuum mode sum (a density,
-        # meaningful only smeared against a packet)
-        length = self.n * self.params.mu0
-        levels = np.arange(1, self.mode_cutoff + 1)
-        energies = (levels * math.pi * self.params.hbar / length) ** 2 \
-            / (2.0 * self.params.mass)
-        terms = ((2.0 / length)
-                 * np.sin(levels * math.pi * j / self.n)
-                 * np.sin(levels * math.pi * r / self.n)
-                 * np.exp(-1j * energies * float(dt) / self.params.hbar))
-        return complex(np.sum(terms))
-
-    def evaluates_on_lattice(self) -> bool:
-        return self.system in _POLYMER_SYSTEMS
+        return periodic_kernel(j, r, dt, self.n, self.params)
 
 
 def _free_vector(z: float, m_lo: int, m_hi: int) -> np.ndarray:
@@ -303,13 +256,6 @@ def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     return np.fft.ifft(phases * np.fft.fft(psi))
 
 
-def _check_engine_kernel(kernel: PropagatorKernel) -> None:
-    if not kernel.evaluates_on_lattice():
-        raise ValueError(f"{kernel.system} is a continuum reference, not a lattice kernel")
-    if kernel.image_cutoff is not None:
-        raise ValueError("the circle step sums all images exactly; drop image_cutoff")
-
-
 def kernel_table(kernel: PropagatorKernel, j_values, r_values,
                  dt: float) -> np.ndarray:
     """k(j, r, dt) for j in j_values (rows) and r in r_values (columns).
@@ -318,7 +264,6 @@ def kernel_table(kernel: PropagatorKernel, j_values, r_values,
     the circle step of a delta, whose odd part is the box kernel.  Box
     walls are exactly 0; dt = 0 gives the exact identity.
     """
-    _check_engine_kernel(kernel)
     js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
     z = dimensionless_time(kernel.params, dt)
     diff = np.subtract.outer(js, rs)
@@ -345,19 +290,18 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
     Periodic: the exact circle step of psi folded onto Z_2N.  Their
     default output window pads the input by the Bessel truncation
     window, covering all amplitudes above double-precision noise.  Box
-    (spectral and images alike): the circle step of the odd extension;
+    the circle step of the odd extension;
     it needs wall-free input and gives sites 0..N, walls exactly 0.
     Circle-step error is about z * eps (see _circle_step).  At dt = 0
     every system returns its input exactly.
     """
-    _check_engine_kernel(kernel)
     lat = psi0.lattice
     params = lat.params
     if params != kernel.params:
         raise ValueError("state and kernel carry different physical parameters")
     z = dimensionless_time(params, dt)
 
-    if kernel.system in ("box-spectral", "box-images"):
+    if kernel.system == "box":
         n_box = kernel.n
         if out_window is not None and tuple(out_window) != (0, n_box):
             raise ValueError(f"box evolution always produces sites 0..{n_box}")
@@ -392,7 +336,9 @@ def composition_check(kernel: PropagatorKernel, j: int, r: int,
                       window: tuple[int, int] | None = None) -> float:
     """|k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over the given window.
 
-    Box systems use sites 0..N exactly (the sum is then finite and the
+    The direct term is the scalar closed form; the two legs are one
+    `kernel_table` row and one column, so two routes are compared.  Box
+    systems use sites 0..N exactly (the sum is then finite and the
     identity holds to rounding).  For the free and periodic systems the
     default window pads [min(j,r), max(j,r)] by the truncation windows
     of both legs, outside of which the factors decay super-exponentially.
@@ -404,7 +350,7 @@ def composition_check(kernel: PropagatorKernel, j: int, r: int,
     dt_early = t1 - t0
     direct = kernel(j, r, t - t0)
 
-    if kernel.system in ("box-spectral", "box-images"):
+    if kernel.system == "box":
         sites = np.arange(0, kernel.n + 1)
     else:
         if window is None:
@@ -413,8 +359,8 @@ def composition_check(kernel: PropagatorKernel, j: int, r: int,
             window = (min(j, r) - pad, max(j, r) + pad)
         sites = np.arange(int(window[0]), int(window[1]) + 1)
 
-    late = np.array([kernel(j, int(n), dt_late) for n in sites])
-    early = np.array([kernel(int(n), r, dt_early) for n in sites])
+    late = kernel_table(kernel, [j], sites, dt_late)[0]
+    early = kernel_table(kernel, sites, [r], dt_early)[:, 0]
     return float(abs(direct - np.sum(late * early)))
 
 
@@ -426,112 +372,87 @@ class GreenResidualReport:
     at: tuple[int, int, float]
 
 
-def _check_positive_times(dt_values) -> list[float]:
+def _greens_report(kernel: PropagatorKernel, j_values, r_values, dt_values,
+                   dk_dt, min_dt: float = 0.0) -> GreenResidualReport:
+    """Worst |i hbar dk/dt - (H k)_j| over j x r x dt, H the stencil in j.
+
+    k at rows j-1, j, j+1 comes from `kernel_table`; dk_dt(kernel, dt,
+    js, rs) supplies the time derivative on the j x r grid.  Box stencil
+    sites must be interior, so that j +- 1 stays inside 0..N.
+    """
     dts = [float(dt) for dt in dt_values]
     if not dts:
         raise ValueError("empty time grid")
-    if any(dt <= 0.0 for dt in dts):
-        raise ValueError("all grid times must be strictly after t0")
-    return dts
+    if any(dt <= min_dt for dt in dts):
+        raise ValueError(f"grid times must exceed {min_dt} (strictly after t0, "
+                         "and beyond any differencing step)")
+    js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
+    if kernel.system == "box" and (js.min() < 1 or js.max() > kernel.n - 1):
+        raise ValueError(f"stencil sites must be interior to the box 1..{kernel.n - 1}")
+    params = kernel.params
+    c_kin = 0.5 * params.energy_scale
+
+    worst, worst_at = 0.0, (int(js[0]), int(rs[0]), dts[0])
+    for dt in dts:
+        table = kernel_table(kernel, np.concatenate([js - 1, js, js + 1]), rs, dt)
+        below, k, above = np.split(table, 3)
+        res = np.abs(1j * params.hbar * dk_dt(kernel, dt, js, rs)
+                     - c_kin * (2.0 * k - below - above))
+        at = np.unravel_index(np.argmax(res), res.shape)
+        if res[at] > worst:
+            worst, worst_at = float(res[at]), (int(js[at[0]]), int(rs[at[1]]), dt)
+    return GreenResidualReport(worst, worst_at)
+
+
+def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
+    """(dz/dt) i^|m| e^{-iz} (J'_|m| - i J_|m|), m = j - r, from one table."""
+    params = kernel.params
+    z = dimensionless_time(params, dt)
+    mag = np.abs(np.subtract.outer(js, rs))
+    values = bessel_table(z, int(mag.max()) + 1).values
+    lower = np.where(mag == 0, -values[1], values[mag - 1])  # J_{-1} = -J_1
+    deriv = 0.5 * (lower - values[mag + 1])
+    rate = params.hbar / (params.mass * params.mu0**2)
+    return (rate * unit_imaginary_power(mag) * np.exp(-1j * z)
+            * (deriv - 1j * values[mag]))
+
+
+def _box_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
+    """-(i/hbar) (2/N) sum_l sin(l pi j/N) sin(l pi r/N) E_l e^{-i E_l dt/hbar}."""
+    params, n_box = kernel.params, kernel.n
+    levels = np.arange(1, n_box)
+    gaps = 1.0 - np.cos(levels * math.pi / n_box)
+    weights = ((2.0 / n_box) * params.energy_scale * gaps
+               * np.exp(-1j * dimensionless_time(params, dt) * gaps))
+    sj = np.sin(np.outer(js, levels) * math.pi / n_box)
+    sr = np.sin(np.outer(rs, levels) * math.pi / n_box)
+    return (-1j / params.hbar) * ((sj * weights) @ sr.T)
 
 
 def greens_residual(kernel: PropagatorKernel, j_values, r_values,
                     dt_values) -> GreenResidualReport:
     """Analytic Green's-function residual of the kernel for t > t0.
 
-    The time derivative is evaluated in closed form: for the free kernel
-    through dJ_n/dz = (J_{n-1} - J_{n+1})/2 plus the e^{-iz} factor, and
-    for the box through the energy-weighted spectral sum.  H is applied
-    as the second-difference stencil in the outgoing index.
+    The time derivative is evaluated in closed form over whole index
+    arrays: for the free kernel through dJ_n/dz = (J_{n-1} - J_{n+1})/2
+    plus the e^{-iz} factor, and for the box through the energy-weighted
+    spectral sum.  H is applied as the second-difference stencil in the
+    outgoing index.  The periodic system has no analytic route here.
     """
-    dts = _check_positive_times(dt_values)
-    params = kernel.params
-    c_kin = 0.5 * params.energy_scale
-    rate = params.hbar / (params.mass * params.mu0**2)  # dz/dt
-
-    worst = 0.0
-    worst_at = (int(j_values[0]), int(r_values[0]), dts[0])
-
-    if kernel.system == "free":
-        for dt in dts:
-            z = dimensionless_time(params, dt)
-            max_n = max(abs(int(r) - int(j)) for j in j_values for r in r_values) + 1
-            table = bessel_table(abs(z), max_n)
-            phase = np.exp(-1j * z)
-            for j in j_values:
-                for r in r_values:
-                    m = int(r) - int(j)
-                    jm = table.order(m)
-                    djm = 0.5 * (table.order(m - 1) - table.order(m + 1))
-                    ip = unit_imaginary_power(m)
-                    dk_dt = rate * ip * phase * (djm - 1j * jm)
-                    k0 = ip * table.order(m) * phase
-                    kp = unit_imaginary_power(m - 1) * table.order(m - 1) * phase
-                    km = unit_imaginary_power(m + 1) * table.order(m + 1) * phase
-                    res = abs(1j * params.hbar * dk_dt
-                              - c_kin * (2.0 * k0 - kp - km))
-                    if res > worst:
-                        worst, worst_at = res, (int(j), int(r), dt)
-        return GreenResidualReport(worst, worst_at)
-
-    if kernel.system == "box-spectral":
-        n_box = kernel.n
-        for j in j_values:
-            if not (1 <= int(j) <= n_box - 1):
-                raise ValueError(
-                    f"stencil site {j} must be interior to the box 1..{n_box - 1}")
-        levels = np.arange(1, n_box)
-        gaps = 1.0 - np.cos(levels * math.pi / n_box)
-        energies = params.energy_scale * gaps
-        for dt in dts:
-            z = dimensionless_time(params, dt)
-            phases = np.exp(-1j * z * gaps)
-            for j in j_values:
-                for r in r_values:
-                    sj = np.sin(levels * math.pi * int(j) / n_box)
-                    sr = np.sin(levels * math.pi * int(r) / n_box)
-                    coeff = (2.0 / n_box) * sj * sr
-                    ihdk = np.sum(coeff * energies * phases)
-                    k0 = box_spectral_kernel(int(j), int(r), dt, n_box, params)
-                    kp = box_spectral_kernel(int(j) + 1, int(r), dt, n_box, params)
-                    km = box_spectral_kernel(int(j) - 1, int(r), dt, n_box, params)
-                    res = abs(ihdk - c_kin * (2.0 * k0 - kp - km))
-                    if res > worst:
-                        worst, worst_at = res, (int(j), int(r), dt)
-        return GreenResidualReport(worst, worst_at)
-
-    raise ValueError(f"analytic residual not defined for system {kernel.system!r}")
+    dk_dt = {"free": _free_dk_dt, "box": _box_dk_dt}.get(kernel.system)
+    if dk_dt is None:
+        raise ValueError(f"analytic residual not defined for system {kernel.system!r}")
+    return _greens_report(kernel, j_values, r_values, dt_values, dk_dt)
 
 
 def greens_residual_fd(kernel: PropagatorKernel, j_values, r_values, dt_values,
                        step: float = 1e-6) -> GreenResidualReport:
     """Finite-difference cross-check of `greens_residual` (central, step h)."""
-    dts = _check_positive_times(dt_values)
-    if any(dt <= step for dt in dts):
-        raise ValueError("grid times must exceed the differencing step")
-    if not kernel.evaluates_on_lattice():
-        raise ValueError(f"{kernel.system} is not a lattice kernel")
-    params = kernel.params
-    c_kin = 0.5 * params.energy_scale
-    interior_only = kernel.system in ("box-spectral", "box-images")
+    def dk_dt(kernel, dt, js, rs):
+        return (kernel_table(kernel, js, rs, dt + step)
+                - kernel_table(kernel, js, rs, dt - step)) / (2.0 * step)
 
-    worst = 0.0
-    worst_at = (int(j_values[0]), int(r_values[0]), dts[0])
-    for dt in dts:
-        for j in j_values:
-            j = int(j)
-            if interior_only and not (1 <= j <= kernel.n - 1):
-                raise ValueError(f"stencil site {j} must be interior to the box")
-            for r in r_values:
-                r = int(r)
-                dk_dt = (kernel(j, r, dt + step)
-                         - kernel(j, r, dt - step)) / (2.0 * step)
-                hk = c_kin * (2.0 * kernel(j, r, dt)
-                              - kernel(j + 1, r, dt) - kernel(j - 1, r, dt))
-                res = abs(1j * params.hbar * dk_dt - hk)
-                if res > worst:
-                    worst, worst_at = res, (j, r, dt)
-    return GreenResidualReport(worst, worst_at)
+    return _greens_report(kernel, j_values, r_values, dt_values, dk_dt, min_dt=step)
 
 
 # ---------------------------------------------------------------------------
@@ -597,18 +518,18 @@ def box_mode_coefficients(packet, length: float, num_modes: int,
 
 def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
                            params: PhysicalParams,
-                           mode_cutoff: int | None = None,
+                           num_modes: int | None = None,
                            coeff_floor: float = 1e-14) -> np.ndarray:
     """Continuum box evolution of a smooth packet by the spectral series.
 
     The pointwise kernel series does not converge; the packet-smeared
     series does, because the mode coefficients of a smooth packet decay
-    fast.  With mode_cutoff=None modes are added until the smallest
+    fast.  With num_modes=None modes are added until the smallest
     retained coefficient is below coeff_floor of the largest.
     """
     dt = float(dt)
     length = float(length)
-    if mode_cutoff is None:
+    if num_modes is None:
         num = 64
         prev_tail = math.inf
         while True:
@@ -623,10 +544,10 @@ def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
                 break
             prev_tail = tail
             num *= 2
-        mode_cutoff = num
+        num_modes = num
     else:
-        coeffs = box_mode_coefficients(packet, length, int(mode_cutoff))
-    levels = np.arange(1, int(mode_cutoff) + 1)
+        coeffs = box_mode_coefficients(packet, length, int(num_modes))
+    levels = np.arange(1, int(num_modes) + 1)
     energies = (levels * math.pi * params.hbar / length) ** 2 / (2.0 * params.mass)
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
     modes = np.sin(np.outer(x, levels) * math.pi / length)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bessel import bessel_jn, bessel_table, jacobi_anger, truncation_window
 from .dynamics import apply_hamiltonian, box_spectrum, dispersion_energy, \
-    dispersion_momentum, PotentialSpec
+    dispersion_momentum
 from .lattice import (
     Lattice,
     LatticeWavefunction,
@@ -38,6 +38,7 @@ from .propagators import (
     free_kernel,
     greens_residual,
     greens_residual_fd,
+    kernel_table,
     momentum_kernel_phase,
 )
 
@@ -152,15 +153,15 @@ def suite_free(params: PhysicalParams | None = None, seed: int = 0,
               for j in range(-16, 17) for r in range(-16, 17))
     checks.append(_run("free", "initial-condition", dev, 1e-14, overrides))
 
+    # sum_m |k(m, 0)|^2 = 1 over the truncation window, from the engine
+    kernel = PropagatorKernel.free(params)
     dev = 0.0
     for z in (0.1, 1.0, 10.0, 100.0):
         w = truncation_window(z)
-        table = bessel_table(z, w)
-        total = table.values[0] ** 2 + 2.0 * np.sum(table.values[1:] ** 2)
-        dev = max(dev, abs(total - 1.0))
+        column = kernel_table(kernel, range(-w, w + 1), [0], z * scale)[:, 0]
+        dev = max(dev, abs(float(np.sum(np.abs(column) ** 2)) - 1.0))
     checks.append(_run("free", "unitarity", dev, 1e-10, overrides))
 
-    kernel = PropagatorKernel.free(params)
     dev = 0.0
     for z1, z2 in ((1.0, 1.0), (2.0, 0.5), (10.0, 10.0)):
         for sep in (0, 3, 8):
@@ -243,7 +244,7 @@ def suite_box(params: PhysicalParams | None = None, n_box: int = 8, seed: int = 
     checks.append(_run("box", "boundary-zeros", dev, 0.0, overrides))
 
     spectrum = box_spectrum(n_box, params)
-    kernel = PropagatorKernel.box_spectral(n_box, params)
+    kernel = PropagatorKernel.box(n_box, params)
     dev = 0.0
     for level in range(1, n_box):
         state = spectrum.eigenstate(level)
@@ -266,7 +267,7 @@ def suite_box(params: PhysicalParams | None = None, n_box: int = 8, seed: int = 
 
     dev = 0.0
     for n in (3, 5, 8):
-        k = PropagatorKernel.box_spectral(n, params)
+        k = PropagatorKernel.box(n, params)
         for j in range(1, n):
             for r in range(1, n):
                 for t1 in (0.4, 1.1, 2.3):
@@ -274,7 +275,7 @@ def suite_box(params: PhysicalParams | None = None, n_box: int = 8, seed: int = 
                                                      t1 * scale, 3.0 * scale))
     checks.append(_run("box", "composition", dev, 1e-12, overrides))
 
-    rep = greens_residual(PropagatorKernel.box_spectral(6, params),
+    rep = greens_residual(PropagatorKernel.box(6, params),
                           range(1, 6), range(0, 7),
                           [z * scale for z in (0.5, 1.0, 5.0, 20.0)])
     checks.append(_run("box", "greens-residual", rep.max_abs_residual,
@@ -308,7 +309,7 @@ def suite_box(params: PhysicalParams | None = None, n_box: int = 8, seed: int = 
         dev = max(dev, 0.0 if margin > 0 else math.inf)
         for level in range(1, n):
             state = spec.eigenstate(level)
-            h_state = apply_hamiltonian(state, PotentialSpec.box(n))
+            h_state = apply_hamiltonian(state, n)
             dev = max(dev, float(np.max(np.abs(
                 h_state.amplitudes - spec.energies[level - 1] * state.amplitudes))))
     checks.append(_run("box", "eigen-residual", dev, 1e-12, overrides))

@@ -40,8 +40,7 @@ from polymerqm.propagators import (
     momentum_kernel_phase,
     schrodinger_free_kernel,
 )
-
-from helpers import bessel_series_oracle
+from polymerqm.verify import bessel_series_reference
 
 P1 = PhysicalParams()
 
@@ -72,7 +71,7 @@ def test_criterion_2_composition():
         for sep in range(0, 9))
     dev_box = 0.0
     for n in range(2, 9):
-        k = PropagatorKernel.box_spectral(n, P1)
+        k = PropagatorKernel.box(n, P1)
         for j in range(1, n):
             for r in range(1, n):
                 for t1 in (0.4, 1.0, 2.2):
@@ -86,7 +85,7 @@ def test_criterion_3_greens_function():
     times = [0.5, 1.0, 5.0, 20.0]
     free = PropagatorKernel.free(P1)
     rep_free = greens_residual(free, range(-8, 9), range(-8, 9), times)
-    box = PropagatorKernel.box_spectral(6, P1)
+    box = PropagatorKernel.box(6, P1)
     rep_box = greens_residual(box, range(1, 6), range(0, 7), times)
     rep_fd = greens_residual_fd(free, range(-4, 5), range(-4, 5),
                                 [0.5, 1.0, 5.0], step=1e-6)
@@ -115,7 +114,7 @@ def test_criterion_4_eigenstate_evolution():
     dev_box = 0.0
     for n in (2, 5, 9):
         spec = box_spectrum(n, P1)
-        k = PropagatorKernel.box_spectral(n, P1)
+        k = PropagatorKernel.box(n, P1)
         for level in range(1, n):
             state = spec.eigenstate(level)
             for dt in (0.7, 3.1):
@@ -259,7 +258,7 @@ def test_criterion_8_box_spectrum_oracle():
 
 
 def test_criterion_9_special_functions():
-    dev = max(abs(bessel_jn(n, z) - bessel_series_oracle(n, z))
+    dev = max(abs(bessel_jn(n, z) - bessel_series_reference(n, z))
               for n in range(0, 13)
               for z in (0.0, 0.5, 1.0, 3.0, 6.0, 9.0, 12.0))
     rng = np.random.default_rng(20240214)

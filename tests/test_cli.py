@@ -272,6 +272,22 @@ def test_kernel_dt_zero_is_exact_identity(tmp_path, system):
         assert float(row["im"]) == 0.0
 
 
+def test_kernel_box_images_is_alias_of_box(tmp_path):
+    # both spellings run the one box engine; each keeps its own label
+    rows = {}
+    for system in ("box", "box-images"):
+        cfg = tmp_path / f"{system}.json"
+        cfg.write_text(json.dumps({"system": system, "N": 5,
+                                   "times": [0.0, 1.3, 40.0]}))
+        out = tmp_path / f"{system}.csv"
+        assert main(["kernel", "--config", str(cfg), "--out", str(out)]) == 0
+        rows[system] = read_csv(out)
+    assert [(r["re"], r["im"]) for r in rows["box"]] == \
+        [(r["re"], r["im"]) for r in rows["box-images"]]
+    for system, table in rows.items():
+        assert {r["system"] for r in table} == {system}
+
+
 def test_image_cutoff_flag_and_key_are_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["kernel", "--system", "periodic", "--N", "4", "--image-cutoff", "3"])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polymerqm.dynamics import (
-    PotentialSpec,
     WallSupportError,
     apply_hamiltonian,
     box_spectrum,
@@ -23,18 +22,19 @@ from polymerqm.lattice import (
 
 
 def test_potential_spec_validation():
-    assert PotentialSpec.free().kind == "free"
-    assert PotentialSpec.box(4).n == 4
-    with pytest.raises(ValueError):
-        PotentialSpec.box(1)
-    with pytest.raises(ValueError):
-        PotentialSpec(kind="well")
+    # the potential is given by n_box: None is free, a box needs n >= 2
+    psi = delta_state(Lattice(PhysicalParams(), 0, 2), 1)
+    assert apply_hamiltonian(psi).lattice.n_max == 3
+    assert apply_hamiltonian(psi, 4).lattice.n_max == 4
+    for n_box in (1, 0, -3):
+        with pytest.raises(ValueError):
+            apply_hamiltonian(psi, n_box)
 
 
 def test_free_stencil_on_delta():
     params = PhysicalParams(hbar=2.0, mass=0.5, mu0=0.4)
     lat = Lattice(params, 0, 0)
-    out = apply_hamiltonian(delta_state(lat, 0), PotentialSpec.free())
+    out = apply_hamiltonian(delta_state(lat, 0))
     c = params.hbar**2 / (2.0 * params.mass * params.mu0**2)
     assert out.lattice.n_min == -1 and out.lattice.n_max == 1
     assert np.allclose(out.amplitudes, c * np.array([-1.0, 2.0, -1.0]))
@@ -46,7 +46,7 @@ def test_free_plane_wave_scaled_by_dispersion():
     p = 0.4 * params.brillouin_edge
     psi = LatticeWavefunction(
         lat, np.exp(1j * lat.sites * params.mu0 * p / params.hbar))
-    out = apply_hamiltonian(psi, PotentialSpec.free())
+    out = apply_hamiltonian(psi)
     energy = dispersion_energy(params, p)
     # away from the window edges the stencil acts as multiplication by E(p)
     inner = slice(5, -5)
@@ -60,7 +60,7 @@ def test_box_eigenvector_is_eigenstate():
     params = PhysicalParams()
     spec = box_spectrum(4, params)
     state = spec.eigenstate(1)
-    out = apply_hamiltonian(state, PotentialSpec.box(4))
+    out = apply_hamiltonian(state, 4)
     assert np.max(np.abs(out.amplitudes - spec.energies[0] * state.amplitudes)) \
         <= 1e-12
 
@@ -70,11 +70,11 @@ def test_box_wall_support_rejected():
     lat = Lattice(params, 0, 4)
     psi = LatticeWavefunction(lat, [0.1, 0.5, 0.5, 0.5, 0.0])
     with pytest.raises(WallSupportError):
-        apply_hamiltonian(psi, PotentialSpec.box(4))
+        apply_hamiltonian(psi, 4)
     outside = LatticeWavefunction(Lattice(params, -1, 4),
                                   [0.3, 0.0, 0.5, 0.5, 0.5, 0.0])
     with pytest.raises(WallSupportError):
-        apply_hamiltonian(outside, PotentialSpec.box(4))
+        apply_hamiltonian(outside, 4)
 
 
 def test_dispersion_energy_values():
@@ -199,10 +199,9 @@ def test_eigen_residual_all_levels():
     params = PhysicalParams()
     for n in (2, 6, 16, 32):
         spec = box_spectrum(n, params)
-        pot = PotentialSpec.box(n)
         for level in range(1, n):
             state = spec.eigenstate(level)
-            out = apply_hamiltonian(state, pot)
+            out = apply_hamiltonian(state, n)
             resid = np.max(np.abs(out.amplitudes
                                   - spec.energies[level - 1] * state.amplitudes))
             assert resid <= 1e-12 * state.norm()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,7 +114,7 @@ def test_evolve_preserves_norm():
 
 def test_evolve_box_eigenvector_single_level():
     spec = box_spectrum(2, P1)
-    kernel = PropagatorKernel.box_spectral(2, P1)
+    kernel = PropagatorKernel.box(2, P1)
     state = spec.eigenstate(1)
     for dt in (0.5, 4.0):
         out = evolve(state, kernel, dt)
@@ -125,13 +126,13 @@ def test_evolve_box_rejects_wall_support():
     lat = Lattice(P1, 0, 4)
     psi = LatticeWavefunction(lat, [0.0, 0.5, 0.5, 0.5, 0.2])
     with pytest.raises(WallSupportError):
-        evolve(psi, PropagatorKernel.box_spectral(4, P1), 1.0)
+        evolve(psi, PropagatorKernel.box(4, P1), 1.0)
 
 
 def test_evolve_box_window_fixed():
     spec = box_spectrum(4, P1)
     with pytest.raises(ValueError):
-        evolve(spec.eigenstate(1), PropagatorKernel.box_spectral(4, P1), 1.0,
+        evolve(spec.eigenstate(1), PropagatorKernel.box(4, P1), 1.0,
                out_window=(0, 5))
 
 
@@ -140,13 +141,6 @@ def test_evolve_params_mismatch():
     psi = LatticeWavefunction(lat, np.ones(4))
     with pytest.raises(ValueError):
         evolve(psi, PropagatorKernel.free(P1), 1.0)
-
-
-def test_evolve_rejects_continuum_reference():
-    lat = Lattice(P1, 0, 3)
-    psi = LatticeWavefunction(lat, np.ones(4))
-    with pytest.raises(ValueError):
-        evolve(psi, PropagatorKernel.schrodinger_free(P1), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +244,23 @@ def test_image_cutoff_validation():
     with pytest.raises(ValueError):
         periodic_kernel(0, 0, 1.0, 4, image_cutoff=0, params=P1)
     with pytest.raises(ValueError):
-        PropagatorKernel.box_images(4, P1, image_cutoff=0)
+        box_images_kernel(1, 2, 1.0, 4, P1, image_cutoff=0)
 
 
 def test_evolve_box_images_matches_spectral():
-    # the circle step of the images against the scalar spectral sum
+    # the circle step of the images against the scalar spectral sum and
+    # the scalar image sum
     rng = np.random.default_rng(21)
     n = 6
     lat = Lattice(P1, 0, n)
     amps = np.zeros(n + 1, dtype=complex)
     amps[1:n] = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
     psi = LatticeWavefunction(lat, amps)
+    kernel = PropagatorKernel.box(n, P1)
     for dt in (0.6, 2.4):
-        a = _dense_sum(PropagatorKernel.box_spectral(n, P1), psi, lat.sites, dt)
-        b = evolve(psi, PropagatorKernel.box_images(n, P1), dt)
-        assert np.max(np.abs(a - b.amplitudes)) <= 1e-11
+        out = evolve(psi, kernel, dt).amplitudes
+        for route in (kernel, _box_images_route(n)):
+            assert np.max(np.abs(_dense_sum(route, psi, lat.sites, dt) - out)) <= 1e-11
 
 
 def test_evolve_periodic_translation_equivariance():
@@ -302,11 +298,25 @@ def _dense_sum(kernel, psi, out_sites, dt):
                      for j in out_sites])
 
 
+def _box_images_route(n):
+    """The box kernel as the scalar image sum, k(j, r, dt)."""
+    return lambda j, r, dt: box_images_kernel(j, r, dt, n, P1)
+
+
+def _system_and_route(label, n):
+    """Engine kernel and scalar reference for a test label. Both box labels
+    run the one box engine: "box-spectral" checks it against its own scalar
+    spectral sum, "box-images" against the scalar image sum."""
+    if label == "box-images":
+        return PropagatorKernel.box(n, P1), _box_images_route(n)
+    kernel = PropagatorKernel("box" if label == "box-spectral" else label, P1, n=n)
+    return kernel, kernel
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_property_evolve_equals_dense_sum(data):
-    system = data.draw(st.sampled_from(
-        ["free", "periodic", "box-spectral", "box-images"]))
+    system = data.draw(st.sampled_from(["free", "periodic", "box-spectral", "box-images"]))
     z = data.draw(st.floats(min_value=0.0, max_value=12.0))
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
     window = None
@@ -324,12 +334,12 @@ def test_property_evolve_equals_dense_sum(data):
         if width > 6 or data.draw(st.booleans()):
             lo = offset + data.draw(st.integers(min_value=-20, max_value=width + 5))
             window = (lo, lo + data.draw(st.integers(min_value=0, max_value=15)))
-    kernel = PropagatorKernel(system, P1, n=n)
+    kernel, route = _system_and_route(system, n)
     rng = np.random.default_rng(seed)
     psi = LatticeWavefunction(lat, rng.normal(size=lat.num_sites)
                               + 1j * rng.normal(size=lat.num_sites))
     out = evolve(psi, kernel, z, window)
-    want = _dense_sum(kernel, psi, out.lattice.sites, z)
+    want = _dense_sum(route, psi, out.lattice.sites, z)
     scale = float(np.sum(np.abs(psi.amplitudes)))
     assert np.max(np.abs(out.amplitudes - want)) <= 1e-13 * scale
 
@@ -352,7 +362,7 @@ def test_evolve_circle_step_error_scales_with_z(system):
     # the circle-step phases carry an error of about z * eps; pin it at
     # z = 1e4 against the Bessel-table check routes
     n, z = 5, 1.0e4
-    kernel = PropagatorKernel(system, P1, n=n)
+    kernel, _ = _system_and_route(system, n)
     amps = np.random.default_rng(11).normal(size=n - 1) + 0.3j
     psi = LatticeWavefunction(Lattice(P1, 1, n - 1), amps)
     out = evolve(psi, kernel, z, out_window=(0, n))
@@ -366,26 +376,23 @@ def test_evolve_dt_zero_is_exact_identity(system):
     n = 6
     amps = np.array([0.0, -0.5 + 1e-17j, 2.0, 0.0, -3.25j, 1e-300, 0.0])
     psi = LatticeWavefunction(Lattice(P1, 0, n), amps)
-    kernel = PropagatorKernel(system, P1, n=None if system == "free" else n)
+    kernel, route = _system_and_route(system, None if system == "free" else n)
     out = evolve(psi, kernel, 0.0, out_window=(0, n))
     assert np.array_equal(out.amplitudes, amps)
+    if system == "box-images":
+        # the image sum of Kronecker deltas is exact too; the scalar
+        # spectral sum is exact only to rounding
+        assert np.array_equal(_dense_sum(route, psi, out.lattice.sites, 0.0), amps)
 
 
 @pytest.mark.parametrize("system", ["box-spectral", "box-images"])
 def test_evolve_box_walls_exactly_zero(system):
     spec = box_spectrum(7, P1)
-    out = evolve(spec.eigenstate(3), PropagatorKernel(system, P1, n=7), 2.3)
+    kernel, route = _system_and_route(system, 7)
+    psi = spec.eigenstate(3)
+    out = evolve(psi, kernel, 2.3)
     assert out.amplitudes[0] == 0.0 and out.amplitudes[7] == 0.0
-
-
-def test_evolve_rejects_explicit_image_cutoff():
-    psi = LatticeWavefunction(Lattice(P1, 1, 2), [0.6, 0.8])
-    for kernel in (PropagatorKernel.periodic(4, P1, image_cutoff=3),
-                   PropagatorKernel.box_images(4, P1, image_cutoff=3)):
-        with pytest.raises(ValueError):
-            evolve(psi, kernel, 1.0)
-        with pytest.raises(ValueError):
-            kernel_table(kernel, [1], [1], 1.0)
+    assert np.all(_dense_sum(route, psi, [0, 7], 2.3) == 0.0)
 
 
 @pytest.mark.parametrize("system,n,js,rs", [
@@ -395,10 +402,10 @@ def test_evolve_rejects_explicit_image_cutoff():
     ("box-images", 5, range(1, 6), range(0, 4)),
 ])
 def test_kernel_table_matches_scalar_kernels(system, n, js, rs):
-    kernel = PropagatorKernel(system, P1, n=n)
+    kernel, route = _system_and_route(system, n)
     for dt in (0.0, 0.8, 9.5):
         table = kernel_table(kernel, js, rs, dt)
-        want = np.array([[kernel(j, r, dt) for r in rs] for j in js])
+        want = np.array([[route(j, r, dt) for r in rs] for j in js])
         assert table.shape == (len(js), len(rs))
         assert np.max(np.abs(table - want)) <= 1e-14
     identity = kernel_table(kernel, js, rs, 0.0)
@@ -413,26 +420,18 @@ def test_kernel_table_matches_scalar_kernels(system, n, js, rs):
 
 
 def test_kernel_table_box_walls_and_domain():
-    table = kernel_table(PropagatorKernel.box_images(5, P1), range(6), range(6), 1.3)
+    table = kernel_table(PropagatorKernel.box(5, P1), range(6), range(6), 1.3)
     assert np.all(table[[0, 5], :] == 0.0) and np.all(table[:, [0, 5]] == 0.0)
     with pytest.raises(ValueError):
-        kernel_table(PropagatorKernel.box_spectral(5, P1), [0, 6], [1], 1.0)
-    with pytest.raises(ValueError):
-        kernel_table(PropagatorKernel.schrodinger_free(P1), [0], [1], 1.0)
+        kernel_table(PropagatorKernel.box(5, P1), [0, 6], [1], 1.0)
 
 
 def test_kernel_object_dispatch_matches_functions():
-    from polymerqm.propagators import schrodinger_free_kernel as sch
     assert PropagatorKernel.free(P1)(1, 3, 0.7) == free_kernel(1, 3, 0.7, P1)
-    assert PropagatorKernel.box_spectral(5, P1)(1, 3, 0.7) == \
+    assert PropagatorKernel.box(5, P1)(1, 3, 0.7) == \
         box_spectral_kernel(1, 3, 0.7, 5, P1)
-    assert PropagatorKernel.box_images(5, P1)(1, 3, 0.7) == \
-        box_images_kernel(1, 3, 0.7, 5, params=P1)
     assert PropagatorKernel.periodic(5, P1)(1, 3, 0.7) == \
         periodic_kernel(1, 3, 0.7, 5, params=P1)
-    params = PhysicalParams(mu0=0.5)
-    assert PropagatorKernel.schrodinger_free(params)(2, 5, 0.7) == \
-        sch(1.0, 2.5, 0.7, params)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +511,7 @@ def test_composition_free():
 
 def test_composition_box_exact_window():
     for n in (2, 5, 8):
-        kernel = PropagatorKernel.box_spectral(n, P1)
+        kernel = PropagatorKernel.box(n, P1)
         for j in range(1, n):
             for r in range(1, n):
                 for t1 in (0.5, 1.0, 2.5):
@@ -542,7 +541,7 @@ def test_greens_residual_free():
 
 
 def test_greens_residual_box():
-    kernel = PropagatorKernel.box_spectral(6, P1)
+    kernel = PropagatorKernel.box(6, P1)
     rep = greens_residual(kernel, range(1, 6), range(0, 7),
                           [0.5, 1.0, 5.0, 20.0])
     assert rep.max_abs_residual <= 1e-10
@@ -550,7 +549,7 @@ def test_greens_residual_box():
 
 def test_greens_residual_wall_source_is_zero():
     # r on a wall makes the kernel vanish identically, and so the residual
-    kernel = PropagatorKernel.box_spectral(6, P1)
+    kernel = PropagatorKernel.box(6, P1)
     rep = greens_residual(kernel, range(1, 6), [0], [0.5, 2.0])
     assert rep.max_abs_residual == 0.0
 
@@ -560,10 +559,36 @@ def test_greens_residual_fd_cross_check():
     rep = greens_residual_fd(free, range(-4, 5), range(-4, 5),
                              [0.5, 1.0, 5.0], step=1e-6)
     assert rep.max_abs_residual <= 1e-5
-    box = PropagatorKernel.box_spectral(6, P1)
+    box = PropagatorKernel.box(6, P1)
     rep = greens_residual_fd(box, range(1, 6), range(1, 6), [0.5, 1.0],
                              step=1e-6)
     assert rep.max_abs_residual <= 1e-5
+
+
+@pytest.mark.parametrize("kernel,js,rs", [
+    (PropagatorKernel.free(P1), range(0, 4), range(-6, -1)),
+    (PropagatorKernel.box(6, P1), range(1, 3), range(0, 7)),
+], ids=["free", "box"])
+def test_greens_residual_fd_matches_entrywise_loop(kernel, js, rs):
+    # the array routine against a loop over the scalar kernels; a coarse
+    # step makes the residual a smooth truncation error, so the worst entry
+    # is not decided by rounding (the grids avoid the j - r -> r - j and
+    # box mirror symmetries, whose twins tie up to rounding)
+    step, dts = 0.05, [0.5, 1.7]
+    c_kin = 0.5 * P1.energy_scale
+    worst, at = 0.0, None
+    for dt in dts:
+        for j in js:
+            for r in rs:
+                dk = (kernel(j, r, dt + step) - kernel(j, r, dt - step)) / (2 * step)
+                hk = c_kin * (2.0 * kernel(j, r, dt) - kernel(j + 1, r, dt)
+                              - kernel(j - 1, r, dt))
+                res = abs(1j * P1.hbar * dk - hk)
+                if res > worst:
+                    worst, at = res, (j, r, dt)
+    rep = greens_residual_fd(kernel, js, rs, dts, step=step)
+    assert rep.at == at
+    assert rep.max_abs_residual == pytest.approx(worst, rel=1e-10)
 
 
 def test_greens_residual_time_grid_validation():
@@ -573,7 +598,7 @@ def test_greens_residual_time_grid_validation():
     with pytest.raises(ValueError):
         greens_residual(kernel, [0], [0], [])
     with pytest.raises(ValueError):
-        greens_residual(PropagatorKernel.box_spectral(4, P1), [0], [1], [1.0])
+        greens_residual(PropagatorKernel.box(4, P1), [0], [1], [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -614,29 +639,23 @@ def test_box_packet_smeared_continuum():
         amps[0] = 0.0
         amps[-1] = 0.0
         psi = LatticeWavefunction(lat, amps * math.sqrt(mu0))
-        out = evolve(psi, PropagatorKernel.box_spectral(n, params), 0.8)
+        out = evolve(psi, PropagatorKernel.box(n, params), 0.8)
         ref = schrodinger_box_evolve(packet, lat.positions, 0.8, length, params)
         errors.append(float(np.max(np.abs(out.amplitudes / math.sqrt(mu0) - ref))))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < errors[0] / 8.0
 
 
-def test_schrodinger_box_packet_kernel_object():
-    kernel = PropagatorKernel.schrodinger_box_packet(8, 32, P1)
-    val = kernel(3, 4, 0.5)
-    levels = np.arange(1, 33)
-    want = np.sum((2.0 / 8.0) * np.sin(levels * math.pi * 3 / 8)
-                  * np.sin(levels * math.pi * 4 / 8)
-                  * np.exp(-1j * (levels * math.pi / 8) ** 2 / 2 * 0.5))
-    assert val == pytest.approx(want, abs=1e-13)
-
-
 def test_kernel_selector_validation():
     with pytest.raises(ValueError):
         PropagatorKernel("warp", P1)
     with pytest.raises(ValueError):
-        PropagatorKernel.box_spectral(1, P1)
+        PropagatorKernel.box(1, P1)
+    with pytest.raises(ValueError):
+        PropagatorKernel.periodic(1, P1)
     with pytest.raises(ValueError):
         PropagatorKernel("free", P1, n=4)
     with pytest.raises(ValueError):
-        PropagatorKernel("schrodinger-box-packet", P1, n=4)
+        PropagatorKernel("box-images", P1, n=4)  # a CLI alias, not a system
+    assert [f.name for f in dataclasses.fields(PropagatorKernel)] == \
+        ["system", "params", "n"]
