@@ -36,6 +36,14 @@ _CONFIG_KEYS = {
 }
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     hbar: float = 1.0
@@ -52,6 +60,23 @@ class RunConfig:
     mu0_list: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("hbar", "mass", "mu0", "dx"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, "
+                                 f"got {getattr(self, name)!r}")
+        if not (self.n is None or _is_integer(self.n)):
+            raise ValueError(f"N must be an integer, got {self.n!r}")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("times", "mu0_list"):
+            values = getattr(self, name)
+            if values is None and name == "mu0_list":
+                continue
+            if not (isinstance(values, (list, tuple)) and all(map(_is_number, values))):
+                raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+            setattr(self, name, tuple(float(v) for v in values))
+        if self.tolerances is not None and not isinstance(self.tolerances, dict):
+            raise ValueError(f"tolerances must be an object, got {self.tolerances!r}")
         if self.system not in _SYSTEM_CHOICES:
             raise ValueError(f"system must be one of {_SYSTEM_CHOICES}, "
                              f"got {self.system!r}")
@@ -91,13 +116,10 @@ def load_config(path: str | None) -> RunConfig:
     for src, dst in (("hbar", "hbar"), ("mass", "mass"), ("mu0", "mu0"),
                      ("system", "system"), ("N", "n"), ("seed", "seed"),
                      ("format", "output_format"), ("suite", "suite"),
-                     ("dx", "dx"), ("tolerances", "tolerances")):
+                     ("dx", "dx"), ("tolerances", "tolerances"),
+                     ("times", "times"), ("mu0_list", "mu0_list")):
         if src in raw:
             kwargs[dst] = raw[src]
-    if "times" in raw:
-        kwargs["times"] = tuple(float(t) for t in raw["times"])
-    if "mu0_list" in raw:
-        kwargs["mu0_list"] = tuple(float(v) for v in raw["mu0_list"])
     return RunConfig(**kwargs)
 
 

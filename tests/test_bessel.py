@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polymerqm import bessel
 from polymerqm.bessel import (
     bessel_jn,
     bessel_table,
@@ -70,21 +71,21 @@ def test_table_trivial_at_zero():
 
 
 def test_normalization_identity():
-    for z in (1.0, 10.0, 400.0):
+    for z in (1.0, 10.0, 400.0, 2.5e3, 1e4, 1e5):
         table = bessel_table(z, truncation_window(z))
         total = table.values[0] + 2.0 * np.sum(table.values[2::2])
         assert total == pytest.approx(1.0, abs=1e-13)
 
 
 def test_sum_of_squares_is_unitarity():
-    for z in (0.5, 1.0, 10.0, 100.0):
+    for z in (0.5, 1.0, 10.0, 100.0, 2.5e3, 1e4, 1e5):
         table = bessel_table(z, truncation_window(z))
         total = table.values[0] ** 2 + 2.0 * np.sum(table.values[1:] ** 2)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_three_term_recurrence():
-    for z in (0.5, 1.0, 5.0, 20.0, 100.0):
+    for z in (0.5, 1.0, 5.0, 20.0, 100.0, 2.5e3, 1e4, 1e5):
         table = bessel_table(z, truncation_window(z) + 1)
         for n in range(1, truncation_window(z) // 2 + 1):
             resid = table.values[n - 1] + table.values[n + 1] \
@@ -198,3 +199,87 @@ def test_cross_check_against_scipy():
             if n <= table.max_order:
                 assert table.values[n] == pytest.approx(
                     float(special.jv(n, z)), abs=5e-13), (n, z)
+
+
+def scalar_miller_reference(z, max_order):
+    """The downward pass as one plain scalar loop that rescales all of
+    work[n-1:] at every trigger, with the library's seed, factors and
+    normalization: the reference for the blocked fill and the deferred
+    rescale."""
+    n_start = max(truncation_window(z), max_order) + 15
+    work = np.zeros(n_start + 2)
+    work[n_start] = 1.0
+    j_hi, j_lo = 0.0, 1.0
+    for n in range(n_start, 0, -1):
+        j_prev = (2.0 * n / z) * j_lo - j_hi
+        j_hi, j_lo = j_lo, j_prev
+        work[n - 1] = j_prev
+        if abs(j_prev) > bessel._RESCALE_THRESHOLD:
+            j_hi *= bessel._RESCALE_FACTOR
+            j_lo *= bessel._RESCALE_FACTOR
+            work[n - 1:] *= bessel._RESCALE_FACTOR
+    norm = work[0] + 2.0 * np.sum(work[2:n_start + 1:2])
+    return work[:max_order + 1] / norm
+
+
+@pytest.mark.parametrize("z, max_order", [
+    (2e-8, 40), (1e-4, 3000), (0.01, 100), (1.0, 20000), (1.0, 0),
+    (30.0, 5000), (300.0, 300), (2400.0, 2500), (2400.0, 0),
+])
+def test_scalar_schedule_is_the_plain_loop_bit_for_bit(z, max_order):
+    # below the crossover there is no blocked fill, and deferring the
+    # rescale factors to the end must not change a single bit
+    assert bessel._blocked_schedule(z) == (0, 0)
+    assert np.array_equal(bessel_table(z, max_order).values,
+                          scalar_miller_reference(z, max_order))
+
+
+@pytest.mark.parametrize("z", [2.5e3, 1e4, 1e5, 1e6])
+def test_blocked_fill_agrees_with_scalar_schedule(z):
+    assert bessel._blocked_schedule(z)[0] > 0
+    blocked = bessel_table(z, truncation_window(z)).values
+    scalar = scalar_miller_reference(z, truncation_window(z))
+    assert np.max(np.abs(blocked - scalar)) <= 1e-14
+
+
+def test_rescales_above_blocked_fill(monkeypatch):
+    # z = 5e3 with 1e5 orders: the pass from order 1e5 grows by ~1e116000,
+    # so it rescales hundreds of times before the blocked fill takes over
+    calls = []
+    real = bessel._apply_rescales
+
+    def spy(work, rescaled_at):
+        calls.append(list(rescaled_at))
+        real(work, rescaled_at)
+
+    monkeypatch.setattr(bessel, "_apply_rescales", spy)
+    z, max_order = 5e3, 100_000
+    table = bessel_table(z, max_order)
+    n_fill, _ = bessel._blocked_schedule(z)
+    assert n_fill > 0
+    (rescaled_at,) = calls
+    assert len(rescaled_at) > 100
+    assert min(rescaled_at) >= n_fill
+    values = table.values
+    assert np.all(np.isfinite(values))
+    assert np.all(np.abs(values) <= 1.0)
+    assert np.all(values[20_000:] == 0.0)   # far below the smallest double
+    total = values[0] + 2.0 * np.sum(values[2::2])
+    assert total == pytest.approx(1.0, abs=1e-13)
+    reference = scalar_miller_reference(z, max_order)
+    assert np.max(np.abs(values - reference)) <= 1e-14
+    window = truncation_window(z)
+    assert np.max(np.abs(values[:window + 1]
+                         - bessel_table(z, window).values)) <= 1e-14
+
+
+@pytest.mark.parametrize("z", [2.5e3, 1e4, 1e5, 1e6])
+def test_large_argument_against_mpmath(z):
+    # the docstring's accuracy claim; mpmath's series converges in
+    # milliseconds for orders well below z/10
+    mpmath = pytest.importorskip("mpmath")
+    table = bessel_table(z, truncation_window(z))
+    with mpmath.workdps(30):
+        for n in (0, 1, 17, math.isqrt(int(z))):
+            want = float(mpmath.besselj(n, z))
+            assert abs(table.values[n] - want) <= 1e-13, (n, z)

@@ -87,6 +87,42 @@ def test_unknown_config_key(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"system": "box", "N": 3.9},
+    {"system": "box", "N": "4"},
+    {"system": "box", "N": True},
+    {"seed": 1.5},
+    {"seed": True},
+    {"times": 5},
+    {"times": "12"},
+    {"times": [True]},
+    {"mu0_list": "1/8"},
+    {"mu0_list": [0.5, "x"]},
+    {"dx": "1"},
+    {"hbar": True},
+    {"tolerances": 5},
+], ids=lambda bad: json.dumps(bad))
+def test_config_value_types_exit_2(tmp_path, bad):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_evolve_fractional_box_size_exits_2(tmp_path):
+    # a float N used to be truncated to a smaller box
+    spec = box_spectrum(4, PhysicalParams())
+    src = tmp_path / "eig.csv"
+    save_wavefunction(spec.eigenstate(1), src)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"system": "box", "N": 3.9}))
+    dst = tmp_path / "out.csv"
+    assert main(["evolve", str(src), "--config", str(cfg), "--dt", "1",
+                 "--out", str(dst)]) == 2
+    assert not dst.exists()
+
+
 def test_config_with_overrides(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"system": "box", "N": 2, "times": [0.0],
