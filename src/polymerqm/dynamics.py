@@ -29,18 +29,16 @@ def _box_interior_amplitudes(psi: LatticeWavefunction, n_box: int) -> np.ndarray
     Any nonzero amplitude at a wall or outside the box violates the
     boundary conditions psi(x_0) = psi(x_N) = 0.
     """
-    lat = psi.lattice
+    sites, amps = psi.lattice.sites, psi.amplitudes
+    inside = (sites > 0) & (sites < n_box)
+    bad = np.flatnonzero(~inside & (amps != 0))
+    if bad.size:
+        raise WallSupportError(
+            f"box state has nonzero amplitude {amps[bad[0]]} at site {sites[bad[0]]}; "
+            f"support must lie strictly inside (0, {n_box})"
+        )
     full = np.zeros(n_box + 1, dtype=complex)
-    for idx, n in enumerate(lat.sites):
-        a = psi.amplitudes[idx]
-        if n <= 0 or n >= n_box:
-            if a != 0:
-                raise WallSupportError(
-                    f"box state has nonzero amplitude {a} at site {n}; "
-                    f"support must lie strictly inside (0, {n_box})"
-                )
-        else:
-            full[n] = a
+    full[sites[inside]] = amps[inside]
     return full
 
 

@@ -10,12 +10,14 @@ Systems (`PropagatorKernel.system`):
 The hot path (`evolve`, `kernel_table`) uses one kernel vector per
 (system, dt): free orders applied by convolution, or the 2N-site circle,
 where the image sum is an exact finite sum over 2N momenta applied by
-FFT (the box is its odd part).  The scalar kernels (free, box spectral
-sum, box image sum, periodic image sum) are the independent check
-routes; `schrodinger_free_kernel` and `schrodinger_box_evolve` are the
-continuum references.  Image and composition sums use numpy's pairwise
-summation over a fixed index order, so results do not depend on
-evaluation order.
+FFT (the box is its odd part).  The closed-form kernels (free, box
+spectral sum, box image sum, periodic image sum) are the independent
+check routes: they take integer sites or index arrays, with one Bessel
+table (or one set of level phases) per call.  `schrodinger_free_kernel`
+and `schrodinger_box_evolve` are the continuum references.  Image and
+composition sums use numpy's pairwise summation along a contiguous last
+axis in a fixed index order, so results do not depend on evaluation
+order.
 """
 
 from __future__ import annotations
@@ -52,40 +54,59 @@ def _signed_terms(orders: np.ndarray, table, z: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels
+# check-route kernels: integer sites or index arrays, broadcast like numpy
 # ---------------------------------------------------------------------------
 
-def free_kernel(j: int, r: int, dt: float, params: PhysicalParams) -> complex:
-    """Free-particle propagator between sites j and r after time dt.
-
-    Symmetric in (j, r) by construction: the order enters only through
-    |r - j|.  At dt = 0 this is exactly the Kronecker delta.
-    """
-    z = dimensionless_time(params, dt)
-    m = int(r) - int(j)
-    table = bessel_table(abs(z), abs(m))
-    term = _signed_terms(np.array([m]), table, z)[0]
-    return complex(term * np.exp(-1j * z))
-
-
-def box_spectral_kernel(j: int, r: int, dt: float, n_box: int,
-                        params: PhysicalParams) -> complex:
-    """Box propagator as the exact finite spectral sum over the N-1 levels."""
-    n_box = int(n_box)
+def _sites(j, r, n_box: int | None = None):
+    """j, r as int64 arrays (>= 1-d), whether both were scalars, and box wall entries."""
+    js, rs = (np.atleast_1d(np.asarray(v, dtype=np.int64)) for v in (j, r))
+    scalar = np.ndim(j) == 0 and np.ndim(r) == 0
+    if n_box is None:
+        return js, rs, scalar, None
     if n_box < 2:
         raise ValueError(f"box needs n >= 2, got {n_box}")
-    j, r = int(j), int(r)
-    if not (0 <= j <= n_box and 0 <= r <= n_box):
+    if min(js.min(), rs.min()) < 0 or max(js.max(), rs.max()) > n_box:
         raise ValueError(f"site indices ({j}, {r}) outside box 0..{n_box}")
-    if j in (0, n_box) or r in (0, n_box):
-        return 0.0 + 0.0j  # sin(l*pi*0/N) and sin(l*pi) vanish identically
+    return js, rs, scalar, (js == 0) | (js == n_box) | (rs == 0) | (rs == n_box)
+
+
+def _finish(values: np.ndarray, scalar: bool, z: float | None = None, walls=None):
+    """values times e^{-iz} if z is given, walls exactly 0; a complex for a scalar call."""
+    if scalar:  # numpy scalars, as before: array complex multiplies may round differently
+        value = values[0] if z is None else values[0] * np.exp(-1j * z)
+        return 0.0 + 0.0j if walls is not None and walls[0] else complex(value)
+    if z is not None:
+        values = values * np.exp(-1j * z)
+    if walls is not None:
+        values[walls] = 0.0
+    return values
+
+
+def free_kernel(j, r, dt: float, params: PhysicalParams):
+    """Free-particle propagator between sites j and r after time dt.
+
+    One Bessel table, sized to the largest |r - j|, serves the call.  The
+    order enters only through |r - j|, so the kernel is symmetric in (j, r)
+    bit for bit; at dt = 0 it is exactly the Kronecker delta.
+    """
     z = dimensionless_time(params, dt)
+    js, rs, scalar, _ = _sites(j, r)
+    table = bessel_table(abs(z), int(np.abs(rs - js).max()))
+    return _finish(_signed_terms(rs - js, table, z), scalar, z)
+
+
+def box_spectral_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
+    """Box propagator as the exact finite spectral sum over the N-1 levels."""
+    n_box = int(n_box)
+    js, rs, scalar, walls = _sites(j, r, n_box)
     levels = np.arange(1, n_box)
+    phases = np.exp(-1j * dimensionless_time(params, dt)
+                    * (1.0 - np.cos(levels * math.pi / n_box)))
     terms = ((2.0 / n_box)
-             * np.sin(levels * math.pi * j / n_box)
-             * np.sin(levels * math.pi * r / n_box)
-             * np.exp(-1j * z * (1.0 - np.cos(levels * math.pi / n_box))))
-    return complex(np.sum(terms))
+             * np.sin(levels * math.pi * js[..., None] / n_box)
+             * np.sin(levels * math.pi * rs[..., None] / n_box)
+             * phases)
+    return _finish(np.sum(terms, axis=-1), scalar, walls=walls)
 
 
 def minimal_image_cutoff(n_box: int, z: float, j: int, r: int) -> int:
@@ -103,54 +124,44 @@ def minimal_image_cutoff(n_box: int, z: float, j: int, r: int) -> int:
     return math.ceil((w + abs(int(j) - int(r))) / (2 * int(n_box))) + 1
 
 
-def periodic_kernel(j: int, r: int, dt: float, n_box: int, params: PhysicalParams,
-                    image_cutoff: int | None = None) -> complex:
-    """Propagator with period 2*N*mu0, built from images of the free kernel."""
-    n_box = int(n_box)
-    if n_box < 2:
-        raise ValueError(f"periodic system needs n >= 2, got {n_box}")
-    j, r = int(j), int(r)
-    z = dimensionless_time(params, dt)
-    if image_cutoff is None:
-        image_cutoff = minimal_image_cutoff(n_box, z, j, r)
-    image_cutoff = int(image_cutoff)
-    if image_cutoff < 1:
-        raise ValueError(f"image_cutoff must be >= 1, got {image_cutoff}")
-    ks = np.arange(-image_cutoff, image_cutoff + 1)
-    orders = j - r - 2 * ks * n_box
-    table = bessel_table(abs(z), int(np.max(np.abs(orders))))
-    terms = _signed_terms(orders, table, z)
-    return complex(np.sum(terms) * np.exp(-1j * z))
+def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams,
+               image_cutoff: int | None, mirror: bool):
+    """sum_k of k_free(j, r + 2kN), minus k_free(j, -r + 2kN) if mirror: one table.
 
-
-def box_images_kernel(j: int, r: int, dt: float, n_box: int, params: PhysicalParams,
-                      image_cutoff: int | None = None) -> complex:
-    """Box propagator as twice the odd part of the periodic kernel.
-
-    Equals k_P(j, r) - k_P(j, -r); agrees with the spectral sum to
-    better than 1e-10 for an adequate image cutoff.
+    K defaults to minimal_image_cutoff at the largest |j - r| of the call,
+    which covers every entry: elsewhere the extra images add only orders beyond W.
     """
-    n_box = int(n_box)
-    if n_box < 2:
-        raise ValueError(f"box needs n >= 2, got {n_box}")
-    j, r = int(j), int(r)
-    if not (0 <= j <= n_box and 0 <= r <= n_box):
-        raise ValueError(f"site indices ({j}, {r}) outside box 0..{n_box}")
-    if j in (0, n_box) or r in (0, n_box):
-        return 0.0 + 0.0j  # the two image families cancel pairwise at the walls
+    if n_box < 2 and not mirror:
+        raise ValueError(f"periodic system needs n >= 2, got {n_box}")
+    js, rs, scalar, walls = _sites(j, r, n_box if mirror else None)
     z = dimensionless_time(params, dt)
     if image_cutoff is None:
-        image_cutoff = minimal_image_cutoff(n_box, z, j, r)
-    image_cutoff = int(image_cutoff)
-    if image_cutoff < 1:
+        image_cutoff = minimal_image_cutoff(n_box, z, 0, np.abs(js - rs).max())
+    if int(image_cutoff) < 1:
         raise ValueError(f"image_cutoff must be >= 1, got {image_cutoff}")
-    ks = np.arange(-image_cutoff, image_cutoff + 1)
-    direct = j - r - 2 * ks * n_box
-    mirror = j + r - 2 * ks * n_box
-    table = bessel_table(abs(z), int(max(np.max(np.abs(direct)),
-                                         np.max(np.abs(mirror)))))
-    terms = _signed_terms(direct, table, z) - _signed_terms(mirror, table, z)
-    return complex(np.sum(terms) * np.exp(-1j * z))
+    shifts = 2 * n_box * np.arange(-int(image_cutoff), int(image_cutoff) + 1)
+    direct = (js - rs)[..., None] - shifts
+    mirrored = (js + rs)[..., None] - shifts if mirror else direct
+    table = bessel_table(abs(z), int(max(np.abs(direct).max(), np.abs(mirrored).max())))
+    terms = _signed_terms(direct, table, z)
+    if mirror:
+        terms = terms - _signed_terms(mirrored, table, z)
+    return _finish(np.sum(terms, axis=-1), scalar, z, walls)
+
+
+def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams,
+                    image_cutoff: int | None = None):
+    """Propagator with period 2*N*mu0, built from images of the free kernel."""
+    return _image_sum(j, r, dt, int(n_box), params, image_cutoff, mirror=False)
+
+
+def box_images_kernel(j, r, dt: float, n_box: int, params: PhysicalParams,
+                      image_cutoff: int | None = None):
+    """Box propagator k_P(j, r) - k_P(j, -r), twice the odd part of the periodic kernel.
+
+    Within 1e-10 of the spectral sum for an adequate image cutoff.
+    """
+    return _image_sum(j, r, dt, int(n_box), params, image_cutoff, mirror=True)
 
 
 def momentum_kernel_phase(p: float, dt: float, params: PhysicalParams) -> complex:
@@ -191,10 +202,10 @@ def schrodinger_free_kernel(xj: float, xr: float, dt: float,
 class PropagatorKernel:
     """A lattice system: free, a box with walls at sites 0 and n, or period 2n.
 
-    Calling it as kernel(j, r, dt) evaluates the scalar closed form (free
-    Bessel term, box spectral sum, periodic image sum): the check route
-    that `evolve` and `kernel_table`, which share one kernel vector per
-    dt, are tested against.
+    Calling it as kernel(j, r, dt) evaluates the closed form (free Bessel
+    term, box spectral sum, periodic image sum) for integer sites or
+    index arrays: the check route that `evolve` and `kernel_table`, which
+    share one kernel vector per dt, are tested against.
     """
 
     system: str
@@ -226,7 +237,7 @@ class PropagatorKernel:
                  params: PhysicalParams = PhysicalParams()) -> "PropagatorKernel":
         return cls("periodic", params, n=n)
 
-    def __call__(self, j: int, r: int, dt: float) -> complex:
+    def __call__(self, j, r, dt: float):
         if self.system == "free":
             return free_kernel(j, r, dt, self.params)
         if self.system == "box":
@@ -274,11 +285,8 @@ def kernel_table(kernel: PropagatorKernel, j_values, r_values,
     circle = _circle_step((np.arange(period) == 0).astype(complex), z)
     if kernel.system == "periodic":
         return circle[diff % period]
-    if min(js.min(), rs.min()) < 0 or max(js.max(), rs.max()) > n_box:
-        raise ValueError(f"site indices outside box 0..{n_box}")
     table = circle[diff % period] - circle[np.add.outer(js, rs) % period]
-    table[(js == 0) | (js == n_box), :] = 0.0
-    table[:, (rs == 0) | (rs == n_box)] = 0.0
+    table[_sites(js[:, None], rs, n_box)[3]] = 0.0  # walls; checks the domain
     return table
 
 
@@ -331,37 +339,40 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
 # consistency checks
 # ---------------------------------------------------------------------------
 
-def composition_check(kernel: PropagatorKernel, j: int, r: int,
+def composition_check(kernel: PropagatorKernel, j_values, r_values,
                       t0: float, t1: float, t: float,
                       window: tuple[int, int] | None = None) -> float:
-    """|k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over the given window.
+    """Worst |k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over j x r.
 
-    The direct term is the scalar closed form; the two legs are one
-    `kernel_table` row and one column, so two routes are compared.  Box
-    systems use sites 0..N exactly (the sum is then finite and the
-    identity holds to rounding).  For the free and periodic systems the
-    default window pads [min(j,r), max(j,r)] by the truncation windows
-    of both legs, outside of which the factors decay super-exponentially.
+    j_values (rows) and r_values (columns) are integers or index lists.
+    The direct term is the closed-form check route, the two legs are
+    `kernel_table` blocks, so two routes are compared.  Box systems sum
+    over sites 0..N exactly (the identity then holds to rounding).  For
+    the free and periodic systems the default window pads the grid's
+    [min(j, r), max(j, r)] by the truncation windows of both legs,
+    outside of which the factors decay super-exponentially.
     """
     if not (t0 <= t1 <= t):
         raise ValueError(f"need t0 <= t1 <= t, got {t0}, {t1}, {t}")
-    params = kernel.params
-    dt_late = t - t1
-    dt_early = t1 - t0
-    direct = kernel(j, r, t - t0)
-
+    params, dt_late, dt_early = kernel.params, t - t1, t1 - t0
+    js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
+    direct = kernel(js.reshape(js.shape + (1,) * rs.ndim), rs, t - t0)
+    js, rs = np.atleast_1d(js), np.atleast_1d(rs)
     if kernel.system == "box":
         sites = np.arange(0, kernel.n + 1)
     else:
         if window is None:
             pad = (truncation_window(abs(dimensionless_time(params, dt_late)))
                    + truncation_window(abs(dimensionless_time(params, dt_early))))
-            window = (min(j, r) - pad, max(j, r) + pad)
+            window = (min(js.min(), rs.min()) - pad, max(js.max(), rs.max()) + pad)
         sites = np.arange(int(window[0]), int(window[1]) + 1)
 
-    late = kernel_table(kernel, [j], sites, dt_late)[0]
-    early = kernel_table(kernel, sites, [r], dt_early)[:, 0]
-    return float(abs(direct - np.sum(late * early)))
+    late = kernel_table(kernel, js, sites, dt_late)
+    early = np.ascontiguousarray(kernel_table(kernel, sites, rs, dt_early).T)
+    paths = np.sum(late[:, None, :] * early[None, :, :], axis=-1)
+    deviation = direct - paths.reshape(np.shape(direct))
+    # a scalar pair keeps scalar abs: numpy's array abs may round the last bit
+    return float(abs(deviation) if np.ndim(deviation) == 0 else np.max(np.abs(deviation)))
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,16 @@ def bessel_series_reference(n: int, z: float, stop: float = 1e-18) -> float:
             return float(total)
 
 
+def _worst(deviations) -> float:
+    return float(np.max(np.abs(deviations)))
+
+
+def _grid(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sites lo..hi as a column and a row: the (j, r) grid of a check route."""
+    sites = np.arange(lo, hi + 1)
+    return sites[:, None], sites
+
+
 def _run(suite: str, name: str, deviation: float, tolerance: float,
          overrides: dict | None) -> CheckResult:
     if overrides and name in overrides:
@@ -149,8 +159,7 @@ def suite_free(params: PhysicalParams | None = None, seed: int = 0,
     scale = params.mu0**2 * params.mass / params.hbar  # dt giving z = 1
     checks = []
 
-    dev = max(abs(free_kernel(j, r, 0.0, params) - (1.0 if j == r else 0.0))
-              for j in range(-16, 17) for r in range(-16, 17))
+    dev = _worst(free_kernel(*_grid(-16, 16), 0.0, params) - np.eye(33))
     checks.append(_run("free", "initial-condition", dev, 1e-14, overrides))
 
     # sum_m |k(m, 0)|^2 = 1 over the truncation window, from the engine
@@ -162,11 +171,9 @@ def suite_free(params: PhysicalParams | None = None, seed: int = 0,
         dev = max(dev, abs(float(np.sum(np.abs(column) ** 2)) - 1.0))
     checks.append(_run("free", "unitarity", dev, 1e-10, overrides))
 
-    dev = 0.0
-    for z1, z2 in ((1.0, 1.0), (2.0, 0.5), (10.0, 10.0)):
-        for sep in (0, 3, 8):
-            dev = max(dev, composition_check(kernel, 0, sep, 0.0,
-                                             z2 * scale, (z1 + z2) * scale))
+    dev = max(composition_check(kernel, 0, (0, 3, 8), 0.0,
+                                z2 * scale, (z1 + z2) * scale)
+              for z1, z2 in ((1.0, 1.0), (2.0, 0.5), (10.0, 10.0)))
     checks.append(_run("free", "composition", dev, 1e-9, overrides))
 
     sites = range(-8, 9)
@@ -179,14 +186,14 @@ def suite_free(params: PhysicalParams | None = None, seed: int = 0,
     checks.append(_run("free", "greens-residual-fd", rep_fd.max_abs_residual,
                        1e-5, overrides))
 
-    dev = max(abs(free_kernel(j, r, 1.3 * scale, params)
-                  - free_kernel(r, j, 1.3 * scale, params))
-              for j in (-5, 0, 2) for r in (-1, 3, 7))
+    js, rs = np.array([[-5], [0], [2]]), np.array([-1, 3, 7])
+    dev = _worst(free_kernel(js, rs, 1.3 * scale, params)
+                 - free_kernel(rs, js, 1.3 * scale, params))
     checks.append(_run("free", "symmetry", dev, 0.0, overrides))
 
-    dev = max(abs(np.conj(free_kernel(j, r, dt, params))
-                  - free_kernel(j, r, -dt, params))
-              for j in (-3, 0, 4) for r in (-2, 1, 6)
+    js, rs = np.array([[-3], [0], [4]]), np.array([-2, 1, 6])
+    dev = max(_worst(np.conj(free_kernel(js, rs, dt, params))
+                     - free_kernel(js, rs, -dt, params))
               for dt in (0.4 * scale, 2.0 * scale))
     checks.append(_run("free", "time-reversal", dev, 1e-13, overrides))
 
@@ -220,27 +227,18 @@ def suite_box(params: PhysicalParams | None = None, n_box: int = 8, seed: int = 
     scale = params.mu0**2 * params.mass / params.hbar
     checks = []
 
-    dev = 0.0
-    for n in (2, 3, 8, 16):
-        for j in range(0, n + 1):
-            for r in range(0, n + 1):
-                want = 1.0 if (j == r and 0 < j < n) else 0.0
-                dev = max(dev, abs(box_spectral_kernel(j, r, 0.0, n, params) - want))
+    dev = max(_worst(box_spectral_kernel(*_grid(0, n), 0.0, n, params)
+                     - np.diag([0.0] + [1.0] * (n - 1) + [0.0]))
+              for n in (2, 3, 8, 16))
     checks.append(_run("box", "initial-condition", dev, 1e-14, overrides))
 
-    dev = 0.0
-    for n in (2, 3, 4, 8, 16):
-        for z in (0.5, 2.0, 10.0):
-            dt = z * scale
-            for j in range(0, n + 1):
-                for r in range(0, n + 1):
-                    dev = max(dev, abs(
-                        box_spectral_kernel(j, r, dt, n, params)
-                        - box_images_kernel(j, r, dt, n, params=params)))
+    dev = max(_worst(box_spectral_kernel(*_grid(0, n), z * scale, n, params)
+                     - box_images_kernel(*_grid(0, n), z * scale, n, params=params))
+              for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0))
     checks.append(_run("box", "spectral-vs-images", dev, 1e-10, overrides))
 
-    dev = max(abs(box_spectral_kernel(j, r, 1.7 * scale, n_box, params))
-              for j in (0, n_box) for r in range(0, n_box + 1))
+    dev = _worst(box_spectral_kernel(np.array([[0], [n_box]]), np.arange(0, n_box + 1),
+                                     1.7 * scale, n_box, params))
     checks.append(_run("box", "boundary-zeros", dev, 0.0, overrides))
 
     spectrum = box_spectrum(n_box, params)
@@ -258,21 +256,13 @@ def suite_box(params: PhysicalParams | None = None, n_box: int = 8, seed: int = 
     dev = 0.0
     for n in (2, 5, 16):
         for z in (0.5, 3.0):
-            interior = np.array(
-                [[box_spectral_kernel(j, r, z * scale, n, params)
-                  for r in range(1, n)] for j in range(1, n)])
-            gram = interior @ interior.conj().T
-            dev = max(dev, float(np.max(np.abs(gram - np.eye(n - 1)))))
+            interior = box_spectral_kernel(*_grid(1, n - 1), z * scale, n, params)
+            dev = max(dev, _worst(interior @ interior.conj().T - np.eye(n - 1)))
     checks.append(_run("box", "unitarity", dev, 1e-12, overrides))
 
-    dev = 0.0
-    for n in (3, 5, 8):
-        k = PropagatorKernel.box(n, params)
-        for j in range(1, n):
-            for r in range(1, n):
-                for t1 in (0.4, 1.1, 2.3):
-                    dev = max(dev, composition_check(k, j, r, 0.0,
-                                                     t1 * scale, 3.0 * scale))
+    dev = max(composition_check(PropagatorKernel.box(n, params), range(1, n),
+                                range(1, n), 0.0, t1 * scale, 3.0 * scale)
+              for n in (3, 5, 8) for t1 in (0.4, 1.1, 2.3))
     checks.append(_run("box", "composition", dev, 1e-12, overrides))
 
     rep = greens_residual(PropagatorKernel.box(6, params),

@@ -77,6 +77,23 @@ def test_box_wall_support_rejected():
         apply_hamiltonian(outside, 4)
 
 
+def test_wall_support_error_names_lowest_offending_site():
+    # several violations: below the box, on both walls and above it
+    params = PhysicalParams()
+    amps = np.zeros(9, dtype=complex)
+    amps[[0, 2, 3, 6, 8]] = [0.5j, 0.25, 0.4, 0.5, 0.7]
+    psi = LatticeWavefunction(Lattice(params, -2, 6), amps)
+    want = ("box state has nonzero amplitude 0.5j at site -2; "
+            "support must lie strictly inside (0, 4)")
+    with pytest.raises(WallSupportError) as err:
+        apply_hamiltonian(psi, 4)
+    assert str(err.value) == want
+    amps[0] = 0.0
+    with pytest.raises(WallSupportError,
+                       match=r"^box state has nonzero amplitude \(0\.25\+0j\) at site 0; "):
+        apply_hamiltonian(LatticeWavefunction(Lattice(params, -2, 6), amps), 4)
+
+
 def test_dispersion_energy_values():
     params = PhysicalParams()
     assert dispersion_energy(params, 0.0) == 0.0

@@ -434,6 +434,72 @@ def test_kernel_object_dispatch_matches_functions():
         periodic_kernel(1, 3, 0.7, 5, params=P1)
 
 
+_ROUTES = {
+    "free": lambda j, r, dt, n: free_kernel(j, r, dt, P1),
+    "box-spectral": lambda j, r, dt, n: box_spectral_kernel(j, r, dt, n, P1),
+    "box-images": lambda j, r, dt, n: box_images_kernel(j, r, dt, n, P1),
+    "periodic": lambda j, r, dt, n: periodic_kernel(j, r, dt, n, P1),
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_array_routes_equal_scalar_routes(data):
+    # an index-array call equals the scalar calls entry by entry, and the
+    # exact gates stay exact on arrays
+    name = data.draw(st.sampled_from(sorted(_ROUTES)))
+    route = _ROUTES[name]
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    z = data.draw(st.floats(min_value=-10.0, max_value=10.0))
+    lo, hi = (0, n) if name.startswith("box") else (-24, 24)
+    sites = st.lists(st.integers(min_value=lo, max_value=hi), min_size=1, max_size=5)
+    # the ends of the range make every call span the largest separation
+    js, rs = np.array(data.draw(sites) + [hi])[:, None], np.array(data.draw(sites) + [lo])
+    table = route(js, rs, z, n)
+    want = np.array([[route(int(j), int(r), z, n) for r in rs] for j in js[:, 0]])
+    assert isinstance(want[0, 0], complex) and table.shape == want.shape
+    assert np.max(np.abs(table - want)) <= 1e-15
+    if name.startswith("box"):
+        walls = np.broadcast_to((js == 0) | (js == n) | (rs == 0) | (rs == n), table.shape)
+        assert np.all(table[walls] == 0.0)
+    if name == "free":
+        assert np.array_equal(route(js, rs, 0.0, n), (js == rs) + 0j)
+        assert _same_bits(table, route(rs, js, z, n))
+    if name == "periodic":
+        shift = 2 * n * data.draw(st.integers(min_value=-10**4, max_value=10**4))
+        assert _same_bits(route(js + shift, rs + shift, z, n), table)
+
+
+def test_verify_builds_one_bessel_table_per_route_call(monkeypatch):
+    # No timing: count the Bessel tables the free and box suites build.
+    # box: spectral-vs-images, 5 sizes x 3 times, one image sum each (its
+    # other checks use no Bessel table).  free: initial-condition 1,
+    # unitarity 4, composition 3 x (direct + 2 legs), greens-residual
+    # 4 x (table + derivative), its finite-difference twin 3 x 3, symmetry
+    # 2, time-reversal 2 x 2, eigenstate-phase 2 evolves.  A table per
+    # (j, r) entry would make 864 and 1193.
+    from polymerqm import bessel, propagators, verify
+
+    built = []
+    real = bessel.bessel_table
+
+    def counting(z, max_order):
+        built.append(z)
+        return real(z, max_order)
+
+    for module in (bessel, propagators, verify):
+        monkeypatch.setattr(module, "bessel_table", counting)
+    verify.run_suite("box", n_box=8)
+    box_tables = len(built)
+    built.clear()
+    verify.run_suite("free")
+    assert (box_tables, len(built)) == (15, 1 + 4 + 9 + 8 + 9 + 2 + 4 + 2)
+
+
 # ---------------------------------------------------------------------------
 # momentum kernel
 # ---------------------------------------------------------------------------
