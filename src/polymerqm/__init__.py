@@ -14,7 +14,6 @@ from .dynamics import (
     box_spectrum,
     dispersion_energy,
     dispersion_momentum,
-    recurrence_solve,
 )
 from .lattice import (
     Lattice,
@@ -91,7 +90,6 @@ __all__ = [
     "momentum_kernel_phase",
     "momentum_samples",
     "periodic_kernel",
-    "recurrence_solve",
     "save_wavefunction",
     "schrodinger_box_evolve",
     "schrodinger_free_kernel",

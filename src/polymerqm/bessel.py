@@ -80,16 +80,6 @@ class BesselTable:
     max_order: int
     values: np.ndarray = field(repr=False)
 
-    def order(self, n: int) -> float:
-        """J_n(z) for any integer n, using J_{-n}(z) = (-1)^n J_n(z)."""
-        m = abs(int(n))
-        if m > self.max_order:
-            raise ValueError(f"order {n} outside table (max {self.max_order})")
-        v = float(self.values[m])
-        if n < 0 and m % 2 == 1:
-            return -v
-        return v
-
 
 def _validate_argument(z: float) -> float:
     z = float(z)
@@ -259,9 +249,10 @@ def bessel_table(z: float, max_order: int) -> BesselTable:
 
 
 def bessel_jn(n: int, z: float) -> float:
-    """J_n(z) for integer n (any sign) and real z >= 0."""
+    """J_n(z) for integer n (any sign) and real z >= 0, via J_{-n} = (-1)^n J_n."""
     n = int(n)
-    return bessel_table(z, abs(n)).order(n)
+    value = float(bessel_table(z, abs(n)).values[abs(n)])
+    return -value if n < 0 and n % 2 else value
 
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])

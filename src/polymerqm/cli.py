@@ -30,9 +30,38 @@ from .verify import SUITE_NAMES, run_suite
 # "box-images" is an alias of "box": the box engine is the image
 # construction, the odd part of the circle step
 _SYSTEM_CHOICES = ("free", "box", "box-images", "periodic")
-_CONFIG_KEYS = {
-    "hbar", "mass", "mu0", "system", "N", "times",
-    "format", "seed", "tolerances", "suite", "dx", "mu0_list",
+
+
+def _parse_mu0_list(text: str) -> tuple[float, ...]:
+    values = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if "/" in token:
+            num, den = token.split("/", 1)
+            values.append(float(num) / float(den))
+        else:
+            values.append(float(token))
+    if not values:
+        raise ValueError("empty mu0 list")
+    return tuple(values)
+
+
+# config key -> (RunConfig field, flag that overrides it or None, flag value -> field value)
+_FIELDS = {
+    "hbar": ("hbar", "hbar", None),
+    "mass": ("mass", "mass", None),
+    "mu0": ("mu0", "mu0", None),
+    "system": ("system", "system", None),
+    "N": ("n", "N", None),
+    "seed": ("seed", "seed", None),
+    "format": ("output_format", "format", None),
+    "suite": ("suite", "suite", None),
+    "dx": ("dx", "dx", None),
+    "tolerances": ("tolerances", None, None),
+    "times": ("times", "dt", lambda dt: (float(dt),)),
+    "mu0_list": ("mu0_list", "mu0_list", _parse_mu0_list),
 }
 
 
@@ -109,50 +138,19 @@ def load_config(path: str | None) -> RunConfig:
             raise ValueError(f"malformed config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ValueError(f"config {path} has unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for src, dst in (("hbar", "hbar"), ("mass", "mass"), ("mu0", "mu0"),
-                     ("system", "system"), ("N", "n"), ("seed", "seed"),
-                     ("format", "output_format"), ("suite", "suite"),
-                     ("dx", "dx"), ("tolerances", "tolerances"),
-                     ("times", "times"), ("mu0_list", "mu0_list")):
-        if src in raw:
-            kwargs[dst] = raw[src]
-    return RunConfig(**kwargs)
+    return RunConfig(**{_FIELDS[key][0]: value for key, value in raw.items()})
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
-    for attr, key in (("hbar", "hbar"), ("mass", "mass"), ("mu0", "mu0"),
-                      ("system", "system"), ("N", "n"), ("seed", "seed"),
-                      ("format", "output_format"), ("suite", "suite"),
-                      ("dx", "dx")):
-        value = getattr(args, attr, None)
+    for field, flag, convert in _FIELDS.values():
+        value = getattr(args, flag, None) if flag else None
         if value is not None:
-            updates[key] = value
-    if getattr(args, "dt", None) is not None:
-        updates["times"] = (float(args.dt),)
-    if getattr(args, "mu0_list", None) is not None:
-        updates["mu0_list"] = _parse_mu0_list(args.mu0_list)
+            updates[field] = convert(value) if convert else value
     return replace(config, **updates)
-
-
-def _parse_mu0_list(text: str) -> tuple[float, ...]:
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "/" in token:
-            num, den = token.split("/", 1)
-            values.append(float(num) / float(den))
-        else:
-            values.append(float(token))
-    if not values:
-        raise ValueError("empty mu0 list")
-    return tuple(values)
 
 
 def _fmt(value) -> str:

@@ -91,26 +91,6 @@ def dispersion_momentum(params: PhysicalParams, energy: float) -> float:
     return (params.hbar / params.mu0) * math.acos(x)
 
 
-def recurrence_solve(energy: float, psi0: complex, psi1: complex,
-                     n_steps: int, params: PhysicalParams) -> np.ndarray:
-    """March the eigenvalue difference equation psi_{n+1} = 2 E' psi_n - psi_{n-1}.
-
-    E' = 1 - m mu0^2 E / hbar^2.  Returns (psi_0, ..., psi_{n_steps}).
-    For in-band energies the solution is A L+^n + B L-^n with
-    L+- = E' +- i sqrt(1 - E'^2).
-    """
-    n_steps = int(n_steps)
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be >= 2, got {n_steps}")
-    curly_e = 1.0 - float(energy) / params.energy_scale
-    out = np.empty(n_steps + 1, dtype=complex)
-    out[0] = complex(psi0)
-    out[1] = complex(psi1)
-    for n in range(1, n_steps):
-        out[n + 1] = 2.0 * curly_e * out[n] - out[n - 1]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class BoxSpectrum:
     """All N-1 levels of the box with walls at sites 0 and N.

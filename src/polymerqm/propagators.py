@@ -340,17 +340,18 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
 # ---------------------------------------------------------------------------
 
 def composition_check(kernel: PropagatorKernel, j_values, r_values,
-                      t0: float, t1: float, t: float,
-                      window: tuple[int, int] | None = None) -> float:
+                      t0: float, t1: float, t: float) -> float:
     """Worst |k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over j x r.
 
     j_values (rows) and r_values (columns) are integers or index lists.
     The direct term is the closed-form check route, the two legs are
-    `kernel_table` blocks, so two routes are compared.  Box systems sum
-    over sites 0..N exactly (the identity then holds to rounding).  For
-    the free and periodic systems the default window pads the grid's
-    [min(j, r), max(j, r)] by the truncation windows of both legs,
-    outside of which the factors decay super-exponentially.
+    `kernel_table` blocks, so two routes are compared.  The intermediate
+    sites n are the whole system where it is finite, so the identity then
+    holds to rounding: the box sums over its sites 0..N, the periodic
+    system over one period 0..2N-1 (each image once).  For the free
+    system the window pads the grid's [min(j, r), max(j, r)] by the
+    truncation windows of both legs, outside of which the factors decay
+    super-exponentially.
     """
     if not (t0 <= t1 <= t):
         raise ValueError(f"need t0 <= t1 <= t, got {t0}, {t1}, {t}")
@@ -360,12 +361,13 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     js, rs = np.atleast_1d(js), np.atleast_1d(rs)
     if kernel.system == "box":
         sites = np.arange(0, kernel.n + 1)
+    elif kernel.system == "periodic":
+        sites = np.arange(0, 2 * kernel.n)
     else:
-        if window is None:
-            pad = (truncation_window(abs(dimensionless_time(params, dt_late)))
-                   + truncation_window(abs(dimensionless_time(params, dt_early))))
-            window = (min(js.min(), rs.min()) - pad, max(js.max(), rs.max()) + pad)
-        sites = np.arange(int(window[0]), int(window[1]) + 1)
+        pad = (truncation_window(abs(dimensionless_time(params, dt_late)))
+               + truncation_window(abs(dimensionless_time(params, dt_early))))
+        lo, hi = min(js.min(), rs.min()) - pad, max(js.max(), rs.max()) + pad
+        sites = np.arange(lo, hi + 1)
 
     late = kernel_table(kernel, js, sites, dt_late)
     early = np.ascontiguousarray(kernel_table(kernel, sites, rs, dt_early).T)

@@ -10,7 +10,6 @@ from polymerqm.dynamics import (
     box_spectrum,
     dispersion_energy,
     dispersion_momentum,
-    recurrence_solve,
 )
 from polymerqm.lattice import (
     Lattice,
@@ -123,48 +122,6 @@ def test_property_dispersion_roundtrip(energy):
     assert dispersion_energy(params, p) == pytest.approx(energy, abs=1e-12)
 
 
-def test_recurrence_power_solution():
-    params = PhysicalParams()
-    energy = 0.8
-    curly_e = 1.0 - energy
-    lam = curly_e + 1j * math.sqrt(1.0 - curly_e**2)
-    seq = recurrence_solve(energy, 1.0, lam, 200, params)
-    expected = lam ** np.arange(201)
-    assert np.max(np.abs(seq - expected)) <= 1e-10
-
-
-def test_recurrence_zero_energy_constant():
-    params = PhysicalParams()
-    seq = recurrence_solve(0.0, 1.0, 1.0, 50, params)
-    assert np.allclose(seq, 1.0, atol=1e-13)
-
-
-def test_recurrence_reproduces_box_eigenstate():
-    params = PhysicalParams()
-    n = 7
-    spec = box_spectrum(n, params)
-    for level in (1, 3, 6):
-        energy, vec = spec.level(level)
-        seed = math.sqrt(2.0 / n) * math.sin(level * math.pi / n)
-        seq = recurrence_solve(energy, 0.0, seed, n, params)
-        assert np.max(np.abs(seq - vec)) <= 1e-10
-        assert abs(seq[n]) <= 1e-10  # hits the far wall
-
-
-def test_recurrence_plane_wave_long_march():
-    params = PhysicalParams()
-    p = dispersion_momentum(params, 0.6)
-    seq = recurrence_solve(0.6, 1.0, np.exp(1j * params.mu0 * p / params.hbar),
-                           1000, params)
-    expected = np.exp(1j * np.arange(1001) * params.mu0 * p / params.hbar)
-    assert np.max(np.abs(seq - expected)) <= 1e-9
-
-
-def test_recurrence_needs_two_steps():
-    with pytest.raises(ValueError):
-        recurrence_solve(0.5, 1.0, 1.0, 1, PhysicalParams())
-
-
 def test_box_spectrum_small_cases():
     params = PhysicalParams()
     spec2 = box_spectrum(2, params)
@@ -191,25 +148,6 @@ def test_box_spectrum_structure():
                 vb = LatticeWavefunction(lat, spec.eigenvectors[b - 1])
                 want = 1.0 if a == b else 0.0
                 assert inner_product(va, vb) == pytest.approx(want, abs=1e-12)
-
-
-def test_box_spectrum_against_dense_eigensolver():
-    # brute-force oracle: diagonalize the interior stencil matrix directly
-    params = PhysicalParams()
-    for n in (2, 3, 9, 17, 32):
-        spec = box_spectrum(n, params)
-        c = params.energy_scale
-        matrix = (np.diag(np.full(n - 1, c))
-                  + np.diag(np.full(n - 2, -0.5 * c), 1)
-                  + np.diag(np.full(n - 2, -0.5 * c), -1))
-        vals, vecs = np.linalg.eigh(matrix)
-        assert np.max(np.abs(vals - spec.energies)) <= 1e-10
-        for idx in range(n - 1):
-            ref = vecs[:, idx]
-            first = np.flatnonzero(np.abs(ref) > 1e-8)[0]
-            if ref[first] < 0:
-                ref = -ref
-            assert np.max(np.abs(ref - spec.eigenvectors[idx, 1:n])) <= 1e-8
 
 
 def test_eigen_residual_all_levels():

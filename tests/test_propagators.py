@@ -584,6 +584,15 @@ def test_composition_box_exact_window():
                     assert composition_check(kernel, j, r, 0.0, t1, 3.0) <= 1e-12
 
 
+def test_composition_periodic_sums_one_period():
+    # intermediate sites run over exactly one period 0..2N-1, whatever
+    # the grid: endpoints outside it are the same sites of the circle
+    kernel = PropagatorKernel.periodic(4, P1)
+    assert composition_check(kernel, 1, 6, 0.0, 0.4, 2.0) <= 1e-12
+    js, rs = np.array([-11, -3, 0, 9, 20]), np.array([-5, 0, 7, 13, 100])
+    assert composition_check(kernel, js, rs, 0.0, 0.4, 2.0) <= 1e-12
+
+
 def test_composition_degenerate_split():
     kernel = PropagatorKernel.free(P1)
     assert composition_check(kernel, 1, 3, 0.0, 0.0, 2.0) <= 1e-12
