@@ -54,8 +54,7 @@ dt = 1.5
 pad = truncation_window(params.hbar * dt / (params.mass * params.mu0**2))
 out = evolve(psi, PropagatorKernel.free(params), dt, (-60 - pad, 60 + pad))
 wide_grid = MomentumGrid(params, out.lattice.num_sites + 16)
-phases = np.array([momentum_kernel_phase(p, dt, params)
-                   for p in wide_grid.values])
+phases = momentum_kernel_phase(wide_grid.values, dt, params)
 via_momentum = from_momentum(to_momentum(psi, wide_grid) * phases,
                              wide_grid, out.lattice)
 dev = np.max(np.abs(via_momentum.amplitudes - out.amplitudes))

@@ -104,8 +104,10 @@ class RunConfig:
             if not (isinstance(values, (list, tuple)) and all(map(_is_number, values))):
                 raise ValueError(f"{name} must be a list of numbers, got {values!r}")
             setattr(self, name, tuple(float(v) for v in values))
-        if self.tolerances is not None and not isinstance(self.tolerances, dict):
-            raise ValueError(f"tolerances must be an object, got {self.tolerances!r}")
+        if self.tolerances is not None and not (
+                isinstance(self.tolerances, dict)
+                and all(map(_is_number, self.tolerances.values()))):
+            raise ValueError(f"tolerances must be an object of numbers, got {self.tolerances!r}")
         if self.system not in _SYSTEM_CHOICES:
             raise ValueError(f"system must be one of {_SYSTEM_CHOICES}, "
                              f"got {self.system!r}")
@@ -276,13 +278,14 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, physics: bool = True) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--system", choices=_SYSTEM_CHOICES)
     sub.add_argument("--N", type=int, help="box intervals (walls at 0 and N)")
-    sub.add_argument("--mu0", type=float)
-    sub.add_argument("--hbar", type=float)
-    sub.add_argument("--mass", type=float)
+    if physics:
+        sub.add_argument("--mu0", type=float)
+        sub.add_argument("--hbar", type=float)
+        sub.add_argument("--mass", type=float)
     sub.add_argument("--dt", type=float, help="single evolution time")
     sub.add_argument("--format", choices=("csv", "json"))
     sub.add_argument("--seed", type=int)
@@ -303,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--r-max", type=int)
     p_kernel.set_defaults(func=cmd_kernel)
 
+    # the state's sidecar carries hbar, mass and mu0, so evolve takes no physics flags
     p_evolve = subs.add_parser("evolve", help="evolve a wavefunction file")
-    _add_common(p_evolve)
+    _add_common(p_evolve, physics=False)
     p_evolve.add_argument("state", help="input wavefunction CSV (with JSON sidecar)")
     p_evolve.add_argument("--out-window",
                           help="free/periodic output window lo:hi "

@@ -7,6 +7,9 @@ The kinetic term is the second-difference stencil
 with amplitudes outside the window treated as zero.  The particle in a
 box of length L = N*mu0 has walls AT sites 0 and N where amplitudes are
 constrained to vanish; no infinite potential values enter the arithmetic.
+
+The stencil's band 1 - cos(theta) (`_band`) and the box modes
+sqrt(2/N) sin(l pi n/N) (`_box_modes`) are written here only.
 """
 
 from __future__ import annotations
@@ -70,12 +73,24 @@ def apply_hamiltonian(psi: LatticeWavefunction,
     return LatticeWavefunction(Lattice(params, 0, n_box), out)
 
 
-def dispersion_energy(params: PhysicalParams, p: float) -> float:
-    """E(p) = (hbar^2 / m mu0^2) (1 - cos(mu0 p / hbar)); bounded band [0, 2*scale]."""
-    p = float(p)
-    if not math.isfinite(p):
+def _band(theta):
+    """1 - cos(theta), taken as 2 sin^2(theta/2): full relative accuracy near 0."""
+    return 2.0 * np.sin(0.5 * theta) ** 2
+
+
+def _box_modes(n_box: int, sites) -> np.ndarray:
+    """sqrt(2/N) sin(l pi n/N) at sites n for the levels l = 1..N-1, on a new last axis."""
+    angles = np.multiply.outer(sites, np.arange(1, n_box)) * math.pi / n_box
+    return math.sqrt(2.0 / n_box) * np.sin(angles)
+
+
+def dispersion_energy(params: PhysicalParams, p):
+    """E(p) = (hbar^2 / m mu0^2) (1 - cos(mu0 p / hbar)) in [0, 2*scale], p scalar or array."""
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
         raise ValueError(f"momentum must be finite, got {p}")
-    return params.energy_scale * (1.0 - math.cos(params.mu0 * p / params.hbar))
+    energy = params.energy_scale * _band(params.mu0 * p / params.hbar)
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def dispersion_momentum(params: PhysicalParams, energy: float) -> float:
@@ -121,10 +136,8 @@ def box_spectrum(n: int, params: PhysicalParams) -> BoxSpectrum:
     n = int(n)
     if n < 2:
         raise ValueError(f"box needs n >= 2 (no interior sites for n={n})")
-    levels = np.arange(1, n)
-    energies = params.energy_scale * (1.0 - np.cos(levels * math.pi / n))
-    sites = np.arange(0, n + 1)
-    vectors = math.sqrt(2.0 / n) * np.sin(np.outer(levels, sites) * math.pi / n)
+    energies = params.energy_scale * _band(np.arange(1, n) * math.pi / n)
+    vectors = _box_modes(n, np.arange(0, n + 1)).T
     vectors[:, 0] = 0.0
     vectors[:, n] = 0.0  # sin(l*pi) is exactly zero, floats are not
     return BoxSpectrum(n=n, params=params, energies=energies, eigenvectors=vectors)

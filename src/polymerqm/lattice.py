@@ -97,12 +97,6 @@ class LatticeWavefunction:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def amplitude_at(self, n: int) -> complex:
-        """Amplitude at site n; zero outside the window."""
-        if self.lattice.n_min <= n <= self.lattice.n_max:
-            return complex(self.amplitudes[n - self.lattice.n_min])
-        return 0.0 + 0.0j
-
 
 def delta_state(lattice: Lattice, n: int) -> LatticeWavefunction:
     """Position eigenstate |x_n>: amplitude 1 at site n, 0 elsewhere."""

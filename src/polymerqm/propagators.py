@@ -13,11 +13,12 @@ where the image sum is an exact finite sum over 2N momenta applied by
 FFT (the box is its odd part).  The closed-form kernels (free, box
 spectral sum, box image sum, periodic image sum) are the independent
 check routes: they take integer sites or index arrays, with one Bessel
-table (or one set of level phases) per call.  `schrodinger_free_kernel`
-and `schrodinger_box_evolve` are the continuum references.  Image and
-composition sums use numpy's pairwise summation along a contiguous last
-axis in a fixed index order, so results do not depend on evaluation
-order.
+table (or one contraction over the box levels) per call; the band and
+the box modes come from `dynamics`, and the Bessel routes never use the
+band.  `schrodinger_free_kernel` and `schrodinger_box_evolve` are the
+continuum references.  Image and composition sums use numpy's pairwise
+summation along a contiguous last axis in a fixed index order, so
+results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_table, truncation_window, unit_imaginary_power
-from .dynamics import dispersion_energy, _box_interior_amplitudes
+from .dynamics import _band, _box_interior_amplitudes, _box_modes, dispersion_energy
 from .lattice import (
     Lattice,
     LatticeWavefunction,
@@ -72,14 +73,11 @@ def _sites(j, r, n_box: int | None = None):
 
 def _finish(values: np.ndarray, scalar: bool, z: float | None = None, walls=None):
     """values times e^{-iz} if z is given, walls exactly 0; a complex for a scalar call."""
-    if scalar:  # numpy scalars, as before: array complex multiplies may round differently
-        value = values[0] if z is None else values[0] * np.exp(-1j * z)
-        return 0.0 + 0.0j if walls is not None and walls[0] else complex(value)
     if z is not None:
         values = values * np.exp(-1j * z)
     if walls is not None:
         values[walls] = 0.0
-    return values
+    return complex(values[0]) if scalar else values
 
 
 def free_kernel(j, r, dt: float, params: PhysicalParams):
@@ -95,18 +93,27 @@ def free_kernel(j, r, dt: float, params: PhysicalParams):
     return _finish(_signed_terms(rs - js, table, z), scalar, z)
 
 
+def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
+                   derivative: bool = False) -> np.ndarray:
+    """sum_l m_l(j) w_l m_l(r) over the box modes m_l, broadcast over (j, r).
+
+    w_l = e^{-i E_l dt/hbar}, times -i E_l/hbar for the time derivative.
+    einsum contracts the level axis without a grid x levels array, so an
+    array call holds O(grid + sites x levels) memory.
+    """
+    gaps = _band(np.arange(1, n_box) * math.pi / n_box)
+    weights = np.exp(-1j * dimensionless_time(params, dt) * gaps)
+    if derivative:
+        weights = (-1j / params.hbar) * params.energy_scale * gaps * weights
+    return np.einsum("...l,...l->...", _box_modes(n_box, js) * weights,
+                     _box_modes(n_box, rs))
+
+
 def box_spectral_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
     """Box propagator as the exact finite spectral sum over the N-1 levels."""
     n_box = int(n_box)
     js, rs, scalar, walls = _sites(j, r, n_box)
-    levels = np.arange(1, n_box)
-    phases = np.exp(-1j * dimensionless_time(params, dt)
-                    * (1.0 - np.cos(levels * math.pi / n_box)))
-    terms = ((2.0 / n_box)
-             * np.sin(levels * math.pi * js[..., None] / n_box)
-             * np.sin(levels * math.pi * rs[..., None] / n_box)
-             * phases)
-    return _finish(np.sum(terms, axis=-1), scalar, walls=walls)
+    return _finish(_box_level_sum(js, rs, dt, n_box, params), scalar, walls=walls)
 
 
 def minimal_image_cutoff(n_box: int, z: float, j: int, r: int) -> int:
@@ -124,22 +131,18 @@ def minimal_image_cutoff(n_box: int, z: float, j: int, r: int) -> int:
     return math.ceil((w + abs(int(j) - int(r))) / (2 * int(n_box))) + 1
 
 
-def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams,
-               image_cutoff: int | None, mirror: bool):
+def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool):
     """sum_k of k_free(j, r + 2kN), minus k_free(j, -r + 2kN) if mirror: one table.
 
-    K defaults to minimal_image_cutoff at the largest |j - r| of the call,
+    |k| <= K = minimal_image_cutoff at the largest |j - r| of the call,
     which covers every entry: elsewhere the extra images add only orders beyond W.
     """
     if n_box < 2 and not mirror:
         raise ValueError(f"periodic system needs n >= 2, got {n_box}")
     js, rs, scalar, walls = _sites(j, r, n_box if mirror else None)
     z = dimensionless_time(params, dt)
-    if image_cutoff is None:
-        image_cutoff = minimal_image_cutoff(n_box, z, 0, np.abs(js - rs).max())
-    if int(image_cutoff) < 1:
-        raise ValueError(f"image_cutoff must be >= 1, got {image_cutoff}")
-    shifts = 2 * n_box * np.arange(-int(image_cutoff), int(image_cutoff) + 1)
+    cutoff = minimal_image_cutoff(n_box, z, 0, np.abs(js - rs).max())
+    shifts = 2 * n_box * np.arange(-cutoff, cutoff + 1)
     direct = (js - rs)[..., None] - shifts
     mirrored = (js + rs)[..., None] - shifts if mirror else direct
     table = bessel_table(abs(z), int(max(np.abs(direct).max(), np.abs(mirrored).max())))
@@ -149,34 +152,35 @@ def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams,
     return _finish(np.sum(terms, axis=-1), scalar, z, walls)
 
 
-def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams,
-                    image_cutoff: int | None = None):
+def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
     """Propagator with period 2*N*mu0, built from images of the free kernel."""
-    return _image_sum(j, r, dt, int(n_box), params, image_cutoff, mirror=False)
+    return _image_sum(j, r, dt, int(n_box), params, mirror=False)
 
 
-def box_images_kernel(j, r, dt: float, n_box: int, params: PhysicalParams,
-                      image_cutoff: int | None = None):
+def box_images_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
     """Box propagator k_P(j, r) - k_P(j, -r), twice the odd part of the periodic kernel.
 
-    Within 1e-10 of the spectral sum for an adequate image cutoff.
+    Within 1e-10 of the spectral sum.
     """
-    return _image_sum(j, r, dt, int(n_box), params, image_cutoff, mirror=True)
+    return _image_sum(j, r, dt, int(n_box), params, mirror=True)
 
 
-def momentum_kernel_phase(p: float, dt: float, params: PhysicalParams) -> complex:
+def momentum_kernel_phase(p, dt: float, params: PhysicalParams):
     """Diagonal momentum-space phase e^{-i E(p) dt / hbar}.
 
     The delta-function prefactor of the momentum propagator is never
     materialized: evolving a momentum wavefunction IS pointwise
-    multiplication by this phase.
+    multiplication by this phase.  p is a momentum or an array of them,
+    each in the open zone; a scalar gives a complex.
     """
-    p = float(p)
+    p = np.asarray(p, dtype=float)
     edge = params.brillouin_edge
-    if not math.isfinite(p) or not (-edge < p < edge):
-        raise ValueError(f"momentum {p} outside the open interval (-{edge}, {edge})")
-    energy = dispersion_energy(params, p)
-    return complex(np.exp(-1j * energy * float(dt) / params.hbar))
+    outside = ~((-edge < p) & (p < edge))  # NaN compares false: outside
+    if np.any(outside):
+        raise ValueError(f"momentum {float(p[outside][0])} outside the open "
+                         f"interval (-{edge}, {edge})")
+    phase = np.exp(-1j * dispersion_energy(params, p) * float(dt) / params.hbar)
+    return complex(phase) if phase.ndim == 0 else phase
 
 
 def schrodinger_free_kernel(xj: float, xr: float, dt: float,
@@ -254,16 +258,16 @@ def _free_vector(z: float, m_lo: int, m_hi: int) -> np.ndarray:
 def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     """Exact evolution of amplitudes on the circle Z_2N, by FFT.
 
-    Momentum q carries the phase e^{-iz(1 - cos(pi q/N))}, with 1 - cos
-    taken as 2 sin^2 so that small gaps keep full relative accuracy.
-    This is the periodic image sum with K -> infinity, no cutoff.  Phase
-    rounding gives an absolute error of about z * eps (2e-12 at z = 1e4;
-    the Bessel-table check routes do not grow with z).  z = 0 returns psi.
+    Momentum q carries the phase e^{-iz(1 - cos(pi q/N))}, the band from
+    `dynamics._band`, accurate for small gaps.  This is the periodic
+    image sum with K -> infinity, no cutoff.  Phase rounding gives an
+    absolute error of about z * eps (2e-12 at z = 1e4; the Bessel-table
+    check routes do not grow with z).  z = 0 returns psi.
     """
     if z == 0.0:
         return psi
     period = len(psi)
-    phases = np.exp(-2j * z * np.sin(math.pi * np.arange(period) / period) ** 2)
+    phases = np.exp(-1j * z * _band(2.0 * math.pi * np.arange(period) / period))
     return np.fft.ifft(phases * np.fft.fft(psi))
 
 
@@ -373,8 +377,7 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     early = np.ascontiguousarray(kernel_table(kernel, sites, rs, dt_early).T)
     paths = np.sum(late[:, None, :] * early[None, :, :], axis=-1)
     deviation = direct - paths.reshape(np.shape(direct))
-    # a scalar pair keeps scalar abs: numpy's array abs may round the last bit
-    return float(abs(deviation) if np.ndim(deviation) == 0 else np.max(np.abs(deviation)))
+    return float(np.max(np.abs(deviation)))
 
 
 @dataclass(frozen=True)
@@ -432,14 +435,7 @@ def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
 
 def _box_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
     """-(i/hbar) (2/N) sum_l sin(l pi j/N) sin(l pi r/N) E_l e^{-i E_l dt/hbar}."""
-    params, n_box = kernel.params, kernel.n
-    levels = np.arange(1, n_box)
-    gaps = 1.0 - np.cos(levels * math.pi / n_box)
-    weights = ((2.0 / n_box) * params.energy_scale * gaps
-               * np.exp(-1j * dimensionless_time(params, dt) * gaps))
-    sj = np.sin(np.outer(js, levels) * math.pi / n_box)
-    sr = np.sin(np.outer(rs, levels) * math.pi / n_box)
-    return (-1j / params.hbar) * ((sj * weights) @ sr.T)
+    return _box_level_sum(js[:, None], rs, dt, kernel.n, kernel.params, derivative=True)
 
 
 def greens_residual(kernel: PropagatorKernel, j_values, r_values,
@@ -515,14 +511,11 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
     return points
 
 
-def box_mode_coefficients(packet, length: float, num_modes: int,
-                          num_quad: int | None = None) -> np.ndarray:
+def box_mode_coefficients(packet, length: float, num_modes: int) -> np.ndarray:
     """Continuum box-mode coefficients c_l = (2/L) integral sin(l pi y / L) f(y) dy."""
     num_modes = int(num_modes)
-    if num_quad is None:
-        # keep the highest mode far below the quadrature Nyquist limit
-        num_quad = max(4097, 8 * num_modes + 1)
-    y = np.linspace(0.0, float(length), int(num_quad))
+    # keep the highest mode far below the quadrature Nyquist limit
+    y = np.linspace(0.0, float(length), max(4097, 8 * num_modes + 1))
     f = np.asarray(packet(y), dtype=complex)
     levels = np.arange(1, num_modes + 1)
     modes = np.sin(np.outer(levels, y) * math.pi / length)
@@ -530,37 +523,31 @@ def box_mode_coefficients(packet, length: float, num_modes: int,
 
 
 def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
-                           params: PhysicalParams,
-                           num_modes: int | None = None,
-                           coeff_floor: float = 1e-14) -> np.ndarray:
+                           params: PhysicalParams) -> np.ndarray:
     """Continuum box evolution of a smooth packet by the spectral series.
 
     The pointwise kernel series does not converge; the packet-smeared
     series does, because the mode coefficients of a smooth packet decay
-    fast.  With num_modes=None modes are added until the smallest
-    retained coefficient is below coeff_floor of the largest.
+    fast.  Modes are added until the smallest retained coefficient is
+    below 1e-14 of the largest.
     """
     dt = float(dt)
     length = float(length)
-    if num_modes is None:
-        num = 64
-        prev_tail = math.inf
-        while True:
-            coeffs = box_mode_coefficients(packet, length, num)
-            peak = float(np.max(np.abs(coeffs)))
-            tail = float(np.max(np.abs(coeffs[-8:])))
-            if peak == 0.0 or tail < coeff_floor * peak:
-                break
-            if tail > 0.25 * prev_tail or num >= 8192:
-                # tail no longer decays geometrically: residual wall
-                # mismatch or quadrature floor; more modes add nothing
-                break
-            prev_tail = tail
-            num *= 2
-        num_modes = num
-    else:
-        coeffs = box_mode_coefficients(packet, length, int(num_modes))
-    levels = np.arange(1, int(num_modes) + 1)
+    num = 64
+    prev_tail = math.inf
+    while True:
+        coeffs = box_mode_coefficients(packet, length, num)
+        peak = float(np.max(np.abs(coeffs)))
+        tail = float(np.max(np.abs(coeffs[-8:])))
+        if peak == 0.0 or tail < 1e-14 * peak:
+            break
+        if tail > 0.25 * prev_tail or num >= 8192:
+            # tail no longer decays geometrically: residual wall
+            # mismatch or quadrature floor; more modes add nothing
+            break
+        prev_tail = tail
+        num *= 2
+    levels = np.arange(1, num + 1)
     energies = (levels * math.pi * params.hbar / length) ** 2 / (2.0 * params.mass)
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
     modes = np.sin(np.outer(x, levels) * math.pi / length)

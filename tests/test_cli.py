@@ -101,6 +101,8 @@ def test_unknown_config_key(tmp_path):
     {"dx": "1"},
     {"hbar": True},
     {"tolerances": 5},
+    {"tolerances": {"free/unitarity": None}},
+    {"tolerances": {"free/unitarity": True}},
 ], ids=lambda bad: json.dumps(bad))
 def test_config_value_types_exit_2(tmp_path, bad):
     cfg = tmp_path / "bad.json"
@@ -218,7 +220,7 @@ def test_verify_corrupted_tolerance_fails(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "suite": "momentum",
-        "tolerances": {"roundtrip": 0.0},
+        "tolerances": {"momentum/roundtrip": 0.0},
     }))
     rc = main(["verify", "--config", str(cfg),
                "--out", str(tmp_path / "r.csv")])
@@ -226,6 +228,34 @@ def test_verify_corrupted_tolerance_fails(tmp_path):
     rows = read_csv(tmp_path / "r.csv")
     bad = [r for r in rows if r["name"] == "roundtrip"]
     assert bad[0]["status"] == "fail"
+
+
+def test_verify_tolerance_keys_name_one_record(tmp_path):
+    # "greens-residual" is a record of both free and box: a suite/name key
+    # loosens only the record it names, a bare name or an unknown key exits 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "all",
+                               "tolerances": {"free/greens-residual": 1e-3}}))
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    tol = {(r["suite"], r["name"]): float(r["tolerance"]) for r in read_csv(out)}
+    assert tol[("free", "greens-residual")] == 1e-3
+    assert tol[("box", "greens-residual")] == 1e-10
+    for key in ("greens-residual", "no-such-record"):
+        cfg.write_text(json.dumps({"suite": "all", "tolerances": {key: 1e-3}}))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--hbar", "--mass", "--mu0"])
+def test_evolve_rejects_physics_flags(tmp_path, flag):
+    # the state's sidecar carries the physics, so evolve takes no such flag
+    src = tmp_path / "in.csv"
+    save_wavefunction(delta_state(Lattice(PhysicalParams(), -2, 2), 0), src)
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", str(src), "--system", "free", "--dt", "1", flag, "3",
+              "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_sweep_outputs_and_monotone(tmp_path):

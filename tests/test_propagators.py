@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ def test_box_spectral_domain():
         box_spectral_kernel(1, 5, 1.0, 4, P1)
 
 
+def test_box_spectral_full_grid_memory():
+    # the level sum is contracted: a grid x levels array would be 51 MB here
+    sites = np.arange(0, 129)
+    box_spectral_kernel(sites[:, None], sites, 1.3, 128, P1)
+    tracemalloc.start()
+    try:
+        table = box_spectral_kernel(sites[:, None], sites, 1.3, 128, P1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (129, 129)
+    assert peak <= 4 * 2**20
+
+
 def test_box_images_matches_spectral():
     worst = 0.0
     for n in (2, 3, 4, 8, 16):
@@ -238,13 +253,6 @@ def test_periodic_initial_condition_mod_2n():
             want = 1.0 if (j - r) % (2 * n) == 0 else 0.0
             assert periodic_kernel(j, r, 0.0, n, params=P1) == pytest.approx(
                 want, abs=1e-15)
-
-
-def test_image_cutoff_validation():
-    with pytest.raises(ValueError):
-        periodic_kernel(0, 0, 1.0, 4, image_cutoff=0, params=P1)
-    with pytest.raises(ValueError):
-        box_images_kernel(1, 2, 1.0, 4, P1, image_cutoff=0)
 
 
 def test_evolve_box_images_matches_spectral():
@@ -515,6 +523,27 @@ def test_momentum_phase_outside_interval():
         momentum_kernel_phase(edge, 1.0, P1)
     with pytest.raises(ValueError):
         momentum_kernel_phase(-1.01 * edge, 1.0, P1)
+
+
+def test_band_routes_array_equal_scalar_calls():
+    # dispersion_energy and momentum_kernel_phase take arrays; each entry
+    # is the scalar call's value, and a scalar call gives a Python number
+    edge = P1.brillouin_edge
+    p = np.linspace(-0.999, 0.999, 41).reshape(1, 41) * edge
+    energies = dispersion_energy(P1, p)
+    phases = momentum_kernel_phase(p, 2.3, P1)
+    assert energies.shape == phases.shape == p.shape
+    assert _same_bits(energies[0], np.array([dispersion_energy(P1, float(x))
+                                             for x in p[0]]))
+    assert _same_bits(phases[0], np.array([momentum_kernel_phase(float(x), 2.3, P1)
+                                           for x in p[0]]))
+    assert type(dispersion_energy(P1, 0.3)) is float
+    assert type(momentum_kernel_phase(0.3, 2.3, P1)) is complex
+    with pytest.raises(ValueError, match="finite"):
+        dispersion_energy(P1, np.append(p[0], math.nan))
+    for bad in (edge, -edge, 1.5 * edge, math.nan, math.inf):
+        with pytest.raises(ValueError, match="outside the open interval"):
+            momentum_kernel_phase(np.append(p[0], bad), 2.3, P1)
 
 
 def test_momentum_route_equals_position_route():
