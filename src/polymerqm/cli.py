@@ -124,8 +124,6 @@ class RunConfig:
     def kernel(self) -> PropagatorKernel:
         if self.system == "free":
             return PropagatorKernel.free(self.params())
-        if self.n is None:
-            raise ValueError(f"system {self.system!r} needs N")
         system = "box" if self.system == "box-images" else self.system
         return PropagatorKernel(system, self.params(), n=self.n)
 
@@ -232,7 +230,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     results = run_suite(config.suite, params=config.params(),
-                        n_box=config.n if config.n else 8,
+                        n_box=8 if config.n is None else config.n,
                         seed=config.seed, overrides=config.tolerances)
     rows = [{
         "suite": r.suite, "name": r.name,

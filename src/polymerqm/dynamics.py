@@ -15,6 +15,7 @@ sqrt(2/N) sin(l pi n/N) (`_box_modes`) are written here only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,17 @@ from .lattice import Lattice, LatticeWavefunction, PhysicalParams
 
 class WallSupportError(ValueError):
     """Raised when a box state has nonzero amplitude at or beyond a wall."""
+
+
+def _box_size(n) -> int:
+    """A box size (or half period) n as an int: an integer >= 2, else ValueError."""
+    try:
+        size = operator.index(n)
+    except TypeError:
+        size = None
+    if size is None or size < 2:
+        raise ValueError(f"system size N must be an integer >= 2, got {n!r}")
+    return size
 
 
 def _box_interior_amplitudes(psi: LatticeWavefunction, n_box: int) -> np.ndarray:
@@ -63,13 +75,10 @@ def apply_hamiltonian(psi: LatticeWavefunction,
         lat = Lattice(params, psi.lattice.n_min - 1, psi.lattice.n_max + 1)
         return LatticeWavefunction(lat, out)
 
-    n_box = int(n_box)
-    if n_box < 2:
-        raise ValueError(f"box needs n >= 2 lattice intervals, got {n_box}")
+    n_box = _box_size(n_box)
     full = _box_interior_amplitudes(psi, n_box)
     out = c * np.convolve(full, [-1.0, 2.0, -1.0])[1:-1]
-    out[0] = 0.0
-    out[n_box] = 0.0
+    out[0] = out[n_box] = 0.0
     return LatticeWavefunction(Lattice(params, 0, n_box), out)
 
 
@@ -133,11 +142,8 @@ class BoxSpectrum:
 
 def box_spectrum(n: int, params: PhysicalParams) -> BoxSpectrum:
     """Closed-form spectrum of the box Hamiltonian on an N-interval lattice."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"box needs n >= 2 (no interior sites for n={n})")
+    n = _box_size(n)
     energies = params.energy_scale * _band(np.arange(1, n) * math.pi / n)
     vectors = _box_modes(n, np.arange(0, n + 1)).T
-    vectors[:, 0] = 0.0
-    vectors[:, n] = 0.0  # sin(l*pi) is exactly zero, floats are not
+    vectors[:, [0, n]] = 0.0  # sin(l*pi) is exactly zero, floats are not
     return BoxSpectrum(n=n, params=params, energies=energies, eigenvectors=vectors)

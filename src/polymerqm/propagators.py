@@ -7,18 +7,19 @@ Systems (`PropagatorKernel.system`):
             equal to twice the odd part of the periodic kernel
   periodic  sum over images k of the free kernel at r + 2kN
 
-The hot path (`evolve`, `kernel_table`) uses one kernel vector per
-(system, dt): free orders applied by convolution, or the 2N-site circle,
-where the image sum is an exact finite sum over 2N momenta applied by
-FFT (the box is its odd part).  The closed-form kernels (free, box
-spectral sum, box image sum, periodic image sum) are the independent
-check routes: they take integer sites or index arrays, with one Bessel
-table (or one contraction over the box levels) per call; the band and
-the box modes come from `dynamics`, and the Bessel routes never use the
-band.  `schrodinger_free_kernel` and `schrodinger_box_evolve` are the
-continuum references.  Image and composition sums use numpy's pairwise
-summation along a contiguous last axis in a fixed index order, so
-results do not depend on evaluation order.
+Every free kernel value comes from one builder, `_free_terms`: one
+Bessel table of at most W(z) + 1 orders per call, exactly 0 beyond the
+truncation window W.  `free_kernel` and free `kernel_table` evaluate it
+on (j, r) grids, free `evolve` convolves it, and the image sums add it
+over shifted orders; identities (unitarity, composition, Green's
+residual, plane-wave phase) check it.  Periodic and box evolution and
+tables run on the 2N-site circle, where the image sum is an exact finite
+sum over 2N momenta applied by FFT (the box is its odd part); the image
+sums and the box spectral sum (band and modes from `dynamics`) are their
+independent check routes.  `schrodinger_free_kernel` and
+`schrodinger_box_evolve` are the continuum references.  Image and
+composition sums use numpy's pairwise summation along a contiguous last
+axis in a fixed index order, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_table, truncation_window, unit_imaginary_power
-from .dynamics import _band, _box_interior_amplitudes, _box_modes, dispersion_energy
+from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, dispersion_energy
 from .lattice import (
     Lattice,
     LatticeWavefunction,
@@ -40,18 +41,22 @@ from .lattice import (
 _SYSTEMS = ("free", "box", "periodic")
 
 
-def _signed_terms(orders: np.ndarray, table, z: float) -> np.ndarray:
-    """i^m J_m(z) for integer orders of any sign, from a table at |z|.
+def _free_terms(z: float, orders) -> np.ndarray:
+    """Free kernel i^|m| J_|m|(z) e^{-iz} at integer orders m of any sign.
 
-    J_{-m}(x) = (-1)^m J_m(x) makes i^m J_m(z) = i^|m| J_|m|(z), so the
-    result depends only on |m| (the kernel symmetry in j and r is then
-    bit-for-bit).  A negative argument flips i^|m| to its conjugate.
+    i^m J_m(z) = i^|m| J_|m|(z), so the result depends only on |m| (the
+    kernel symmetry in j and r is bit for bit); a negative z conjugates
+    i^|m|.  One Bessel table of at most W(z) + 1 orders serves the call:
+    beyond the truncation window W, J_m(z) is below double-precision
+    noise and the kernel exactly 0, so the cost never grows with |m|.
     """
-    mag = np.abs(np.asarray(orders))
+    mag = np.abs(np.asarray(orders, dtype=np.int64))
+    top = min(int(mag.max()), truncation_window(abs(z)))
+    values = np.append(bessel_table(abs(z), top).values, 0.0)
     phases = unit_imaginary_power(mag)
     if z < 0.0:
         phases = np.conj(phases)
-    return phases * table.values[mag]
+    return phases * values[np.minimum(mag, top + 1)] * np.exp(-1j * z)
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +69,13 @@ def _sites(j, r, n_box: int | None = None):
     scalar = np.ndim(j) == 0 and np.ndim(r) == 0
     if n_box is None:
         return js, rs, scalar, None
-    if n_box < 2:
-        raise ValueError(f"box needs n >= 2, got {n_box}")
     if min(js.min(), rs.min()) < 0 or max(js.max(), rs.max()) > n_box:
         raise ValueError(f"site indices ({j}, {r}) outside box 0..{n_box}")
     return js, rs, scalar, (js == 0) | (js == n_box) | (rs == 0) | (rs == n_box)
 
 
-def _finish(values: np.ndarray, scalar: bool, z: float | None = None, walls=None):
-    """values times e^{-iz} if z is given, walls exactly 0; a complex for a scalar call."""
-    if z is not None:
-        values = values * np.exp(-1j * z)
+def _finish(values: np.ndarray, scalar: bool, walls=None):
+    """values with the walls exactly 0; a complex for a scalar call."""
     if walls is not None:
         values[walls] = 0.0
     return complex(values[0]) if scalar else values
@@ -83,14 +84,12 @@ def _finish(values: np.ndarray, scalar: bool, z: float | None = None, walls=None
 def free_kernel(j, r, dt: float, params: PhysicalParams):
     """Free-particle propagator between sites j and r after time dt.
 
-    One Bessel table, sized to the largest |r - j|, serves the call.  The
-    order enters only through |r - j|, so the kernel is symmetric in (j, r)
-    bit for bit; at dt = 0 it is exactly the Kronecker delta.
+    One table of at most W(z) + 1 orders per call; |r - j| > W gives exactly 0.
+    The order enters only through |r - j|, so the kernel is symmetric in
+    (j, r) bit for bit; at dt = 0 it is exactly the Kronecker delta.
     """
-    z = dimensionless_time(params, dt)
     js, rs, scalar, _ = _sites(j, r)
-    table = bessel_table(abs(z), int(np.abs(rs - js).max()))
-    return _finish(_signed_terms(rs - js, table, z), scalar, z)
+    return _finish(_free_terms(dimensionless_time(params, dt), rs - js), scalar)
 
 
 def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
@@ -111,7 +110,7 @@ def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
 
 def box_spectral_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
     """Box propagator as the exact finite spectral sum over the N-1 levels."""
-    n_box = int(n_box)
+    n_box = _box_size(n_box)
     js, rs, scalar, walls = _sites(j, r, n_box)
     return _finish(_box_level_sum(js, rs, dt, n_box, params), scalar, walls=walls)
 
@@ -137,24 +136,23 @@ def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool
     |k| <= K = minimal_image_cutoff at the largest |j - r| of the call,
     which covers every entry: elsewhere the extra images add only orders beyond W.
     """
-    if n_box < 2 and not mirror:
-        raise ValueError(f"periodic system needs n >= 2, got {n_box}")
+    n_box = _box_size(n_box)
     js, rs, scalar, walls = _sites(j, r, n_box if mirror else None)
     z = dimensionless_time(params, dt)
     cutoff = minimal_image_cutoff(n_box, z, 0, np.abs(js - rs).max())
     shifts = 2 * n_box * np.arange(-cutoff, cutoff + 1)
-    direct = (js - rs)[..., None] - shifts
-    mirrored = (js + rs)[..., None] - shifts if mirror else direct
-    table = bessel_table(abs(z), int(max(np.abs(direct).max(), np.abs(mirrored).max())))
-    terms = _signed_terms(direct, table, z)
+    orders = (js - rs)[..., None] - shifts
+    if mirror:  # direct and mirrored orders in one builder call
+        orders = np.stack([orders, (js + rs)[..., None] - shifts])
+    terms = _free_terms(z, orders)
     if mirror:
-        terms = terms - _signed_terms(mirrored, table, z)
-    return _finish(np.sum(terms, axis=-1), scalar, z, walls)
+        terms = terms[0] - terms[1]
+    return _finish(np.sum(terms, axis=-1), scalar, walls)
 
 
 def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
     """Propagator with period 2*N*mu0, built from images of the free kernel."""
-    return _image_sum(j, r, dt, int(n_box), params, mirror=False)
+    return _image_sum(j, r, dt, n_box, params, mirror=False)
 
 
 def box_images_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
@@ -162,7 +160,7 @@ def box_images_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
 
     Within 1e-10 of the spectral sum.
     """
-    return _image_sum(j, r, dt, int(n_box), params, mirror=True)
+    return _image_sum(j, r, dt, n_box, params, mirror=True)
 
 
 def momentum_kernel_phase(p, dt: float, params: PhysicalParams):
@@ -220,13 +218,10 @@ class PropagatorKernel:
         if self.system not in _SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; "
                              f"expected one of {_SYSTEMS}")
-        if self.system == "free":
-            if self.n is not None:
-                raise ValueError("free takes no box size")
-        elif self.n is None or int(self.n) < 2:
-            raise ValueError(f"{self.system} needs n >= 2, got {self.n}")
-        else:
-            object.__setattr__(self, "n", int(self.n))
+        if self.system != "free":
+            object.__setattr__(self, "n", _box_size(self.n))
+        elif self.n is not None:
+            raise ValueError("free takes no box size")
 
     @classmethod
     def free(cls, params: PhysicalParams = PhysicalParams()) -> "PropagatorKernel":
@@ -249,12 +244,6 @@ class PropagatorKernel:
         return periodic_kernel(j, r, dt, self.n, self.params)
 
 
-def _free_vector(z: float, m_lo: int, m_hi: int) -> np.ndarray:
-    """Free kernel k(m) = i^|m| J_|m|(z) e^{-iz} for m = m_lo..m_hi, one table."""
-    table = bessel_table(abs(z), max(abs(m_lo), abs(m_hi)))
-    return _signed_terms(np.arange(m_lo, m_hi + 1), table, z) * np.exp(-1j * z)
-
-
 def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     """Exact evolution of amplitudes on the circle Z_2N, by FFT.
 
@@ -275,16 +264,15 @@ def kernel_table(kernel: PropagatorKernel, j_values, r_values,
                  dt: float) -> np.ndarray:
     """k(j, r, dt) for j in j_values (rows) and r in r_values (columns).
 
-    Gathered from one kernel vector: the free orders j - r that occur, or
-    the circle step of a delta, whose odd part is the box kernel.  Box
-    walls are exactly 0; dt = 0 gives the exact identity.
+    Free: the free route on the j x r grid, exactly 0 where |j - r| > W.
+    Periodic and box: gathered from the circle step of a delta (the box as
+    its odd part), walls exactly 0.  dt = 0 gives the exact identity.
     """
     js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
     z = dimensionless_time(kernel.params, dt)
     diff = np.subtract.outer(js, rs)
     if kernel.system == "free":
-        m_lo = int(diff.min())
-        return _free_vector(z, m_lo, int(diff.max()))[diff - m_lo]
+        return _free_terms(z, diff)
     n_box, period = kernel.n, 2 * kernel.n
     circle = _circle_step((np.arange(period) == 0).astype(complex), z)
     if kernel.system == "periodic":
@@ -298,11 +286,12 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
            out_window: tuple[int, int] | None = None) -> LatticeWavefunction:
     """psi(x_j, t0+dt) = sum_r k(j, r, dt) psi_r, from one kernel vector.
 
-    Free: np.convolve with the orders j - r the output window needs.
-    Periodic: the exact circle step of psi folded onto Z_2N.  Their
-    default output window pads the input by the Bessel truncation
-    window, covering all amplitudes above double-precision noise.  Box
-    the circle step of the odd extension;
+    Free: the orders j - r the window needs, clipped to |m| <= W (the
+    kernel is exactly 0 beyond), in a full np.convolve cut to the window:
+    at most (2W + 1) M multiply-adds for M input sites, wherever the window
+    sits.  Periodic: the exact circle step of psi folded onto Z_2N.  Their
+    default window pads the input by W, covering all amplitudes above
+    double-precision noise.  Box: the circle step of the odd extension;
     it needs wall-free input and gives sites 0..N, walls exactly 0.
     Circle-step error is about z * eps (see _circle_step).  At dt = 0
     every system returns its input exactly.
@@ -322,9 +311,9 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
         out[0] = out[n_box] = 0.0
         return LatticeWavefunction(Lattice(params, 0, n_box), out)
 
+    w = truncation_window(abs(z))
     if out_window is None:
-        pad = truncation_window(abs(z))
-        out_window = (lat.n_min - pad, lat.n_max + pad)
+        out_window = (lat.n_min - w, lat.n_max + w)
     lo, hi = int(out_window[0]), int(out_window[1])
     if lo > hi:
         raise ValueError(f"empty output window ({lo}, {hi})")
@@ -334,8 +323,13 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
         np.add.at(folded, lat.sites % period, psi0.amplitudes)
         out = _circle_step(folded, z)[np.arange(lo, hi + 1) % period]
     else:
-        kvec = _free_vector(z, lo - lat.n_max, hi - lat.n_min)
-        out = np.convolve(kvec, psi0.amplitudes, "valid")
+        # [-W, W] clipped into the orders the window needs: never empty,
+        # and a lone order beyond W is exactly 0
+        m_lo, m_hi = np.clip([-w, w], lo - lat.n_max, hi - lat.n_min)
+        full = np.convolve(_free_terms(z, np.arange(m_lo, m_hi + 1)), psi0.amplitudes)
+        first = m_lo + lat.n_min  # site of full[0]
+        full = np.pad(full, (max(first - lo, 0), max(hi - first - full.size + 1, 0)))
+        out = full[max(lo - first, 0):][:hi - lo + 1]
     return LatticeWavefunction(Lattice(params, lo, hi), out)
 
 
@@ -514,12 +508,12 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
 def box_mode_coefficients(packet, length: float, num_modes: int) -> np.ndarray:
     """Continuum box-mode coefficients c_l = (2/L) integral sin(l pi y / L) f(y) dy."""
     num_modes = int(num_modes)
-    # keep the highest mode far below the quadrature Nyquist limit
+    # trapezoid sums on K + 1 points, the highest mode far below their Nyquist
+    # limit, all taken as one FFT of the odd extension of the samples
     y = np.linspace(0.0, float(length), max(4097, 8 * num_modes + 1))
-    f = np.asarray(packet(y), dtype=complex)
-    levels = np.arange(1, num_modes + 1)
-    modes = np.sin(np.outer(levels, y) * math.pi / length)
-    return (2.0 / length) * np.trapezoid(modes * f[None, :], y, axis=1)
+    f = np.asarray(packet(y), dtype=complex)[1:-1]  # the sine is 0 at both ends
+    odd = np.concatenate([[0.0], f, [0.0], -f[::-1]])
+    return (1j / (y.size - 1)) * np.fft.fft(odd)[1:num_modes + 1]
 
 
 def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,

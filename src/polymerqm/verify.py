@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bessel import bessel_jn, bessel_table, jacobi_anger, truncation_window
-from .dynamics import apply_hamiltonian, box_spectrum, dispersion_energy, \
+from .dynamics import _box_size, apply_hamiltonian, box_spectrum, dispersion_energy, \
     dispersion_momentum
 from .lattice import (
     Lattice,
@@ -381,6 +381,7 @@ def run_suite(name: str, params: PhysicalParams | None = None, n_box: int = 8,
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     params = params or PhysicalParams()
+    n_box = _box_size(n_box)  # checked whichever suite runs
     suites = {
         "bessel": lambda: suite_bessel(seed),
         "free": lambda: suite_free(params, seed),

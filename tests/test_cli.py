@@ -216,6 +216,21 @@ def test_verify_box_suite(tmp_path):
     assert {"spectral-vs-images", "boundary-zeros", "eigenphase"} <= names
 
 
+@pytest.mark.parametrize("suite", ["all", "bessel"])
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_verify_rejects_box_size_below_two(tmp_path, capsys, suite, n):
+    # N = 0 is a given size, not a missing one: no silent N = 8
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", suite, "--N", n, "--out", str(out)]) == 2
+    assert "integer >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernel_box_without_n_exits_2(capsys):
+    assert main(["kernel", "--system", "box", "--dt", "1"]) == 2
+    assert "N must be an integer >= 2, got None" in capsys.readouterr().err
+
+
 def test_verify_corrupted_tolerance_fails(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

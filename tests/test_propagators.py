@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymerqm.dynamics import WallSupportError, box_spectrum, dispersion_energy
+from polymerqm.dynamics import (
+    WallSupportError,
+    apply_hamiltonian,
+    box_spectrum,
+    dispersion_energy,
+)
 from polymerqm.lattice import (
     Lattice,
     LatticeWavefunction,
@@ -20,6 +25,7 @@ from polymerqm.bessel import truncation_window
 from polymerqm.propagators import (
     PropagatorKernel,
     box_images_kernel,
+    box_mode_coefficients,
     box_spectral_kernel,
     composition_check,
     continuum_sweep,
@@ -80,6 +86,24 @@ def test_free_kernel_scales_with_params():
     z = 2.0 * 1.3 / (0.5 * 0.04)
     assert free_kernel(2, 6, 1.3, params) == pytest.approx(
         free_kernel(2, 6, z, P1), abs=1e-12)
+
+
+@pytest.mark.parametrize("separation", [10**6, 10**9])
+def test_free_far_orders_exact_zero_from_small_table(separation):
+    # orders beyond the truncation window are exactly 0 and cost a table
+    # of at most W + 1 orders, not one of |j - r| orders (8 GB at 1e9)
+    free = PropagatorKernel.free(P1)
+    kernel_table(free, [0], [1], 1.0)  # warm up, so the trace sees one call
+    free_kernel(0, 1, 1.0, P1)
+    tracemalloc.start()
+    try:
+        table = kernel_table(free, [0], [separation], 1.0)
+        value = free_kernel(0, separation, 1.0, P1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.tolist() == [[0j]] and value == 0j
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +387,43 @@ def test_evolve_periodic_far_offset_is_relabelled():
     b = evolve(moved, kernel, 7.0, out_window=(far, far + 2 * n - 1))
     assert b.lattice.n_min == far
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-13
+
+
+def test_free_evolve_table_bounded_by_truncation_window(monkeypatch):
+    # the default window spans about M + 2W orders j - r; only |m| <= W
+    # are built, so the Bessel table has at most W + 1 orders
+    from polymerqm import propagators
+
+    requested = []
+    real = propagators.bessel_table
+
+    def counting(z, max_order):
+        requested.append(max_order)
+        return real(z, max_order)
+
+    monkeypatch.setattr(propagators, "bessel_table", counting)
+    amps = np.random.default_rng(2).normal(size=4000) + 0.5j
+    out = evolve(LatticeWavefunction(Lattice(P1, 0, 3999), amps),
+                 PropagatorKernel.free(P1), 10.0)
+    w = truncation_window(10.0)
+    assert (out.lattice.n_min, out.lattice.n_max) == (-w, 3999 + w)
+    assert requested and max(requested) <= w  # tables of max_order + 1 orders
+
+
+def test_evolve_free_windows_beyond_truncation_window():
+    # windows left of, right of, straddling and wider than the reach of the
+    # kernel: the dense scalar sum, with exact zeros beyond W
+    free = PropagatorKernel.free(P1)
+    amps = np.random.default_rng(8).normal(size=5) + 1j
+    psi = LatticeWavefunction(Lattice(P1, 100, 104), amps)
+    w = truncation_window(3.0)
+    for lo, hi in ((100 - w - 9, 100 - w - 1), (104 + w + 1, 104 + w + 3),
+                   (104 + w - 2, 104 + w + 6), (90 - w, 114 + w), (102, 102)):
+        out = evolve(psi, free, 3.0, out_window=(lo, hi))
+        assert (out.lattice.n_min, out.lattice.n_max) == (lo, hi)
+        assert np.max(np.abs(out.amplitudes - _dense_sum(free, psi, out.lattice.sites,
+                                                         3.0))) <= 1e-14
+        assert np.all(out.amplitudes[np.abs(out.lattice.sites - 102) > w + 2] == 0.0)
 
 
 @pytest.mark.parametrize("system", ["periodic", "box-spectral"])
@@ -748,6 +809,48 @@ def test_box_packet_smeared_continuum():
         errors.append(float(np.max(np.abs(out.amplitudes / math.sqrt(mu0) - ref))))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < errors[0] / 8.0
+
+
+def test_box_mode_coefficients_sine_transform():
+    # the FFT sine transform gives the trapezoid sums of the dense
+    # modes x quadrature route, in O(modes) memory
+    length = 3.0
+    packet = lambda y: y * (length - y) * np.exp(1j * y)
+    y = np.linspace(0.0, length, 4097)
+    levels = np.arange(1, 65)
+    dense = (2.0 / length) * np.trapezoid(
+        np.sin(np.outer(levels, y) * math.pi / length) * packet(y), y, axis=1)
+    assert np.max(np.abs(box_mode_coefficients(packet, length, 64) - dense)) <= 1e-14
+    tracemalloc.start()
+    try:
+        coeffs = box_mode_coefficients(packet, length, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coeffs.shape == (512,)
+    assert peak < 4 * 2**20
+
+
+_BOX_SIZE_ROUTES = {
+    "apply_hamiltonian": lambda n: apply_hamiltonian(
+        LatticeWavefunction(Lattice(P1, 1, 1), np.ones(1)), n),
+    "box_spectrum": lambda n: box_spectrum(n, P1),
+    "box_spectral_kernel": lambda n: box_spectral_kernel(1, 1, 0.5, n, P1),
+    "image_sums": lambda n: (periodic_kernel(1, 1, 0.5, n, P1),
+                             box_images_kernel(1, 1, 0.5, n, P1)),
+    "PropagatorKernel": lambda n: (PropagatorKernel.box(n, P1),
+                                   PropagatorKernel.periodic(n, P1)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_BOX_SIZE_ROUTES))
+@pytest.mark.parametrize("n", [2.5, 4.0, 1, True])
+def test_box_size_is_an_integer_of_at_least_two(route, n):
+    # no silent truncation: 2.5 is not box(2), 4.0 is not box(4)
+    with pytest.raises(ValueError, match="integer >= 2"):
+        _BOX_SIZE_ROUTES[route](n)
+    _BOX_SIZE_ROUTES[route](np.int64(4))
+    assert type(PropagatorKernel.box(np.int64(4), P1).n) is int
 
 
 def test_kernel_selector_validation():
