@@ -6,7 +6,7 @@ machine checks of the propagator consistency properties (initial
 condition, composition, Green's-function character, continuum limit).
 """
 
-from .bessel import BesselTable, bessel_jn, bessel_table, jacobi_anger, truncation_window
+from .bessel import bessel_jn, bessel_table, jacobi_anger, truncation_window
 from .dynamics import (
     BoxSpectrum,
     WallSupportError,
@@ -53,7 +53,6 @@ from .stateio import load_wavefunction, save_wavefunction
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselTable",
     "BoxSpectrum",
     "GreenResidualReport",
     "Lattice",

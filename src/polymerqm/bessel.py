@@ -30,7 +30,6 @@ covered by those identities only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,15 +69,6 @@ def truncation_window(z: float) -> int:
     """
     z = abs(float(z))
     return math.ceil(z + 12.0 * z ** (1.0 / 3.0) + 20.0)
-
-
-@dataclass(frozen=True, eq=False)
-class BesselTable:
-    """Values [J_0(z), J_1(z), ..., J_max_order(z)] for one fixed z >= 0."""
-
-    z: float
-    max_order: int
-    values: np.ndarray = field(repr=False)
 
 
 def _validate_argument(z: float) -> float:
@@ -197,8 +187,8 @@ def _blocked_fill(work: np.ndarray, z: float, top: int, block: int,
         by_block[:, k0:k0 + steps] = chunk[:steps].T
 
 
-def bessel_table(z: float, max_order: int) -> BesselTable:
-    """Evaluate J_0(z) ... J_max_order(z) in one downward-recurrence pass.
+def bessel_table(z: float, max_order: int) -> np.ndarray:
+    """The array [J_0(z), J_1(z), ..., J_max_order(z)], in one downward pass.
 
     The recurrence J_{n-1} = (2n/z) J_n - J_{n+1} is started from
     seed values (1, 0) well above the truncation window, where the
@@ -216,10 +206,9 @@ def bessel_table(z: float, max_order: int) -> BesselTable:
     if z == 0.0:
         values = np.zeros(max_order + 1)
         values[0] = 1.0
-        return BesselTable(z=z, max_order=max_order, values=values)
+        return values
     if z < _SMALL_Z:
-        return BesselTable(z=z, max_order=max_order,
-                           values=_leading_series_values(z, max_order))
+        return _leading_series_values(z, max_order)
 
     n_start = max(truncation_window(z), max_order) + 15
     n_fill, block = _blocked_schedule(z)
@@ -244,14 +233,13 @@ def bessel_table(z: float, max_order: int) -> BesselTable:
     # J_0 + 2*(J_2 + J_4 + ...) = 1; pairwise np.sum keeps the
     # normalization deterministic and accurate for long tables.
     norm = work[0] + 2.0 * np.sum(work[2:n_start + 1:2])
-    values = work[:max_order + 1] / norm
-    return BesselTable(z=z, max_order=max_order, values=values)
+    return work[:max_order + 1] / norm
 
 
 def bessel_jn(n: int, z: float) -> float:
     """J_n(z) for integer n (any sign) and real z >= 0, via J_{-n} = (-1)^n J_n."""
     n = int(n)
-    value = float(bessel_table(z, abs(n)).values[abs(n)])
+    value = float(bessel_table(z, abs(n))[abs(n)])
     return -value if n < 0 and n % 2 else value
 
 
@@ -285,8 +273,8 @@ def jacobi_anger(z: float, phi: float, window: int) -> complex:
 
     table = bessel_table(z, window)
     if window == 0:
-        return complex(table.values[0])
+        return complex(table[0])
     # n and -n terms pair up to 2 i^n J_n(z) cos(n phi).
     n = np.arange(1, window + 1)
-    terms = 2.0 * unit_imaginary_power(n) * table.values[1:] * np.cos(n * phi)
-    return complex(table.values[0] + np.sum(terms))
+    terms = 2.0 * unit_imaginary_power(n) * table[1:] * np.cos(n * phi)
+    return complex(table[0] + np.sum(terms))

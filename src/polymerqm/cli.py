@@ -1,5 +1,12 @@
 """Command line: tabulate kernels, evolve state files, verify invariants, sweep.
 
+Each subcommand accepts only the inputs it reads.  `_INPUTS` is the one
+table of them: each config key with its flag, how the flag and the JSON
+value are read, its default and the subcommands that read it.  The
+subcommand parsers and `load_config` are built from it, so a flag or a
+config key that a subcommand would ignore is a usage error, and so is
+more than one time for `evolve` or `sweep`.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 3 physical-precondition violation (box state with wall support).
 
@@ -17,7 +24,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +33,6 @@ from .lattice import PhysicalParams, dimensionless_time
 from .propagators import PropagatorKernel, continuum_sweep, evolve, kernel_table
 from .stateio import load_wavefunction, save_wavefunction, write_atomic
 from .verify import SUITE_NAMES, run_suite
-
-# "box-images" is an alias of "box": the box engine is the image
-# construction, the odd part of the circle step
-_SYSTEM_CHOICES = ("free", "box", "box-images", "periodic")
 
 
 def _parse_mu0_list(text: str) -> tuple[float, ...]:
@@ -40,97 +43,81 @@ def _parse_mu0_list(text: str) -> tuple[float, ...]:
             continue
         if "/" in token:
             num, den = token.split("/", 1)
+            if float(den) == 0.0:
+                raise argparse.ArgumentTypeError(f"zero denominator in {token!r}")
             values.append(float(num) / float(den))
         else:
             values.append(float(token))
     if not values:
-        raise ValueError("empty mu0 list")
+        raise argparse.ArgumentTypeError("empty mu0 list")
     return tuple(values)
 
 
-# config key -> (RunConfig field, flag that overrides it or None, flag value -> field value)
-_FIELDS = {
-    "hbar": ("hbar", "hbar", None),
-    "mass": ("mass", "mass", None),
-    "mu0": ("mu0", "mu0", None),
-    "system": ("system", "system", None),
-    "N": ("n", "N", None),
-    "seed": ("seed", "seed", None),
-    "format": ("output_format", "format", None),
-    "suite": ("suite", "suite", None),
-    "dx": ("dx", "dx", None),
-    "tolerances": ("tolerances", None, None),
-    "times": ("times", "dt", lambda dt: (float(dt),)),
-    "mu0_list": ("mu0_list", "mu0_list", _parse_mu0_list),
-}
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _parse_dt(text: str) -> tuple[float]:
+    return (float(text),)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
-class RunConfig:
-    hbar: float = 1.0
-    mass: float = 1.0
-    mu0: float = 1.0
-    system: str = "free"
-    n: int | None = None
-    times: tuple[float, ...] = (1.0,)
-    output_format: str = "csv"
-    seed: int = 0
-    tolerances: dict | None = None
-    suite: str = "all"
-    dx: float = 1.0
-    mu0_list: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        for name in ("hbar", "mass", "mu0", "dx"):
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, "
-                                 f"got {getattr(self, name)!r}")
-        if not (self.n is None or _is_integer(self.n)):
-            raise ValueError(f"N must be an integer, got {self.n!r}")
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for name in ("times", "mu0_list"):
-            values = getattr(self, name)
-            if values is None and name == "mu0_list":
-                continue
-            if not (isinstance(values, (list, tuple)) and all(map(_is_number, values))):
-                raise ValueError(f"{name} must be a list of numbers, got {values!r}")
-            setattr(self, name, tuple(float(v) for v in values))
-        if self.tolerances is not None and not (
-                isinstance(self.tolerances, dict)
-                and all(map(_is_number, self.tolerances.values()))):
-            raise ValueError(f"tolerances must be an object of numbers, got {self.tolerances!r}")
-        if self.system not in _SYSTEM_CHOICES:
-            raise ValueError(f"system must be one of {_SYSTEM_CHOICES}, "
-                             f"got {self.system!r}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.output_format!r}")
-        if not self.times:
-            raise ValueError("times must be nonempty")
-        if self.suite not in SUITE_NAMES:
-            raise ValueError(f"suite must be one of {SUITE_NAMES}")
-
-    def params(self) -> PhysicalParams:
-        return PhysicalParams(hbar=self.hbar, mass=self.mass, mu0=self.mu0)
-
-    def kernel(self) -> PropagatorKernel:
-        if self.system == "free":
-            return PropagatorKernel.free(self.params())
-        system = "box" if self.system == "box-images" else self.system
-        return PropagatorKernel(system, self.params(), n=self.n)
+# what a JSON config value must be -> its check
+_JSON_CHECKS = {
+    "a number": _is_number,
+    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "a nonempty list of numbers": lambda value: (
+        isinstance(value, list) and bool(value) and all(map(_is_number, value))),
+    "an object of numbers": lambda value: (
+        isinstance(value, dict) and all(map(_is_number, value.values()))),
+}
 
 
-def load_config(path: str | None) -> RunConfig:
+class _Input(NamedTuple):
+    flag: str | None    # the flag that overrides the config key; None: config only
+    parse: object       # flag text -> value, or the tuple of allowed values
+    json: str | None    # a `_JSON_CHECKS` key; None: one of the allowed values
+    default: object
+    commands: str       # the subcommands that read it, space-separated
+    help: str | None = None
+
+
+_INPUTS = {
+    "hbar": _Input("--hbar", float, "a number", 1.0, "kernel verify sweep"),
+    "mass": _Input("--mass", float, "a number", 1.0, "kernel verify sweep"),
+    "mu0": _Input("--mu0", float, "a number", 1.0, "kernel verify",
+                  "lattice spacing"),
+    # "box-images" is an alias of "box": the box engine is the image
+    # construction, the odd part of the circle step
+    "system": _Input("--system", ("free", "box", "box-images", "periodic"), None,
+                     "free", "kernel evolve"),
+    "N": _Input("--N", int, "an integer", None, "kernel evolve verify",
+                "box intervals (walls at 0 and N), or half the period"),
+    "times": _Input("--dt", _parse_dt, "a nonempty list of numbers", (1.0,),
+                    "kernel evolve sweep", "single evolution time"),
+    "format": _Input("--format", ("csv", "json"), None, "csv", "kernel verify sweep"),
+    "seed": _Input("--seed", int, "an integer", 0, "verify"),
+    "suite": _Input("--suite", SUITE_NAMES, None, "all", "verify"),
+    "tolerances": _Input(None, None, "an object of numbers", None, "verify"),
+    "dx": _Input("--dx", float, "a number", 1.0, "sweep", "fixed physical separation"),
+    "mu0_list": _Input("--mu0-list", _parse_mu0_list, "a nonempty list of numbers",
+                       None, "sweep",
+                       "comma-separated spacings, fractions allowed (1/8,1/16)"),
+}
+
+
+def _inputs_of(command: str) -> dict[str, _Input]:
+    return {key: spec for key, spec in _INPUTS.items()
+            if command in spec.commands.split()}
+
+
+def load_config(path: str | None, command: str) -> dict:
+    """The config keys of a JSON file, checked against what `command` reads.
+
+    A key the command does not read, or a value of the wrong type, is a
+    ValueError.  Lists of numbers come back as tuples of floats.
+    """
     if path is None:
-        return RunConfig()
+        return {}
     with open(path) as f:
         try:
             raw = json.load(f)
@@ -138,19 +125,44 @@ def load_config(path: str | None) -> RunConfig:
             raise ValueError(f"malformed config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    unknown = set(raw) - set(_FIELDS)
-    if unknown:
-        raise ValueError(f"config {path} has unknown keys {sorted(unknown)}")
-    return RunConfig(**{_FIELDS[key][0]: value for key, value in raw.items()})
+    inputs = _inputs_of(command)
+    unread = set(raw) - set(inputs)
+    if unread:
+        raise ValueError(f"config {path} has keys {command} does not read: "
+                         f"{sorted(unread)}")
+    config = {}
+    for key, value in raw.items():
+        spec = inputs[key]
+        if not (value in spec.parse if spec.json is None
+                else _JSON_CHECKS[spec.json](value)):
+            what = spec.json or f"one of {spec.parse}"
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        config[key] = tuple(map(float, value)) if isinstance(value, list) else value
+    return config
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    for field, flag, convert in _FIELDS.values():
-        value = getattr(args, flag, None) if flag else None
-        if value is not None:
-            updates[field] = convert(value) if convert else value
-    return replace(config, **updates)
+def _resolve_inputs(args: argparse.Namespace) -> None:
+    """Set each input the command reads: its flag, else the config, else the default."""
+    config = load_config(args.config, args.command)
+    for key, spec in _inputs_of(args.command).items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, config.get(key, spec.default))
+
+
+def _single_time(args: argparse.Namespace) -> float:
+    if len(args.times) != 1:
+        raise ValueError(f"{args.command} takes exactly one time, "
+                         f"got {len(args.times)}")
+    return args.times[0]
+
+
+def _kernel(args: argparse.Namespace, params: PhysicalParams) -> PropagatorKernel:
+    system = "box" if args.system == "box-images" else args.system
+    return PropagatorKernel(system, params, n=args.N)
+
+
+def _params(args: argparse.Namespace) -> PhysicalParams:
+    return PhysicalParams(hbar=args.hbar, mass=args.mass, mu0=args.mu0)
 
 
 def _fmt(value) -> str:
@@ -185,9 +197,9 @@ def _emit_table(header: list[str], rows: list[dict], fmt: str,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_kernel(args: argparse.Namespace, config: RunConfig) -> int:
-    kernel = config.kernel()
-    lo, hi = (-4, 4) if config.system in ("free", "periodic") else (0, config.n)
+def cmd_kernel(args: argparse.Namespace) -> int:
+    kernel = _kernel(args, _params(args))
+    lo, hi = (0, kernel.n) if kernel.system == "box" else (-4, 4)
     j_lo, j_hi, r_lo, r_hi = (default if v is None else v for v, default in (
         (args.j_min, lo), (args.j_max, hi), (args.r_min, lo), (args.r_max, hi)))
     if j_lo > j_hi or r_lo > r_hi:
@@ -195,52 +207,51 @@ def cmd_kernel(args: argparse.Namespace, config: RunConfig) -> int:
 
     js, rs = range(j_lo, j_hi + 1), range(r_lo, r_hi + 1)
     rows = []
-    for dt in config.times:
+    for dt in args.times:
         z = dimensionless_time(kernel.params, dt)
         table = kernel_table(kernel, js, rs, dt).tolist()
         for j, values in zip(js, table):
             for r, value in zip(rs, values):
                 rows.append({
-                    "system": config.system, "j": j, "r": r,
+                    "system": args.system, "j": j, "r": r,
                     "dt": float(dt), "z": z,
                     "re": value.real, "im": value.imag,
                 })
     _emit_table(["system", "j", "r", "dt", "z", "re", "im"], rows,
-                config.output_format, args.out)
+                args.format, args.out)
     return 0
 
 
-def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
-    psi0 = load_wavefunction(args.state)
-    # the sidecar carries the physics; the config only selects the system
-    p = psi0.lattice.params
-    config = replace(config, hbar=p.hbar, mass=p.mass, mu0=p.mu0)
-    kernel = config.kernel()
-    dt = config.times[0]
+def cmd_evolve(args: argparse.Namespace) -> int:
+    if args.out is None:
+        raise ValueError("evolve needs --out for the evolved state file")
+    dt = _single_time(args)
     window = None
     if args.out_window is not None:
         lo, hi = args.out_window.split(":", 1)
         window = (int(lo), int(hi))
-    psi1 = evolve(psi0, kernel, dt, window)
+    psi0 = load_wavefunction(args.state)
+    # the sidecar carries the physics; the config only selects the system
+    psi1 = evolve(psi0, _kernel(args, psi0.lattice.params), dt, window)
     save_wavefunction(psi1, args.out)
     sys.stdout.write(f"norm_before={psi0.norm()!r}\n")
     sys.stdout.write(f"norm_after={psi1.norm()!r}\n")
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
-    results = run_suite(config.suite, params=config.params(),
-                        n_box=8 if config.n is None else config.n,
-                        seed=config.seed, overrides=config.tolerances)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = run_suite(args.suite, params=_params(args),
+                        n_box=8 if args.N is None else args.N,
+                        seed=args.seed, overrides=args.tolerances)
     rows = [{
         "suite": r.suite, "name": r.name,
         "deviation": r.deviation, "tolerance": r.tolerance,
         "status": "pass" if r.passed else "fail",
     } for r in results]
     _emit_table(["suite", "name", "deviation", "tolerance", "status"],
-                rows, config.output_format, args.out)
+                rows, args.format, args.out)
     failures = [r for r in results if not r.passed]
-    if args.out is not None or config.output_format == "json":
+    if args.out is not None or args.format == "json":
         for r in results:
             mark = "PASS" if r.passed else "FAIL"
             sys.stdout.write(f"{mark} {r.suite}/{r.name} "
@@ -251,12 +262,12 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
-    mu0_list = config.mu0_list
-    if not mu0_list:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    dt = _single_time(args)
+    if args.mu0_list is None:
         raise ValueError("sweep needs mu0_list (flag --mu0-list or config)")
-    points = continuum_sweep(config.dx, config.times[0], mu0_list,
-                             hbar=config.hbar, mass=config.mass)
+    points = continuum_sweep(args.dx, dt, args.mu0_list,
+                             hbar=args.hbar, mass=args.mass)
     rows = []
     for i, pt in enumerate(points):
         if i + 1 < len(points) and points[i + 1].abs_error > 0:
@@ -268,7 +279,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
             "abs_error": pt.abs_error, "empirical_order": order,
         })
     _emit_table(["mu0", "l", "z", "abs_error", "empirical_order"], rows,
-                config.output_format, args.out)
+                args.format, args.out)
     return 0
 
 
@@ -276,65 +287,43 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, physics: bool = True) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--system", choices=_SYSTEM_CHOICES)
-    sub.add_argument("--N", type=int, help="box intervals (walls at 0 and N)")
-    if physics:
-        sub.add_argument("--mu0", type=float)
-        sub.add_argument("--hbar", type=float)
-        sub.add_argument("--mass", type=float)
-    sub.add_argument("--dt", type=float, help="single evolution time")
-    sub.add_argument("--format", choices=("csv", "json"))
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out", help="output file (default: stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polymerqm",
         description="Polymer lattice propagators: tabulate, evolve, verify, sweep.")
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = {
+        "kernel": (cmd_kernel, "tabulate a propagator kernel"),
+        "evolve": (cmd_evolve, "evolve a wavefunction file"),
+        "verify": (cmd_verify, "run an invariant suite"),
+        "sweep": (cmd_sweep, "continuum-limit error sweep"),
+    }
+    sub = {}
+    for command, (func, help_text) in commands.items():
+        sub[command] = p = subs.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output file (default: stdout)")
+        for key, spec in _inputs_of(command).items():
+            if spec.flag is not None:
+                kind = ({"choices": spec.parse} if isinstance(spec.parse, tuple)
+                        else {"type": spec.parse, "metavar": spec.flag[2:].upper()})
+                p.add_argument(spec.flag, dest=key, help=spec.help, **kind)
 
-    p_kernel = subs.add_parser("kernel", help="tabulate a propagator kernel")
-    _add_common(p_kernel)
-    p_kernel.add_argument("--j-min", type=int)
-    p_kernel.add_argument("--j-max", type=int)
-    p_kernel.add_argument("--r-min", type=int)
-    p_kernel.add_argument("--r-max", type=int)
-    p_kernel.set_defaults(func=cmd_kernel)
-
-    # the state's sidecar carries hbar, mass and mu0, so evolve takes no physics flags
-    p_evolve = subs.add_parser("evolve", help="evolve a wavefunction file")
-    _add_common(p_evolve, physics=False)
-    p_evolve.add_argument("state", help="input wavefunction CSV (with JSON sidecar)")
-    p_evolve.add_argument("--out-window",
-                          help="free/periodic output window lo:hi "
-                               "(use --out-window=-8:8 for negative bounds)")
-    p_evolve.set_defaults(func=cmd_evolve)
-
-    p_verify = subs.add_parser("verify", help="run an invariant suite")
-    _add_common(p_verify)
-    p_verify.add_argument("--suite", choices=SUITE_NAMES)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sweep = subs.add_parser("sweep", help="continuum-limit error sweep")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--dx", type=float, help="fixed physical separation")
-    p_sweep.add_argument("--mu0-list", dest="mu0_list",
-                         help="comma-separated spacings, fractions allowed (1/8,1/16)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    for bound in ("--j-min", "--j-max", "--r-min", "--r-max"):
+        sub["kernel"].add_argument(bound, type=int)
+    sub["evolve"].add_argument("state", help="input wavefunction CSV (with JSON sidecar)")
+    sub["evolve"].add_argument("--out-window",
+                               help="free/periodic output window lo:hi "
+                                    "(use --out-window=-8:8 for negative bounds)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
-        if args.command == "evolve" and args.out is None:
-            raise ValueError("evolve needs --out for the evolved state file")
-        return args.func(args, config)
+        _resolve_inputs(args)
+        return args.func(args)
     except WallSupportError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -18,7 +18,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """hbar, particle mass, and lattice spacing mu0; all strictly positive."""
+    """hbar, particle mass, and lattice spacing mu0; all strictly positive.
+
+    m mu0^2 and hbar^2/(m mu0^2) must also be finite and nonzero as floats.
+    """
 
     hbar: float = 1.0
     mass: float = 1.0
@@ -29,6 +32,13 @@ class PhysicalParams:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        try:
+            ok = self.mass * self.mu0**2 > 0.0 and 0.0 < self.energy_scale < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError("m mu0^2 and hbar^2/(m mu0^2) must be finite and > 0, got "
+                             f"hbar={self.hbar!r}, mass={self.mass!r}, mu0={self.mu0!r}")
 
     @property
     def energy_scale(self) -> float:
@@ -43,10 +53,10 @@ class PhysicalParams:
 
 def dimensionless_time(params: PhysicalParams, dt: float) -> float:
     """z = hbar * dt / (m * mu0^2); the argument of every Bessel kernel."""
-    dt = float(dt)
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
-    return params.hbar * dt / (params.mass * params.mu0**2)
+    z = params.hbar * float(dt) / (params.mass * params.mu0**2)
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z} at dt = {dt!r}")
+    return z
 
 
 @dataclass(frozen=True)

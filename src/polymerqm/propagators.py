@@ -52,7 +52,7 @@ def _free_terms(z: float, orders) -> np.ndarray:
     """
     mag = np.abs(np.asarray(orders, dtype=np.int64))
     top = min(int(mag.max()), truncation_window(abs(z)))
-    values = np.append(bessel_table(abs(z), top).values, 0.0)
+    values = np.append(bessel_table(abs(z), top), 0.0)
     phases = unit_imaginary_power(mag)
     if z < 0.0:
         phases = np.conj(phases)
@@ -415,11 +415,18 @@ def _greens_report(kernel: PropagatorKernel, j_values, r_values, dt_values,
 
 
 def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
-    """(dz/dt) i^|m| e^{-iz} (J'_|m| - i J_|m|), m = j - r, from one table."""
+    """(dz/dt) i^|m| e^{-iz} (J'_|m| - i J_|m|), m = j - r, from one table.
+
+    The table stops at order W(z) + 1, one past the truncation window W
+    that J' reaches; orders beyond it read as exact 0, so the cost never
+    grows with |m|.
+    """
     params = kernel.params
     z = dimensionless_time(params, dt)
     mag = np.abs(np.subtract.outer(js, rs))
-    values = bessel_table(z, int(mag.max()) + 1).values
+    top = min(int(mag.max()), truncation_window(z)) + 1
+    values = np.append(bessel_table(z, top), np.zeros(3))
+    mag = np.minimum(mag, top + 2)  # beyond it, orders m - 1, m, m + 1 all read 0
     lower = np.where(mag == 0, -values[1], values[mag - 1])  # J_{-1} = -J_1
     deriv = 0.5 * (lower - values[mag + 1])
     rate = params.hbar / (params.mass * params.mu0**2)
@@ -492,11 +499,11 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
     points = []
     for mu0 in mu0_list:
         mu0 = float(mu0)
+        params = PhysicalParams(hbar=hbar, mass=mass, mu0=mu0)
         l_exact = dx / mu0
         sites = round(l_exact)
         if sites < 1 or abs(l_exact - sites) > 1e-9 * max(1.0, abs(l_exact)):
             raise ValueError(f"mu0 = {mu0} does not divide dx = {dx} evenly")
-        params = PhysicalParams(hbar=hbar, mass=mass, mu0=mu0)
         z = dimensionless_time(params, dt)
         polymer = free_kernel(sites, 0, dt, params) / mu0
         continuum = schrodinger_free_kernel(dx, 0.0, dt, params)

@@ -119,8 +119,7 @@ def suite_bessel(seed: int = 0) -> list[CheckResult]:
     for z in (0.5, 1.0, 5.0, 20.0, 100.0):
         table = bessel_table(z, truncation_window(z) + 1)
         for n in range(1, truncation_window(z) // 2 + 1):
-            dev = max(dev, abs(table.values[n - 1] + table.values[n + 1]
-                               - (2.0 * n / z) * table.values[n]))
+            dev = max(dev, abs(table[n - 1] + table[n + 1] - (2.0 * n / z) * table[n]))
     checks.append(_run("bessel", "recurrence", dev, 1e-11))
 
     h = 1e-5
@@ -135,15 +134,14 @@ def suite_bessel(seed: int = 0) -> list[CheckResult]:
     dev = 0.0
     for z in (0.1, 1.0, 10.0, 100.0):
         table = bessel_table(z, truncation_window(z))
-        total = table.values[0] ** 2 + 2.0 * np.sum(table.values[1:] ** 2)
+        total = table[0] ** 2 + 2.0 * np.sum(table[1:] ** 2)
         dev = max(dev, abs(total - 1.0))
     checks.append(_run("bessel", "sum-of-squares", dev, 1e-12))
 
     dev = 0.0
     for z in (1.0, 10.0, 50.0):
         table = bessel_table(z, truncation_window(z))
-        dev = max(dev, abs(table.values[0]
-                           + 2.0 * np.sum(table.values[2::2]) - 1.0))
+        dev = max(dev, abs(table[0] + 2.0 * np.sum(table[2::2]) - 1.0))
     checks.append(_run("bessel", "normalization", dev, 1e-13))
 
     rng = np.random.default_rng(seed)
@@ -157,7 +155,7 @@ def suite_bessel(seed: int = 0) -> list[CheckResult]:
     return checks
 
 
-def suite_free(params: PhysicalParams | None = None, seed: int = 0) -> list[CheckResult]:
+def suite_free(params: PhysicalParams | None = None) -> list[CheckResult]:
     params = params or PhysicalParams()
     scale = params.mu0**2 * params.mass / params.hbar  # dt giving z = 1
     checks = []
@@ -222,8 +220,7 @@ def suite_free(params: PhysicalParams | None = None, seed: int = 0) -> list[Chec
     return checks
 
 
-def suite_box(params: PhysicalParams | None = None, n_box: int = 8,
-              seed: int = 0) -> list[CheckResult]:
+def suite_box(params: PhysicalParams | None = None, n_box: int = 8) -> list[CheckResult]:
     params = params or PhysicalParams()
     scale = params.mu0**2 * params.mass / params.hbar
     checks = []
@@ -384,8 +381,8 @@ def run_suite(name: str, params: PhysicalParams | None = None, n_box: int = 8,
     n_box = _box_size(n_box)  # checked whichever suite runs
     suites = {
         "bessel": lambda: suite_bessel(seed),
-        "free": lambda: suite_free(params, seed),
-        "box": lambda: suite_box(params, n_box, seed),
+        "free": lambda: suite_free(params),
+        "box": lambda: suite_box(params, n_box),
         "momentum": lambda: suite_momentum(params, seed),
         "continuum": suite_continuum,
     }

@@ -1,11 +1,14 @@
+import argparse
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polymerqm.cli import main
+from polymerqm.cli import _inputs_of, build_parser, main
 from polymerqm.dynamics import box_spectrum
 from polymerqm.lattice import Lattice, LatticeWavefunction, PhysicalParams, delta_state
 from polymerqm.stateio import load_wavefunction, save_wavefunction
@@ -104,11 +107,17 @@ def test_unknown_config_key(tmp_path):
     {"tolerances": {"free/unitarity": None}},
     {"tolerances": {"free/unitarity": True}},
 ], ids=lambda bad: json.dumps(bad))
-def test_config_value_types_exit_2(tmp_path, bad):
+def test_config_value_types_exit_2(tmp_path, capsys, bad):
+    # run on a command that reads the key, so the type check fires rather
+    # than the unread-key check; the last key of each case is the bad one
+    key = list(bad)[-1]
+    command = {"seed": "verify", "tolerances": "verify",
+               "dx": "sweep", "mu0_list": "sweep"}.get(key, "kernel")
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(bad))
     out = tmp_path / "k.csv"
-    assert main(["kernel", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
     assert not out.exists()
 
 
@@ -306,8 +315,7 @@ def test_sweep_non_divisor_exits_2(tmp_path):
 
 def test_output_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"system": "box", "N": 4, "times": [0.7, 1.9],
-                               "seed": 42}))
+    cfg.write_text(json.dumps({"system": "box", "N": 4, "times": [0.7, 1.9]}))
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     for path in (a, b):
@@ -342,7 +350,8 @@ def test_evolve_requires_out(tmp_path):
 @pytest.mark.parametrize("system", ["free", "box", "box-images", "periodic"])
 def test_kernel_dt_zero_is_exact_identity(tmp_path, system):
     out = tmp_path / "k.csv"
-    rc = main(["kernel", "--system", system, "--N", "3", "--dt", "0",
+    size = [] if system == "free" else ["--N", "3"]
+    rc = main(["kernel", "--system", system, *size, "--dt", "0",
                "--j-min", "0", "--j-max", "3", "--r-min", "0", "--r-max", "3",
                "--out", str(out)])
     assert rc == 0
@@ -390,3 +399,105 @@ def test_failed_table_write_keeps_old_file(tmp_path, monkeypatch):
     assert rc == 2
     assert out.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["k.csv"]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag the command does not take
+        return exc.code
+
+
+# the inputs each command reads; everything else exits 2
+_READS = {
+    "kernel": {"hbar", "mass", "mu0", "system", "N", "times", "format"},
+    "evolve": {"system", "N", "times"},
+    "verify": {"hbar", "mass", "mu0", "N", "seed", "format", "suite", "tolerances"},
+    "sweep": {"hbar", "mass", "times", "format", "dx", "mu0_list"},
+}
+# a valid value for every config key, so an unread key is the only fault
+_VALID = {"hbar": 1.0, "mass": 1.0, "mu0": 0.5, "system": "periodic", "N": 4,
+          "times": [1.0], "format": "json", "seed": 3, "suite": "bessel",
+          "tolerances": {}, "dx": 1.0, "mu0_list": [0.5]}
+_REMOVED_FLAGS = {
+    "kernel": [["--seed", "3"]],
+    "evolve": [["--format", "json"], ["--seed", "3"]],
+    "verify": [["--system", "box"], ["--dt", "7"]],
+    "sweep": [["--mu0", "0.3"], ["--N", "5"], ["--system", "box"], ["--seed", "3"]],
+}
+
+
+def _base_argv(command, tmp_path):
+    """A run of `command` that succeeds as it stands."""
+    if command == "evolve":
+        state = tmp_path / "in.csv"
+        save_wavefunction(delta_state(Lattice(PhysicalParams(), -2, 2), 0), state)
+        return ["evolve", str(state)]
+    return {"kernel": ["kernel"], "verify": ["verify", "--suite", "bessel"],
+            "sweep": ["sweep", "--mu0-list", "0.5"]}[command]
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_base_runs_accept_every_key_they_read(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: _VALID[key] for key in _READS[command]}))
+    out = tmp_path / "out.csv"
+    assert main(_base_argv(command, tmp_path) + ["--config", str(cfg),
+                                                 "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def _case(command, flags=(), config=None):
+    label = " ".join([command, *flags] + ([json.dumps(config)] if config else []))
+    return pytest.param(command, list(flags), config, id=label)
+
+
+_UNREAD_CASES = (
+    [_case(command, config={key: _VALID[key]})
+     for command, reads in _READS.items() for key in sorted(set(_VALID) - reads)]
+    + [_case(command, flags) for command, flagsets in _REMOVED_FLAGS.items()
+       for flags in flagsets]
+    + [_case("evolve", config={"times": [1.0, 5.0, 9.0]}),
+       _case("sweep", config={"times": [1.0, 2.0]}),
+       _case("kernel", ["--N", "4"]), _case("evolve", config={"N": 4})])
+
+
+@pytest.mark.parametrize("command,flags,config", _UNREAD_CASES)
+def test_inputs_a_command_does_not_read_exit_2(tmp_path, command, flags, config):
+    # an input the command would ignore, a second time for evolve or sweep,
+    # and a box size for the free system are errors, not silently dropped
+    argv = _base_argv(command, tmp_path) + flags
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--mu0", "1e-200", "--dt", "1"],               # m mu0^2 underflows to 0
+    ["verify", "--mu0", "1e-200"],
+    ["kernel", "--mass", "1e-300", "--mu0", "1e-5", "--dt", "1"],  # hbar^2/(m mu0^2) = inf
+    ["sweep", "--mu0-list", "1/0"],
+    ["sweep", "--mu0-list", "0.5,0"],                         # a zero spacing
+], ids=" ".join)
+def test_zero_or_infinite_scales_exit_2(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_readme_command_table_matches_parser():
+    # the README row of each command lists exactly the flags its parser
+    # registers and the config keys it reads, so the docs cannot drift
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {m[1]: (set(re.findall(r"`(--[\w-]+)`", m[2])), set(re.findall(r"`(\w+)`", m[3])))
+            for m in re.finditer(r"^\| `(\w+)[^|]*\|([^|]*)\|([^|]*)\|$", readme, re.M)}
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(rows) == set(subs.choices)
+    for command, sub in subs.choices.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        assert rows[command] == (flags - {"-h", "--help"}, set(_inputs_of(command))), command

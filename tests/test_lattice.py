@@ -26,6 +26,11 @@ def test_params_validation():
         PhysicalParams(mass=-1.0)
     with pytest.raises(ValueError):
         PhysicalParams(mu0=math.inf)
+    # m mu0^2 or hbar^2/(m mu0^2) beyond the float range: 0, inf, or an overflowing square
+    for bad in ({"mu0": 1e-200}, {"mass": 1e-300, "mu0": 1e-5}, {"mu0": 1e200},
+                {"hbar": 1e-200}):
+        with pytest.raises(ValueError, match="m mu0"):
+            PhysicalParams(**bad)
 
 
 def test_dimensionless_time():
@@ -35,6 +40,8 @@ def test_dimensionless_time():
     assert dimensionless_time(PhysicalParams(), -3.0) == -3.0
     with pytest.raises(ValueError):
         dimensionless_time(PhysicalParams(), math.nan)
+    with pytest.raises(ValueError, match="z must be finite"):
+        dimensionless_time(PhysicalParams(hbar=10.0), 1e308)
 
 
 def test_lattice_window():

@@ -705,6 +705,23 @@ def test_greens_residual_free():
     assert rep.max_abs_residual <= 1e-9
 
 
+def test_greens_residual_free_far_orders_from_small_table():
+    # dk/dt reads orders up to W + 1 and exact 0 beyond, so |j - r| = 1e6
+    # costs no table of 1e6 orders (16 MB)
+    kernel = PropagatorKernel.free(P1)
+    assert greens_residual(kernel, range(-60, 61), [0],
+                           [0.5, 5.0]).max_abs_residual <= 1e-9  # across W + 1
+    greens_residual(kernel, [0], [1], [1.0])  # warm up, so the trace sees one call
+    tracemalloc.start()
+    try:
+        rep = greens_residual(kernel, [0], [10**6], [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.max_abs_residual == 0.0
+    assert peak < 2**20
+
+
 def test_greens_residual_box():
     kernel = PropagatorKernel.box(6, P1)
     rep = greens_residual(kernel, range(1, 6), range(0, 7),
