@@ -59,6 +59,12 @@ _BLOCKED_MIN_ORDERS = 2048
 # of 128 kB.  At least 3, so that a step never writes a row it reads.
 _REFILL_STEPS = 16
 
+# Most orders one Miller working array may hold: 2**25 float64 values,
+# 256 MiB, which admits z up to about 3.3e7.  The tests and the benchmark
+# go up to z = 1e6, a 33-fold margin; beyond the limit `bessel_table`
+# raises before it allocates anything.
+_MAX_WORK_ORDERS = 2 ** 25
+
 
 def truncation_window(z: float) -> int:
     """Smallest order beyond which J_n(z) is negligible at double precision.
@@ -197,11 +203,16 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
     n > z, which is why the pass runs downward.  A scalar loop with a
     rescale guard runs it down to 32 z**(1/3) orders below the turning
     point; when enough orders are left, `_blocked_fill` runs the rest.
+    A table that needs more than _MAX_WORK_ORDERS orders is a ValueError.
     """
     z = _validate_argument(z)
     max_order = int(max_order)
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
+    n_start = max(truncation_window(z), max_order) + 15
+    if n_start > _MAX_WORK_ORDERS:
+        raise ValueError(f"Bessel table at z = {z!r} up to order {max_order} needs "
+                         f"{n_start} orders, above the limit {_MAX_WORK_ORDERS}")
 
     if z == 0.0:
         values = np.zeros(max_order + 1)
@@ -210,7 +221,6 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
     if z < _SMALL_Z:
         return _leading_series_values(z, max_order)
 
-    n_start = max(truncation_window(z), max_order) + 15
     n_fill, block = _blocked_schedule(z)
     work = np.zeros(n_start + 2)
     work[n_start] = 1.0  # arbitrary seed scale; fixed by normalization

@@ -10,28 +10,27 @@ more than one time for `evolve` or `sweep`.
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 3 physical-precondition violation (box state with wall support).
 
-Runs are reproducible: configuration comes from one JSON file plus flag
-overrides, no environment variables are read, and floats are written
-with shortest round-trip precision, so identical config and seed give
-byte-identical output files.
+Tables and state files are CSV: CRLF line ends, floats as shortest
+round-trip `repr`, no quoting (no cell holds a comma, a quote or a line
+break) and an empty cell for a missing value; each line is one f-string.
+`--format json` writes a list of row objects instead.  Runs are
+reproducible: configuration comes from one JSON file plus flag
+overrides and no environment variables are read, so identical config
+and seed give byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from .dynamics import WallSupportError
 from .lattice import PhysicalParams, dimensionless_time
 from .propagators import PropagatorKernel, continuum_sweep, evolve, kernel_table
-from .stateio import load_wavefunction, save_wavefunction, write_atomic
+from .stateio import _csv_text, load_wavefunction, save_wavefunction, write_atomic
 from .verify import SUITE_NAMES, run_suite
 
 
@@ -166,31 +165,28 @@ def _params(args: argparse.Namespace) -> PhysicalParams:
 
 
 def _fmt(value) -> str:
+    """One CSV cell: empty for None, repr for a float, str otherwise."""
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _emit_table(header: list[str], rows: list[dict], fmt: str,
-                out_path: str | None) -> None:
-    """Materialize the whole table, then write it atomically: no stub file."""
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[h]) for h in header])
-        text = buf.getvalue()
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
+    """Write the whole text atomically, or to stdout: no stub file."""
     if out_path is None:
         sys.stdout.write(text)
     else:
         write_atomic(out_path, text)
+
+
+def _emit_table(header: list[str], rows: list[tuple], fmt: str,
+                out_path: str | None) -> None:
+    """Rows of cells in header order, as CSV lines of `_fmt` cells or JSON objects."""
+    if fmt == "csv":
+        text = _csv_text(header, [",".join(map(_fmt, row)) for row in rows])
+    else:
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    _emit(text, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +202,26 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         raise ValueError("empty index range")
 
     js, rs = range(j_lo, j_hi + 1), range(r_lo, r_hi + 1)
-    rows = []
-    for dt in args.times:
-        z = dimensionless_time(kernel.params, dt)
-        table = kernel_table(kernel, js, rs, dt).tolist()
-        for j, values in zip(js, table):
-            for r, value in zip(rs, values):
-                rows.append({
-                    "system": args.system, "j": j, "r": r,
-                    "dt": float(dt), "z": z,
-                    "re": value.real, "im": value.imag,
-                })
-    _emit_table(["system", "j", "r", "dt", "z", "re", "im"], rows,
-                args.format, args.out)
+    header = ["system", "j", "r", "dt", "z", "re", "im"]
+    tables = ((float(dt), dimensionless_time(kernel.params, dt),
+               kernel_table(kernel, js, rs, dt)) for dt in args.times)
+    if args.format == "json":
+        rows = [(args.system, j, r, dt, z, value.real, value.imag)
+                for dt, z, table in tables
+                for j, values in zip(js, table.tolist()) for r, value in zip(rs, values)]
+        _emit_table(header, rows, args.format, args.out)
+        return 0
+    # one f-string per line: dt and z are formatted once per time, j once
+    # per row, r once per table; lines are joined a row at a time
+    r_cells = [str(r) for r in rs]
+    blocks = []
+    for dt, z, table in tables:
+        tail = f",{dt!r},{z!r},"
+        for j, res, ims in zip(js, table.real.tolist(), table.imag.tolist()):
+            head = f"{args.system},{j},"
+            blocks.append("\r\n".join([f"{head}{r}{tail}{re!r},{im!r}"
+                                       for r, re, im in zip(r_cells, res, ims)]))
+    _emit(_csv_text(header, blocks), args.out)
     return 0
 
 
@@ -243,11 +246,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(args.suite, params=_params(args),
                         n_box=8 if args.N is None else args.N,
                         seed=args.seed, overrides=args.tolerances)
-    rows = [{
-        "suite": r.suite, "name": r.name,
-        "deviation": r.deviation, "tolerance": r.tolerance,
-        "status": "pass" if r.passed else "fail",
-    } for r in results]
+    rows = [(r.suite, r.name, r.deviation, r.tolerance, "pass" if r.passed else "fail")
+            for r in results]
     _emit_table(["suite", "name", "deviation", "tolerance", "status"],
                 rows, args.format, args.out)
     failures = [r for r in results if not r.passed]
@@ -274,10 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             order = math.log2(pt.abs_error / points[i + 1].abs_error)
         else:
             order = None
-        rows.append({
-            "mu0": pt.mu0, "l": pt.sites, "z": pt.z,
-            "abs_error": pt.abs_error, "empirical_order": order,
-        })
+        rows.append((pt.mu0, pt.sites, pt.z, pt.abs_error, order))
     _emit_table(["mu0", "l", "z", "abs_error", "empirical_order"], rows,
                 args.format, args.out)
     return 0

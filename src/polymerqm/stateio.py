@@ -5,14 +5,14 @@ Layout for a state stored at `state.csv`:
   state.csv   header `n,re,im`, one row per site, sites strictly increasing
   state.json  {"hbar": ..., "mass": ..., "mu0": ..., "n_min": ..., "n_max": ...}
 
-Floats are serialized with shortest round-trip precision so a
+The CSV is the command line's one format: CRLF line ends, floats as
+shortest round-trip `repr`, no quoting, one f-string per line.  So a
 load/save cycle is lossless.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from pathlib import Path
@@ -45,16 +45,18 @@ def write_atomic(path: str | Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _csv_text(header: list[str], lines: list[str]) -> str:
+    """The header, then the given lines, each ended by CRLF."""
+    return "\r\n".join([",".join(header), *lines, ""])
+
+
 def save_wavefunction(psi: LatticeWavefunction, csv_path: str | Path) -> None:
-    lat = psi.lattice
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_HEADER)
-    for n, a in zip(lat.sites, psi.amplitudes):
-        writer.writerow([int(n), repr(float(a.real)), repr(float(a.imag))])
+    lat, amps = psi.lattice, psi.amplitudes
+    lines = [f"{n},{re!r},{im!r}" for n, re, im in
+             zip(lat.sites.tolist(), amps.real.tolist(), amps.imag.tolist())]
     meta = {"hbar": lat.params.hbar, "mass": lat.params.mass, "mu0": lat.params.mu0,
             "n_min": lat.n_min, "n_max": lat.n_max}
-    write_atomic(csv_path, buf.getvalue())
+    write_atomic(csv_path, _csv_text(_HEADER, lines))
     write_atomic(sidecar_path(csv_path), json.dumps(meta, indent=2) + "\n")
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,3 +280,25 @@ def test_large_argument_against_mpmath(z):
         for n in (0, 1, 17, math.isqrt(int(z))):
             want = float(mpmath.besselj(n, z))
             assert abs(table[n] - want) <= 1e-13, (n, z)
+
+
+def test_work_array_limit_admits_every_argument_in_use():
+    # the tests and the benchmark go up to z = 1e6, 30 times below the limit
+    assert 30 * (truncation_window(1e6) + 15) < bessel._MAX_WORK_ORDERS
+
+
+@pytest.mark.parametrize("case", ["z at the limit", "order at the limit", "z = 1e18"])
+def test_table_above_work_limit_raises_before_allocating(case):
+    limit = bessel._MAX_WORK_ORDERS
+    z, max_order = {"z at the limit": (float(limit), 2),
+                    "order at the limit": (1.0, limit),
+                    "z = 1e18": (1e18, 0)}[case]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            bessel_table(z, max_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"z = {z!r} " in str(exc.value) and f"limit {limit}" in str(exc.value)
+    assert peak < 2**20

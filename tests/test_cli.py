@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,100 @@ def test_kernel_stdout_when_no_out(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "system,j,r,dt,z,re,im"
     assert "free,0,0,0.0,0.0,1.0,0.0" in out
+
+
+# Exact bytes of small tables: CRLF line ends, repr floats (-0.0
+# included), no quoting, an empty cell for None.
+_FREE_BYTES = (
+    b"system,j,r,dt,z,re,im\r\n"
+    b"free,-36,-1,-1.0,-1.0,-0.0,0.0\r\nfree,-36,0,-1.0,-1.0,0.0,0.0\r\n"
+    b"free,-35,-1,-1.0,-1.0,0.0,0.0\r\nfree,-35,0,-1.0,-1.0,-0.0,0.0\r\n"
+    b"free,-36,-1,0.5,0.5,0.0,-0.0\r\nfree,-36,0,0.5,0.5,0.0,0.0\r\n"
+    b"free,-35,-1,0.5,0.5,0.0,0.0\r\nfree,-35,0,0.5,0.5,0.0,-0.0\r\n")
+_BOX_BYTES = (
+    b"system,j,r,dt,z,re,im\r\n"
+    b"box,0,0,0.0,0.0,0.0,0.0\r\nbox,0,1,0.0,0.0,0.0,0.0\r\nbox,0,2,0.0,0.0,0.0,0.0\r\n"
+    b"box,1,0,0.0,0.0,0.0,0.0\r\nbox,1,1,0.0,0.0,1.0,0.0\r\nbox,1,2,0.0,0.0,0.0,0.0\r\n"
+    b"box,2,0,0.0,0.0,0.0,0.0\r\nbox,2,1,0.0,0.0,0.0,0.0\r\nbox,2,2,0.0,0.0,0.0,0.0\r\n"
+    b"box,0,0,0.5,2.0,0.0,0.0\r\nbox,0,1,0.5,2.0,0.0,0.0\r\nbox,0,2,0.5,2.0,0.0,0.0\r\n"
+    b"box,1,0,0.5,2.0,0.0,0.0\r\n"
+    b"box,1,1,0.5,2.0,-0.41614683654714235,-0.9092974268256817\r\n"
+    b"box,1,2,0.5,2.0,0.0,0.0\r\n"
+    b"box,2,0,0.5,2.0,0.0,0.0\r\nbox,2,1,0.5,2.0,0.0,0.0\r\nbox,2,2,0.5,2.0,0.0,0.0\r\n")
+
+
+def _kernel_argv(tmp_path, system):
+    """Two times and, for free, negative j and r with -0.0 cells beyond W."""
+    cfg = tmp_path / "cfg.json"
+    if system == "free":
+        cfg.write_text(json.dumps({"times": [-1.0, 0.5]}))
+        bounds = ["--j-min", "-36", "--j-max", "-35", "--r-min", "-1", "--r-max", "0"]
+    else:
+        cfg.write_text(json.dumps({"system": "box", "N": 2, "times": [0.0, 0.5]}))
+        bounds = ["--mu0", "0.5"]  # the default box window 0..N, walls included
+    return ["kernel", "--config", str(cfg), *bounds]
+
+
+@pytest.mark.parametrize("system,expected", [("free", _FREE_BYTES), ("box", _BOX_BYTES)])
+def test_kernel_csv_bytes_are_pinned(tmp_path, system, expected):
+    out = tmp_path / "k.csv"
+    assert main(_kernel_argv(tmp_path, system) + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_kernel_stdout_bytes_are_pinned(tmp_path, capsysbinary):
+    assert main(_kernel_argv(tmp_path, "free")) == 0
+    assert capsysbinary.readouterr().out == _FREE_BYTES
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--dx", "1", "--dt", "1", "--mu0-list", "1/2,1/4",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"mu0,l,z,abs_error,empirical_order\r\n"
+        b"0.5,2,4.0,0.4486192339676304,0.12410424189103941\r\n"
+        b"0.25,4,16.0,0.4116411568654795,\r\n")
+
+
+def test_verify_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--suite", "bessel", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"suite,name,deviation,tolerance,status\r\n"
+        b"bessel,series-oracle,1.6653345369377348e-16,1e-13,pass\r\n"
+        b"bessel,order-parity,0.0,0.0,pass\r\n"
+        b"bessel,recurrence,1.1102230246251565e-16,1e-11,pass\r\n"
+        b"bessel,derivative-identity,1.6864620810963515e-11,1e-07,pass\r\n"
+        b"bessel,sum-of-squares,1.3322676295501878e-15,1e-12,pass\r\n"
+        b"bessel,normalization,2.220446049250313e-16,1e-13,pass\r\n"
+        b"bessel,jacobi-anger,5.267712847026809e-15,1e-10,pass\r\n")
+
+
+def test_kernel_table_memory_is_not_per_cell(tmp_path):
+    # a 151 x 151 table is formatted a row at a time: no dict per row and
+    # no whole-table column of strings beside the text itself
+    out = tmp_path / "k.csv"
+    argv = ["kernel", "--dt", "20", "--j-min", "-75", "--j-max", "75",
+            "--r-min", "-75", "--r-max", "75", "--out", str(out)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes().count(b"\r\n") == 1 + 151 * 151
+    assert peak < 9 * 2**20
+
+
+def test_kernel_beyond_bessel_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    rc = main(["kernel", "--dt", "1e18", "--j-min", "0", "--j-max", "0",
+               "--r-min", "0", "--r-max", "0", "--out", str(out)])
+    assert rc == 2
+    assert "z = 1e+18" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_requires_out(tmp_path):

@@ -1,0 +1,37 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "scaling_probe.py"
+_spec = importlib.util.spec_from_file_location("scaling_probe", _PATH)
+probe = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(probe)
+
+
+def test_slope_of_power_laws():
+    sizes = [2, 4, 8, 16]
+    assert probe.slope(sizes, [3 * n for n in sizes]) == pytest.approx(1.0)
+    assert probe.slope(sizes, [n * n for n in sizes]) == pytest.approx(2.0)
+    assert probe.slope(sizes, [5.0] * 4) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(probe.CASES))
+def test_every_case_runs_at_its_two_smallest_sizes(name):
+    sizes = probe.CASES[name][1][:2]
+    case = probe.run_case(name, sizes)
+    assert [p["size"] for p in case["points"]] == sizes
+    assert all(p["time_s"] > 0 and p["peak_bytes"] > 0 for p in case["points"])
+
+
+def test_report_holds_source_machine_and_baseline(tmp_path):
+    base = tmp_path / "base.json"
+    assert probe.main(["--case", "kernel_table_free", "--out", str(base)]) == 0
+    out = tmp_path / "out.json"
+    assert probe.main(["--case", "kernel_table_free", "--out", str(out),
+                       "--baseline", str(base)]) == 0
+    report = json.loads(out.read_text())
+    assert report["src_lines"] > 0 and report["machine"]["cpus"] >= 1
+    assert set(report["cases"]) == {"kernel_table_free"}
+    assert report["baseline"]["cases"] == json.loads(base.read_text())["cases"]
