@@ -163,8 +163,11 @@ def _source() -> dict:
     lines = sum(len(f.read_text().splitlines()) for f in package.glob("*.py"))
 
     def git(*args):
-        done = subprocess.run(["git", "-C", str(package), *args],
-                              capture_output=True, text=True)
+        try:
+            done = subprocess.run(["git", "-C", str(package), *args],
+                                  capture_output=True, text=True)
+        except OSError:  # no git
+            return None
         return done.stdout.strip() if done.returncode == 0 else None
 
     return {"src_lines": lines, "commit": git("rev-parse", "HEAD"),
