@@ -10,21 +10,24 @@ One recurrence, J_{n-1} = (2n/z) J_n - J_{n+1}, runs on two schedules.
 A scalar loop with a rescale guard runs from the seed down to
 32 z**(1/3) orders below the turning point n = z; above that point is
 the only region where the values grow.  If at least 2048 orders are
-left (z >= about 2500), they are filled in blocks of about sqrt(z)
+left (z >= about 2480), they are filled in blocks of about sqrt(z)
 orders: transfer matrices and refill are numpy steps over all blocks
 at once, and only the chaining of block start pairs is a Python loop,
-so a table of order z costs O(sqrt(z)) Python steps, not O(z).
-Smaller tables are the scalar loop bit for bit.
+so a table of order z costs O(sqrt(z)) Python steps, not O(z).  The
+blocked fill streams: it keeps only the blocks that reach max_order and
+each block's sum of even orders for the normalization, so a table needs
+O(max_order + sqrt(z)) memory, not O(z).  Tables without a blocked fill
+are the scalar loop bit for bit.
 
 Accuracy as tested (tests/test_bessel.py): absolute error <= 1e-13
 against an exact-rational series (z <= 20.25, orders <= 12) and against
 30-digit mpmath at z = 2.5e3, 1e4, 1e5, 1e6 for orders 0, 1, 17 and
 floor(sqrt(z)), where the measured error is <= 2.2e-16; the blocked
-fill agrees with the scalar loop over whole tables to <= 1e-14
-(measured <= 7.7e-16 up to z = 1e6); the normalization, sum-of-squares
-and three-term-recurrence identities hold over whole tables up to
-z = 1e5.  Orders near z, where mpmath's series does not converge, are
-covered by those identities only.
+fill agrees with the scalar loop to <= 1e-14 over whole tables and over
+tables ending at each block edge (measured <= 7.7e-16 up to z = 1e6);
+the normalization, sum-of-squares and three-term-recurrence identities
+hold over whole tables up to z = 1e5.  Orders near z, where mpmath's
+series does not converge, are covered by those identities only.
 """
 
 from __future__ import annotations
@@ -54,15 +57,17 @@ _FILL_MARGIN = 32.0
 # With fewer orders than this below that point the table stays on the
 # scalar loop: measured, the two cost the same at about 2000 orders.
 _BLOCKED_MIN_ORDERS = 2048
-# Steps of the blocked refill buffered before they are copied into the
-# table: 16 cut the copy from 9 ms to 2.7 ms at z = 1e6 with a buffer
-# of 128 kB.  At least 3, so that a step never writes a row it reads.
+# Steps of the blocked refill made in one buffer, then summed and copied
+# out: 16 cut the copy from 9 ms to 2.7 ms at z = 1e6 with a buffer of
+# 128 kB.  At least 3, so that a step never writes a row it reads, and
+# even, so that every buffer starts at an even step.
 _REFILL_STEPS = 16
 
-# Most orders one Miller working array may hold: 2**25 float64 values,
-# 256 MiB, which admits z up to about 3.3e7.  The tests and the benchmark
-# go up to z = 1e6, a 33-fold margin; beyond the limit `bessel_table`
-# raises before it allocates anything.
+# Most orders one Miller pass may run over, max(W, max_order) + 15: 2**25,
+# or z up to about 3.3e7.  It bounds work, not memory: three orders take
+# 0.1 s at z = 1e7 and 0.23 s at the limit (one core of a 2-vCPU Xeon VM)
+# and O(sqrt(z)) memory.  The benchmark goes up to z = 1e6; beyond the
+# limit `bessel_table` raises before it allocates anything.
 _MAX_WORK_ORDERS = 2 ** 25
 
 
@@ -112,28 +117,32 @@ def _blocked_schedule(z: float) -> tuple[int, int]:
     return block * (n_below // block), block
 
 
-def _apply_rescales(work: np.ndarray, rescaled_at: list[int]) -> None:
-    """Scale `work` as if every rescale had multiplied all of work[p:].
-
-    rescaled_at holds the trigger positions p of the downward pass, which
-    decrease.  Each value gets one factor per trigger at or below it, one
-    multiplication at a time as the pass would have done.  Once the part
-    still owed factors is exactly zero, further factors change nothing.
-    No value exceeds the threshold by more than a factor 1 + 2n/z,
-    so for any 2n/z below 1e170 three factors take every value to exactly
-    0: the loop stops after about four passes over the table.
+def _apply_rescales(work: np.ndarray, rescaled_at: list[int], lowest: int) -> None:
+    """Scale work[i], order lowest + i, as if every rescale had multiplied
+    all orders at or above its trigger; rescaled_at holds the trigger
+    orders, which decrease.  Each value gets one factor per trigger at or
+    below it, one multiplication at a time as the pass would have done.
+    Once the part still owed factors is exactly zero, further factors
+    change nothing.  No value exceeds the threshold by more than a factor
+    1 + 2n/z, so for any 2n/z below 1e170 three factors take every value
+    to exactly 0: the loop stops after about four passes over the region.
     """
     for p in reversed(rescaled_at):
-        owed = work[p:]
+        owed = work[p - lowest:]
         if not owed.any():
             break
         owed *= _RESCALE_FACTOR
 
 
-def _blocked_fill(work: np.ndarray, z: float, top: int, block: int,
-                  j_top: float, j_above: float) -> None:
-    """Fill work[top-1] ... work[0] by the downward recurrence from
+def _blocked_fill(z: float, top: int, block: int, j_top: float, j_above: float,
+                  max_order: int) -> tuple[np.ndarray, float]:
+    """Orders top-1 ... 0 by the downward recurrence from
     (J_top, J_top+1) = (j_top, j_above), `block` orders at a time.
+
+    Returns the sum of all the even orders below top, and a table whose
+    first n_keep*block entries are orders 0, 1, ... of the fewest lowest
+    blocks that reach max_order, with room up to max_order for the caller
+    to write the orders from top up.  No other order is kept.
 
     Block b runs the recurrence from order n0 = top - b*block down to
     n0 - block.  Its 2x2 transfer matrix comes from running every block
@@ -146,6 +155,7 @@ def _blocked_fill(work: np.ndarray, z: float, top: int, block: int,
     rescale guard.
     """
     n_blocks = top // block
+    n_keep = min(n_blocks, max_order // block + 1)
     twice_tops = 2.0 * (top - block * np.arange(n_blocks, dtype=float))
     factor = np.empty(n_blocks)
 
@@ -177,10 +187,13 @@ def _blocked_fill(work: np.ndarray, z: float, top: int, block: int,
         start_hi[i] = b
         a, b = lo_p * a + lo_q * b, hi_p * a + hi_q * b
 
-    # by_block[b, k] is order n0 - 1 - k of block b.  Steps are collected
-    # in `chunk` and copied out a few at a time, because writing one step
-    # straight into by_block touches one cache line per block.
-    by_block = work[top - 1::-1].reshape(n_blocks, block)
+    # Step k of block b is order n0 - 1 - k.  Each chunk of steps is added
+    # to every block's sums of its even and odd steps (k0 is even, so row j
+    # has the parity of step k0 + j); only the kept blocks are copied out:
+    # kept[c, k] is order n0 - 1 - k of block n_blocks - n_keep + c.
+    table = np.empty(max(n_keep * block, max_order + 1))
+    kept = table[n_keep * block - 1::-1].reshape(n_keep, block)
+    step_sums = np.zeros((2, n_blocks))
     chunk = np.empty((_REFILL_STEPS, n_blocks))
     lo, hi = starts
     for k0 in range(0, block, _REFILL_STEPS):
@@ -190,7 +203,12 @@ def _blocked_fill(work: np.ndarray, z: float, top: int, block: int,
             np.multiply(factor_at(k0 + j), lo, out=chunk[j])
             np.subtract(chunk[j], hi, out=chunk[j])
             lo, hi = chunk[j], lo
-        by_block[:, k0:k0 + steps] = chunk[:steps].T
+        chunk[steps:] = 0.0  # the rows a short last chunk leaves stale
+        step_sums += chunk.reshape(-1, 2, n_blocks).sum(axis=0)
+        kept[:, k0:k0 + steps] = chunk[:steps, n_blocks - n_keep:].T
+    # order n0 - 1 - k is even where k has the parity of n0 - 1
+    parity = (top - 1 - block * np.arange(n_blocks)) % 2
+    return table, float(np.sum(step_sums[parity, np.arange(n_blocks)]))
 
 
 def bessel_table(z: float, max_order: int) -> np.ndarray:
@@ -202,8 +220,9 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
     J_0(z) + 2*sum_k J_{2k}(z) = 1.  Upward recurrence is unstable for
     n > z, which is why the pass runs downward.  A scalar loop with a
     rescale guard runs it down to 32 z**(1/3) orders below the turning
-    point; when enough orders are left, `_blocked_fill` runs the rest.
-    A table that needs more than _MAX_WORK_ORDERS orders is a ValueError.
+    point; when enough orders are left, `_blocked_fill` runs the rest,
+    keeping only orders up to max_order: memory is O(max_order + sqrt(z)).
+    A pass over more than _MAX_WORK_ORDERS orders is a ValueError.
     """
     z = _validate_argument(z)
     max_order = int(max_order)
@@ -214,36 +233,39 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
         raise ValueError(f"Bessel table at z = {z!r} up to order {max_order} needs "
                          f"{n_start} orders, above the limit {_MAX_WORK_ORDERS}")
 
-    if z == 0.0:
-        values = np.zeros(max_order + 1)
-        values[0] = 1.0
-        return values
-    if z < _SMALL_Z:
+    if z < _SMALL_Z:  # z = 0 included: the series is then 1, 0, 0, ...
         return _leading_series_values(z, max_order)
 
+    # work[i] is order n_fill - 1 + i: one subtraction per step
     n_fill, block = _blocked_schedule(z)
-    work = np.zeros(n_start + 2)
-    work[n_start] = 1.0  # arbitrary seed scale; fixed by normalization
-    j_hi = 0.0
-    j_lo = 1.0
+    work = np.zeros(n_start + 3 - n_fill)
+    work[n_start + 1 - n_fill] = 1.0  # arbitrary seed scale; fixed by normalization
+    j_hi, j_lo = 0.0, 1.0
     rescaled_at = []
     for n in range(n_start, n_fill, -1):
         j_prev = (2.0 * n / z) * j_lo - j_hi
         j_hi = j_lo
         j_lo = j_prev
-        work[n - 1] = j_prev
+        work[n - n_fill] = j_prev
         if abs(j_prev) > _RESCALE_THRESHOLD:
             j_hi *= _RESCALE_FACTOR
             j_lo *= _RESCALE_FACTOR
             rescaled_at.append(n - 1)
-    _apply_rescales(work, rescaled_at)
-    if n_fill:
-        _blocked_fill(work, z, n_fill, block, j_lo, j_hi)
+    work = work[1:]  # from here on, work[i] is order n_fill + i
+    _apply_rescales(work, rescaled_at, n_fill)
+    if not n_fill:
+        # J_0 + 2*(J_2 + J_4 + ...) = 1; pairwise np.sum keeps the
+        # normalization deterministic and accurate for long tables.
+        norm = work[0] + 2.0 * np.sum(work[2:n_start + 1:2])
+        return work[:max_order + 1] / norm
 
-    # J_0 + 2*(J_2 + J_4 + ...) = 1; pairwise np.sum keeps the
-    # normalization deterministic and accurate for long tables.
-    norm = work[0] + 2.0 * np.sum(work[2:n_start + 1:2])
-    return work[:max_order + 1] / norm
+    table, even_low = _blocked_fill(z, n_fill, block, j_lo, j_hi, max_order)
+    # 2*(J_0 + J_2 + ...) - J_0 = 1, the even orders summed block by block
+    norm = 2.0 * (even_low + np.sum(work[n_fill % 2::2])) - table[0]
+    table = table[:max_order + 1]
+    table[n_fill:] = work[:max(max_order + 1 - n_fill, 0)]
+    table /= norm
+    return table
 
 
 def bessel_jn(n: int, z: float) -> float:

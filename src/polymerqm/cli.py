@@ -205,23 +205,24 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     header = ["system", "j", "r", "dt", "z", "re", "im"]
     tables = ((float(dt), dimensionless_time(kernel.params, dt),
                kernel_table(kernel, js, rs, dt)) for dt in args.times)
-    if args.format == "json":
-        rows = [(args.system, j, r, dt, z, value.real, value.imag)
-                for dt, z, table in tables
-                for j, values in zip(js, table.tolist()) for r, value in zip(rs, values)]
-        _emit_table(header, rows, args.format, args.out)
-        return 0
-    # one f-string per line: dt and z are formatted once per time, j once
-    # per row, r once per table; lines are joined a row at a time
+    # one f-string per cell, a CSV line or a JSON object laid out as
+    # json.dumps(rows, indent=2) would: dt and z are formatted once per
+    # time, j once per row, r once per table; cells are joined a row at a time
+    as_json = args.format == "json"
+    system = json.dumps(args.system) if as_json else args.system
+    mid, end, sep = (',\n    "im": ', "\n  }", ",\n") if as_json else (",", "", "\r\n")
     r_cells = [str(r) for r in rs]
     blocks = []
     for dt, z, table in tables:
-        tail = f",{dt!r},{z!r},"
+        tail = (f',\n    "dt": {dt!r},\n    "z": {z!r},\n    "re": ' if as_json
+                else f",{dt!r},{z!r},")
         for j, res, ims in zip(js, table.real.tolist(), table.imag.tolist()):
-            head = f"{args.system},{j},"
-            blocks.append("\r\n".join([f"{head}{r}{tail}{re!r},{im!r}"
-                                       for r, re, im in zip(r_cells, res, ims)]))
-    _emit(_csv_text(header, blocks), args.out)
+            head = (f'  {{\n    "system": {system},\n    "j": {j},\n    "r": ' if as_json
+                    else f"{system},{j},")
+            blocks.append(sep.join([f"{head}{r}{tail}{re!r}{mid}{im!r}{end}"
+                                    for r, re, im in zip(r_cells, res, ims)]))
+    _emit("[\n" + sep.join(blocks) + "\n]\n" if as_json else _csv_text(header, blocks),
+          args.out)
     return 0
 
 

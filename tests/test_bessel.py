@@ -240,15 +240,50 @@ def test_blocked_fill_agrees_with_scalar_schedule(z):
     assert np.max(np.abs(blocked - scalar)) <= 1e-14
 
 
+_TABLE_ENDS = ("0", "1", "block - 1", "block", "block + 1",
+               "n_fill - 1", "n_fill", "n_fill + 1", "W", "W + 100")
+
+
+@pytest.mark.parametrize("end", _TABLE_ENDS)
+@pytest.mark.parametrize("z", [2.5e3, 1e5])
+def test_streaming_fill_keeps_the_blocks_a_table_needs(z, end):
+    # tables ending at each edge of a block and of the blocked fill: the
+    # kept blocks and the orders above the fill line up with the plain loop
+    n_fill, block = bessel._blocked_schedule(z)
+    window = truncation_window(z)
+    max_order = {"0": 0, "1": 1, "block - 1": block - 1, "block": block,
+                 "block + 1": block + 1, "n_fill - 1": n_fill - 1, "n_fill": n_fill,
+                 "n_fill + 1": n_fill + 1, "W": window, "W + 100": window + 100}[end]
+    values = bessel_table(z, max_order)
+    assert values.shape == (max_order + 1,)
+    reference = scalar_miller_reference(z, max_order)
+    assert np.max(np.abs(values - reference)) <= 1e-14
+
+
+@pytest.mark.parametrize("z, bound", [(1e6, 2**20), (1e7, 2 * 2**20)])
+def test_low_orders_at_large_argument_take_little_memory(z, bound):
+    # the orders the pass runs through are summed, not stored: a few
+    # orders cost O(sqrt(z)) memory, where a z-long work array took 8 MB
+    # at z = 1e6 and 81 MB at z = 1e7
+    tracemalloc.start()
+    try:
+        values = bessel_table(z, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (3,)
+    assert peak < bound
+
+
 def test_rescales_above_blocked_fill(monkeypatch):
     # z = 5e3 with 1e5 orders: the pass from order 1e5 grows by ~1e116000,
     # so it rescales hundreds of times before the blocked fill takes over
     calls = []
     real = bessel._apply_rescales
 
-    def spy(work, rescaled_at):
+    def spy(work, rescaled_at, lowest):
         calls.append(list(rescaled_at))
-        real(work, rescaled_at)
+        real(work, rescaled_at, lowest)
 
     monkeypatch.setattr(bessel, "_apply_rescales", spy)
     z, max_order = 5e3, 100_000
@@ -283,7 +318,8 @@ def test_large_argument_against_mpmath(z):
 
 
 def test_work_array_limit_admits_every_argument_in_use():
-    # the tests and the benchmark go up to z = 1e6, 30 times below the limit
+    # the accuracy tests and the benchmark go up to z = 1e6, 30 times
+    # below the limit
     assert 30 * (truncation_window(1e6) + 15) < bessel._MAX_WORK_ORDERS
 
 

@@ -380,6 +380,53 @@ def test_kernel_csv_bytes_are_pinned(tmp_path, system, expected):
     assert out.read_bytes() == expected
 
 
+# The same cells as JSON, byte for byte what json.dumps(rows, indent=2)
+# writes: one object per cell, repr numbers, -0.0 kept.
+_FREE_JSON = (
+    b'[\n'
+    b'  {\n    "system": "free",\n    "j": -36,\n    "r": -1,\n    "dt": -1.0,\n'
+    b'    "z": -1.0,\n    "re": -0.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "free",\n    "j": -36,\n    "r": 0,\n    "dt": -1.0,\n'
+    b'    "z": -1.0,\n    "re": 0.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "free",\n    "j": -35,\n    "r": -1,\n    "dt": -1.0,\n'
+    b'    "z": -1.0,\n    "re": 0.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "free",\n    "j": -35,\n    "r": 0,\n    "dt": -1.0,\n'
+    b'    "z": -1.0,\n    "re": -0.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "free",\n    "j": -36,\n    "r": -1,\n    "dt": 0.5,\n'
+    b'    "z": 0.5,\n    "re": 0.0,\n    "im": -0.0\n  },\n'
+    b'  {\n    "system": "free",\n    "j": -36,\n    "r": 0,\n    "dt": 0.5,\n'
+    b'    "z": 0.5,\n    "re": 0.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "free",\n    "j": -35,\n    "r": -1,\n    "dt": 0.5,\n'
+    b'    "z": 0.5,\n    "re": 0.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "free",\n    "j": -35,\n    "r": 0,\n    "dt": 0.5,\n'
+    b'    "z": 0.5,\n    "re": 0.0,\n    "im": -0.0\n  }\n'
+    b']\n')
+_BOX_JSON = (
+    b'[\n'
+    b'  {\n    "system": "box",\n    "j": 1,\n    "r": 0,\n    "dt": 0.0,\n'
+    b'    "z": 0.0,\n    "re": 0.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "box",\n    "j": 1,\n    "r": 1,\n    "dt": 0.0,\n'
+    b'    "z": 0.0,\n    "re": 1.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "box",\n    "j": 1,\n    "r": 2,\n    "dt": 0.0,\n'
+    b'    "z": 0.0,\n    "re": 0.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "box",\n    "j": 1,\n    "r": 0,\n    "dt": 0.5,\n'
+    b'    "z": 2.0,\n    "re": 0.0,\n    "im": 0.0\n  },\n'
+    b'  {\n    "system": "box",\n    "j": 1,\n    "r": 1,\n    "dt": 0.5,\n'
+    b'    "z": 2.0,\n    "re": -0.41614683654714235,\n    "im": -0.9092974268256817\n  },\n'
+    b'  {\n    "system": "box",\n    "j": 1,\n    "r": 2,\n    "dt": 0.5,\n'
+    b'    "z": 2.0,\n    "re": 0.0,\n    "im": 0.0\n  }\n'
+    b']\n')
+
+
+@pytest.mark.parametrize("system,expected", [("free", _FREE_JSON), ("box", _BOX_JSON)])
+def test_kernel_json_bytes_are_pinned(tmp_path, system, expected):
+    out = tmp_path / "k.json"
+    rows = ["--j-min", "1", "--j-max", "1"] if system == "box" else []
+    assert main(_kernel_argv(tmp_path, system) + rows
+                + ["--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
 def test_kernel_stdout_bytes_are_pinned(tmp_path, capsysbinary):
     assert main(_kernel_argv(tmp_path, "free")) == 0
     assert capsysbinary.readouterr().out == _FREE_BYTES
@@ -424,6 +471,23 @@ def test_kernel_table_memory_is_not_per_cell(tmp_path):
         tracemalloc.stop()
     assert out.read_bytes().count(b"\r\n") == 1 + 151 * 151
     assert peak < 9 * 2**20
+
+
+def test_kernel_json_memory_is_not_per_cell(tmp_path):
+    # the same table as JSON is written the same way, an f-string per
+    # object: 9.8 MB peak, where a dict per cell and json.dumps of the
+    # whole list peaked at 38.5 MB
+    out = tmp_path / "k.json"
+    argv = ["kernel", "--dt", "20", "--j-min", "-75", "--j-max", "75",
+            "--r-min", "-75", "--r-max", "75", "--format", "json", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(out.read_bytes())) == 151 * 151
+    assert peak < 12 * 2**20
 
 
 def test_kernel_beyond_bessel_limit_exits_2(tmp_path, capsys):

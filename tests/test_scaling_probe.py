@@ -35,3 +35,20 @@ def test_report_holds_source_machine_and_baseline(tmp_path):
     assert report["src_lines"] > 0 and report["machine"]["cpus"] >= 1
     assert set(report["cases"]) == {"kernel_table_free"}
     assert report["baseline"]["cases"] == json.loads(base.read_text())["cases"]
+
+
+def test_perfbench_results_of_both_checkouts(tmp_path):
+    # result lines of the same workload on two checkouts land in two places
+    runs = {}
+    for name, wall in (("change", 2.0), ("parent", 3.0)):
+        runs[name] = tmp_path / f"{name}.txt"
+        runs[name].write_text(
+            json.dumps({"info": {"workload": "deep-time"}}) + "\n"
+            + json.dumps({"metrics": {"wall_s": {"value": wall, "unit": "s"}}}) + "\n")
+    out = tmp_path / "out.json"
+    assert probe.main(["--case", "kernel_table_free", "--out", str(out),
+                       "--perfbench", str(runs["change"]),
+                       "--baseline-perfbench", str(runs["parent"])]) == 0
+    report = json.loads(out.read_text())
+    assert report["perfbench"]["deep-time"]["metrics"]["wall_s"]["value"] == 2.0
+    assert report["baseline"]["perfbench"]["deep-time"]["metrics"]["wall_s"]["value"] == 3.0

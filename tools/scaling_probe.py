@@ -2,7 +2,7 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/scaling_probe.py \
         --out BENCH_<n>.json [--case NAME ...] [--baseline EARLIER.json] \
-        [--perfbench RUN_OUTPUT ...]
+        [--perfbench RUN_OUTPUT ...] [--baseline-perfbench RUN_OUTPUT ...]
 
 One BLAS thread keeps the timings comparable with perfbench, which pins
 it for every job.
@@ -21,7 +21,8 @@ count of the polymerqm sources it imported, the git commit of their
 checkout, and machine, Python and numpy info.  --baseline copies the
 cases of an earlier output (say, of the parent commit) into the new file
 under "baseline", and --perfbench adds the last result line of each
-given `perfbench/run.py` output, keyed by workload.
+given `perfbench/run.py` output, keyed by workload.  --baseline-perfbench
+does the same for runs of the baseline's checkout, under "baseline".
 """
 
 from __future__ import annotations
@@ -95,14 +96,16 @@ def _momentum(m):
     return lambda: from_momentum(to_momentum(psi, grid), grid, psi.lattice)
 
 
-def _kernel_csv(rows):
-    argv = ["kernel", "--dt", "20", "--j-min", "0", "--j-max", "63",
-            "--r-min", "0", "--r-max", str(rows // 64 - 1)]
+def _kernel_text(fmt):
+    def make(rows):
+        argv = ["kernel", "--dt", "20", "--j-min", "0", "--j-max", "63",
+                "--r-min", "0", "--r-max", str(rows // 64 - 1), "--format", fmt]
 
-    def call():
-        with tempfile.TemporaryDirectory() as tmp:
-            return cli_main(argv + ["--out", os.path.join(tmp, "k.csv")])
-    return call
+        def call():
+            with tempfile.TemporaryDirectory() as tmp:
+                return cli_main(argv + ["--out", os.path.join(tmp, f"k.{fmt}")])
+        return call
+    return make
 
 
 # name -> (what is doubled, its sizes, size -> the call to measure)
@@ -118,7 +121,8 @@ CASES = {
     "momentum_roundtrip": ("M", [2**k for k in range(6, 11)], _momentum),
     "verify_all": ("N", [2**k for k in range(3, 9)],
                    lambda n: lambda: run_suite("all", n_box=n)),
-    "kernel_csv": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_csv),
+    "kernel_csv": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv")),
+    "kernel_json": ("rows", [64 * 2**k for k in range(6, 10)], _kernel_text("json")),
 }
 
 
@@ -200,6 +204,8 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", help="an earlier probe output to copy in")
     parser.add_argument("--perfbench", nargs="+", default=[],
                         help="perfbench/run.py outputs whose result lines to copy in")
+    parser.add_argument("--baseline-perfbench", nargs="+", default=[],
+                        help="the same, of runs on the baseline's checkout")
     args = parser.parse_args(argv)
 
     cases = {}
@@ -223,6 +229,9 @@ def main(argv=None) -> int:
                               for key in ("src_lines", "commit", "dirty", "cases")}
     if args.perfbench:
         report["perfbench"] = dict(map(_last_result, args.perfbench))
+    if args.baseline_perfbench:
+        report.setdefault("baseline", {})["perfbench"] = dict(
+            map(_last_result, args.baseline_perfbench))
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
