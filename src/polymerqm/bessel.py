@@ -139,10 +139,10 @@ def _blocked_fill(z: float, top: int, block: int, j_top: float, j_above: float,
     """Orders top-1 ... 0 by the downward recurrence from
     (J_top, J_top+1) = (j_top, j_above), `block` orders at a time.
 
-    Returns the sum of all the even orders below top, and a table whose
-    first n_keep*block entries are orders 0, 1, ... of the fewest lowest
-    blocks that reach max_order, with room up to max_order for the caller
-    to write the orders from top up.  No other order is kept.
+    Returns a table and the sum of all the even orders below top.  The
+    table's first n_keep*block entries are orders 0, 1, ... of the fewest
+    lowest blocks that reach max_order; it has room up to max_order for
+    the caller to write the orders from top up.  No other order is kept.
 
     Block b runs the recurrence from order n0 = top - b*block down to
     n0 - block.  Its 2x2 transfer matrix comes from running every block
