@@ -52,6 +52,10 @@ from .stateio import load_wavefunction, save_wavefunction
 
 __version__ = "0.1.0"
 
+# the suites of `verify.run_suite`, named here so that the command line
+# lists them without loading the check suites
+SUITE_NAMES = ("bessel", "free", "box", "momentum", "continuum", "all")
+
 __all__ = [
     "BoxSpectrum",
     "GreenResidualReport",

@@ -27,11 +27,13 @@ import math
 import sys
 from typing import NamedTuple
 
+import numpy as np
+
+from . import SUITE_NAMES
 from .dynamics import WallSupportError
 from .lattice import PhysicalParams, dimensionless_time
-from .propagators import PropagatorKernel, continuum_sweep, evolve, kernel_table
-from .stateio import _csv_text, load_wavefunction, save_wavefunction, write_atomic
-from .verify import SUITE_NAMES, run_suite
+from .propagators import PropagatorKernel, _kernel_rows, continuum_sweep, evolve
+from .stateio import _csv_lines, load_wavefunction, save_wavefunction, write_atomic
 
 
 def _parse_mu0_list(text: str) -> tuple[float, ...]:
@@ -171,22 +173,31 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write the whole text atomically, or to stdout: no stub file."""
+def _emit(chunks, out_path: str | None) -> None:
+    """Write str chunks as they come, atomically to a file, or to stdout."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        write_atomic(out_path, text)
+        write_atomic(out_path, chunks)
 
 
 def _emit_table(header: list[str], rows: list[tuple], fmt: str,
                 out_path: str | None) -> None:
     """Rows of cells in header order, as CSV lines of `_fmt` cells or JSON objects."""
     if fmt == "csv":
-        text = _csv_text(header, [",".join(map(_fmt, row)) for row in rows])
+        chunks = _csv_lines(header, (",".join(map(_fmt, row)) for row in rows))
     else:
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-    _emit(text, out_path)
+        chunks = [json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"]
+    _emit(chunks, out_path)
+
+
+def _json_list(objects):
+    """Object texts in the layout json.dumps(list, indent=2) gives a nonempty list."""
+    sep = "[\n"
+    for text in objects:
+        yield sep + text
+        sep = ",\n"
+    yield "\n]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +205,12 @@ def _emit_table(header: list[str], rows: list[tuple], fmt: str,
 # ---------------------------------------------------------------------------
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    """Tabulate k(j, r, dt) in O(R + W + N) memory for R columns, any rows.
+
+    Every time's kernel vector is built first, so a range, Bessel-limit
+    or box-domain error writes nothing; then rows of j are gathered about
+    4096 cells at a time and each is written as soon as it is formatted.
+    """
     kernel = _kernel(args, _params(args))
     lo, hi = (0, kernel.n) if kernel.system == "box" else (-4, 4)
     j_lo, j_hi, r_lo, r_hi = (default if v is None else v for v, default in (
@@ -201,28 +218,34 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if j_lo > j_hi or r_lo > r_hi:
         raise ValueError("empty index range")
 
-    js, rs = range(j_lo, j_hi + 1), range(r_lo, r_hi + 1)
-    header = ["system", "j", "r", "dt", "z", "re", "im"]
-    tables = ((float(dt), dimensionless_time(kernel.params, dt),
-               kernel_table(kernel, js, rs, dt)) for dt in args.times)
+    rs = np.arange(r_lo, r_hi + 1)
+    gathers = [(float(dt), dimensionless_time(kernel.params, dt),
+                _kernel_rows(kernel, j_lo, j_hi, rs, dt)) for dt in args.times]
     # one f-string per cell, a CSV line or a JSON object laid out as
     # json.dumps(rows, indent=2) would: dt and z are formatted once per
     # time, j once per row, r once per table; cells are joined a row at a time
     as_json = args.format == "json"
     system = json.dumps(args.system) if as_json else args.system
     mid, end, sep = (',\n    "im": ', "\n  }", ",\n") if as_json else (",", "", "\r\n")
-    r_cells = [str(r) for r in rs]
-    blocks = []
-    for dt, z, table in tables:
-        tail = (f',\n    "dt": {dt!r},\n    "z": {z!r},\n    "re": ' if as_json
-                else f",{dt!r},{z!r},")
-        for j, res, ims in zip(js, table.real.tolist(), table.imag.tolist()):
-            head = (f'  {{\n    "system": {system},\n    "j": {j},\n    "r": ' if as_json
-                    else f"{system},{j},")
-            blocks.append(sep.join([f"{head}{r}{tail}{re!r}{mid}{im!r}{end}"
-                                    for r, re, im in zip(r_cells, res, ims)]))
-    _emit("[\n" + sep.join(blocks) + "\n]\n" if as_json else _csv_text(header, blocks),
-          args.out)
+    r_cells = [str(r) for r in rs.tolist()]
+    step = max(1, 4096 // rs.size)  # rows of j per gather
+
+    def blocks():
+        for dt, z, rows in gathers:
+            tail = (f',\n    "dt": {dt!r},\n    "z": {z!r},\n    "re": ' if as_json
+                    else f",{dt!r},{z!r},")
+            for start in range(j_lo, j_hi + 1, step):
+                block = np.arange(start, min(start + step, j_hi + 1))
+                table = rows(block)
+                for j, res, ims in zip(block.tolist(), table.real.tolist(),
+                                       table.imag.tolist()):
+                    head = (f'  {{\n    "system": {system},\n    "j": {j},\n    "r": '
+                            if as_json else f"{system},{j},")
+                    yield sep.join([f"{head}{r}{tail}{re!r}{mid}{im!r}{end}"
+                                    for r, re, im in zip(r_cells, res, ims)])
+
+    header = ["system", "j", "r", "dt", "z", "re", "im"]
+    _emit(_json_list(blocks()) if as_json else _csv_lines(header, blocks()), args.out)
     return 0
 
 
@@ -244,6 +267,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite  # the check suites load only for verify
+
     results = run_suite(args.suite, params=_params(args),
                         n_box=8 if args.N is None else args.N,
                         seed=args.seed, overrides=args.tolerances)

@@ -260,26 +260,55 @@ def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     return np.fft.ifft(phases * np.fft.fft(psi))
 
 
+def _kernel_rows(kernel: PropagatorKernel, j_lo: int, j_hi: int, rs: np.ndarray,
+                 dt: float):
+    """One kernel vector for dt, and rows(j) = k(j, r, dt) gathered from it.
+
+    j is an index or an index array within j_lo..j_hi, r the array rs.
+    Every check (Bessel work limit, box domain) runs here, before any
+    row is gathered.  Free: _free_terms at orders 0..min(m, W + 4), m the
+    largest |j - r| (a grid corner), so each entry is the one the whole
+    grid gives bit for bit; an order beyond W reads the one of W + 1..W + 4
+    with the same i^|j - r|, the same signed 0.  Periodic and box: the
+    circle step of a delta (the box as its odd part), walls exactly 0.
+    """
+    z = dimensionless_time(kernel.params, dt)
+    if kernel.system == "free":
+        w = truncation_window(abs(z))
+        reach = max(abs(j_lo - int(rs.max())), abs(j_hi - int(rs.min())))
+        vector = _free_terms(z, np.arange(min(reach, w + 4) + 1))
+
+        def rows(j):
+            mag = np.abs(np.subtract.outer(j, rs))
+            return vector[np.minimum(mag, w + 1 + (mag - w - 1) % 4)]
+        return rows
+    n_box, period = kernel.n, 2 * kernel.n
+    circle = _circle_step((np.arange(period) == 0).astype(complex), z)
+    if kernel.system == "periodic":
+        return lambda j: circle[np.subtract.outer(j, rs) % period]
+    if min(j_lo, rs.min()) < 0 or max(j_hi, rs.max()) > n_box:
+        raise ValueError(f"sites j = {j_lo}..{j_hi}, r = {rs.min()}..{rs.max()} "
+                         f"outside box 0..{n_box}")
+
+    def rows(j):
+        # r = 0 and r = N read one circle entry twice: exactly 0
+        table = (circle[np.subtract.outer(j, rs) % period]
+                 - circle[np.add.outer(j, rs) % period])
+        table[(j == 0) | (j == n_box)] = 0.0
+        return table
+    return rows
+
+
 def kernel_table(kernel: PropagatorKernel, j_values, r_values,
                  dt: float) -> np.ndarray:
     """k(j, r, dt) for j in j_values (rows) and r in r_values (columns).
 
-    Free: the free route on the j x r grid, exactly 0 where |j - r| > W.
-    Periodic and box: gathered from the circle step of a delta (the box as
-    its odd part), walls exactly 0.  dt = 0 gives the exact identity.
+    Gathered from one kernel vector per dt (`_kernel_rows`, which
+    `polymerqm kernel` reads a block of rows at a time): free exactly 0
+    where |j - r| > W, box walls exactly 0, dt = 0 the exact identity.
     """
     js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
-    z = dimensionless_time(kernel.params, dt)
-    diff = np.subtract.outer(js, rs)
-    if kernel.system == "free":
-        return _free_terms(z, diff)
-    n_box, period = kernel.n, 2 * kernel.n
-    circle = _circle_step((np.arange(period) == 0).astype(complex), z)
-    if kernel.system == "periodic":
-        return circle[diff % period]
-    table = circle[diff % period] - circle[np.add.outer(js, rs) % period]
-    table[_sites(js[:, None], rs, n_box)[3]] = 0.0  # walls; checks the domain
-    return table
+    return _kernel_rows(kernel, int(js.min()), int(js.max()), rs, dt)(js)
 
 
 def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,

@@ -28,8 +28,8 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to a temp file beside `path`, then rename it into place.
+def write_atomic(path: str | Path, chunks) -> None:
+    """Write str chunks, as they come, to a temp file beside `path`, then rename it.
 
     The rename installs a new file: an old file's mode and owner, or a
     symlink at `path`, are replaced, not kept or written through.  The
@@ -39,25 +39,27 @@ def write_atomic(path: str | Path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x", newline="") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _csv_text(header: list[str], lines: list[str]) -> str:
+def _csv_lines(header: list[str], lines):
     """The header, then the given lines, each ended by CRLF."""
-    return "\r\n".join([",".join(header), *lines, ""])
+    yield ",".join(header) + "\r\n"
+    for line in lines:
+        yield line + "\r\n"
 
 
 def save_wavefunction(psi: LatticeWavefunction, csv_path: str | Path) -> None:
     lat, amps = psi.lattice, psi.amplitudes
-    lines = [f"{n},{re!r},{im!r}" for n, re, im in
-             zip(lat.sites.tolist(), amps.real.tolist(), amps.imag.tolist())]
+    lines = (f"{n},{re!r},{im!r}" for n, re, im in
+             zip(lat.sites.tolist(), amps.real.tolist(), amps.imag.tolist()))
     meta = {"hbar": lat.params.hbar, "mass": lat.params.mass, "mu0": lat.params.mu0,
             "n_min": lat.n_min, "n_max": lat.n_max}
-    write_atomic(csv_path, _csv_text(_HEADER, lines))
-    write_atomic(sidecar_path(csv_path), json.dumps(meta, indent=2) + "\n")
+    write_atomic(csv_path, _csv_lines(_HEADER, lines))
+    write_atomic(sidecar_path(csv_path), [json.dumps(meta, indent=2) + "\n"])
 
 
 def load_wavefunction(csv_path: str | Path) -> LatticeWavefunction:

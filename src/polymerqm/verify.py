@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import SUITE_NAMES
 from .bessel import bessel_jn, bessel_table, jacobi_anger, truncation_window
 from .dynamics import _box_size, apply_hamiltonian, box_spectrum, dispersion_energy, \
     dispersion_momentum
@@ -40,8 +41,6 @@ from .propagators import (
     kernel_table,
     momentum_kernel_phase,
 )
-
-SUITE_NAMES = ("bessel", "free", "box", "momentum", "continuum", "all")
 
 
 @dataclass(frozen=True)

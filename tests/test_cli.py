@@ -2,7 +2,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -490,6 +493,50 @@ def test_kernel_json_memory_is_not_per_cell(tmp_path):
     assert peak < 12 * 2**20
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("j_max,r_max", [(4095, 63), (16383, 15)])
+def test_kernel_table_memory_does_not_grow_with_rows(tmp_path, fmt, j_max, r_max):
+    # 262,144 rows: the rows of j are gathered and written a block at a
+    # time, so the peak is set by the columns, not by the rows
+    out = tmp_path / f"k.{fmt}"
+    argv = ["kernel", "--dt", "20", "--j-min", "0", "--j-max", str(j_max),
+            "--r-min", "0", "--r-max", str(r_max), "--format", fmt, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(out, "rb") as f:
+        lines = sum(1 for _ in f)
+    assert lines == (1 + 262144 if fmt == "csv" else 2 + 262144 * 9)
+    assert peak < 2 * 2**20
+
+
+_FAILING_TABLES = {
+    # the first time tabulates, the second is past the Bessel work limit
+    "bessel-limit": ({"times": [1.0, 1e18]},
+                     ["--j-min", "0", "--j-max", "2", "--r-min", "0", "--r-max", "2"]),
+    # j = 4 is outside the box 0..3
+    "box-domain": ({"system": "box", "N": 3, "times": [1.0, 2.0]},
+                   ["--j-min", "0", "--j-max", "4"]),
+}
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+@pytest.mark.parametrize("case", sorted(_FAILING_TABLES))
+def test_failed_table_writes_nothing(tmp_path, capsysbinary, case, to_file):
+    # every kernel vector is built before the first byte is written
+    config, bounds = _FAILING_TABLES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = ["--out", str(tmp_path / "k.csv")] if to_file else []
+    assert main(["kernel", "--config", str(cfg), *bounds, *out]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b"" and captured.err.startswith(b"error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_kernel_beyond_bessel_limit_exits_2(tmp_path, capsys):
     out = tmp_path / "k.csv"
     rc = main(["kernel", "--dt", "1e18", "--j-min", "0", "--j-max", "0",
@@ -646,6 +693,29 @@ def test_zero_or_infinite_scales_exit_2(tmp_path, argv):
     out = tmp_path / "out.csv"
     assert _exit_code(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_suite_choices_are_the_verify_suites():
+    from polymerqm import verify
+
+    assert _inputs_of("verify")["suite"].parse is verify.SUITE_NAMES  # one tuple
+    parser = build_parser()
+    for name in verify.SUITE_NAMES:
+        assert parser.parse_args(["verify", "--suite", name]).suite == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify", "--suite", "periodic"])
+
+
+def test_cli_import_leaves_the_check_suites_unloaded():
+    # kernel, evolve and sweep never compile verify.py; verify loads it itself
+    code = ("import sys, polymerqm.cli; "
+            "assert 'polymerqm.verify' not in sys.modules, 'loaded'")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_readme_command_table_matches_parser():

@@ -24,6 +24,7 @@ from polymerqm.lattice import (
 from polymerqm.bessel import truncation_window
 from polymerqm.propagators import (
     PropagatorKernel,
+    _free_terms,
     box_images_kernel,
     box_mode_coefficients,
     box_spectral_kernel,
@@ -493,6 +494,21 @@ def test_kernel_table_box_walls_and_domain():
     assert np.all(table[[0, 5], :] == 0.0) and np.all(table[:, [0, 5]] == 0.0)
     with pytest.raises(ValueError):
         kernel_table(PropagatorKernel.box(5, P1), [0, 6], [1], 1.0)
+
+
+def test_free_kernel_table_is_the_grid_of_free_terms_bit_for_bit():
+    # the table is gathered from one vector of orders 0..min(m, W + 4);
+    # entries beyond W keep the signed zeros of the grid route
+    rng = np.random.default_rng(13)
+    free = PropagatorKernel.free(P1)
+    for z in (0.0, 0.4, -2.5, 7.0, 60.0, -300.0, 3e3):
+        for offset in (0, -45, 10**6, -(10**9)):
+            w = truncation_window(abs(z))
+            js = offset + np.sort(rng.integers(-w - 20, w + 20, size=9))
+            rs = offset + rng.integers(-w - 20, w + 20, size=7) + rng.integers(-30, 31)
+            for cols in (rs, rs + 3 * w + 50, rs[:1]):
+                want = _free_terms(z, np.subtract.outer(js, cols))
+                assert _same_bits(kernel_table(free, js, cols, z), want)
 
 
 def test_kernel_object_dispatch_matches_functions():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polymerqm.lattice import Lattice, LatticeWavefunction, PhysicalParams
-from polymerqm.stateio import load_wavefunction, save_wavefunction, sidecar_path
+from polymerqm.stateio import load_wavefunction, save_wavefunction, sidecar_path, write_atomic
 
 
 def _sample_state():
@@ -118,3 +118,18 @@ def test_failed_save_leaves_old_files_whole(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         save_wavefunction(LatticeWavefunction(psi.lattice, np.ones(5)), path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_write_atomic_takes_chunks_and_keeps_old_file_on_error(tmp_path):
+    path = tmp_path / "t.csv"
+    write_atomic(path, (line + "\r\n" for line in ("a,b", "1,2")))
+    assert path.read_bytes() == b"a,b\r\n1,2\r\n"
+
+    def failing():
+        yield "partial\r\n"
+        raise ValueError("row failed")
+
+    with pytest.raises(ValueError, match="row failed"):
+        write_atomic(path, failing())
+    assert path.read_bytes() == b"a,b\r\n1,2\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

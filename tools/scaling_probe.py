@@ -8,7 +8,8 @@ One BLAS thread keeps the timings comparable with perfbench, which pins
 it for every job.
 
 Each case doubles one size at a time (window M, box size N, separation
-|j - r|, Bessel argument z, table rows).  At every size it records the
+|j - r|, Bessel argument z, table rows: columns of r at 64 rows of j,
+or rows of j at 64 columns).  At every size it records the
 median wall time of a few calls, after one warm-up call, and the
 tracemalloc peak of one more call.  For the case it fits the
 least-squares slope of log2(time) and of log2(peak) against log2(size):
@@ -96,10 +97,13 @@ def _momentum(m):
     return lambda: from_momentum(to_momentum(psi, grid), grid, psi.lattice)
 
 
-def _kernel_text(fmt):
+def _kernel_text(fmt, grow="r", system=()):
+    """`polymerqm kernel` to a file: 64 rows of j and rows/64 columns of r,
+    or rows/64 rows of j and 64 columns for grow="j"."""
     def make(rows):
-        argv = ["kernel", "--dt", "20", "--j-min", "0", "--j-max", "63",
-                "--r-min", "0", "--r-max", str(rows // 64 - 1), "--format", fmt]
+        j_max, r_max = (63, rows // 64 - 1) if grow == "r" else (rows // 64 - 1, 63)
+        argv = ["kernel", *system, "--dt", "20", "--j-min", "0", "--j-max", str(j_max),
+                "--r-min", "0", "--r-max", str(r_max), "--format", fmt]
 
         def call():
             with tempfile.TemporaryDirectory() as tmp:
@@ -123,6 +127,9 @@ CASES = {
                    lambda n: lambda: run_suite("all", n_box=n)),
     "kernel_csv": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv")),
     "kernel_json": ("rows", [64 * 2**k for k in range(6, 10)], _kernel_text("json")),
+    "kernel_csv_j": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv", "j")),
+    "kernel_periodic_j": ("rows", [64 * 2**k for k in range(6, 11)],
+                          _kernel_text("csv", "j", ("--system", "periodic", "--N", "4096"))),
 }
 
 
