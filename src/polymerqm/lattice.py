@@ -4,8 +4,9 @@ The lattice is x_n = n * mu0 with the origin pinned at site 0.  States
 are finite windows of complex amplitudes; everything outside a window
 is implicitly zero.  The momentum representation lives on the interval
 (-pi*hbar/mu0, pi*hbar/mu0) where momentum wavefunctions are periodic,
-so the transform below is a discrete-time Fourier transform sampled on
-a midpoint grid.
+so the transform is a discrete-time Fourier transform.  `to_momentum` and
+`from_momentum` take it on a P-point midpoint grid by one FFT, O(M + P log P);
+`momentum_samples` is the dense sum at any momenta, their check route.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class MomentumGrid:
 
 
 def momentum_samples(psi: LatticeWavefunction, p_values: np.ndarray) -> np.ndarray:
-    """psi~(p) = sum_n psi_n exp(i n mu0 p / hbar) at arbitrary momenta."""
+    """Dense sum psi~(p) = sum_n psi_n exp(i n mu0 p / hbar) at arbitrary momenta."""
     p = np.atleast_1d(np.asarray(p_values, dtype=float))
     n = psi.lattice.sites
     phase = np.exp(1j * np.outer(p, n) * psi.lattice.params.mu0
@@ -169,35 +170,44 @@ def momentum_samples(psi: LatticeWavefunction, p_values: np.ndarray) -> np.ndarr
     return phase @ psi.amplitudes
 
 
+def _twist(sites: np.ndarray, period: int) -> np.ndarray:
+    """(-1)^n e^{i pi n/P} = e^{i pi m/P}, m = n (P + 1) mod 2P taken in integers."""
+    residue = (sites % (2 * period)) * (period + 1) % (2 * period)
+    return np.exp((1j * math.pi / period) * residue)
+
+
 def to_momentum(psi: LatticeWavefunction, grid: MomentumGrid) -> np.ndarray:
-    """Sample the momentum wavefunction of psi on the grid."""
+    """The momentum wavefunction of psi on the grid, by one length-P FFT.
+
+    At p_k mu0/hbar = -pi + (k + 1/2) 2 pi/P, psi~(p_k) is the unscaled
+    inverse DFT of psi_n (-1)^n e^{i pi n/P} folded mod P, in O(M + P log P).
+    """
     if psi.lattice.params != grid.params:
         raise ValueError("wavefunction and momentum grid have different parameters")
-    return momentum_samples(psi, grid.values)
+    period, sites = grid.num_points, psi.lattice.sites
+    folded = np.zeros(period, dtype=complex)
+    np.add.at(folded, sites % period, psi.amplitudes * _twist(sites, period))
+    return np.fft.ifft(folded, norm="forward")
 
 
 def from_momentum(values: np.ndarray, grid: MomentumGrid,
                   lattice: Lattice) -> LatticeWavefunction:
     """Invert `to_momentum` by the uniform quadrature over the momentum interval.
 
-    psi_n = (1/M) sum_k values_k exp(-i n mu0 p_k / hbar).  The rule is
-    exact (not approximate) when M is at least the window width, since
-    the integrand is then a trigonometric polynomial of degree < M.
+    psi_n = (1/P) sum_k values_k exp(-i n mu0 p_k / hbar), the conjugate
+    twist times fft(values)[n mod P] / P: one FFT, O(M + P log P).  The
+    rule is exact (not approximate) when P is at least the window width,
+    since the integrand is then a trigonometric polynomial of degree < P.
     """
     if grid.params != lattice.params:
         raise ValueError("momentum grid and lattice have different parameters")
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (grid.num_points,):
-        raise ValueError(
-            f"expected {grid.num_points} momentum samples, got shape {vals.shape}"
-        )
+        raise ValueError(f"expected {grid.num_points} momentum samples, "
+                         f"got shape {vals.shape}")
     if grid.num_points < lattice.num_sites:
-        raise ValueError(
-            f"grid with {grid.num_points} points cannot resolve a "
-            f"{lattice.num_sites}-site window"
-        )
-    n = lattice.sites
-    phase = np.exp(-1j * np.outer(n, grid.values) * lattice.params.mu0
-                   / lattice.params.hbar)
-    amps = (phase @ vals) / grid.num_points
+        raise ValueError(f"grid with {grid.num_points} points cannot resolve a "
+                         f"{lattice.num_sites}-site window")
+    period, sites = grid.num_points, lattice.sites
+    amps = np.conj(_twist(sites, period)) * np.fft.fft(vals, norm="forward")[sites % period]
     return LatticeWavefunction(lattice, amps)

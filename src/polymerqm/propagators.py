@@ -63,14 +63,19 @@ def _free_terms(z: float, orders) -> np.ndarray:
 # check-route kernels: integer sites or index arrays, broadcast like numpy
 # ---------------------------------------------------------------------------
 
+def _box_domain(j_lo, j_hi, r_lo, r_hi, n_box: int) -> None:
+    """ValueError naming the j and r ranges unless both lie in the box 0..N."""
+    if min(j_lo, r_lo) < 0 or max(j_hi, r_hi) > n_box:
+        raise ValueError(f"sites j = {j_lo}..{j_hi}, r = {r_lo}..{r_hi} outside box 0..{n_box}")
+
+
 def _sites(j, r, n_box: int | None = None):
     """j, r as int64 arrays (>= 1-d), whether both were scalars, and box wall entries."""
     js, rs = (np.atleast_1d(np.asarray(v, dtype=np.int64)) for v in (j, r))
     scalar = np.ndim(j) == 0 and np.ndim(r) == 0
     if n_box is None:
         return js, rs, scalar, None
-    if min(js.min(), rs.min()) < 0 or max(js.max(), rs.max()) > n_box:
-        raise ValueError(f"site indices ({j}, {r}) outside box 0..{n_box}")
+    _box_domain(js.min(), js.max(), rs.min(), rs.max(), n_box)
     return js, rs, scalar, (js == 0) | (js == n_box) | (rs == 0) | (rs == n_box)
 
 
@@ -245,7 +250,7 @@ class PropagatorKernel:
 
 
 def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
-    """Exact evolution of amplitudes on the circle Z_2N, by FFT.
+    """Exact evolution of amplitudes on the circle Z_2N (the last axis), by FFT.
 
     Momentum q carries the phase e^{-iz(1 - cos(pi q/N))}, the band from
     `dynamics._band`, accurate for small gaps.  This is the periodic
@@ -255,9 +260,17 @@ def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     """
     if z == 0.0:
         return psi
-    period = len(psi)
+    period = psi.shape[-1]
     phases = np.exp(-1j * z * _band(2.0 * math.pi * np.arange(period) / period))
     return np.fft.ifft(phases * np.fft.fft(psi))
+
+
+def _box_step(full: np.ndarray, z: float) -> np.ndarray:
+    """States on sites 0..N (last axis) moved by the circle step of their odd extension."""
+    odd = np.concatenate([full, -full[..., -2:0:-1]], axis=-1)
+    out = _circle_step(odd, z)[..., :full.shape[-1]]
+    out[..., [0, -1]] = 0.0  # the walls, exactly
+    return out
 
 
 def _kernel_rows(kernel: PropagatorKernel, j_lo: int, j_hi: int, rs: np.ndarray,
@@ -286,9 +299,7 @@ def _kernel_rows(kernel: PropagatorKernel, j_lo: int, j_hi: int, rs: np.ndarray,
     circle = _circle_step((np.arange(period) == 0).astype(complex), z)
     if kernel.system == "periodic":
         return lambda j: circle[np.subtract.outer(j, rs) % period]
-    if min(j_lo, rs.min()) < 0 or max(j_hi, rs.max()) > n_box:
-        raise ValueError(f"sites j = {j_lo}..{j_hi}, r = {rs.min()}..{rs.max()} "
-                         f"outside box 0..{n_box}")
+    _box_domain(j_lo, j_hi, rs.min(), rs.max(), n_box)
 
     def rows(j):
         # r = 0 and r = N read one circle entry twice: exactly 0
@@ -335,9 +346,7 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
         n_box = kernel.n
         if out_window is not None and tuple(out_window) != (0, n_box):
             raise ValueError(f"box evolution always produces sites 0..{n_box}")
-        full = _box_interior_amplitudes(psi0, n_box)
-        out = _circle_step(np.concatenate([full, -full[-2:0:-1]]), z)[:n_box + 1]
-        out[0] = out[n_box] = 0.0
+        out = _box_step(_box_interior_amplitudes(psi0, n_box), z)
         return LatticeWavefunction(Lattice(params, 0, n_box), out)
 
     w = truncation_window(abs(z))

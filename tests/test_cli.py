@@ -229,6 +229,18 @@ def test_verify_box_suite(tmp_path):
     assert {"spectral-vs-images", "boundary-zeros", "eigenphase"} <= names
 
 
+def test_verify_momentum_suite_compares_fft_and_dense_routes_last(tmp_path):
+    # the new record follows the existing ones; its tolerance is 4 pi eps,
+    # applied to differences scaled by (max|n| + 1) sum|psi_n|
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", "momentum", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [row["name"] for row in rows] == [
+        "phase-evolution", "parseval", "roundtrip", "periodicity", "fft-vs-dense"]
+    assert rows[-1]["tolerance"] == repr(4.0 * math.pi * 2.0**-52)
+    assert all(row["status"] == "pass" for row in rows)
+
+
 @pytest.mark.parametrize("suite", ["all", "bessel"])
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_verify_rejects_box_size_below_two(tmp_path, capsys, suite, n):

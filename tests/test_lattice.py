@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,49 @@ def test_momentum_function_periodicity():
     period = 2.0 * math.pi * params.hbar / params.mu0
     assert np.max(np.abs(momentum_samples(psi, p)
                          - momentum_samples(psi, p + period))) <= 1e-12
+
+
+def test_momentum_roundtrip_beyond_dense_reach():
+    # M = P = 2^16: the dense phase matrices would take 64 GiB each
+    params = PhysicalParams()
+    size = 2**16
+    psi = gaussian_packet(Lattice(params, -size // 2, size // 2 - 1), 0.0, size / 8, 0.3)
+    grid = MomentumGrid(params, size)
+    tracemalloc.start()
+    try:
+        back = from_momentum(to_momentum(psi, grid), grid, psi.lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(back.amplitudes - psi.amplitudes)) <= 1e-13
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n_min, points", [(-3, 16), (10**6 - 4, 23), (-(10**9) - 7, 40)])
+def test_momentum_fft_route_against_mpmath(n_min, points):
+    # 40-digit sums at the exact grid momenta theta_k = -pi + (2k + 1) pi/P;
+    # the dense route's phases would be off by about |n| eps there
+    mpmath = pytest.importorskip("mpmath")
+    params = PhysicalParams(mu0=0.5)
+    rng = np.random.default_rng(points)
+    lat = Lattice(params, n_min, n_min + 11)
+    amps = rng.normal(size=12) + 1j * rng.normal(size=12)
+    psi = LatticeWavefunction(lat, amps / np.linalg.norm(amps))
+    grid = MomentumGrid(params, points)
+    values = rng.normal(size=points) + 1j * rng.normal(size=points)
+    tilde = to_momentum(psi, grid)
+    back = from_momentum(values, grid, lat).amplitudes
+    with mpmath.workdps(40):
+        theta = [mpmath.pi * (2 * k + 1 - points) / points for k in range(points)]
+        for k in (0, points // 3, points - 1):
+            want = mpmath.fsum(mpmath.mpc(complex(a)) * mpmath.expj(int(n) * theta[k])
+                               for n, a in zip(lat.sites, psi.amplitudes))
+            assert abs(tilde[k] - complex(want)) <= 1e-14
+        for i in (0, 5, 11):
+            n = int(lat.sites[i])
+            want = mpmath.fsum(mpmath.mpc(complex(v)) * mpmath.expj(-n * t)
+                               for v, t in zip(values, theta)) / points
+            assert abs(back[i] - complex(want)) <= 1e-14
 
 
 def test_gaussian_packet_normalized():

@@ -207,6 +207,16 @@ def test_box_spectral_domain():
         box_spectral_kernel(1, 5, 1.0, 4, P1)
 
 
+def test_box_domain_error_names_the_ranges():
+    # one line naming the j and r ranges, not the index arrays
+    with pytest.raises(ValueError) as err:
+        box_spectral_kernel(np.arange(40)[:, None], np.arange(3), 1.0, 5, P1)
+    message = str(err.value)
+    assert "\n" not in message and "0..39" in message and "0..2" in message
+    with pytest.raises(ValueError, match="0..39"):
+        box_images_kernel(np.arange(40)[:, None], np.arange(3), 1.0, 5, P1)
+
+
 def test_box_spectral_full_grid_memory():
     # the level sum is contracted: a grid x levels array would be 51 MB here
     sites = np.arange(0, 129)
@@ -583,6 +593,42 @@ def test_verify_builds_one_bessel_table_per_route_call(monkeypatch):
     built.clear()
     verify.run_suite("free")
     assert (box_tables, len(built)) == (15, 1 + 4 + 9 + 8 + 9 + 2 + 4 + 2)
+
+
+@pytest.mark.parametrize("n", [2, 9, 64])
+def test_batched_box_step_is_the_per_level_evolve_bit_for_bit(n):
+    from polymerqm.propagators import _box_step
+
+    spectrum = box_spectrum(n, P1)
+    box = PropagatorKernel.box(n, P1)
+    for dt in (0.0, 0.7, 3.1, 250.0):
+        stack = _box_step(spectrum.eigenvectors.astype(complex), dt)
+        each = [evolve(spectrum.eigenstate(level), box, dt).amplitudes
+                for level in range(1, n)]
+        assert _same_bits(np.ascontiguousarray(stack), np.array(each))
+
+
+def test_box_eigenphase_steps_do_not_grow_with_the_box(monkeypatch):
+    # No timing: count the circle steps of the box suite.  The eigenphase
+    # record moves every level of a size in one step per time, so only
+    # the level count, never the step count, grows with n_box.
+    from polymerqm import propagators, verify
+
+    steps = []
+    real = propagators._circle_step
+
+    def counting(psi, z):
+        steps.append(psi.shape)
+        return real(psi, z)
+
+    monkeypatch.setattr(propagators, "_circle_step", counting)
+    counts = []
+    for n_box in (8, 128):
+        steps.clear()
+        verify.run_suite("box", n_box=n_box)
+        counts.append(len(steps))
+    assert counts[0] == counts[1]
+    assert (127, 256) in steps
 
 
 # ---------------------------------------------------------------------------
