@@ -96,7 +96,8 @@ _INPUTS = {
     "times": _Input("--dt", _parse_dt, "a nonempty list of numbers", (1.0,),
                     "kernel evolve sweep", "single evolution time"),
     "format": _Input("--format", ("csv", "json"), None, "csv", "kernel verify sweep"),
-    "seed": _Input("--seed", int, "an integer", 0, "verify"),
+    "seed": _Input("--seed", int, "an integer", 0, "verify",
+                   "non-negative integer seeding random.Random for the sampled records"),
     "suite": _Input("--suite", SUITE_NAMES, None, "all", "verify"),
     "tolerances": _Input(None, None, "an object of numbers", None, "verify"),
     "dx": _Input("--dx", float, "a number", 1.0, "sweep", "fixed physical separation"),

@@ -79,6 +79,19 @@ def assert_criterion(verify_records, criterion: str) -> None:
                       tolerance) <= tolerance
 
 
+def test_seed_reaches_only_the_sampled_records():
+    # Jacobi-Anger points and the momentum suite's packets and amplitudes
+    # are drawn; every other record is bit-identical across seeds
+    runs = [run_suite("all", params=P1, seed=seed) for seed in (0, 1)]
+    drawn = {("bessel", "jacobi-anger")} | {("momentum", c.name) for c in runs[0]
+                                            if c.suite == "momentum"}
+    by_seed = [{(c.suite, c.name): c.deviation for c in run} for run in runs]
+    assert list(by_seed[0]) == list(by_seed[1])
+    for key in set(by_seed[0]) - drawn:
+        assert by_seed[0][key] == by_seed[1][key], key
+    assert by_seed[0][("bessel", "jacobi-anger")] != by_seed[1][("bessel", "jacobi-anger")]
+
+
 def test_criterion_1_initial_condition(verify_records):
     assert_criterion(verify_records, "1")
 

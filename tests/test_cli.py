@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polymerqm import SUITE_NAMES
 from polymerqm.cli import _inputs_of, build_parser, main
 from polymerqm.dynamics import box_spectrum
 from polymerqm.lattice import Lattice, LatticeWavefunction, PhysicalParams, delta_state
@@ -251,6 +252,22 @@ def test_verify_rejects_box_size_below_two(tmp_path, capsys, suite, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_rejects_a_negative_seed(tmp_path, capsys, suite):
+    # random.Random(-s) is Random(s): a negative seed would alias its opposite
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", suite, "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_accepts_a_seed_beyond_64_bits(tmp_path):
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", "bessel", "--seed", str(2**70),
+                 "--out", str(out)]) == 0
+    assert all(row["status"] == "pass" for row in read_csv(out))
+
+
 def test_kernel_box_without_n_exits_2(capsys):
     assert main(["kernel", "--system", "box", "--dt", "1"]) == 2
     assert "N must be an integer >= 2, got None" in capsys.readouterr().err
@@ -468,7 +485,7 @@ def test_verify_csv_bytes_are_pinned(tmp_path):
         b"bessel,derivative-identity,1.6864620810963515e-11,1e-07,pass\r\n"
         b"bessel,sum-of-squares,1.3322676295501878e-15,1e-12,pass\r\n"
         b"bessel,normalization,2.220446049250313e-16,1e-13,pass\r\n"
-        b"bessel,jacobi-anger,5.267712847026809e-15,1e-10,pass\r\n")
+        b"bessel,jacobi-anger,4.4988012402835255e-15,1e-10,pass\r\n")
 
 
 def test_kernel_table_memory_is_not_per_cell(tmp_path):
@@ -718,15 +735,37 @@ def test_suite_choices_are_the_verify_suites():
         parser.parse_args(["verify", "--suite", "periodic"])
 
 
-def test_cli_import_leaves_the_check_suites_unloaded():
-    # kernel, evolve and sweep never compile verify.py; verify loads it itself
-    code = ("import sys, polymerqm.cli; "
-            "assert 'polymerqm.verify' not in sys.modules, 'loaded'")
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter that imports polymerqm from this checkout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"),
          os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+def test_cli_import_leaves_the_check_suites_unloaded():
+    # kernel, evolve and sweep never compile verify.py; verify loads it itself
+    done = _run_fresh("import sys, polymerqm.cli; "
+                      "assert 'polymerqm.verify' not in sys.modules, 'loaded'")
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--dt", "1"],
+    ["evolve", "{state}", "--dt", "0.5", "--out", "{tmp}/out.csv"],
+    ["verify", "--suite", "all", "--out", "{tmp}/verify.csv"],
+    ["sweep", "--dt", "1", "--mu0-list", "1/2,1/4"],
+], ids=lambda argv: argv[0])
+def test_no_command_loads_numpy_random(tmp_path, argv):
+    # a fresh interpreter, since pytest itself loads numpy.random; verify
+    # draws its samples from the stdlib random module numpy already imports
+    state = tmp_path / "psi.csv"
+    save_wavefunction(delta_state(Lattice(PhysicalParams(), -3, 3), 0), state)
+    argv = [arg.format(state=state, tmp=tmp_path) for arg in argv]
+    done = _run_fresh("import sys; from polymerqm.cli import main; "
+                      f"assert main({argv!r}) == 0, 'failed'; "
+                      "assert 'numpy.random' not in sys.modules, 'numpy.random loaded'")
     assert done.returncode == 0, done.stderr
 
 

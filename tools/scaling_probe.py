@@ -123,6 +123,8 @@ CASES = {
     "bessel_table": ("z", [1e3 * 2**k for k in range(11)],
                      lambda z: lambda: bessel_table(z, 2)),
     "momentum_roundtrip": ("M", [2**k for k in range(6, 11)], _momentum),
+    # past the fixed per-call cost, where the FFT route's O(M + P log P) shows
+    "momentum_roundtrip_large": ("M", [2**k for k in range(12, 17)], _momentum),
     "verify_all": ("N", [2**k for k in range(3, 9)],
                    lambda n: lambda: run_suite("all", n_box=n)),
     "kernel_csv": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv")),
