@@ -37,16 +37,16 @@ for l in range(1, N):
 
 print()
 print("=== H psi = E psi residuals ===")
+kernel = PropagatorKernel.box(N, params)
 for l in (1, N // 2, N - 1):
     state = spec.eigenstate(l)
-    h_state = apply_hamiltonian(state, N)
+    h_state = apply_hamiltonian(state, kernel)
     resid = np.max(np.abs(h_state.amplitudes
                           - spec.energies[l - 1] * state.amplitudes))
     print(f"level {l}: max residual {resid:.2e}")
 
 print()
 print("=== eigenstates evolve by a pure phase ===")
-kernel = PropagatorKernel.box(N, params)
 dt = 1.3
 for l in (1, 3, 7):
     state = spec.eigenstate(l)

@@ -10,7 +10,6 @@ from .bessel import bessel_jn, bessel_table, jacobi_anger, truncation_window
 from .dynamics import (
     BoxSpectrum,
     WallSupportError,
-    apply_hamiltonian,
     box_spectrum,
     dispersion_energy,
     dispersion_momentum,
@@ -32,6 +31,7 @@ from .propagators import (
     GreenResidualReport,
     PropagatorKernel,
     SweepPoint,
+    apply_hamiltonian,
     box_images_kernel,
     box_mode_coefficients,
     box_spectral_kernel,

@@ -2,14 +2,14 @@
 
 The kinetic term is the second-difference stencil
 
-    (H psi)_n = (hbar^2 / 2 m mu0^2) (2 psi_n - psi_{n+1} - psi_{n-1}) + V_n psi_n
+    (H psi)_n = (hbar^2 / 2 m mu0^2) (2 psi_n - psi_{n+1} - psi_{n-1})
 
-with amplitudes outside the window treated as zero.  The particle in a
-box of length L = N*mu0 has walls AT sites 0 and N where amplitudes are
-constrained to vanish; no infinite potential values enter the arithmetic.
+The particle in a box of length L = N*mu0 has walls AT sites 0 and N
+where amplitudes are constrained to vanish; no infinite potential values
+enter the arithmetic.
 
-The stencil's band 1 - cos(theta) (`_band`) and the box modes
-sqrt(2/N) sin(l pi n/N) (`_box_modes`) are written here only.
+The stencil (`_stencil`), its band 1 - cos(theta) (`_band`) and the box
+modes sqrt(2/N) sin(l pi n/N) (`_box_modes`) are written here only.
 """
 
 from __future__ import annotations
@@ -57,29 +57,9 @@ def _box_interior_amplitudes(psi: LatticeWavefunction, n_box: int) -> np.ndarray
     return full
 
 
-def apply_hamiltonian(psi: LatticeWavefunction,
-                      n_box: int | None = None) -> LatticeWavefunction:
-    """Apply the polymer Hamiltonian to a windowed state.
-
-    n_box None is the free particle: the output window grows by one site
-    on each side (the stencil widens support).  Otherwise the box with
-    walls at sites 0 and n_box >= 2: the output lives on sites 0..N with
-    walls pinned to zero.
-    """
-    params = psi.lattice.params
-    c = 0.5 * params.energy_scale
-
-    if n_box is None:
-        # convolution with [-1, 2, -1] is the zero-padded stencil
-        out = c * np.convolve(psi.amplitudes, [-1.0, 2.0, -1.0])
-        lat = Lattice(params, psi.lattice.n_min - 1, psi.lattice.n_max + 1)
-        return LatticeWavefunction(lat, out)
-
-    n_box = _box_size(n_box)
-    full = _box_interior_amplitudes(psi, n_box)
-    out = c * np.convolve(full, [-1.0, 2.0, -1.0])[1:-1]
-    out[0] = out[n_box] = 0.0
-    return LatticeWavefunction(Lattice(params, 0, n_box), out)
+def _stencil(amps, params: PhysicalParams) -> np.ndarray:
+    """(hbar^2/2 m mu0^2)(2 psi_n - psi_{n-1} - psi_{n+1}) on the inner sites of the last axis."""
+    return 0.5 * params.energy_scale * (2.0 * amps[..., 1:-1] - amps[..., :-2] - amps[..., 2:])
 
 
 def _band(theta):

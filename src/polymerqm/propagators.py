@@ -16,10 +16,12 @@ residual, plane-wave phase) check it.  Periodic and box evolution and
 tables run on the 2N-site circle, where the image sum is an exact finite
 sum over 2N momenta applied by FFT (the box is its odd part); the image
 sums and the box spectral sum (band and modes from `dynamics`) are their
-independent check routes.  `schrodinger_free_kernel` and
-`schrodinger_box_evolve` are the continuum references.  Image and
-composition sums use numpy's pairwise summation along a contiguous last
-axis in a fixed index order, so results do not depend on evaluation order.
+independent check routes.  `apply_hamiltonian`, the generator of `evolve`
+in each system, and the Green's residual share the stencil of `dynamics`.
+`schrodinger_free_kernel` and `schrodinger_box_evolve` are the continuum
+references.  Image and composition sums use numpy's pairwise summation
+along a contiguous last axis in a fixed index order, so results do not
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_table, truncation_window, unit_imaginary_power
-from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, dispersion_energy
+from .dynamics import (_band, _box_interior_amplitudes, _box_modes, _box_size, _stencil,
+                       dispersion_energy)
 from .lattice import (
     Lattice,
     LatticeWavefunction,
@@ -176,13 +179,15 @@ def momentum_kernel_phase(p, dt: float, params: PhysicalParams):
     multiplication by this phase.  p is a momentum or an array of them,
     each in the open zone; a scalar gives a complex.
     """
-    p = np.asarray(p, dtype=float)
+    p, dt = np.asarray(p, dtype=float), float(dt)
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     edge = params.brillouin_edge
     outside = ~((-edge < p) & (p < edge))  # NaN compares false: outside
     if np.any(outside):
         raise ValueError(f"momentum {float(p[outside][0])} outside the open "
                          f"interval (-{edge}, {edge})")
-    phase = np.exp(-1j * dispersion_energy(params, p) * float(dt) / params.hbar)
+    phase = np.exp(-1j * dispersion_energy(params, p) * dt / params.hbar)
     return complex(phase) if phase.ndim == 0 else phase
 
 
@@ -273,6 +278,19 @@ def _box_step(full: np.ndarray, z: float) -> np.ndarray:
     return out
 
 
+def _shared_params(psi: LatticeWavefunction, kernel: PropagatorKernel) -> PhysicalParams:
+    if psi.lattice.params != kernel.params:
+        raise ValueError("state and kernel carry different physical parameters")
+    return kernel.params
+
+
+def _fold(psi: LatticeWavefunction, n_box: int) -> np.ndarray:
+    """psi on the circle Z_2N: the amplitudes of the sites equal mod 2N, added."""
+    folded = np.zeros(2 * n_box, dtype=complex)
+    np.add.at(folded, psi.lattice.sites % (2 * n_box), psi.amplitudes)
+    return folded
+
+
 def _kernel_rows(kernel: PropagatorKernel, j_lo: int, j_hi: int, rs: np.ndarray,
                  dt: float):
     """One kernel vector for dt, and rows(j) = k(j, r, dt) gathered from it.
@@ -336,10 +354,7 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
     Circle-step error is about z * eps (see _circle_step).  At dt = 0
     every system returns its input exactly.
     """
-    lat = psi0.lattice
-    params = lat.params
-    if params != kernel.params:
-        raise ValueError("state and kernel carry different physical parameters")
+    lat, params = psi0.lattice, _shared_params(psi0, kernel)
     z = dimensionless_time(params, dt)
 
     if kernel.system == "box":
@@ -356,10 +371,7 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
     if lo > hi:
         raise ValueError(f"empty output window ({lo}, {hi})")
     if kernel.system == "periodic":
-        period = 2 * kernel.n
-        folded = np.zeros(period, dtype=complex)
-        np.add.at(folded, lat.sites % period, psi0.amplitudes)
-        out = _circle_step(folded, z)[np.arange(lo, hi + 1) % period]
+        out = _circle_step(_fold(psi0, kernel.n), z)[np.arange(lo, hi + 1) % (2 * kernel.n)]
     else:
         # [-W, W] clipped into the orders the window needs: never empty,
         # and a lone order beyond W is exactly 0
@@ -369,6 +381,24 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
         full = np.pad(full, (max(first - lo, 0), max(hi - first - full.size + 1, 0)))
         out = full[max(lo - first, 0):][:hi - lo + 1]
     return LatticeWavefunction(Lattice(params, lo, hi), out)
+
+
+def apply_hamiltonian(psi: LatticeWavefunction, kernel: PropagatorKernel) -> LatticeWavefunction:
+    """H psi in the kernel's system (the generator of `evolve`) by `dynamics._stencil`.
+
+    Free: amplitudes outside the window are 0, the output window grows by
+    one site on each side.  Box: wall-free input, sites 0..N out, walls
+    exactly 0.  Periodic: psi folded onto Z_2N as `evolve` folds it,
+    gathered mod 2N on the input window widened by one site on each side.
+    """
+    lat, params = psi.lattice, _shared_params(psi, kernel)
+    if kernel.system == "box":
+        out = np.pad(_stencil(_box_interior_amplitudes(psi, kernel.n), params), 1)
+        return LatticeWavefunction(Lattice(params, 0, kernel.n), out)
+    wide = (np.pad(psi.amplitudes, 2) if kernel.system == "free" else
+            _fold(psi, kernel.n)[np.arange(lat.n_min - 2, lat.n_max + 3) % (2 * kernel.n)])
+    out = _stencil(wide, params)
+    return LatticeWavefunction(Lattice(params, lat.n_min - 1, lat.n_max + 1), out)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +452,7 @@ class GreenResidualReport:
 
 def _greens_report(kernel: PropagatorKernel, j_values, r_values, dt_values,
                    dk_dt, min_dt: float = 0.0) -> GreenResidualReport:
-    """Worst |i hbar dk/dt - (H k)_j| over j x r x dt, H the stencil in j.
+    """Worst |i hbar dk/dt - (H k)_j| over j x r x dt, H `dynamics._stencil` in j.
 
     k at rows j-1, j, j+1 comes from `kernel_table`; dk_dt(kernel, dt,
     js, rs) supplies the time derivative on the j x r grid.  Box stencil
@@ -437,15 +467,11 @@ def _greens_report(kernel: PropagatorKernel, j_values, r_values, dt_values,
     js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
     if kernel.system == "box" and (js.min() < 1 or js.max() > kernel.n - 1):
         raise ValueError(f"stencil sites must be interior to the box 1..{kernel.n - 1}")
-    params = kernel.params
-    c_kin = 0.5 * params.energy_scale
-
     worst, worst_at = 0.0, (int(js[0]), int(rs[0]), dts[0])
-    for dt in dts:
-        table = kernel_table(kernel, np.concatenate([js - 1, js, js + 1]), rs, dt)
-        below, k, above = np.split(table, 3)
-        res = np.abs(1j * params.hbar * dk_dt(kernel, dt, js, rs)
-                     - c_kin * (2.0 * k - below - above))
+    for dt in dts:  # rows j - 1, j, j + 1 on the last axis, where the stencil runs
+        table = np.moveaxis(kernel_table(kernel, js[:, None] + np.arange(-1, 2), rs, dt), 1, -1)
+        res = np.abs(1j * kernel.params.hbar * dk_dt(kernel, dt, js, rs)
+                     - _stencil(table, kernel.params)[..., 0])
         at = np.unravel_index(np.argmax(res), res.shape)
         if res[at] > worst:
             worst, worst_at = float(res[at]), (int(js[at[0]]), int(rs[at[1]]), dt)
@@ -552,10 +578,14 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
 
 def box_mode_coefficients(packet, length: float, num_modes: int) -> np.ndarray:
     """Continuum box-mode coefficients c_l = (2/L) integral sin(l pi y / L) f(y) dy."""
-    num_modes = int(num_modes)
+    num_modes, length = int(num_modes), float(length)
+    if num_modes < 0:
+        raise ValueError(f"num_modes must be >= 0, got {num_modes}")
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"box length must be finite and > 0, got {length}")
     # trapezoid sums on K + 1 points, the highest mode far below their Nyquist
     # limit, all taken as one FFT of the odd extension of the samples
-    y = np.linspace(0.0, float(length), max(4097, 8 * num_modes + 1))
+    y = np.linspace(0.0, length, max(4097, 8 * num_modes + 1))
     f = np.asarray(packet(y), dtype=complex)[1:-1]  # the sine is 0 at both ends
     odd = np.concatenate([[0.0], f, [0.0], -f[::-1]])
     return (1j / (y.size - 1)) * np.fft.fft(odd)[1:num_modes + 1]
@@ -570,8 +600,9 @@ def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
     fast.  Modes are added until the smallest retained coefficient is
     below 1e-14 of the largest.
     """
-    dt = float(dt)
-    length = float(length)
+    dt, length = float(dt), float(length)
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     num = 64
     prev_tail = math.inf
     while True:

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -158,10 +159,11 @@ def test_jacobi_anger_identity():
 
 
 def test_jacobi_anger_seeded_contract():
-    rng = np.random.default_rng(20240214)
+    # the points of `verify --suite bessel --seed 20240214`, drawn in its order
+    rng = random.Random(20240214)
     for _ in range(20):
-        z = float(rng.uniform(0.0, 20.0))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        z = rng.uniform(0.0, 20.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
         val = jacobi_anger(z, phi, truncation_window(z))
         assert abs(val - np.exp(1j * z * math.cos(phi))) <= 1e-10
 

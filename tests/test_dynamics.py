@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from polymerqm.dynamics import (
     WallSupportError,
-    apply_hamiltonian,
     box_spectrum,
     dispersion_energy,
     dispersion_momentum,
@@ -18,22 +17,24 @@ from polymerqm.lattice import (
     delta_state,
     inner_product,
 )
+from polymerqm.propagators import PropagatorKernel, apply_hamiltonian
 
 
 def test_potential_spec_validation():
-    # the potential is given by n_box: None is free, a box needs n >= 2
-    psi = delta_state(Lattice(PhysicalParams(), 0, 2), 1)
-    assert apply_hamiltonian(psi).lattice.n_max == 3
-    assert apply_hamiltonian(psi, 4).lattice.n_max == 4
+    # the system is given by its kernel: free, or a box that needs n >= 2
+    params = PhysicalParams()
+    psi = delta_state(Lattice(params, 0, 2), 1)
+    assert apply_hamiltonian(psi, PropagatorKernel.free(params)).lattice.n_max == 3
+    assert apply_hamiltonian(psi, PropagatorKernel.box(4, params)).lattice.n_max == 4
     for n_box in (1, 0, -3):
         with pytest.raises(ValueError):
-            apply_hamiltonian(psi, n_box)
+            apply_hamiltonian(psi, PropagatorKernel.box(n_box, params))
 
 
 def test_free_stencil_on_delta():
     params = PhysicalParams(hbar=2.0, mass=0.5, mu0=0.4)
     lat = Lattice(params, 0, 0)
-    out = apply_hamiltonian(delta_state(lat, 0))
+    out = apply_hamiltonian(delta_state(lat, 0), PropagatorKernel.free(params))
     c = params.hbar**2 / (2.0 * params.mass * params.mu0**2)
     assert out.lattice.n_min == -1 and out.lattice.n_max == 1
     assert np.allclose(out.amplitudes, c * np.array([-1.0, 2.0, -1.0]))
@@ -45,7 +46,7 @@ def test_free_plane_wave_scaled_by_dispersion():
     p = 0.4 * params.brillouin_edge
     psi = LatticeWavefunction(
         lat, np.exp(1j * lat.sites * params.mu0 * p / params.hbar))
-    out = apply_hamiltonian(psi)
+    out = apply_hamiltonian(psi, PropagatorKernel.free(params))
     energy = dispersion_energy(params, p)
     # away from the window edges the stencil acts as multiplication by E(p)
     inner = slice(5, -5)
@@ -59,7 +60,7 @@ def test_box_eigenvector_is_eigenstate():
     params = PhysicalParams()
     spec = box_spectrum(4, params)
     state = spec.eigenstate(1)
-    out = apply_hamiltonian(state, 4)
+    out = apply_hamiltonian(state, PropagatorKernel.box(4, params))
     assert np.max(np.abs(out.amplitudes - spec.energies[0] * state.amplitudes)) \
         <= 1e-12
 
@@ -68,12 +69,13 @@ def test_box_wall_support_rejected():
     params = PhysicalParams()
     lat = Lattice(params, 0, 4)
     psi = LatticeWavefunction(lat, [0.1, 0.5, 0.5, 0.5, 0.0])
+    box = PropagatorKernel.box(4, params)
     with pytest.raises(WallSupportError):
-        apply_hamiltonian(psi, 4)
+        apply_hamiltonian(psi, box)
     outside = LatticeWavefunction(Lattice(params, -1, 4),
                                   [0.3, 0.0, 0.5, 0.5, 0.5, 0.0])
     with pytest.raises(WallSupportError):
-        apply_hamiltonian(outside, 4)
+        apply_hamiltonian(outside, box)
 
 
 def test_wall_support_error_names_lowest_offending_site():
@@ -84,13 +86,14 @@ def test_wall_support_error_names_lowest_offending_site():
     psi = LatticeWavefunction(Lattice(params, -2, 6), amps)
     want = ("box state has nonzero amplitude 0.5j at site -2; "
             "support must lie strictly inside (0, 4)")
+    box = PropagatorKernel.box(4, params)
     with pytest.raises(WallSupportError) as err:
-        apply_hamiltonian(psi, 4)
+        apply_hamiltonian(psi, box)
     assert str(err.value) == want
     amps[0] = 0.0
     with pytest.raises(WallSupportError,
                        match=r"^box state has nonzero amplitude \(0\.25\+0j\) at site 0; "):
-        apply_hamiltonian(LatticeWavefunction(Lattice(params, -2, 6), amps), 4)
+        apply_hamiltonian(LatticeWavefunction(Lattice(params, -2, 6), amps), box)
 
 
 def test_dispersion_energy_values():
@@ -156,7 +159,7 @@ def test_eigen_residual_all_levels():
         spec = box_spectrum(n, params)
         for level in range(1, n):
             state = spec.eigenstate(level)
-            out = apply_hamiltonian(state, n)
+            out = apply_hamiltonian(state, PropagatorKernel.box(n, params))
             resid = np.max(np.abs(out.amplitudes
                                   - spec.energies[level - 1] * state.amplitudes))
             assert resid <= 1e-12 * state.norm()

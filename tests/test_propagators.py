@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from polymerqm.dynamics import (
     WallSupportError,
-    apply_hamiltonian,
     box_spectrum,
     dispersion_energy,
 )
@@ -25,6 +24,7 @@ from polymerqm.bessel import truncation_window
 from polymerqm.propagators import (
     PropagatorKernel,
     _free_terms,
+    apply_hamiltonian,
     box_images_kernel,
     box_mode_coefficients,
     box_spectral_kernel,
@@ -167,6 +167,82 @@ def test_evolve_params_mismatch():
     psi = LatticeWavefunction(lat, np.ones(4))
     with pytest.raises(ValueError):
         evolve(psi, PropagatorKernel.free(P1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the Hamiltonian: one stencil for every system
+# ---------------------------------------------------------------------------
+
+P_H = PhysicalParams(hbar=0.9, mass=1.3, mu0=0.5)
+
+
+def _generic_state(lo, hi):
+    sites = np.arange(lo, hi + 1)
+    return LatticeWavefunction(Lattice(P_H, lo, hi),
+                               np.cos(0.9 * sites) + 1j * np.sin(0.4 * sites + 0.3))
+
+
+def _box_generic_state(n):
+    psi = _generic_state(0, n)
+    amps = psi.amplitudes.copy()
+    amps[[0, n]] = 0.0
+    return LatticeWavefunction(psi.lattice, amps)
+
+
+_H_CASES = {
+    "free": (PropagatorKernel.free(P_H), _generic_state(-7, 12)),
+    "box": (PropagatorKernel.box(16, P_H), _box_generic_state(16)),
+    # one whole period far from the origin, and a window narrower than 2N
+    "periodic-one-period-at-1000": (PropagatorKernel.periodic(8, P_H),
+                                    _generic_state(1000, 1015)),
+    "periodic-narrow": (PropagatorKernel.periodic(8, P_H), _generic_state(-3, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_H_CASES))
+def test_hamiltonian_is_the_generator_of_evolve(case):
+    # i hbar d(psi)/dt at t = 0 by central differences of evolve, on the
+    # Hamiltonian's output window.  Measured deviation at h = 1e-5, mostly
+    # the h^2 term: 4.8e-10 (free), 3.0e-10 (box), 7.1e-10 (periodic at
+    # 1000) and 6.0e-10 (periodic, narrow); the bound is 7x the worst.
+    kernel, psi = _H_CASES[case]
+    h_psi = apply_hamiltonian(psi, kernel)
+    window = h_psi.lattice.n_min, h_psi.lattice.n_max
+    if kernel.system == "box":
+        assert window == (0, kernel.n)
+    else:
+        assert window == (psi.lattice.n_min - 1, psi.lattice.n_max + 1)
+    step = 1e-5
+    plus = evolve(psi, kernel, step, window).amplitudes
+    minus = evolve(psi, kernel, -step, window).amplitudes
+    rate = 1j * P_H.hbar * (plus - minus) / (2.0 * step)
+    assert np.max(np.abs(rate - h_psi.amplitudes)) <= 5e-9
+
+
+@pytest.mark.parametrize("q", range(16))
+def test_periodic_plane_waves_are_eigenvectors(q):
+    # e^{i pi q n/N} on one period 0..2N-1, read on -1..2N; the phases are
+    # taken from q n mod 2N so both sides round alike.  Measured worst over q:
+    # 2.6e-15 at energies up to 5.0; the bound is 8x that.
+    n = 8
+    kernel = PropagatorKernel.periodic(n, P_H)
+    def wave(sites):
+        return np.exp(1j * math.pi * ((q * sites) % (2 * n)) / n)
+    sites = np.arange(0, 2 * n)
+    h_psi = apply_hamiltonian(LatticeWavefunction(Lattice(P_H, 0, 2 * n - 1), wave(sites)),
+                              kernel)
+    assert (h_psi.lattice.n_min, h_psi.lattice.n_max) == (-1, 2 * n)
+    energy = P_H.energy_scale * (1.0 - math.cos(math.pi * q / n))
+    assert np.max(np.abs(h_psi.amplitudes - energy * wave(h_psi.lattice.sites))) <= 2e-14
+
+
+@pytest.mark.parametrize("kernel", [PropagatorKernel.free(P1), PropagatorKernel.box(4, P1),
+                                    PropagatorKernel.periodic(4, P1)],
+                         ids=["free", "box", "periodic"])
+def test_hamiltonian_params_mismatch(kernel):
+    psi = LatticeWavefunction(Lattice(PhysicalParams(mu0=0.5), 1, 3), np.ones(3))
+    with pytest.raises(ValueError, match="different physical parameters"):
+        apply_hamiltonian(psi, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +724,13 @@ def test_momentum_phase_outside_interval():
         momentum_kernel_phase(-1.01 * edge, 1.0, P1)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_momentum_phase_rejects_non_finite_dt(dt):
+    # was nan+nanj
+    with pytest.raises(ValueError, match="dt must be finite"):
+        momentum_kernel_phase(0.1, dt, P1)
+
+
 def test_band_routes_array_equal_scalar_calls():
     # dispersion_energy and momentum_kernel_phase take arrays; each entry
     # is the scalar call's value, and a scalar call gives a Python number
@@ -910,9 +993,36 @@ def test_box_mode_coefficients_sine_transform():
     assert peak < 4 * 2**20
 
 
+def _smooth_packet(y):
+    return y * (8.0 - y) * np.exp(1j * y)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_schrodinger_box_evolve_rejects_non_finite_dt(dt):
+    # was NaN amplitudes
+    with pytest.raises(ValueError, match="dt must be finite"):
+        schrodinger_box_evolve(_smooth_packet, [1.0, 4.0], dt, 8.0, P1)
+
+
+def test_box_mode_coefficients_rejects_a_negative_mode_count():
+    # -5 modes gave 8187 coefficients through the slice [1:num_modes + 1]
+    with pytest.raises(ValueError, match="num_modes must be >= 0, got -5"):
+        box_mode_coefficients(_smooth_packet, 8.0, -5)
+    assert box_mode_coefficients(_smooth_packet, 8.0, 0).shape == (0,)
+
+
+@pytest.mark.parametrize("length", [0.0, -8.0, math.inf, math.nan])
+def test_box_length_must_be_finite_and_positive(length):
+    # length 0 gave nonsense coefficients and NaN evolution, -8 garbage, inf zeros
+    with pytest.raises(ValueError, match="box length must be finite and > 0"):
+        box_mode_coefficients(_smooth_packet, length, 8)
+    with pytest.raises(ValueError, match="box length must be finite and > 0"):
+        schrodinger_box_evolve(_smooth_packet, [1.0, 4.0], 0.8, length, P1)
+
+
 _BOX_SIZE_ROUTES = {
     "apply_hamiltonian": lambda n: apply_hamiltonian(
-        LatticeWavefunction(Lattice(P1, 1, 1), np.ones(1)), n),
+        LatticeWavefunction(Lattice(P1, 1, 1), np.ones(1)), PropagatorKernel.box(n, P1)),
     "box_spectrum": lambda n: box_spectrum(n, P1),
     "box_spectral_kernel": lambda n: box_spectral_kernel(1, 1, 0.5, n, P1),
     "image_sums": lambda n: (periodic_kernel(1, 1, 0.5, n, P1),

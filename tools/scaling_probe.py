@@ -78,13 +78,18 @@ def _evolve_box(n):
 
 
 def _hamiltonian_box(n):
-    psi = _box_state(n)
-    return lambda: apply_hamiltonian(psi, n)
+    psi, box = _box_state(n), PropagatorKernel.box(n, P)
+    return lambda: apply_hamiltonian(psi, box)
 
 
 def _evolve_periodic(n):
     psi, periodic = _packet(2 * n), PropagatorKernel.periodic(n, P)
     return lambda: evolve(psi, periodic, 10.0)
+
+
+def _hamiltonian_periodic(n):
+    psi, periodic = _packet(2 * n), PropagatorKernel.periodic(n, P)
+    return lambda: apply_hamiltonian(psi, periodic)
 
 
 def _kernel_table_free(separation):
@@ -119,6 +124,10 @@ CASES = {
     "evolve_box": ("N", [2**k for k in range(10, 17)], _evolve_box),
     "hamiltonian_box": ("N", [2**k for k in range(10, 17)], _hamiltonian_box),
     "evolve_periodic": ("N", [2**k for k in range(10, 17)], _evolve_periodic),
+    "hamiltonian_periodic": ("N", [2**k for k in range(10, 17)], _hamiltonian_periodic),
+    # the direct convolution's (2W + 1) M multiply-adds at fixed M, W growing with z
+    "evolve_free_m4096_z": ("z", [1e3 * 2**k for k in range(7)],
+                            lambda z: _evolve_free(z)(4096)),
     "kernel_table_free": ("|j - r|", [2**k for k in range(6, 21, 2)], _kernel_table_free),
     "bessel_table": ("z", [1e3 * 2**k for k in range(11)],
                      lambda z: lambda: bessel_table(z, 2)),
