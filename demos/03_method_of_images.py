@@ -6,9 +6,9 @@ periodic in both arguments; subtracting the mirror family
 
     k_Box(j, r) = k_P(j, r) - k_P(j, -r)
 
-reproduces the spectral box propagator.  Orders beyond the Bessel
-truncation window contribute below double precision, which fixes the
-number of images needed.
+reproduces the spectral box propagator.  The free kernel is exactly 0
+beyond the Bessel truncation window W, so the image sum is the free
+vector at orders -W..W folded onto the 2N sites of the circle.
 """
 
 import numpy as np
@@ -18,8 +18,8 @@ from polymerqm import (
     box_images_kernel,
     box_spectral_kernel,
     free_kernel,
-    minimal_image_cutoff,
     periodic_kernel,
+    truncation_window,
 )
 
 params = PhysicalParams()
@@ -32,7 +32,8 @@ shifted = periodic_kernel(2 + 2 * N, 1, z, N, params=params)
 print(f"k_P(2, 1)        = {base:.12f}")
 print(f"k_P(2+2N, 1)     = {shifted:.12f}")
 print(f"|difference|     = {abs(base - shifted):.2e}")
-cutoff = minimal_image_cutoff(N, z, 2, 1)
+# images up to |k| reach every order -W..W from the separation j - r = 1
+cutoff = (truncation_window(z) + 1) // (2 * N) + 1
 brute = sum(free_kernel(2, 1 + 2 * k * N, z, params) for k in range(-cutoff, cutoff + 1))
 print(f"vs explicit image sum ({2 * cutoff + 1} images): {abs(base - brute):.2e}")
 
@@ -50,8 +51,8 @@ for j, r in ((0, 3), (1, 1), (2, 4), (5, 2)):
 print(f"worst over all pairs: {worst:.2e}")
 
 print()
-print("=== image count grows with z, shrinks with N ===")
+print("=== free-kernel orders folded onto each circle site, (2W + 1)/2N ===")
 for n_box in (2, 4, 16):
     for zz in (0.5, 10.0, 100.0):
-        print(f"N={n_box:3d} z={zz:6.1f}: K_min = "
-              f"{minimal_image_cutoff(n_box, zz, 0, n_box)}")
+        print(f"N={n_box:3d} z={zz:6.1f}: "
+              f"{(2 * truncation_window(zz) + 1) / (2 * n_box):6.2f}")

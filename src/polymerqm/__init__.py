@@ -42,7 +42,6 @@ from .propagators import (
     greens_residual,
     greens_residual_fd,
     kernel_table,
-    minimal_image_cutoff,
     momentum_kernel_phase,
     periodic_kernel,
     schrodinger_box_evolve,
@@ -89,7 +88,6 @@ __all__ = [
     "jacobi_anger",
     "kernel_table",
     "load_wavefunction",
-    "minimal_image_cutoff",
     "momentum_kernel_phase",
     "momentum_samples",
     "periodic_kernel",

@@ -170,6 +170,13 @@ def momentum_samples(psi: LatticeWavefunction, p_values: np.ndarray) -> np.ndarr
     return phase @ psi.amplitudes
 
 
+def _fold(sites: np.ndarray, values, period: int) -> np.ndarray:
+    """values at integer sites folded onto the circle Z_period, added in site order."""
+    folded = np.zeros(period, dtype=complex)
+    np.add.at(folded, sites % period, values)
+    return folded
+
+
 def _twist(sites: np.ndarray, period: int) -> np.ndarray:
     """(-1)^n e^{i pi n/P} = e^{i pi m/P}, m = n (P + 1) mod 2P taken in integers."""
     residue = (sites % (2 * period)) * (period + 1) % (2 * period)
@@ -185,8 +192,7 @@ def to_momentum(psi: LatticeWavefunction, grid: MomentumGrid) -> np.ndarray:
     if psi.lattice.params != grid.params:
         raise ValueError("wavefunction and momentum grid have different parameters")
     period, sites = grid.num_points, psi.lattice.sites
-    folded = np.zeros(period, dtype=complex)
-    np.add.at(folded, sites % period, psi.amplitudes * _twist(sites, period))
+    folded = _fold(sites, psi.amplitudes * _twist(sites, period), period)
     return np.fft.ifft(folded, norm="forward")
 
 

@@ -10,8 +10,8 @@ Systems (`PropagatorKernel.system`):
 Every free kernel value comes from one builder, `_free_terms`: one
 Bessel table of at most W(z) + 1 orders per call, exactly 0 beyond the
 truncation window W.  `free_kernel` and free `kernel_table` evaluate it
-on (j, r) grids, free `evolve` convolves it, and the image sums add it
-over shifted orders; identities (unitarity, composition, Green's
+on (j, r) grids, free `evolve` convolves it, and the image sums fold it
+onto the 2N-site circle; identities (unitarity, composition, Green's
 residual, plane-wave phase) check it.  Periodic and box evolution and
 tables run on the 2N-site circle, where the image sum is an exact finite
 sum over 2N momenta applied by FFT (the box is its odd part); the image
@@ -19,14 +19,16 @@ sums and the box spectral sum (band and modes from `dynamics`) are their
 independent check routes.  `apply_hamiltonian`, the generator of `evolve`
 in each system, and the Green's residual share the stencil of `dynamics`.
 `schrodinger_free_kernel` and `schrodinger_box_evolve` are the continuum
-references.  Image and composition sums use numpy's pairwise summation
-along a contiguous last axis in a fixed index order, so results do not
+references.  Composition sums use numpy's pairwise summation along a
+contiguous last axis in a fixed index order; the image fold adds in a
+fixed site order, independent of the call's grid.  So results do not
 depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +36,7 @@ import numpy as np
 from .bessel import bessel_table, truncation_window, unit_imaginary_power
 from .dynamics import (_band, _box_interior_amplitudes, _box_modes, _box_size, _stencil,
                        dispersion_energy)
-from .lattice import (
-    Lattice,
-    LatticeWavefunction,
-    PhysicalParams,
-    dimensionless_time,
-)
+from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
 
 _SYSTEMS = ("free", "box", "periodic")
 
@@ -123,39 +120,24 @@ def box_spectral_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
     return _finish(_box_level_sum(js, rs, dt, n_box, params), scalar, walls=walls)
 
 
-def minimal_image_cutoff(n_box: int, z: float, j: int, r: int) -> int:
-    """Image count K whose dropped orders lie beyond the Bessel window W(z).
-
-    K depends only on the separation |j - r|, so shifting both sites
-    leaves it (and the cost of a check-route kernel) unchanged.  For
-    |k| > K the direct order satisfies |j - r - 2kN| >= 2|k|N - |j - r|
-    > W, where J_m(z) is below double-precision noise.  The box's mirror
-    orders j + r - 2kN are covered too: there 0 <= j, r <= N, so
-    j + r <= 2N, and the extra image in K adds 2N of reach, giving
-    |j + r - 2kN| >= 2|k|N - 2N >= 2KN > W.
-    """
-    w = truncation_window(abs(z))
-    return math.ceil((w + abs(int(j) - int(r))) / (2 * int(n_box))) + 1
-
-
 def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool):
-    """sum_k of k_free(j, r + 2kN), minus k_free(j, -r + 2kN) if mirror: one table.
+    """sum_k of k_free(j, r + 2kN), minus k_free(j, -r + 2kN) if mirror: one fold.
 
-    |k| <= K = minimal_image_cutoff at the largest |j - r| of the call,
-    which covers every entry: elsewhere the extra images add only orders beyond W.
+    k_free is exactly 0 beyond the truncation window W, so the image sum is
+    the free vector at orders -W..W folded onto Z_2N and read at (j - r)
+    mod 2N (the mirror at (j + r) mod 2N): O(W + N + grid), however many
+    images the window spans.
     """
     n_box = _box_size(n_box)
     js, rs, scalar, walls = _sites(j, r, n_box if mirror else None)
-    z = dimensionless_time(params, dt)
-    cutoff = minimal_image_cutoff(n_box, z, 0, np.abs(js - rs).max())
-    shifts = 2 * n_box * np.arange(-cutoff, cutoff + 1)
-    orders = (js - rs)[..., None] - shifts
-    if mirror:  # direct and mirrored orders in one builder call
-        orders = np.stack([orders, (js + rs)[..., None] - shifts])
-    terms = _free_terms(z, orders)
+    z, period = dimensionless_time(params, dt), 2 * n_box
+    w = truncation_window(abs(z))
+    orders = np.arange(-w, w + 1)
+    circle = _fold(orders, _free_terms(z, orders), period)
+    values = circle[(js - rs) % period]
     if mirror:
-        terms = terms[0] - terms[1]
-    return _finish(np.sum(terms, axis=-1), scalar, walls)
+        values = values - circle[(js + rs) % period]
+    return _finish(values, scalar, walls)
 
 
 def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
@@ -180,8 +162,8 @@ def momentum_kernel_phase(p, dt: float, params: PhysicalParams):
     each in the open zone; a scalar gives a complex.
     """
     p, dt = np.asarray(p, dtype=float), float(dt)
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+    if not math.isfinite(2.0 * params.energy_scale * dt / params.hbar):
+        raise ValueError(f"dt must be finite, with E dt/hbar finite at the band top, got {dt}")
     edge = params.brillouin_edge
     outside = ~((-edge < p) & (p < edge))  # NaN compares false: outside
     if np.any(outside):
@@ -259,7 +241,7 @@ def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
 
     Momentum q carries the phase e^{-iz(1 - cos(pi q/N))}, the band from
     `dynamics._band`, accurate for small gaps.  This is the periodic
-    image sum with K -> infinity, no cutoff.  Phase rounding gives an
+    image sum over every image, untruncated.  Phase rounding gives an
     absolute error of about z * eps (2e-12 at z = 1e4; the Bessel-table
     check routes do not grow with z).  z = 0 returns psi.
     """
@@ -282,13 +264,6 @@ def _shared_params(psi: LatticeWavefunction, kernel: PropagatorKernel) -> Physic
     if psi.lattice.params != kernel.params:
         raise ValueError("state and kernel carry different physical parameters")
     return kernel.params
-
-
-def _fold(psi: LatticeWavefunction, n_box: int) -> np.ndarray:
-    """psi on the circle Z_2N: the amplitudes of the sites equal mod 2N, added."""
-    folded = np.zeros(2 * n_box, dtype=complex)
-    np.add.at(folded, psi.lattice.sites % (2 * n_box), psi.amplitudes)
-    return folded
 
 
 def _kernel_rows(kernel: PropagatorKernel, j_lo: int, j_hi: int, rs: np.ndarray,
@@ -371,7 +346,8 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
     if lo > hi:
         raise ValueError(f"empty output window ({lo}, {hi})")
     if kernel.system == "periodic":
-        out = _circle_step(_fold(psi0, kernel.n), z)[np.arange(lo, hi + 1) % (2 * kernel.n)]
+        folded = _fold(lat.sites, psi0.amplitudes, 2 * kernel.n)
+        out = _circle_step(folded, z)[np.arange(lo, hi + 1) % (2 * kernel.n)]
     else:
         # [-W, W] clipped into the orders the window needs: never empty,
         # and a lone order beyond W is exactly 0
@@ -396,7 +372,8 @@ def apply_hamiltonian(psi: LatticeWavefunction, kernel: PropagatorKernel) -> Lat
         out = np.pad(_stencil(_box_interior_amplitudes(psi, kernel.n), params), 1)
         return LatticeWavefunction(Lattice(params, 0, kernel.n), out)
     wide = (np.pad(psi.amplitudes, 2) if kernel.system == "free" else
-            _fold(psi, kernel.n)[np.arange(lat.n_min - 2, lat.n_max + 3) % (2 * kernel.n)])
+            _fold(lat.sites, psi.amplitudes, 2 * kernel.n)[
+                np.arange(lat.n_min - 2, lat.n_max + 3) % (2 * kernel.n)])
     out = _stencil(wide, params)
     return LatticeWavefunction(Lattice(params, lat.n_min - 1, lat.n_max + 1), out)
 
@@ -578,7 +555,11 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
 
 def box_mode_coefficients(packet, length: float, num_modes: int) -> np.ndarray:
     """Continuum box-mode coefficients c_l = (2/L) integral sin(l pi y / L) f(y) dy."""
-    num_modes, length = int(num_modes), float(length)
+    length = float(length)
+    try:
+        num_modes = operator.index(num_modes)
+    except TypeError:
+        raise ValueError(f"num_modes must be an integer, got {num_modes!r}") from None
     if num_modes < 0:
         raise ValueError(f"num_modes must be >= 0, got {num_modes}")
     if not (math.isfinite(length) and length > 0.0):
@@ -601,8 +582,6 @@ def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
     below 1e-14 of the largest.
     """
     dt, length = float(dt), float(length)
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
     num = 64
     prev_tail = math.inf
     while True:
@@ -619,6 +598,8 @@ def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
         num *= 2
     levels = np.arange(1, num + 1)
     energies = (levels * math.pi * params.hbar / length) ** 2 / (2.0 * params.mass)
+    if not math.isfinite(float(energies[-1]) * dt / params.hbar):
+        raise ValueError(f"dt must be finite, with E dt/hbar finite at the top mode, got {dt}")
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
     modes = np.sin(np.outer(x, levels) * math.pi / length)
     return modes @ (coeffs * np.exp(-1j * energies * dt / params.hbar))

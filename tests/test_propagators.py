@@ -35,7 +35,6 @@ from polymerqm.propagators import (
     greens_residual,
     greens_residual_fd,
     kernel_table,
-    minimal_image_cutoff,
     momentum_kernel_phase,
     periodic_kernel,
     schrodinger_box_evolve,
@@ -343,7 +342,9 @@ def test_periodic_matches_brute_force_images():
         for z in (0.5, 4.0):
             for j, r in ((0, 0), (1, 3), (4, 1)):
                 k_fast = periodic_kernel(j, r, z, n, params=P1)
-                k_slow = brute(j, r, z, n, minimal_image_cutoff(n, z, j, r) + 4)
+                # images up to |k| reach orders -W..W from any separation j - r
+                count = (truncation_window(z) + abs(j - r)) // (2 * n) + 1
+                k_slow = brute(j, r, z, n, count)
                 assert abs(k_fast - k_slow) <= 1e-12
 
 
@@ -400,10 +401,41 @@ def test_image_cutoff_depends_on_separation_only():
     n, z = 5, 3.0
     shift = 2 * n * 10**4
     for j, r in ((2, 1), (0, 7), (-3, 4), (9, -6)):
-        assert minimal_image_cutoff(n, z, j + shift, r + shift) == \
-            minimal_image_cutoff(n, z, j, r)
         assert periodic_kernel(j + shift, r + shift, z, n, P1) == \
             periodic_kernel(j, r, z, n, P1)
+
+
+@pytest.mark.parametrize("route, side, n", [(periodic_kernel, 128, 4),
+                                            (box_images_kernel, 65, 64)])
+def test_image_sum_memory_does_not_grow_with_images(route, side, n):
+    # one fold of the free vector onto Z_2N, O(W + N + grid); grid x images
+    # order arrays peaked at 281 MiB (periodic) and 10.5 MiB (box) on these grids
+    sites = np.arange(side)
+    tracemalloc.start()
+    try:
+        table = route(sites[:, None], sites, 1e3, n, P1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (side, side)
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_periodic_kernel_matches_exact_momentum_sum_at_large_z(n):
+    # k_P(m) = (1/2N) sum_q e^{i pi q m/N - iz(1 - cos(pi q/N))} over the 2N
+    # momenta, at 40 digits.  Measured worst 1.79e-14 (N = 2, z = 1e5);
+    # the bound is 1e-13, 5.6x that
+    mpmath = pytest.importorskip("mpmath")
+    seps = np.arange(2 * n)
+    for z in (0.5, 7.25, 1e3, 1e4 + 0.5, 1e5):
+        got = periodic_kernel(seps, 0, z, n, P1)
+        with mpmath.workdps(40):
+            for m in seps:
+                want = mpmath.fsum(mpmath.expj(mpmath.pi * q * int(m) / n - mpmath.mpf(z)
+                                               * (1 - mpmath.cos(mpmath.pi * q / n)))
+                                   for q in range(2 * n)) / (2 * n)
+                assert abs(complex(want) - got[m]) <= 1e-13, (z, m)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +756,7 @@ def test_momentum_phase_outside_interval():
         momentum_kernel_phase(-1.01 * edge, 1.0, P1)
 
 
-@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 1e308])
 def test_momentum_phase_rejects_non_finite_dt(dt):
     # was nan+nanj
     with pytest.raises(ValueError, match="dt must be finite"):
@@ -997,7 +1029,7 @@ def _smooth_packet(y):
     return y * (8.0 - y) * np.exp(1j * y)
 
 
-@pytest.mark.parametrize("dt", [math.nan, math.inf])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 1e308])
 def test_schrodinger_box_evolve_rejects_non_finite_dt(dt):
     # was NaN amplitudes
     with pytest.raises(ValueError, match="dt must be finite"):
@@ -1008,6 +1040,9 @@ def test_box_mode_coefficients_rejects_a_negative_mode_count():
     # -5 modes gave 8187 coefficients through the slice [1:num_modes + 1]
     with pytest.raises(ValueError, match="num_modes must be >= 0, got -5"):
         box_mode_coefficients(_smooth_packet, 8.0, -5)
+    # 2.5 modes gave 2 coefficients through int()
+    with pytest.raises(ValueError, match="num_modes must be an integer, got 2.5"):
+        box_mode_coefficients(_smooth_packet, 8.0, 2.5)
     assert box_mode_coefficients(_smooth_packet, 8.0, 0).shape == (0,)
 
 

@@ -8,7 +8,7 @@ One BLAS thread keeps the timings comparable with perfbench, which pins
 it for every job.
 
 Each case doubles one size at a time (window M, box size N, separation
-|j - r|, Bessel argument z, table rows: columns of r at 64 rows of j,
+|j - r|, Bessel argument z, grid side, table rows: columns of r at 64 rows of j,
 or rows of j at 64 columns).  At every size it records the
 median wall time of a few calls, after one warm-up call, and the
 tracemalloc peak of one more call.  For the case it fits the
@@ -46,7 +46,7 @@ import polymerqm
 from polymerqm import (
     Lattice, LatticeWavefunction, MomentumGrid, PhysicalParams, PropagatorKernel,
     apply_hamiltonian, bessel_table, evolve, from_momentum, gaussian_packet,
-    kernel_table, to_momentum,
+    kernel_table, periodic_kernel, to_momentum,
 )
 from polymerqm.cli import main as cli_main
 from polymerqm.verify import run_suite
@@ -97,6 +97,11 @@ def _kernel_table_free(separation):
     return lambda: kernel_table(free, [0], [separation], 100.0)
 
 
+def _image_sum_periodic(side):
+    sites = np.arange(side)
+    return lambda: periodic_kernel(sites[:, None], sites, 1e3, 4, P)
+
+
 def _momentum(m):
     psi, grid = _packet(m), MomentumGrid(P, m)
     return lambda: from_momentum(to_momentum(psi, grid), grid, psi.lattice)
@@ -129,6 +134,8 @@ CASES = {
     "evolve_free_m4096_z": ("z", [1e3 * 2**k for k in range(7)],
                             lambda z: _evolve_free(z)(4096)),
     "kernel_table_free": ("|j - r|", [2**k for k in range(6, 21, 2)], _kernel_table_free),
+    # the check-route image sum on a side x side grid spanning many periods 2N = 8
+    "image_sum_periodic": ("side", [2**k for k in range(4, 8)], _image_sum_periodic),
     "bessel_table": ("z", [1e3 * 2**k for k in range(11)],
                      lambda z: lambda: bessel_table(z, 2)),
     "momentum_roundtrip": ("M", [2**k for k in range(6, 11)], _momentum),
