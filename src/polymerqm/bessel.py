@@ -67,7 +67,7 @@ _REFILL_STEPS = 16
 # or z up to about 3.3e7.  It bounds work, not memory: three orders take
 # 0.1 s at z = 1e7 and 0.23 s at the limit (one core of a 2-vCPU Xeon VM)
 # and O(sqrt(z)) memory.  The benchmark goes up to z = 1e6; beyond the
-# limit `bessel_table` raises before it allocates anything.
+# limit `bessel_table` and the circle step raise before they allocate.
 _MAX_WORK_ORDERS = 2 ** 25
 
 
@@ -80,6 +80,16 @@ def truncation_window(z: float) -> int:
     """
     z = abs(float(z))
     return math.ceil(z + 12.0 * z ** (1.0 / 3.0) + 20.0)
+
+
+def _work_orders(z: float, max_order: int) -> int:
+    """The orders max(W, max_order) + 15 of a Miller pass at z >= 0: above
+    _MAX_WORK_ORDERS a ValueError naming z and the limit, the circle step's too."""
+    n_start = max(truncation_window(z), max_order) + 15
+    if n_start > _MAX_WORK_ORDERS:
+        raise ValueError(f"Bessel table at z = {z!r} up to order {max_order} needs "
+                         f"{n_start} orders, above the limit {_MAX_WORK_ORDERS}")
+    return n_start
 
 
 def _validate_argument(z: float) -> float:
@@ -228,10 +238,7 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
     max_order = int(max_order)
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    n_start = max(truncation_window(z), max_order) + 15
-    if n_start > _MAX_WORK_ORDERS:
-        raise ValueError(f"Bessel table at z = {z!r} up to order {max_order} needs "
-                         f"{n_start} orders, above the limit {_MAX_WORK_ORDERS}")
+    n_start = _work_orders(z, max_order)
 
     if z < _SMALL_Z:  # z = 0 included: the series is then 1, 0, 0, ...
         return _leading_series_values(z, max_order)

@@ -70,7 +70,9 @@ def _band(theta):
 def _box_modes(n_box: int, sites) -> np.ndarray:
     """sqrt(2/N) sin(l pi n/N) at sites n for the levels l = 1..N-1, on a new last axis."""
     angles = np.multiply.outer(sites, np.arange(1, n_box)) * math.pi / n_box
-    return math.sqrt(2.0 / n_box) * np.sin(angles)
+    modes = math.sqrt(2.0 / n_box) * np.sin(angles)
+    modes[np.asarray(sites) % n_box == 0] = 0.0  # the walls: sin(l pi) is 0, floats are not
+    return modes
 
 
 def dispersion_energy(params: PhysicalParams, p):
@@ -125,5 +127,4 @@ def box_spectrum(n: int, params: PhysicalParams) -> BoxSpectrum:
     n = _box_size(n)
     energies = params.energy_scale * _band(np.arange(1, n) * math.pi / n)
     vectors = _box_modes(n, np.arange(0, n + 1)).T
-    vectors[:, [0, n]] = 0.0  # sin(l*pi) is exactly zero, floats are not
     return BoxSpectrum(n=n, params=params, energies=energies, eigenvectors=vectors)

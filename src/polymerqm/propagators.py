@@ -7,22 +7,22 @@ Systems (`PropagatorKernel.system`):
             equal to twice the odd part of the periodic kernel
   periodic  sum over images k of the free kernel at r + 2kN
 
-Every free kernel value comes from one builder, `_free_terms`: one
-Bessel table of at most W(z) + 1 orders per call, exactly 0 beyond the
-truncation window W.  `free_kernel` and free `kernel_table` evaluate it
-on (j, r) grids, free `evolve` convolves it, and the image sums fold it
-onto the 2N-site circle; identities (unitarity, composition, Green's
-residual, plane-wave phase) check it.  Periodic and box evolution and
-tables run on the 2N-site circle, where the image sum is an exact finite
-sum over 2N momenta applied by FFT (the box is its odd part); the image
-sums and the box spectral sum (band and modes from `dynamics`) are their
-independent check routes.  `apply_hamiltonian`, the generator of `evolve`
-in each system, and the Green's residual share the stencil of `dynamics`.
-`schrodinger_free_kernel` and `schrodinger_box_evolve` are the continuum
-references.  Composition sums use numpy's pairwise summation along a
-contiguous last axis in a fixed index order; the image fold adds in a
-fixed site order, independent of the call's grid.  So results do not
-depend on evaluation order.
+Each kind of kernel vector has one reader.  `_free_vector` gives every
+free kernel value, from one Bessel table of at most W(z) + 1 orders read
+by |m|, exactly 0 beyond the truncation window W: `free_kernel` and free
+`kernel_table` read it on (j, r) grids, free `evolve` convolves it and
+the image sums fold it onto Z_2N.  `_circle_read` reads every vector on
+Z_2N: the circle step of a delta for periodic and box tables (an exact
+sum over 2N momenta by FFT, the box its odd part, which also moves their
+states), and the folded images, its check route beside the box spectral
+sum (band and modes from `dynamics`).  Identities (unitarity, composition,
+Green's residual, plane-wave phase) check them.  `apply_hamiltonian`, the
+generator of `evolve` in each system, and the Green's residual share the
+stencil of `dynamics`.  `schrodinger_free_kernel` and
+`schrodinger_box_evolve` are the continuum references.  Composition sums
+use numpy's pairwise summation along a contiguous last axis in a fixed
+index order; the image fold adds in a fixed site order, independent of
+the call's grid.  So results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_table, truncation_window, unit_imaginary_power
+from .bessel import _work_orders, bessel_table, truncation_window, unit_imaginary_power
 from .dynamics import (_band, _box_interior_amplitudes, _box_modes, _box_size, _stencil,
                        dispersion_energy)
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
@@ -41,22 +41,28 @@ from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimens
 _SYSTEMS = ("free", "box", "periodic")
 
 
-def _free_terms(z: float, orders) -> np.ndarray:
-    """Free kernel i^|m| J_|m|(z) e^{-iz} at integer orders m of any sign.
+def _free_vector(z: float, reach: int):
+    """read(orders): the free kernel i^|m| J_|m|(z) e^{-iz} at integer orders |m| <= reach.
 
-    i^m J_m(z) = i^|m| J_|m|(z), so the result depends only on |m| (the
-    kernel symmetry in j and r is bit for bit); a negative z conjugates
-    i^|m|.  One Bessel table of at most W(z) + 1 orders serves the call:
-    beyond the truncation window W, J_m(z) is below double-precision
-    noise and the kernel exactly 0, so the cost never grows with |m|.
+    One vector over the magnitudes 0..min(reach, W + 4), exactly 0 beyond
+    the truncation window W; a negative z conjugates i^|m|.  Read by |m|
+    (i^m J_m = i^|m| J_|m|), the kernel is symmetric in j and r bit for
+    bit; an order beyond W reads the entry of W + 1..W + 4 with the same
+    i^|m|, the same signed 0, so every call gives every entry the same bits.
     """
-    mag = np.abs(np.asarray(orders, dtype=np.int64))
-    top = min(int(mag.max()), truncation_window(abs(z)))
-    values = np.append(bessel_table(abs(z), top), 0.0)
-    phases = unit_imaginary_power(mag)
+    w = truncation_window(abs(z))
+    top = min(reach, w + 4)
+    values = np.zeros(top + 1)
+    values[:min(top, w) + 1] = bessel_table(abs(z), min(top, w))
+    phases = unit_imaginary_power(np.arange(top + 1))
     if z < 0.0:
         phases = np.conj(phases)
-    return phases * values[np.minimum(mag, top + 1)] * np.exp(-1j * z)
+    vector = phases * values * np.exp(-1j * z)
+
+    def read(orders):
+        mag = np.abs(orders)  # made the index in place: one order-sized array
+        return vector[np.minimum(mag, w + 1 + (mag - w - 1) % 4, out=mag)]
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -70,20 +76,29 @@ def _box_domain(j_lo, j_hi, r_lo, r_hi, n_box: int) -> None:
 
 
 def _sites(j, r, n_box: int | None = None):
-    """j, r as int64 arrays (>= 1-d), whether both were scalars, and box wall entries."""
+    """j, r as int64 arrays (>= 1-d) and whether both were scalars; box sites in 0..N."""
     js, rs = (np.atleast_1d(np.asarray(v, dtype=np.int64)) for v in (j, r))
-    scalar = np.ndim(j) == 0 and np.ndim(r) == 0
-    if n_box is None:
-        return js, rs, scalar, None
-    _box_domain(js.min(), js.max(), rs.min(), rs.max(), n_box)
-    return js, rs, scalar, (js == 0) | (js == n_box) | (rs == 0) | (rs == n_box)
+    if n_box is not None:
+        _box_domain(js.min(), js.max(), rs.min(), rs.max(), n_box)
+    return js, rs, np.ndim(j) == 0 and np.ndim(r) == 0
 
 
-def _finish(values: np.ndarray, scalar: bool, walls=None):
-    """values with the walls exactly 0; a complex for a scalar call."""
-    if walls is not None:
-        values[walls] = 0.0
+def _finish(values: np.ndarray, scalar: bool):
+    """values, or a complex for a scalar call."""
     return complex(values[0]) if scalar else values
+
+
+def _circle_read(circle: np.ndarray, js, rs, n_box: int, mirror: bool) -> np.ndarray:
+    """k(j, r) = circle[(j - r) mod 2N] from a kernel vector on Z_2N, js and rs broadcast.
+
+    mirror (the box, sites 0..N): minus circle[(j + r) mod 2N], with the
+    walls exactly 0: r = 0 or N reads one entry twice, rows j = 0, N are set.
+    """
+    values = circle[(js - rs) % circle.size]
+    if mirror:
+        values -= circle[(js + rs) % circle.size]
+        values[np.broadcast_to((js == 0) | (js == n_box), values.shape)] = 0.0
+    return values
 
 
 def free_kernel(j, r, dt: float, params: PhysicalParams):
@@ -93,8 +108,9 @@ def free_kernel(j, r, dt: float, params: PhysicalParams):
     The order enters only through |r - j|, so the kernel is symmetric in
     (j, r) bit for bit; at dt = 0 it is exactly the Kronecker delta.
     """
-    js, rs, scalar, _ = _sites(j, r)
-    return _finish(_free_terms(dimensionless_time(params, dt), rs - js), scalar)
+    js, rs, scalar = _sites(j, r)
+    read = _free_vector(dimensionless_time(params, dt), int(np.abs(rs - js).max()))
+    return _finish(read(rs - js), scalar)
 
 
 def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
@@ -116,28 +132,24 @@ def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
 def box_spectral_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
     """Box propagator as the exact finite spectral sum over the N-1 levels."""
     n_box = _box_size(n_box)
-    js, rs, scalar, walls = _sites(j, r, n_box)
-    return _finish(_box_level_sum(js, rs, dt, n_box, params), scalar, walls=walls)
+    js, rs, scalar = _sites(j, r, n_box)
+    return _finish(_box_level_sum(js, rs, dt, n_box, params), scalar)
 
 
 def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool):
     """sum_k of k_free(j, r + 2kN), minus k_free(j, -r + 2kN) if mirror: one fold.
 
     k_free is exactly 0 beyond the truncation window W, so the image sum is
-    the free vector at orders -W..W folded onto Z_2N and read at (j - r)
-    mod 2N (the mirror at (j + r) mod 2N): O(W + N + grid), however many
-    images the window spans.
+    the free vector at orders -W..W folded onto Z_2N and `_circle_read`:
+    O(W + N + grid), however many images the window spans.
     """
     n_box = _box_size(n_box)
-    js, rs, scalar, walls = _sites(j, r, n_box if mirror else None)
-    z, period = dimensionless_time(params, dt), 2 * n_box
+    js, rs, scalar = _sites(j, r, n_box if mirror else None)
+    z = dimensionless_time(params, dt)
     w = truncation_window(abs(z))
     orders = np.arange(-w, w + 1)
-    circle = _fold(orders, _free_terms(z, orders), period)
-    values = circle[(js - rs) % period]
-    if mirror:
-        values = values - circle[(js + rs) % period]
-    return _finish(values, scalar, walls)
+    circle = _fold(orders, _free_vector(z, w)(orders), 2 * n_box)
+    return _finish(_circle_read(circle, js, rs, n_box, mirror), scalar)
 
 
 def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
@@ -243,8 +255,10 @@ def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     `dynamics._band`, accurate for small gaps.  This is the periodic
     image sum over every image, untruncated.  Phase rounding gives an
     absolute error of about z * eps (2e-12 at z = 1e4; the Bessel-table
-    check routes do not grow with z).  z = 0 returns psi.
+    check routes do not grow with z).  z = 0 returns psi.  A |z| that
+    `bessel_table` refuses is refused here too, with its message.
     """
+    _work_orders(abs(z), 0)
     if z == 0.0:
         return psi
     period = psi.shape[-1]
@@ -272,35 +286,20 @@ def _kernel_rows(kernel: PropagatorKernel, j_lo: int, j_hi: int, rs: np.ndarray,
 
     j is an index or an index array within j_lo..j_hi, r the array rs.
     Every check (Bessel work limit, box domain) runs here, before any
-    row is gathered.  Free: _free_terms at orders 0..min(m, W + 4), m the
-    largest |j - r| (a grid corner), so each entry is the one the whole
-    grid gives bit for bit; an order beyond W reads the one of W + 1..W + 4
-    with the same i^|j - r|, the same signed 0.  Periodic and box: the
-    circle step of a delta (the box as its odd part), walls exactly 0.
+    row is gathered.  Free: `_free_vector` out to the largest |j - r| (a
+    grid corner), so each entry is the one the whole grid gives bit for
+    bit.  Periodic and box: `_circle_read` of the circle step of a delta
+    (the box as its odd part), walls exactly 0.
     """
     z = dimensionless_time(kernel.params, dt)
     if kernel.system == "free":
-        w = truncation_window(abs(z))
-        reach = max(abs(j_lo - int(rs.max())), abs(j_hi - int(rs.min())))
-        vector = _free_terms(z, np.arange(min(reach, w + 4) + 1))
-
-        def rows(j):
-            mag = np.abs(np.subtract.outer(j, rs))
-            return vector[np.minimum(mag, w + 1 + (mag - w - 1) % 4)]
-        return rows
-    n_box, period = kernel.n, 2 * kernel.n
-    circle = _circle_step((np.arange(period) == 0).astype(complex), z)
-    if kernel.system == "periodic":
-        return lambda j: circle[np.subtract.outer(j, rs) % period]
-    _box_domain(j_lo, j_hi, rs.min(), rs.max(), n_box)
-
-    def rows(j):
-        # r = 0 and r = N read one circle entry twice: exactly 0
-        table = (circle[np.subtract.outer(j, rs) % period]
-                 - circle[np.add.outer(j, rs) % period])
-        table[(j == 0) | (j == n_box)] = 0.0
-        return table
-    return rows
+        read = _free_vector(z, max(abs(j_lo - int(rs.max())), abs(j_hi - int(rs.min()))))
+        return lambda j: read(np.subtract.outer(j, rs))
+    n_box, mirror = kernel.n, kernel.system == "box"
+    circle = _circle_step((np.arange(2 * n_box) == 0).astype(complex), z)
+    if mirror:
+        _box_domain(j_lo, j_hi, rs.min(), rs.max(), n_box)
+    return lambda j: _circle_read(circle, np.asarray(j)[..., None], rs, n_box, mirror)
 
 
 def kernel_table(kernel: PropagatorKernel, j_values, r_values,
@@ -322,12 +321,15 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
     Free: the orders j - r the window needs, clipped to |m| <= W (the
     kernel is exactly 0 beyond), in a full np.convolve cut to the window:
     at most (2W + 1) M multiply-adds for M input sites, wherever the window
-    sits.  Periodic: the exact circle step of psi folded onto Z_2N.  Their
-    default window pads the input by W, covering all amplitudes above
-    double-precision noise.  Box: the circle step of the odd extension;
-    it needs wall-free input and gives sites 0..N, walls exactly 0.
-    Circle-step error is about z * eps (see _circle_step).  At dt = 0
-    every system returns its input exactly.
+    sits; the default window pads the input by W, covering all amplitudes
+    above double-precision noise.  Periodic: a state is its fold onto
+    Z_2N, where sites 2N apart add (so an input window wider than 2N is
+    one state on the circle); the exact circle step moves the fold, any
+    window reads it mod 2N, and the default window is the one period
+    from the input's first site.  Box: the circle step of the odd
+    extension; it needs wall-free input and gives sites 0..N, walls
+    exactly 0.  Circle-step error is about z * eps (see _circle_step).
+    At dt = 0 every system returns its input exactly.
     """
     lat, params = psi0.lattice, _shared_params(psi0, kernel)
     z = dimensionless_time(params, dt)
@@ -341,7 +343,8 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
 
     w = truncation_window(abs(z))
     if out_window is None:
-        out_window = (lat.n_min - w, lat.n_max + w)
+        out_window = ((lat.n_min, lat.n_min + 2 * kernel.n - 1) if kernel.system == "periodic"
+                      else (lat.n_min - w, lat.n_max + w))
     lo, hi = int(out_window[0]), int(out_window[1])
     if lo > hi:
         raise ValueError(f"empty output window ({lo}, {hi})")
@@ -352,7 +355,8 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
         # [-W, W] clipped into the orders the window needs: never empty,
         # and a lone order beyond W is exactly 0
         m_lo, m_hi = np.clip([-w, w], lo - lat.n_max, hi - lat.n_min)
-        full = np.convolve(_free_terms(z, np.arange(m_lo, m_hi + 1)), psi0.amplitudes)
+        terms = _free_vector(z, int(max(-m_lo, m_hi)))(np.arange(m_lo, m_hi + 1))
+        full = np.convolve(terms, psi0.amplitudes)
         first = m_lo + lat.n_min  # site of full[0]
         full = np.pad(full, (max(first - lo, 0), max(hi - first - full.size + 1, 0)))
         out = full[max(lo - first, 0):][:hi - lo + 1]
@@ -364,7 +368,8 @@ def apply_hamiltonian(psi: LatticeWavefunction, kernel: PropagatorKernel) -> Lat
 
     Free: amplitudes outside the window are 0, the output window grows by
     one site on each side.  Box: wall-free input, sites 0..N out, walls
-    exactly 0.  Periodic: psi folded onto Z_2N as `evolve` folds it,
+    exactly 0.  Periodic: psi folded onto Z_2N as `evolve` folds it (sites
+    2N apart add, so any window width is one state on the circle),
     gathered mod 2N on the input window widened by one site on each side.
     """
     lat, params = psi.lattice, _shared_params(psi, kernel)

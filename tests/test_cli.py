@@ -15,7 +15,8 @@ import pytest
 from polymerqm import SUITE_NAMES
 from polymerqm.cli import _inputs_of, build_parser, main
 from polymerqm.dynamics import box_spectrum
-from polymerqm.lattice import Lattice, LatticeWavefunction, PhysicalParams, delta_state
+from polymerqm.lattice import (Lattice, LatticeWavefunction, PhysicalParams, delta_state,
+                               gaussian_packet)
 from polymerqm.stateio import load_wavefunction, save_wavefunction
 
 
@@ -573,6 +574,31 @@ def test_kernel_beyond_bessel_limit_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "z = 1e+18" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("system", ["box", "periodic"])
+def test_circle_systems_beyond_bessel_limit_exit_2(tmp_path, capsys, system):
+    # the circle step refuses the z that the free kernel's Bessel table refuses
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    save_wavefunction(delta_state(Lattice(PhysicalParams(), 0, 4), 2), src)
+    for argv in (["kernel", "--j-min", "1", "--j-max", "1", "--r-min", "1", "--r-max", "1"],
+                 ["evolve", str(src)]):
+        rc = main([*argv, "--system", system, "--N", "4", "--dt", "1e18", "--out", str(out)])
+        assert rc == 2
+        assert "z = 1e+18" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_evolve_periodic_default_window_keeps_the_norm(tmp_path, capsys):
+    # a 31-site packet at N = 16 comes out on the period from its first
+    # site; a window padded by W printed norm_after=1.7370946086482342
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    save_wavefunction(gaussian_packet(Lattice(PhysicalParams(), -15, 15), 0.0, 4.0), src)
+    assert main(["evolve", str(src), "--system", "periodic", "--N", "16", "--dt", "2.5",
+                 "--out", str(dst)]) == 0
+    before, after = (float(line.split("=")[1]) for line in capsys.readouterr().out.split())
+    assert abs(after - before) <= 1e-14
+    assert [int(row["n"]) for row in read_csv(dst)] == list(range(-15, 17))
 
 
 def test_evolve_requires_out(tmp_path):

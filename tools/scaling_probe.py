@@ -136,6 +136,9 @@ CASES = {
     "kernel_table_free": ("|j - r|", [2**k for k in range(6, 21, 2)], _kernel_table_free),
     # the check-route image sum on a side x side grid spanning many periods 2N = 8
     "image_sum_periodic": ("side", [2**k for k in range(4, 8)], _image_sum_periodic),
+    # one check-route entry at N = 1000: the fold of the free vector over z
+    "image_sum_periodic_z": ("z", [1e3 * 4**k for k in range(6)],
+                             lambda z: lambda: periodic_kernel(3, 1, z, 1000, P)),
     "bessel_table": ("z", [1e3 * 2**k for k in range(11)],
                      lambda z: lambda: bessel_table(z, 2)),
     "momentum_roundtrip": ("M", [2**k for k in range(6, 11)], _momentum),
