@@ -88,16 +88,16 @@ def _finish(values: np.ndarray, scalar: bool):
     return complex(values[0]) if scalar else values
 
 
-def _circle_read(circle: np.ndarray, js, rs, n_box: int, mirror: bool) -> np.ndarray:
+def _circle_read(circle: np.ndarray, js, rs, n_box: int | None) -> np.ndarray:
     """k(j, r) = circle[(j - r) mod 2N] from a kernel vector on Z_2N, js and rs broadcast.
 
-    mirror (the box, sites 0..N): minus circle[(j + r) mod 2N], with the
-    walls exactly 0: r = 0 or N reads one entry twice, rows j = 0, N are set.
+    A box (n_box not None, sites 0..N): minus circle[(j + r) mod 2N], with
+    the walls exactly 0: r = 0 or N reads one entry twice, rows j = 0, N are set.
     """
     values = circle[(js - rs) % circle.size]
-    if mirror:
+    if n_box is not None:
         values -= circle[(js + rs) % circle.size]
-        values[np.broadcast_to((js == 0) | (js == n_box), values.shape)] = 0.0
+        np.copyto(values, 0.0, where=(js == 0) | (js == n_box))
     return values
 
 
@@ -144,12 +144,13 @@ def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool
     O(W + N + grid), however many images the window spans.
     """
     n_box = _box_size(n_box)
-    js, rs, scalar = _sites(j, r, n_box if mirror else None)
+    box = n_box if mirror else None
+    js, rs, scalar = _sites(j, r, box)
     z = dimensionless_time(params, dt)
     w = truncation_window(abs(z))
     orders = np.arange(-w, w + 1)
     circle = _fold(orders, _free_vector(z, w)(orders), 2 * n_box)
-    return _finish(_circle_read(circle, js, rs, n_box, mirror), scalar)
+    return _finish(_circle_read(circle, js, rs, box), scalar)
 
 
 def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
@@ -256,7 +257,9 @@ def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     image sum over every image, untruncated.  Phase rounding gives an
     absolute error of about z * eps (2e-12 at z = 1e4; the Bessel-table
     check routes do not grow with z).  z = 0 returns psi.  A |z| that
-    `bessel_table` refuses is refused here too, with its message.
+    `bessel_table` refuses is refused here too, with its message: the cut
+    is the Bessel tables' work limit, shared so every system has one z
+    range, not a bound on this step's error (about 7e-9 at the cut).
     """
     _work_orders(abs(z), 0)
     if z == 0.0:
@@ -295,11 +298,11 @@ def _kernel_rows(kernel: PropagatorKernel, j_lo: int, j_hi: int, rs: np.ndarray,
     if kernel.system == "free":
         read = _free_vector(z, max(abs(j_lo - int(rs.max())), abs(j_hi - int(rs.min()))))
         return lambda j: read(np.subtract.outer(j, rs))
-    n_box, mirror = kernel.n, kernel.system == "box"
-    circle = _circle_step((np.arange(2 * n_box) == 0).astype(complex), z)
-    if mirror:
-        _box_domain(j_lo, j_hi, rs.min(), rs.max(), n_box)
-    return lambda j: _circle_read(circle, np.asarray(j)[..., None], rs, n_box, mirror)
+    box = kernel.n if kernel.system == "box" else None
+    circle = _circle_step((np.arange(2 * kernel.n) == 0).astype(complex), z)
+    if box is not None:
+        _box_domain(j_lo, j_hi, rs.min(), rs.max(), box)
+    return lambda j: _circle_read(circle, np.asarray(j)[..., None], rs, box)
 
 
 def kernel_table(kernel: PropagatorKernel, j_values, r_values,
@@ -325,8 +328,8 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
     above double-precision noise.  Periodic: a state is its fold onto
     Z_2N, where sites 2N apart add (so an input window wider than 2N is
     one state on the circle); the exact circle step moves the fold, any
-    window reads it mod 2N, and the default window is the one period
-    from the input's first site.  Box: the circle step of the odd
+    window reads it mod 2N, and the default window, padded by W as for
+    free, is cut to at most one period 2N.  Box: the circle step of the odd
     extension; it needs wall-free input and gives sites 0..N, walls
     exactly 0.  Circle-step error is about z * eps (see _circle_step).
     At dt = 0 every system returns its input exactly.
@@ -342,9 +345,9 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
         return LatticeWavefunction(Lattice(params, 0, n_box), out)
 
     w = truncation_window(abs(z))
-    if out_window is None:
-        out_window = ((lat.n_min, lat.n_min + 2 * kernel.n - 1) if kernel.system == "periodic"
-                      else (lat.n_min - w, lat.n_max + w))
+    if out_window is None:  # padded by W; periodic: at most one period, each site once
+        cap = lat.n_min - w + 2 * kernel.n - 1 if kernel.system == "periodic" else math.inf
+        out_window = (lat.n_min - w, min(lat.n_max + w, cap))
     lo, hi = int(out_window[0]), int(out_window[1])
     if lo > hi:
         raise ValueError(f"empty output window ({lo}, {hi})")

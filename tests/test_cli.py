@@ -590,15 +590,15 @@ def test_circle_systems_beyond_bessel_limit_exit_2(tmp_path, capsys, system):
 
 
 def test_evolve_periodic_default_window_keeps_the_norm(tmp_path, capsys):
-    # a 31-site packet at N = 16 comes out on the period from its first
-    # site; a window padded by W printed norm_after=1.7370946086482342
+    # a 31-site packet at N = 16 comes out on one period from its first
+    # site less W = 39; the uncut window printed norm_after=1.7370946086482342
     src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
     save_wavefunction(gaussian_packet(Lattice(PhysicalParams(), -15, 15), 0.0, 4.0), src)
     assert main(["evolve", str(src), "--system", "periodic", "--N", "16", "--dt", "2.5",
                  "--out", str(dst)]) == 0
     before, after = (float(line.split("=")[1]) for line in capsys.readouterr().out.split())
     assert abs(after - before) <= 1e-14
-    assert [int(row["n"]) for row in read_csv(dst)] == list(range(-15, 17))
+    assert [int(row["n"]) for row in read_csv(dst)] == list(range(-54, -22))
 
 
 def test_evolve_requires_out(tmp_path):

@@ -22,7 +22,7 @@ from polymerqm.lattice import (
     to_momentum,
 )
 from polymerqm import bessel
-from polymerqm.bessel import truncation_window
+from polymerqm.bessel import bessel_table, truncation_window, unit_imaginary_power
 from polymerqm.propagators import (
     PropagatorKernel,
     apply_hamiltonian,
@@ -540,13 +540,16 @@ def test_property_evolve_equals_dense_sum(data):
 
 
 def test_evolve_periodic_default_window_is_one_period():
-    # a 31-site packet at N = 16 comes out on the period from its first
-    # site, so a unitary step keeps the norm; padding by W gave 109 sites
-    # that repeat the circle, and a norm of 1.74
+    # a 31-site packet at N = 16: the window padded by W = 39 on each side
+    # is cut to one period, so a unitary step keeps the norm; the uncut
+    # 109 sites repeat the circle, with a norm of 1.74
     psi = gaussian_packet(Lattice(P1, -15, 15), center=0.0, sigma=4.0)
     out = evolve(psi, PropagatorKernel.periodic(16, P1), 2.5)
-    assert (out.lattice.n_min, out.lattice.n_max) == (-15, 16)
+    assert (out.lattice.n_min, out.lattice.n_max) == (-15 - 39, -15 - 39 + 31)
     assert abs(out.norm() - psi.norm()) <= 1e-14
+    # a window padded by W that fits in one period is not cut
+    wide = evolve(psi, PropagatorKernel.periodic(64, P1), 2.5)
+    assert (wide.lattice.n_min, wide.lattice.n_max) == (-15 - 39, 15 + 39)
 
 
 def test_evolve_periodic_far_offset_is_relabelled():
@@ -668,9 +671,25 @@ def test_kernel_table_box_walls_and_domain():
         kernel_table(PropagatorKernel.box(5, P1), [0, 6], [1], 1.0)
 
 
+def _free_terms(z, orders):
+    """Reference free kernel built entry by entry: i^|m| J_|m|(z) e^{-iz}, 0 beyond W.
+
+    Phases per entry, one Bessel table of min(max |m|, W) + 1 orders read
+    by min(|m|, top + 1), a negative z conjugating i^|m|: independent of
+    the vector that `free_kernel` and `kernel_table` read.
+    """
+    mag = np.abs(np.asarray(orders, dtype=np.int64))
+    top = min(int(mag.max()), truncation_window(abs(z)))
+    values = np.append(bessel_table(abs(z), top), 0.0)
+    phases = unit_imaginary_power(mag)
+    if z < 0.0:
+        phases = np.conj(phases)
+    return phases * values[np.minimum(mag, top + 1)] * np.exp(-1j * z)
+
+
 def test_free_kernel_table_is_the_grid_of_free_terms_bit_for_bit():
     # the table is gathered from one vector of orders 0..min(m, W + 4);
-    # entries beyond W keep the signed zeros of the grid route
+    # entries beyond W keep the signed zeros of the per-entry builder
     rng = np.random.default_rng(13)
     free = PropagatorKernel.free(P1)
     for z in (0.0, 0.4, -2.5, 7.0, 60.0, -300.0, 3e3):
@@ -679,8 +698,9 @@ def test_free_kernel_table_is_the_grid_of_free_terms_bit_for_bit():
             js = offset + np.sort(rng.integers(-w - 20, w + 20, size=9))
             rs = offset + rng.integers(-w - 20, w + 20, size=7) + rng.integers(-30, 31)
             for cols in (rs, rs + 3 * w + 50, rs[:1]):
-                want = free_kernel(js[:, None], cols, z, P1)  # the grid route
+                want = _free_terms(z, np.subtract.outer(js, cols))
                 assert _same_bits(kernel_table(free, js, cols, z), want)
+                assert _same_bits(free_kernel(js[:, None], cols, z, P1), want)
 
 
 def test_kernel_object_dispatch_matches_functions():
