@@ -63,12 +63,12 @@ _BLOCKED_MIN_ORDERS = 2048
 # even, so that every buffer starts at an even step.
 _REFILL_STEPS = 16
 
-# Most orders one Miller pass may run over, max(W, max_order) + 15: 2**25,
-# or z up to about 3.3e7.  It bounds work, not memory: three orders take
-# 0.1 s at z = 1e7 and 0.23 s at the limit (one core of a 2-vCPU Xeon VM)
-# and O(sqrt(z)) memory.  The benchmark goes up to z = 1e6; beyond the
-# limit `bessel_table` and the circle step raise before they allocate.
-_MAX_WORK_ORDERS = 2 ** 25
+# Most orders one Miller pass may run over, max(W, max_order) + 15, and most
+# sites one engine output window may hold: 2**25 (z up to about 3.3e7).  For
+# orders it bounds work, not memory: three orders take 0.1 s at z = 1e7 and
+# 0.23 s at the limit (one core of a 2-vCPU Xeon VM) and O(sqrt(z)) memory;
+# `bessel_table` and the propagators' `_plan` raise before they allocate.
+_MAX_SIZE = 2 ** 25
 
 
 def truncation_window(z: float) -> int:
@@ -84,11 +84,12 @@ def truncation_window(z: float) -> int:
 
 def _work_orders(z: float, max_order: int) -> int:
     """The orders max(W, max_order) + 15 of a Miller pass at z >= 0: above
-    _MAX_WORK_ORDERS a ValueError naming z and the limit, the circle step's too."""
+    _MAX_SIZE a ValueError naming z and the limit, the z range of every system."""
     n_start = max(truncation_window(z), max_order) + 15
-    if n_start > _MAX_WORK_ORDERS:
-        raise ValueError(f"Bessel table at z = {z!r} up to order {max_order} needs "
-                         f"{n_start} orders, above the limit {_MAX_WORK_ORDERS}")
+    if n_start > _MAX_SIZE:
+        order = f"at order {max_order} " if max_order else ""
+        raise ValueError(f"z = {z!r} {order}is out of range: {n_start} working orders, "
+                         f"above the limit {_MAX_SIZE}")
     return n_start
 
 
@@ -232,7 +233,7 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
     rescale guard runs it down to 32 z**(1/3) orders below the turning
     point; when enough orders are left, `_blocked_fill` runs the rest,
     keeping only orders up to max_order: memory is O(max_order + sqrt(z)).
-    A pass over more than _MAX_WORK_ORDERS orders is a ValueError.
+    A pass over more than _MAX_SIZE orders is a ValueError.
     """
     z = _validate_argument(z)
     max_order = int(max_order)

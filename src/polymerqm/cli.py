@@ -31,8 +31,8 @@ import numpy as np
 
 from . import SUITE_NAMES
 from .dynamics import WallSupportError
-from .lattice import PhysicalParams, dimensionless_time
-from .propagators import PropagatorKernel, _kernel_rows, continuum_sweep, evolve
+from .lattice import PhysicalParams
+from .propagators import PropagatorKernel, _kernel_rows, _plan, continuum_sweep, evolve
 from .stateio import _csv_lines, load_wavefunction, save_wavefunction, write_atomic
 
 
@@ -208,20 +208,16 @@ def _json_list(objects):
 def cmd_kernel(args: argparse.Namespace) -> int:
     """Tabulate k(j, r, dt) in O(R + W + N) memory for R columns, any rows.
 
-    Every time's kernel vector is built first, so a range, Bessel-limit
-    or box-domain error writes nothing; then rows of j are gathered about
-    4096 cells at a time and each is written as soon as it is formatted.
+    Every time is planned first (`_plan`), so an error writes nothing;
+    then each time's kernel vector is built in turn, its rows of j
+    gathered about 4096 cells at a time, each written once formatted.
     """
     kernel = _kernel(args, _params(args))
     lo, hi = (0, kernel.n) if kernel.system == "box" else (-4, 4)
     j_lo, j_hi, r_lo, r_hi = (default if v is None else v for v, default in (
         (args.j_min, lo), (args.j_max, hi), (args.r_min, lo), (args.r_max, hi)))
-    if j_lo > j_hi or r_lo > r_hi:
-        raise ValueError("empty index range")
-
+    plans = [(float(dt), _plan(kernel, dt, (r_lo, r_hi), (j_lo, j_hi))) for dt in args.times]
     rs = np.arange(r_lo, r_hi + 1)
-    gathers = [(float(dt), dimensionless_time(kernel.params, dt),
-                _kernel_rows(kernel, j_lo, j_hi, rs, dt)) for dt in args.times]
     # one f-string per cell, a CSV line or a JSON object laid out as
     # json.dumps(rows, indent=2) would: dt and z are formatted once per
     # time, j once per row, r once per table; cells are joined a row at a time
@@ -232,7 +228,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     step = max(1, 4096 // rs.size)  # rows of j per gather
 
     def blocks():
-        for dt, z, rows in gathers:
+        for dt, plan in plans:
+            z, rows = plan[0], _kernel_rows(kernel, plan, rs)
             tail = (f',\n    "dt": {dt!r},\n    "z": {z!r},\n    "re": ' if as_json
                     else f",{dt!r},{z!r},")
             for start in range(j_lo, j_hi + 1, step):

@@ -7,22 +7,24 @@ Systems (`PropagatorKernel.system`):
             equal to twice the odd part of the periodic kernel
   periodic  sum over images k of the free kernel at r + 2kN
 
-Each kind of kernel vector has one reader.  `_free_vector` gives every
-free kernel value, from one Bessel table of at most W(z) + 1 orders read
-by |m|, exactly 0 beyond the truncation window W: `free_kernel` and free
-`kernel_table` read it on (j, r) grids, free `evolve` convolves it and
-the image sums fold it onto Z_2N.  `_circle_read` reads every vector on
-Z_2N: the circle step of a delta for periodic and box tables (an exact
-sum over 2N momenta by FFT, the box its odd part, which also moves their
-states), and the folded images, its check route beside the box spectral
-sum (band and modes from `dynamics`).  Identities (unitarity, composition,
-Green's residual, plane-wave phase) check them.  `apply_hamiltonian`, the
-generator of `evolve` in each system, and the Green's residual share the
-stencil of `dynamics`.  `schrodinger_free_kernel` and
-`schrodinger_box_evolve` are the continuum references.  Composition sums
-use numpy's pairwise summation along a contiguous last axis in a fixed
-index order; the image fold adds in a fixed site order, independent of
-the call's grid.  So results do not depend on evaluation order.
+`_plan` sizes and checks every engine call (`evolve`, `kernel_table`,
+`polymerqm kernel`) before any array is made, and each kind of kernel
+vector has one reader.  `_free_vector` gives every free kernel value,
+from one Bessel table of at most W(z) + 1 orders read by |m|, exactly 0
+beyond the truncation window W: `free_kernel` and free `kernel_table`
+read it on (j, r) grids, free `evolve` convolves it and the image sums
+fold it onto Z_2N.  `_circle_read` reads every vector on Z_2N: the
+circle step of a delta for periodic and box tables (an exact sum over 2N
+momenta by FFT, the box its odd part, which also moves their states),
+and the folded images, its check route beside the box spectral sum.
+Identities (unitarity, composition, Green's residual, plane-wave phase)
+check them.  `apply_hamiltonian`, the generator of `evolve` in each
+system, and the Green's residual share the stencil of `dynamics`.
+`schrodinger_free_kernel` and `schrodinger_box_evolve` are the continuum
+references.  Composition sums (numpy's pairwise summation along a
+contiguous last axis) and the image fold (in site order) add in a fixed
+order, independent of the call's grid, so results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _work_orders, bessel_table, truncation_window, unit_imaginary_power
+from .bessel import _MAX_SIZE, _work_orders, bessel_table, truncation_window, unit_imaginary_power
 from .dynamics import (_band, _box_interior_amplitudes, _box_modes, _box_size, _stencil,
                        dispersion_energy)
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
@@ -256,12 +258,8 @@ def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     `dynamics._band`, accurate for small gaps.  This is the periodic
     image sum over every image, untruncated.  Phase rounding gives an
     absolute error of about z * eps (2e-12 at z = 1e4; the Bessel-table
-    check routes do not grow with z).  z = 0 returns psi.  A |z| that
-    `bessel_table` refuses is refused here too, with its message: the cut
-    is the Bessel tables' work limit, shared so every system has one z
-    range, not a bound on this step's error (about 7e-9 at the cut).
+    check routes do not grow with z).  z = 0 returns psi.
     """
-    _work_orders(abs(z), 0)
     if z == 0.0:
         return psi
     period = psi.shape[-1]
@@ -283,83 +281,92 @@ def _shared_params(psi: LatticeWavefunction, kernel: PropagatorKernel) -> Physic
     return kernel.params
 
 
-def _kernel_rows(kernel: PropagatorKernel, j_lo: int, j_hi: int, rs: np.ndarray,
-                 dt: float):
-    """One kernel vector for dt, and rows(j) = k(j, r, dt) gathered from it.
+def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
+    """(z, W, rows, cols) of one engine call, every check run before any array is made.
 
-    j is an index or an index array within j_lo..j_hi, r the array rs.
-    Every check (Bessel work limit, box domain) runs here, before any
-    row is gathered.  Free: `_free_vector` out to the largest |j - r| (a
-    grid corner), so each entry is the one the whole grid gives bit for
-    bit.  Periodic and box: `_circle_read` of the circle step of a delta
-    (the box as its odd part), walls exactly 0.
+    rows (output sites j) and cols (input sites r) are windows (lo, hi); rows default
+    to `evolve`'s: the box 0..N, else cols padded by W, periodic cut to one period 2N.
+    ValueError: a |z| `bessel_table` refuses (one z range for every system), an
+    empty window, over `bessel._MAX_SIZE` output sites, box sites outside 0..N.
     """
     z = dimensionless_time(kernel.params, dt)
+    _work_orders(abs(z), 0)
+    w = truncation_window(abs(z))
+    (c_lo, c_hi), n = map(int, cols), kernel.n
+    if rows is None:
+        cap = c_lo - w + 2 * n - 1 if kernel.system == "periodic" else math.inf
+        rows = (0, n) if kernel.system == "box" else (c_lo - w, min(c_hi + w, cap))
+    rows, cols = tuple(map(int, rows)), (c_lo, c_hi)
+    for name, (lo, hi) in (("output sites j", rows), ("input sites r", cols)):
+        if lo > hi:
+            raise ValueError(f"empty range of {name}: {lo}..{hi}")
+    if rows[1] - rows[0] >= _MAX_SIZE:
+        raise ValueError(f"output window {rows} has more sites than the limit {_MAX_SIZE}")
+    if kernel.system == "box":
+        _box_domain(*rows, *cols, n)
+    return z, w, rows, cols
+
+
+def _kernel_rows(kernel: PropagatorKernel, plan, rs: np.ndarray):
+    """rows(j) = k(j, r, dt) for r in rs and j in the plan's rows, from one kernel vector.
+
+    Free: `_free_vector` out to the largest |j - r| (a grid corner), each entry bit
+    for bit the whole grid's.  Periodic, box: `_circle_read` of a circle-stepped delta.
+    """
+    z, _, (j_lo, j_hi), (r_lo, r_hi) = plan
     if kernel.system == "free":
-        read = _free_vector(z, max(abs(j_lo - int(rs.max())), abs(j_hi - int(rs.min()))))
+        read = _free_vector(z, max(abs(j_lo - r_hi), abs(j_hi - r_lo)))
         return lambda j: read(np.subtract.outer(j, rs))
     box = kernel.n if kernel.system == "box" else None
     circle = _circle_step((np.arange(2 * kernel.n) == 0).astype(complex), z)
-    if box is not None:
-        _box_domain(j_lo, j_hi, rs.min(), rs.max(), box)
     return lambda j: _circle_read(circle, np.asarray(j)[..., None], rs, box)
 
 
-def kernel_table(kernel: PropagatorKernel, j_values, r_values,
-                 dt: float) -> np.ndarray:
+def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.ndarray:
     """k(j, r, dt) for j in j_values (rows) and r in r_values (columns).
 
-    Gathered from one kernel vector per dt (`_kernel_rows`, which
-    `polymerqm kernel` reads a block of rows at a time): free exactly 0
+    Planned (`_plan`), then gathered from one kernel vector per dt (`_kernel_rows`,
+    which `polymerqm kernel` reads a block of rows at a time): free exactly 0
     where |j - r| > W, box walls exactly 0, dt = 0 the exact identity.
     """
     js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
-    return _kernel_rows(kernel, int(js.min()), int(js.max()), rs, dt)(js)
+    rows, cols = ((int(v.min()), int(v.max())) if v.size else (0, -1) for v in (js, rs))
+    return _kernel_rows(kernel, _plan(kernel, dt, cols, rows), rs)(js)
 
 
 def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
            out_window: tuple[int, int] | None = None) -> LatticeWavefunction:
     """psi(x_j, t0+dt) = sum_r k(j, r, dt) psi_r, from one kernel vector.
 
-    Free: the orders j - r the window needs, clipped to |m| <= W (the
-    kernel is exactly 0 beyond), in a full np.convolve cut to the window:
-    at most (2W + 1) M multiply-adds for M input sites, wherever the window
-    sits; the default window pads the input by W, covering all amplitudes
-    above double-precision noise.  Periodic: a state is its fold onto
-    Z_2N, where sites 2N apart add (so an input window wider than 2N is
-    one state on the circle); the exact circle step moves the fold, any
-    window reads it mod 2N, and the default window, padded by W as for
-    free, is cut to at most one period 2N.  Box: the circle step of the odd
-    extension; it needs wall-free input and gives sites 0..N, walls
-    exactly 0.  Circle-step error is about z * eps (see _circle_step).
-    At dt = 0 every system returns its input exactly.
+    Planned first: `_plan` gives the default output window.  Free: the
+    orders j - r the window needs, clipped to |m| <= W (the kernel is
+    exactly 0 beyond), in a full np.convolve cut to the window: at most
+    (2W + 1) M multiply-adds for M input sites, wherever the window sits.
+    Periodic: a state is its fold onto Z_2N, where sites 2N apart add (so
+    an input window wider than 2N is one state on the circle); the exact
+    circle step moves the fold and any window reads it mod 2N.  Box: the
+    circle step of the odd extension; it needs wall-free input and gives
+    sites 0..N, walls exactly 0.  Circle-step error is about z * eps (see
+    _circle_step).  At dt = 0 every system returns its input exactly.
     """
-    lat, params = psi0.lattice, _shared_params(psi0, kernel)
-    z = dimensionless_time(params, dt)
-
+    lat, params, amps = psi0.lattice, _shared_params(psi0, kernel), psi0.amplitudes
+    cols = (lat.n_min, lat.n_max)
+    if kernel.system == "box":  # embedded first: sites outside 0..N may hold zeros
+        if out_window is not None and tuple(out_window) != (0, kernel.n):
+            raise ValueError(f"box evolution always produces sites 0..{kernel.n}")
+        amps, cols = _box_interior_amplitudes(psi0, kernel.n), (0, kernel.n)
+    z, w, (lo, hi), _ = _plan(kernel, dt, cols, out_window)
     if kernel.system == "box":
-        n_box = kernel.n
-        if out_window is not None and tuple(out_window) != (0, n_box):
-            raise ValueError(f"box evolution always produces sites 0..{n_box}")
-        out = _box_step(_box_interior_amplitudes(psi0, n_box), z)
-        return LatticeWavefunction(Lattice(params, 0, n_box), out)
-
-    w = truncation_window(abs(z))
-    if out_window is None:  # padded by W; periodic: at most one period, each site once
-        cap = lat.n_min - w + 2 * kernel.n - 1 if kernel.system == "periodic" else math.inf
-        out_window = (lat.n_min - w, min(lat.n_max + w, cap))
-    lo, hi = int(out_window[0]), int(out_window[1])
-    if lo > hi:
-        raise ValueError(f"empty output window ({lo}, {hi})")
-    if kernel.system == "periodic":
-        folded = _fold(lat.sites, psi0.amplitudes, 2 * kernel.n)
+        out = _box_step(amps, z)
+    elif kernel.system == "periodic":
+        folded = _fold(lat.sites, amps, 2 * kernel.n)
         out = _circle_step(folded, z)[np.arange(lo, hi + 1) % (2 * kernel.n)]
     else:
         # [-W, W] clipped into the orders the window needs: never empty,
         # and a lone order beyond W is exactly 0
         m_lo, m_hi = np.clip([-w, w], lo - lat.n_max, hi - lat.n_min)
         terms = _free_vector(z, int(max(-m_lo, m_hi)))(np.arange(m_lo, m_hi + 1))
-        full = np.convolve(terms, psi0.amplitudes)
+        full = np.convolve(terms, amps)
         first = m_lo + lat.n_min  # site of full[0]
         full = np.pad(full, (max(first - lo, 0), max(hi - first - full.size + 1, 0)))
         out = full[max(lo - first, 0):][:hi - lo + 1]
@@ -406,7 +413,7 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     """
     if not (t0 <= t1 <= t):
         raise ValueError(f"need t0 <= t1 <= t, got {t0}, {t1}, {t}")
-    params, dt_late, dt_early = kernel.params, t - t1, t1 - t0
+    dt_late, dt_early = t - t1, t1 - t0
     js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
     direct = kernel(js.reshape(js.shape + (1,) * rs.ndim), rs, t - t0)
     js, rs = np.atleast_1d(js), np.atleast_1d(rs)
@@ -415,10 +422,8 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     elif kernel.system == "periodic":
         sites = np.arange(0, 2 * kernel.n)
     else:
-        pad = (truncation_window(abs(dimensionless_time(params, dt_late)))
-               + truncation_window(abs(dimensionless_time(params, dt_early))))
-        lo, hi = min(js.min(), rs.min()) - pad, max(js.max(), rs.max()) + pad
-        sites = np.arange(lo, hi + 1)
+        pad = sum(_plan(kernel, dt, (0, 0))[1] for dt in (dt_late, dt_early))
+        sites = np.arange(min(js.min(), rs.min()) - pad, max(js.max(), rs.max()) + pad + 1)
 
     late = kernel_table(kernel, js, sites, dt_late)
     early = np.ascontiguousarray(kernel_table(kernel, sites, rs, dt_early).T)

@@ -322,12 +322,12 @@ def test_large_argument_against_mpmath(z):
 def test_work_array_limit_admits_every_argument_in_use():
     # the accuracy tests and the benchmark go up to z = 1e6, 30 times
     # below the limit
-    assert 30 * (truncation_window(1e6) + 15) < bessel._MAX_WORK_ORDERS
+    assert 30 * (truncation_window(1e6) + 15) < bessel._MAX_SIZE
 
 
 @pytest.mark.parametrize("case", ["z at the limit", "order at the limit", "z = 1e18"])
 def test_table_above_work_limit_raises_before_allocating(case):
-    limit = bessel._MAX_WORK_ORDERS
+    limit = bessel._MAX_SIZE
     z, max_order = {"z at the limit": (float(limit), 2),
                     "order at the limit": (1.0, limit),
                     "z = 1e18": (1e18, 0)}[case]

@@ -589,6 +589,39 @@ def test_circle_systems_beyond_bessel_limit_exit_2(tmp_path, capsys, system):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("system", ["free", "periodic"])
+def test_evolve_huge_out_window_exits_2(tmp_path, capsys, system):
+    # 10^10 + 1 sites, above the limit of 2^25, refused before allocating
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    save_wavefunction(delta_state(Lattice(PhysicalParams(), 0, 4), 2), src)
+    size = [] if system == "free" else ["--N", "4"]
+    rc = main(["evolve", str(src), "--system", system, *size,
+               "--out-window=0:10000000000", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "output window (0, 10000000000)" in err and "limit 33554432" in err
+    assert not out.exists()
+
+
+def test_kernel_memory_does_not_grow_with_times(tmp_path):
+    # each time's kernel vector is built as its rows are written: one time
+    # peaks at 8.05 MiB (the circle step at N = 65,536), eight at 10.05 MiB,
+    # where holding every time's vector first peaked at 22.05 MiB
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "periodic", "N": 65536,
+                               "times": [0.5 + t for t in range(8)]}))
+    argv = ["kernel", "--config", str(cfg), "--j-min", "0", "--j-max", "0",
+            "--r-min", "0", "--r-max", "0", "--out", str(tmp_path / "k.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_csv(tmp_path / "k.csv")) == 8
+    assert peak < 12 * 2**20
+
+
 def test_evolve_periodic_default_window_keeps_the_norm(tmp_path, capsys):
     # a 31-site packet at N = 16 comes out on one period from its first
     # site less W = 39; the uncut window printed norm_after=1.7370946086482342

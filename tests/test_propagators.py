@@ -126,10 +126,10 @@ def test_free_kernel_grid_reads_one_vector_of_magnitudes():
 
 def _work_limit_edge():
     """The largest z whose Miller pass of W(z) + 15 orders is in the limit, and the next float."""
-    lo, hi = 1.0, float(bessel._MAX_WORK_ORDERS)
+    lo, hi = 1.0, float(bessel._MAX_SIZE)
     while math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
-        if truncation_window(mid) + 15 <= bessel._MAX_WORK_ORDERS:
+        if truncation_window(mid) + 15 <= bessel._MAX_SIZE:
             lo = mid
         else:
             hi = mid
@@ -143,8 +143,41 @@ def test_every_system_has_the_z_range_of_the_bessel_table(system):
     kernel = PropagatorKernel(system, P1, n=None if system == "free" else 4)
     assert np.all(np.isfinite(kernel_table(kernel, [1, 2], [1, 3], below)))
     with pytest.raises(ValueError, match=rf"z = {re.escape(repr(above))} .* "
-                                         rf"limit {bessel._MAX_WORK_ORDERS}$"):
+                                         rf"limit {bessel._MAX_SIZE}$"):
         kernel_table(kernel, [1, 2], [1, 3], above)
+
+
+@pytest.mark.parametrize("case", ["free", "periodic", "free default at z = 1.7e7"])
+def test_output_window_above_the_size_limit_raises_before_allocating(case):
+    # an explicit window of 10^10 + 1 sites, or the free default window
+    # 1 + 2W of a one-site input once W passes 2^24 (z about 1.68e7)
+    limit = bessel._MAX_SIZE
+    system, dt, window = {"free": ("free", 1.0, (0, 10**10)),
+                          "periodic": ("periodic", 1.0, (0, 10**10)),
+                          "free default at z = 1.7e7": ("free", 1.7e7, None)}[case]
+    kernel = PropagatorKernel(system, P1, n=None if system == "free" else 4)
+    psi = LatticeWavefunction(Lattice(P1, 2, 2), np.array([1.0 + 0j]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^output window .* the limit {limit}$"):
+            evolve(psi, kernel, dt, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    if window is not None:
+        with pytest.raises(ValueError, match=re.escape(f"output window {window} ")):
+            evolve(psi, kernel, dt, window)
+
+
+@pytest.mark.parametrize("empty", ["j", "r"])
+@pytest.mark.parametrize("system", ["free", "box", "periodic"])
+def test_empty_index_sets_raise_one_error_for_every_system(system, empty):
+    kernel = PropagatorKernel(system, P1, n=None if system == "free" else 4)
+    js, rs = ([], [0]) if empty == "j" else ([0], [])
+    name = "output sites j" if empty == "j" else "input sites r"
+    with pytest.raises(ValueError, match=f"^empty range of {name}"):
+        kernel_table(kernel, js, rs, 1.0)
 
 
 # ---------------------------------------------------------------------------

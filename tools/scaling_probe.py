@@ -9,7 +9,7 @@ it for every job.
 
 Each case doubles one size at a time (window M, box size N, separation
 |j - r|, Bessel argument z, grid side, table rows: columns of r at 64 rows of j,
-or rows of j at 64 columns).  At every size it records the
+or rows of j at 64 columns; times T of one table).  At every size it records the
 median wall time of a few calls, after one warm-up call, and the
 tracemalloc peak of one more call.  For the case it fits the
 least-squares slope of log2(time) and of log2(peak) against log2(size):
@@ -122,6 +122,20 @@ def _kernel_text(fmt, grow="r", system=()):
     return make
 
 
+def _kernel_times(times):
+    """`polymerqm kernel` of one periodic cell at N = 65,536 for `times` times from a config."""
+    def call():
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as f:
+                json.dump({"system": "periodic", "N": 65536,
+                           "times": [0.5 + t for t in range(times)]}, f)
+            return cli_main(["kernel", "--config", config, "--j-min", "0", "--j-max", "0",
+                             "--r-min", "0", "--r-max", "0",
+                             "--out", os.path.join(tmp, "k.csv")])
+    return call
+
+
 # name -> (what is doubled, its sizes, size -> the call to measure)
 CASES = {
     "evolve_free_z10": ("M", [2**k for k in range(12, 18)], _evolve_free(10.0)),
@@ -151,6 +165,8 @@ CASES = {
     "kernel_csv_j": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv", "j")),
     "kernel_periodic_j": ("rows", [64 * 2**k for k in range(6, 11)],
                           _kernel_text("csv", "j", ("--system", "periodic", "--N", "4096"))),
+    # times of one table: a kernel vector per time, built as its rows are written
+    "kernel_periodic_times": ("T", [1, 2, 4, 8, 16], _kernel_times),
 }
 
 
