@@ -28,7 +28,6 @@ from .lattice import (
     to_momentum,
 )
 from .propagators import (
-    GreenResidualReport,
     PropagatorKernel,
     SweepPoint,
     apply_hamiltonian,
@@ -56,8 +55,8 @@ __version__ = "0.1.0"
 SUITE_NAMES = ("bessel", "free", "box", "momentum", "continuum", "all")
 
 __all__ = [
+    "SUITE_NAMES",
     "BoxSpectrum",
-    "GreenResidualReport",
     "Lattice",
     "LatticeWavefunction",
     "MomentumGrid",

@@ -33,6 +33,7 @@ series does not converge, are covered by those identities only.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -64,10 +65,10 @@ _BLOCKED_MIN_ORDERS = 2048
 _REFILL_STEPS = 16
 
 # Most orders one Miller pass may run over, max(W, max_order) + 15, and most
-# sites one engine output window may hold: 2**25 (z up to about 3.3e7).  For
-# orders it bounds work, not memory: three orders take 0.1 s at z = 1e7 and
-# 0.23 s at the limit (one core of a 2-vCPU Xeon VM) and O(sqrt(z)) memory;
-# `bessel_table` and the propagators' `_plan` raise before they allocate.
+# sites an engine window or a circle 2N may hold: 2**25 (z up to about 3.3e7).
+# For orders it bounds work, not memory: three orders take 0.1 s at z = 1e7
+# and 0.23 s at the limit (one core of a 2-vCPU Xeon VM) and O(sqrt(z)) memory;
+# `bessel_table`, `_plan` and `dynamics._box_size` raise before they allocate.
 _MAX_SIZE = 2 ** 25
 
 
@@ -91,6 +92,19 @@ def _work_orders(z: float, max_order: int) -> int:
         raise ValueError(f"z = {z!r} {order}is out of range: {n_start} working orders, "
                          f"above the limit {_MAX_SIZE}")
     return n_start
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as an int: what operator.index takes, bool excepted, and at least
+    `least` if given; else a ValueError naming the input (never a truncation)."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or (least is not None and number < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return number
 
 
 def _validate_argument(z: float) -> float:
@@ -236,9 +250,7 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
     A pass over more than _MAX_SIZE orders is a ValueError.
     """
     z = _validate_argument(z)
-    max_order = int(max_order)
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
+    max_order = _integer(max_order, "max_order", 0)
     n_start = _work_orders(z, max_order)
 
     if z < _SMALL_Z:  # z = 0 included: the series is then 1, 0, 0, ...
@@ -278,7 +290,7 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
 
 def bessel_jn(n: int, z: float) -> float:
     """J_n(z) for integer n (any sign) and real z >= 0, via J_{-n} = (-1)^n J_n."""
-    n = int(n)
+    n = _integer(n, "n")
     value = float(bessel_table(z, abs(n))[abs(n)])
     return -value if n < 0 and n % 2 else value
 
@@ -299,9 +311,7 @@ def jacobi_anger(z: float, phi: float, window: int) -> complex:
     For window >= truncation_window(z) this reproduces e^{iz cos(phi)}
     to better than 1e-10.
     """
-    window = int(window)
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    window = _integer(window, "window", 0)
     z = float(z)
     phi = float(phi)
     if not (math.isfinite(z) and math.isfinite(phi)):

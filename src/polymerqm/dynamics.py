@@ -15,11 +15,11 @@ modes sqrt(2/N) sin(l pi n/N) (`_box_modes`) are written here only.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bessel import _MAX_SIZE, _integer
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams
 
 
@@ -28,13 +28,10 @@ class WallSupportError(ValueError):
 
 
 def _box_size(n) -> int:
-    """A box size (or half period) n as an int: an integer >= 2, else ValueError."""
-    try:
-        size = operator.index(n)
-    except TypeError:
-        size = None
-    if size is None or size < 2:
-        raise ValueError(f"system size N must be an integer >= 2, got {n!r}")
+    """Box size (or half period) N as an int >= 2 with 2N <= bessel._MAX_SIZE, else ValueError."""
+    size = _integer(n, "system size N", 2)
+    if 2 * size > _MAX_SIZE:
+        raise ValueError(f"system size N = {size} has 2N over the limit {_MAX_SIZE}")
     return size
 
 

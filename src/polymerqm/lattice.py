@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bessel import _integer
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -31,8 +33,10 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("hbar", "mass", "mu0"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+            object.__setattr__(self, name, float(v))
         try:
             ok = self.mass * self.mu0**2 > 0.0 and 0.0 < self.energy_scale < math.inf
         except OverflowError:
@@ -69,6 +73,8 @@ class Lattice:
     n_max: int
 
     def __post_init__(self):
+        for name in ("n_min", "n_max"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_min > self.n_max:
             raise ValueError(f"empty window: n_min={self.n_min} > n_max={self.n_max}")
 
@@ -151,8 +157,7 @@ class MomentumGrid:
     num_points: int
 
     def __post_init__(self):
-        if self.num_points < 1:
-            raise ValueError(f"num_points must be >= 1, got {self.num_points}")
+        object.__setattr__(self, "num_points", _integer(self.num_points, "num_points", 1))
 
     @property
     def values(self) -> np.ndarray:

@@ -18,13 +18,13 @@ circle step of a delta for periodic and box tables (an exact sum over 2N
 momenta by FFT, the box its odd part, which also moves their states),
 and the folded images, its check route beside the box spectral sum.
 Identities (unitarity, composition, Green's residual, plane-wave phase)
-check them.  `apply_hamiltonian`, the generator of `evolve` in each
-system, and the Green's residual share the stencil of `dynamics`.
-`schrodinger_free_kernel` and `schrodinger_box_evolve` are the continuum
-references.  Composition sums (numpy's pairwise summation along a
-contiguous last axis) and the image fold (in site order) add in a fixed
-order, independent of the call's grid, so results do not depend on
-evaluation order.
+check them, each returning its worst deviation as a float.
+`apply_hamiltonian`, the generator of `evolve` in each system, and the
+Green's residual share the stencil of `dynamics`.  `schrodinger_free_kernel`
+and `schrodinger_box_evolve` are the continuum references.  Composition
+sums (numpy's pairwise summation along a contiguous last axis) and the
+image fold (in site order) add in a fixed order, independent of the
+call's grid, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
     rows (output sites j) and cols (input sites r) are windows (lo, hi); rows default
     to `evolve`'s: the box 0..N, else cols padded by W, periodic cut to one period 2N.
     ValueError: a |z| `bessel_table` refuses (one z range for every system), an
-    empty window, over `bessel._MAX_SIZE` output sites, box sites outside 0..N.
+    empty window, a window over `bessel._MAX_SIZE` sites, box sites outside 0..N.
     """
     z = dimensionless_time(kernel.params, dt)
     _work_orders(abs(z), 0)
@@ -300,8 +300,9 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
     for name, (lo, hi) in (("output sites j", rows), ("input sites r", cols)):
         if lo > hi:
             raise ValueError(f"empty range of {name}: {lo}..{hi}")
-    if rows[1] - rows[0] >= _MAX_SIZE:
-        raise ValueError(f"output window {rows} has more sites than the limit {_MAX_SIZE}")
+        if hi - lo >= _MAX_SIZE:
+            raise ValueError(f"{name.split()[0]} window {(lo, hi)} has more sites "
+                             f"than the limit {_MAX_SIZE}")
     if kernel.system == "box":
         _box_domain(*rows, *cols, n)
     return z, w, rows, cols
@@ -432,16 +433,8 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     return float(np.max(np.abs(deviation)))
 
 
-@dataclass(frozen=True)
-class GreenResidualReport:
-    """Largest |i hbar dk/dt - (H k)_j| over a sample grid, and where it occurred."""
-
-    max_abs_residual: float
-    at: tuple[int, int, float]
-
-
-def _greens_report(kernel: PropagatorKernel, j_values, r_values, dt_values,
-                   dk_dt, min_dt: float = 0.0) -> GreenResidualReport:
+def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
+                  dk_dt, min_dt: float = 0.0) -> float:
     """Worst |i hbar dk/dt - (H k)_j| over j x r x dt, H `dynamics._stencil` in j.
 
     k at rows j-1, j, j+1 comes from `kernel_table`; dk_dt(kernel, dt,
@@ -457,15 +450,13 @@ def _greens_report(kernel: PropagatorKernel, j_values, r_values, dt_values,
     js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
     if kernel.system == "box" and (js.min() < 1 or js.max() > kernel.n - 1):
         raise ValueError(f"stencil sites must be interior to the box 1..{kernel.n - 1}")
-    worst, worst_at = 0.0, (int(js[0]), int(rs[0]), dts[0])
+    worst = 0.0
     for dt in dts:  # rows j - 1, j, j + 1 on the last axis, where the stencil runs
         table = np.moveaxis(kernel_table(kernel, js[:, None] + np.arange(-1, 2), rs, dt), 1, -1)
         res = np.abs(1j * kernel.params.hbar * dk_dt(kernel, dt, js, rs)
                      - _stencil(table, kernel.params)[..., 0])
-        at = np.unravel_index(np.argmax(res), res.shape)
-        if res[at] > worst:
-            worst, worst_at = float(res[at]), (int(js[at[0]]), int(rs[at[1]]), dt)
-    return GreenResidualReport(worst, worst_at)
+        worst = max(worst, float(np.max(res)))
+    return worst
 
 
 def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
@@ -493,9 +484,8 @@ def _box_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
     return _box_level_sum(js[:, None], rs, dt, kernel.n, kernel.params, derivative=True)
 
 
-def greens_residual(kernel: PropagatorKernel, j_values, r_values,
-                    dt_values) -> GreenResidualReport:
-    """Analytic Green's-function residual of the kernel for t > t0.
+def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> float:
+    """The worst analytic Green's-function residual of the kernel for t > t0, a float.
 
     The time derivative is evaluated in closed form over whole index
     arrays: for the free kernel through dJ_n/dz = (J_{n-1} - J_{n+1})/2
@@ -506,17 +496,17 @@ def greens_residual(kernel: PropagatorKernel, j_values, r_values,
     dk_dt = {"free": _free_dk_dt, "box": _box_dk_dt}.get(kernel.system)
     if dk_dt is None:
         raise ValueError(f"analytic residual not defined for system {kernel.system!r}")
-    return _greens_report(kernel, j_values, r_values, dt_values, dk_dt)
+    return _greens_worst(kernel, j_values, r_values, dt_values, dk_dt)
 
 
 def greens_residual_fd(kernel: PropagatorKernel, j_values, r_values, dt_values,
-                       step: float = 1e-6) -> GreenResidualReport:
-    """Finite-difference cross-check of `greens_residual` (central, step h)."""
+                       step: float = 1e-6) -> float:
+    """Finite-difference cross-check of `greens_residual` (central, step h): a float."""
     def dk_dt(kernel, dt, js, rs):
         return (kernel_table(kernel, js, rs, dt + step)
                 - kernel_table(kernel, js, rs, dt - step)) / (2.0 * step)
 
-    return _greens_report(kernel, j_values, r_values, dt_values, dk_dt, min_dt=step)
+    return _greens_worst(kernel, j_values, r_values, dt_values, dk_dt, min_dt=step)
 
 
 # ---------------------------------------------------------------------------

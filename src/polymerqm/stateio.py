@@ -73,10 +73,9 @@ def load_wavefunction(csv_path: str | Path) -> LatticeWavefunction:
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed sidecar JSON {meta_path}: {exc}") from exc
     try:
-        params = PhysicalParams(hbar=float(meta["hbar"]), mass=float(meta["mass"]),
-                                mu0=float(meta["mu0"]))
-        lattice = Lattice(params, n_min=int(meta["n_min"]), n_max=int(meta["n_max"]))
-    except (KeyError, TypeError) as exc:
+        params = PhysicalParams(hbar=meta["hbar"], mass=meta["mass"], mu0=meta["mu0"])
+        lattice = Lattice(params, n_min=meta["n_min"], n_max=meta["n_max"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"sidecar {meta_path} missing or invalid field: {exc}") from exc
 
     sites = []

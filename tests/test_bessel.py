@@ -132,6 +132,14 @@ def test_domain_errors():
         bessel_table(1.0, -1)
     with pytest.raises(ValueError):
         jacobi_anger(1.0, 0.0, -1)
+    # orders and windows are integers, never truncated by int(): 2.5 is not 2
+    for name, call in (("max_order", lambda v: bessel_table(1.0, v)),
+                       ("n", lambda v: bessel_jn(v, 1.0)),
+                       ("window", lambda v: jacobi_anger(1.0, 0.0, v))):
+        for bad in (2.5, 2.0, "2", True, None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                call(bad)
+        assert np.array_equal(call(np.int64(2)), call(2))
 
 
 def test_unit_imaginary_power_exact():

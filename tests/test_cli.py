@@ -603,6 +603,45 @@ def test_evolve_huge_out_window_exits_2(tmp_path, capsys, system):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--r-min", "0", "--r-max", "10000000000", "--j-min", "0", "--j-max", "0"],
+     "input window (0, 10000000000) has more sites than the limit 33554432"),
+    (["--system", "periodic", "--N", "10000000000", "--j-min", "0", "--j-max", "0",
+      "--r-min", "0", "--r-max", "0"],
+     "system size N = 10000000000 has 2N over the limit 33554432"),
+], ids=["input window", "circle length"])
+def test_kernel_oversize_inputs_exit_2_before_allocating(tmp_path, capsys, argv, named):
+    # both used to reach numpy and fail with an uncaught _ArrayMemoryError
+    out = tmp_path / "k.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["kernel", *argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert peak < 2**20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("n_min", 0.9), ("n_min", "0"), ("n_min", True), ("n_max", 4.5), ("n_max", None),
+    ("hbar", True), ("hbar", "1.0"), ("mass", False), ("mu0", [1.0]),
+])
+def test_evolve_refuses_a_sidecar_field_it_would_cast(tmp_path, capsys, field, bad):
+    # "n_min": 0.9 or "0" used to be cast by int() into a state on a truncated window
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    save_wavefunction(delta_state(Lattice(PhysicalParams(), 0, 4), 2), src)
+    meta_path = src.with_suffix(".json")
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps(dict(meta, **{field: bad})))
+    assert main(["evolve", str(src), "--dt", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sidecar {meta_path} missing or invalid field: {field} ")
+    assert not out.exists()
+
+
 def test_kernel_memory_does_not_grow_with_times(tmp_path):
     # each time's kernel vector is built as its rows are written: one time
     # peaks at 8.05 MiB (the circle step at N = 65,536), eight at 10.05 MiB,

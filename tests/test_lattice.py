@@ -32,6 +32,13 @@ def test_params_validation():
                 {"hbar": 1e-200}):
         with pytest.raises(ValueError, match="m mu0"):
             PhysicalParams(**bad)
+    # real numbers only, not bool or text; ints are stored as the floats they stand for
+    for name in ("hbar", "mass", "mu0"):
+        for bad in (True, "1.0"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got"):
+                PhysicalParams(**{name: bad})
+    params = PhysicalParams(hbar=1, mass=2, mu0=np.float64(0.5))
+    assert [type(v) for v in (params.hbar, params.mass, params.mu0)] == [float] * 3
 
 
 def test_dimensionless_time():
@@ -52,6 +59,13 @@ def test_lattice_window():
     assert lat.positions[0] == -1.0
     with pytest.raises(ValueError):
         Lattice(PhysicalParams(), 4, 2)
+    # integer bounds, never truncated: Lattice(P, 0.5, 3) once had num_sites 3.5
+    for n_min, n_max, bad in ((0.5, 3, "n_min"), ("0", 3, "n_min"), (True, 3, "n_min"),
+                              (0, 3.5, "n_max"), (0, None, "n_max")):
+        with pytest.raises(ValueError, match=f"^{bad} must be an integer, got"):
+            Lattice(PhysicalParams(), n_min, n_max)
+    lat = Lattice(PhysicalParams(), np.int64(-1), np.int32(2))
+    assert (type(lat.n_min), type(lat.n_max), lat.num_sites) == (int, int, 4)
 
 
 def test_wavefunction_validation():
@@ -95,6 +109,11 @@ def test_momentum_grid_inside_open_interval():
     assert np.max(grid.values) == pytest.approx(-np.min(grid.values))
     with pytest.raises(ValueError):
         MomentumGrid(params, 0)
+    # MomentumGrid(P, 2.5) once had 3 values and failed in to_momentum
+    for bad in (2.5, 3.0, "4", True, -2):
+        with pytest.raises(ValueError, match="^num_points must be an integer >= 1, got"):
+            MomentumGrid(params, bad)
+    assert type(MomentumGrid(params, np.int64(3)).num_points) is int
 
 
 def test_to_momentum_delta_states():
