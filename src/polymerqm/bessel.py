@@ -107,6 +107,16 @@ def _integer(value, name: str, least: int | None = None) -> int:
     return number
 
 
+def _site_domain(lo, hi, name: str) -> None:
+    """ValueError naming the sites lo..hi unless -2**62 < lo and hi < 2**62 (NaN fails).
+
+    Then every j - r, j + r and window padded by W <= _MAX_SIZE fits in int64; at
+    |site| = 2**62 itself, j - r = 2**62 - (-2**62) = 2**63 would wrap around.
+    """
+    if not (-2**62 < lo and hi < 2**62):
+        raise ValueError(f"{name} {lo}..{hi} outside the site domain |site| < 2**62")
+
+
 def _validate_argument(z: float) -> float:
     z = float(z)
     if not math.isfinite(z):

@@ -12,11 +12,12 @@ so the transform is a discrete-time Fourier transform.  `to_momentum` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _integer
+from .bessel import _integer, _site_domain
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class PhysicalParams:
         for name in ("hbar", "mass", "mu0"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) and v > 0):
+                    and 0 < v <= sys.float_info.max):  # a larger int overflows float()
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
             object.__setattr__(self, name, float(v))
         try:
@@ -77,6 +78,7 @@ class Lattice:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_min > self.n_max:
             raise ValueError(f"empty window: n_min={self.n_min} > n_max={self.n_max}")
+        _site_domain(self.n_min, self.n_max, "lattice sites")
 
     @property
     def num_sites(self) -> int:

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _MAX_SIZE, _work_orders, bessel_table, truncation_window, unit_imaginary_power
+from .bessel import (_MAX_SIZE, _site_domain, _work_orders, bessel_table, truncation_window,
+                     unit_imaginary_power)
 from .dynamics import (_band, _box_interior_amplitudes, _box_modes, _box_size, _stencil,
                        dispersion_energy)
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
@@ -79,7 +80,11 @@ def _box_domain(j_lo, j_hi, r_lo, r_hi, n_box: int) -> None:
 
 def _sites(j, r, n_box: int | None = None):
     """j, r as int64 arrays (>= 1-d) and whether both were scalars; box sites in 0..N."""
-    js, rs = (np.atleast_1d(np.asarray(v, dtype=np.int64)) for v in (j, r))
+    js, rs = (np.atleast_1d(np.asarray(v)) for v in (j, r))  # checked before the cast
+    for name, v in (("sites j", js), ("sites r", rs)):
+        if v.size:
+            _site_domain(v.min(), v.max(), name)
+    js, rs = js.astype(np.int64), rs.astype(np.int64)
     if n_box is not None:
         _box_domain(js.min(), js.max(), rs.min(), rs.max(), n_box)
     return js, rs, np.ndim(j) == 0 and np.ndim(r) == 0
@@ -287,7 +292,8 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
     rows (output sites j) and cols (input sites r) are windows (lo, hi); rows default
     to `evolve`'s: the box 0..N, else cols padded by W, periodic cut to one period 2N.
     ValueError: a |z| `bessel_table` refuses (one z range for every system), an
-    empty window, a window over `bessel._MAX_SIZE` sites, box sites outside 0..N.
+    empty window, a window over `bessel._MAX_SIZE` sites or outside the site
+    domain (`bessel._site_domain`), box sites outside 0..N.
     """
     z = dimensionless_time(kernel.params, dt)
     _work_orders(abs(z), 0)
@@ -303,6 +309,7 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
         if hi - lo >= _MAX_SIZE:
             raise ValueError(f"{name.split()[0]} window {(lo, hi)} has more sites "
                              f"than the limit {_MAX_SIZE}")
+        _site_domain(lo, hi, name)
     if kernel.system == "box":
         _box_domain(*rows, *cols, n)
     return z, w, rows, cols
@@ -330,9 +337,10 @@ def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.
     which `polymerqm kernel` reads a block of rows at a time): free exactly 0
     where |j - r| > W, box walls exactly 0, dt = 0 the exact identity.
     """
-    js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
-    rows, cols = ((int(v.min()), int(v.max())) if v.size else (0, -1) for v in (js, rs))
-    return _kernel_rows(kernel, _plan(kernel, dt, cols, rows), rs)(js)
+    js, rs = (np.asarray(v) for v in (j_values, r_values))  # planned before the int64 cast
+    rows, cols = ((v.min(), v.max()) if v.size else (0, -1) for v in (js, rs))
+    plan = _plan(kernel, dt, cols, rows)
+    return _kernel_rows(kernel, plan, rs.astype(np.int64))(js.astype(np.int64))
 
 
 def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,

@@ -1,11 +1,17 @@
 """Named property suites behind the `verify` command.
 
-Each suite runs the library's invariants at fixed desk-scale sample
-grids and reports one record per property: the observed worst deviation
-and the tolerance it must stay under.  Randomized samples (Jacobi-Anger
-points, Gaussian packets, amplitudes) come from `random.Random(seed)`, the
-stdlib generator `import numpy` has already loaded, so `numpy.random` stays
-unloaded and two runs with the same seed produce identical reports.
+Each invariant shared by the systems is one function of a
+`PropagatorKernel` and its grid that returns the worst deviation as a
+float: `_initial_condition`, `_unitarity`, `_symmetry` and
+`_time_reversal` here, beside the library's `composition_check`,
+`greens_residual` and `greens_residual_fd`.  A suite is a generator,
+called as suite(params, n_box, seed), that yields one (name, deviation,
+tolerance) record per property at fixed desk-scale sample grids;
+`run_suite` reads the suites from `_SUITES` and makes every `CheckResult`.
+Randomized samples (Jacobi-Anger points, Gaussian packets, amplitudes)
+come from `random.Random(seed)`, the stdlib generator `import numpy` has
+already loaded, so `numpy.random` stays unloaded and two runs with the
+same seed produce identical reports.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +45,6 @@ from .propagators import (
     composition_check,
     continuum_sweep,
     evolve,
-    free_kernel,
     greens_residual,
     greens_residual_fd,
     kernel_table,
@@ -97,32 +102,61 @@ def _grid(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return sites[:, None], sites
 
 
-def _run(suite: str, name: str, deviation: float, tolerance: float) -> CheckResult:
-    return CheckResult(suite, name, float(deviation), tolerance)
+# ---------------------------------------------------------------------------
+# invariants: a kernel and its grid -> the worst deviation
+# ---------------------------------------------------------------------------
+
+def _initial_condition(kernel: PropagatorKernel, lo: int, hi: int) -> float:
+    """Worst |k(j, r, 0) - delta_jr| over j, r in lo..hi; box walls are expected 0."""
+    js, rs = _grid(lo, hi)
+    delta = js == rs
+    if kernel.system == "box":
+        delta &= js % kernel.n != 0
+    return _worst(kernel(js, rs, 0.0) - delta)
+
+
+def _unitarity(kernel: PropagatorKernel, lo: int, hi: int, dt: float) -> float:
+    """Worst deviation of k k^dagger from I on sites lo..hi, a closed set (box interior).
+
+    Free: |sum_m |k(m, 0)|^2 - 1| over m = lo..hi, the engine's column of
+    the truncation window, outside of which the kernel is exactly 0.
+    """
+    if kernel.system == "free":
+        column = kernel_table(kernel, range(lo, hi + 1), [0], dt)[:, 0]
+        return abs(float(np.sum(np.abs(column) ** 2)) - 1.0)
+    k = kernel(*_grid(lo, hi), dt)
+    return _worst(k @ k.conj().T - np.eye(hi - lo + 1))
+
+
+def _symmetry(kernel: PropagatorKernel, js, rs, dt: float) -> float:
+    """Worst |k(j, r) - k(r, j)| over a column js and a row rs."""
+    return _worst(kernel(js, rs, dt) - kernel(rs, js, dt))
+
+
+def _time_reversal(kernel: PropagatorKernel, js, rs, dt: float) -> float:
+    """Worst |conj k(j, r, dt) - k(j, r, -dt)| over a column js and a row rs."""
+    return _worst(np.conj(kernel(js, rs, dt)) - kernel(js, rs, -dt))
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: (params, n_box, seed) -> (name, deviation, tolerance) records
 # ---------------------------------------------------------------------------
 
-def suite_bessel(seed: int = 0) -> list[CheckResult]:
-    checks = []
-
+def suite_bessel(params: PhysicalParams, n_box: int, seed: int):
     # one table per z: W(z) >= 20 > 12, so it starts where bessel_jn's does
-    dev = max(_worst(bessel_table(z, 12) - [bessel_series_reference(n, z) for n in range(13)])
-              for z in (0.0, 0.3, 0.5, 1.0, 2.5, 3.0, 5.0, 6.0, 8.0, 9.0, 12.0))
-    checks.append(_run("bessel", "series-oracle", dev, 1e-13))
+    yield "series-oracle", max(
+        _worst(bessel_table(z, 12) - [bessel_series_reference(n, z) for n in range(13)])
+        for z in (0.0, 0.3, 0.5, 1.0, 2.5, 3.0, 5.0, 6.0, 8.0, 9.0, 12.0)), 1e-13
 
-    dev = max(abs(bessel_jn(-n, z) - (-1.0) ** n * bessel_jn(n, z))
-              for n in range(0, 9) for z in (0.5, 1.0, 5.0, 20.0))
-    checks.append(_run("bessel", "order-parity", dev, 0.0))
+    yield "order-parity", max(abs(bessel_jn(-n, z) - (-1.0) ** n * bessel_jn(n, z))
+                              for n in range(0, 9) for z in (0.5, 1.0, 5.0, 20.0)), 0.0
 
     dev = 0.0
     for z in (0.5, 1.0, 5.0, 20.0, 100.0):
         table = bessel_table(z, truncation_window(z) + 1)
         for n in range(1, truncation_window(z) // 2 + 1):
             dev = max(dev, abs(table[n - 1] + table[n + 1] - (2.0 * n / z) * table[n]))
-    checks.append(_run("bessel", "recurrence", dev, 1e-11))
+    yield "recurrence", dev, 1e-11
 
     h = 1e-5
     dev = 0.0
@@ -131,20 +165,20 @@ def suite_bessel(seed: int = 0) -> list[CheckResult]:
         table = bessel_table(z, 9)
         exact = 0.5 * (np.append(-table[1], table[:8]) - table[1:])
         dev = max(dev, _worst(fd - exact))
-    checks.append(_run("bessel", "derivative-identity", dev, 1e-7))
+    yield "derivative-identity", dev, 1e-7
 
     dev = 0.0
     for z in (0.1, 1.0, 10.0, 100.0):
         table = bessel_table(z, truncation_window(z))
         total = table[0] ** 2 + 2.0 * np.sum(table[1:] ** 2)
         dev = max(dev, abs(total - 1.0))
-    checks.append(_run("bessel", "sum-of-squares", dev, 1e-12))
+    yield "sum-of-squares", dev, 1e-12
 
     dev = 0.0
     for z in (1.0, 10.0, 50.0):
         table = bessel_table(z, truncation_window(z))
         dev = max(dev, abs(table[0] + 2.0 * np.sum(table[2::2]) - 1.0))
-    checks.append(_run("bessel", "normalization", dev, 1e-13))
+    yield "normalization", dev, 1e-13
 
     rng = random.Random(seed)
     dev = 0.0
@@ -153,50 +187,28 @@ def suite_bessel(seed: int = 0) -> list[CheckResult]:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         val = jacobi_anger(z, phi, truncation_window(z))
         dev = max(dev, abs(val - np.exp(1j * z * math.cos(phi))))
-    checks.append(_run("bessel", "jacobi-anger", dev, 1e-10))
-    return checks
+    yield "jacobi-anger", dev, 1e-10
 
 
-def suite_free(params: PhysicalParams | None = None) -> list[CheckResult]:
-    params = params or PhysicalParams()
+def suite_free(params: PhysicalParams, n_box: int, seed: int):
     scale = params.mu0**2 * params.mass / params.hbar  # dt giving z = 1
-    checks = []
-
-    dev = _worst(free_kernel(*_grid(-16, 16), 0.0, params) - np.eye(33))
-    checks.append(_run("free", "initial-condition", dev, 1e-14))
-
-    # sum_m |k(m, 0)|^2 = 1 over the truncation window, from the engine
     kernel = PropagatorKernel.free(params)
-    dev = 0.0
-    for z in (0.1, 1.0, 10.0, 100.0):
-        w = truncation_window(z)
-        column = kernel_table(kernel, range(-w, w + 1), [0], z * scale)[:, 0]
-        dev = max(dev, abs(float(np.sum(np.abs(column) ** 2)) - 1.0))
-    checks.append(_run("free", "unitarity", dev, 1e-10))
-
-    dev = max(composition_check(kernel, 0, range(0, 9), 0.0,
-                                z2 * scale, (z1 + z2) * scale)
-              for z1, z2 in ((1.0, 1.0), (2.0, 0.5), (10.0, 10.0)))
-    checks.append(_run("free", "composition", dev, 1e-9))
+    yield "initial-condition", _initial_condition(kernel, -16, 16), 1e-14
+    yield "unitarity", max(_unitarity(kernel, -(w := truncation_window(z)), w, z * scale)
+                           for z in (0.1, 1.0, 10.0, 100.0)), 1e-10
+    yield "composition", max(composition_check(kernel, 0, range(0, 9), 0.0,
+                                               z2 * scale, (z1 + z2) * scale)
+                             for z1, z2 in ((1.0, 1.0), (2.0, 0.5), (10.0, 10.0))), 1e-9
 
     sites = range(-8, 9)
-    times = [z * scale for z in (0.5, 1.0, 5.0, 20.0)]
-    dev = greens_residual(kernel, sites, sites, times)
-    checks.append(_run("free", "greens-residual", dev, 1e-9))
-    dev = greens_residual_fd(kernel, range(-4, 5), range(-4, 5),
-                             [z * scale for z in (0.5, 1.0, 5.0)], step=1e-6)
-    checks.append(_run("free", "greens-residual-fd", dev, 1e-5))
-
-    js, rs = np.array([[-5], [0], [2]]), np.array([-1, 3, 7])
-    dev = _worst(free_kernel(js, rs, 1.3 * scale, params)
-                 - free_kernel(rs, js, 1.3 * scale, params))
-    checks.append(_run("free", "symmetry", dev, 0.0))
-
-    js, rs = np.array([[-3], [0], [4]]), np.array([-2, 1, 6])
-    dev = max(_worst(np.conj(free_kernel(js, rs, dt, params))
-                     - free_kernel(js, rs, -dt, params))
-              for dt in (0.4 * scale, 2.0 * scale))
-    checks.append(_run("free", "time-reversal", dev, 1e-13))
+    yield "greens-residual", greens_residual(
+        kernel, sites, sites, [z * scale for z in (0.5, 1.0, 5.0, 20.0)]), 1e-9
+    yield "greens-residual-fd", greens_residual_fd(
+        kernel, range(-4, 5), range(-4, 5), [z * scale for z in (0.5, 1.0, 5.0)],
+        step=1e-6), 1e-5
+    yield "symmetry", _symmetry(kernel, [[-5], [0], [2]], [-1, 3, 7], 1.3 * scale), 0.0
+    yield "time-reversal", max(_time_reversal(kernel, [[-3], [0], [4]], [-2, 1, 6], dt)
+                               for dt in (0.4 * scale, 2.0 * scale)), 1e-13
 
     # truncated plane wave picks up exactly e^{-i E dt / hbar} in the interior
     dev = 0.0
@@ -210,34 +222,23 @@ def suite_free(params: PhysicalParams | None = None) -> list[CheckResult]:
         expected = (np.exp(-1j * dispersion_energy(params, p) * dt / params.hbar)
                     * np.exp(1j * out.lattice.sites * params.mu0 * p / params.hbar))
         dev = max(dev, _worst(out.amplitudes - expected))
-    checks.append(_run("free", "eigenstate-phase", dev, 1e-8))
+    yield "eigenstate-phase", dev, 1e-8
 
-    dev = 0.0
-    for energy in (0.0, 0.4 * params.energy_scale, 2.0 * params.energy_scale):
-        dev = max(dev, abs(dispersion_energy(
-            params, dispersion_momentum(params, energy)) - energy))
-    checks.append(_run("free", "dispersion-roundtrip", dev, 1e-12))
-    return checks
+    yield "dispersion-roundtrip", max(
+        abs(dispersion_energy(params, dispersion_momentum(params, energy)) - energy)
+        for energy in (0.0, 0.4 * params.energy_scale, 2.0 * params.energy_scale)), 1e-12
 
 
-def suite_box(params: PhysicalParams | None = None, n_box: int = 8) -> list[CheckResult]:
-    params = params or PhysicalParams()
+def suite_box(params: PhysicalParams, n_box: int, seed: int):
     scale = params.mu0**2 * params.mass / params.hbar
-    checks = []
-
-    dev = max(_worst(box_spectral_kernel(*_grid(0, n), 0.0, n, params)
-                     - np.diag([0.0] + [1.0] * (n - 1) + [0.0]))
-              for n in range(2, 17))
-    checks.append(_run("box", "initial-condition", dev, 1e-14))
-
-    dev = max(_worst(box_spectral_kernel(*_grid(0, n), z * scale, n, params)
-                     - box_images_kernel(*_grid(0, n), z * scale, n, params=params))
-              for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0))
-    checks.append(_run("box", "spectral-vs-images", dev, 1e-10))
-
-    dev = _worst(box_spectral_kernel(np.array([[0], [n_box]]), np.arange(0, n_box + 1),
-                                     1.7 * scale, n_box, params))
-    checks.append(_run("box", "boundary-zeros", dev, 0.0))
+    yield "initial-condition", max(_initial_condition(PropagatorKernel.box(n, params), 0, n)
+                                   for n in range(2, 17)), 1e-14
+    yield "spectral-vs-images", max(
+        _worst(box_spectral_kernel(*_grid(0, n), z * scale, n, params)
+               - box_images_kernel(*_grid(0, n), z * scale, n, params=params))
+        for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0)), 1e-10
+    yield "boundary-zeros", _worst(box_spectral_kernel(
+        np.array([[0], [n_box]]), np.arange(0, n_box + 1), 1.7 * scale, n_box, params)), 0.0
 
     dev = 0.0
     for n, times in [(n_box, (0.3, 2.0))] + [(n, (0.7, 3.1)) for n in (2, 5, 9)]:
@@ -247,32 +248,23 @@ def suite_box(params: PhysicalParams | None = None, n_box: int = 8) -> list[Chec
             out = _box_step(states, dimensionless_time(params, dt))
             phases = np.exp(-1j * spectrum.energies * dt / params.hbar)
             dev = max(dev, _worst(out - phases[:, None] * states))
-    checks.append(_run("box", "eigenphase", dev, 1e-12))
+    yield "eigenphase", dev, 1e-12
 
-    dev = 0.0
-    for n in range(2, 17):
-        for z in (0.5, 3.0):
-            interior = box_spectral_kernel(*_grid(1, n - 1), z * scale, n, params)
-            dev = max(dev, _worst(interior @ interior.conj().T - np.eye(n - 1)))
-    checks.append(_run("box", "unitarity", dev, 1e-12))
-
-    dev = max(composition_check(PropagatorKernel.box(n, params), range(1, n),
-                                range(1, n), 0.0, t1 * scale, 3.0 * scale)
-              for n in range(2, 9) for t1 in (0.4, 1.0, 1.1, 2.2, 2.3))
-    checks.append(_run("box", "composition", dev, 1e-12))
+    yield "unitarity", max(_unitarity(PropagatorKernel.box(n, params), 1, n - 1, z * scale)
+                           for n in range(2, 17) for z in (0.5, 3.0)), 1e-12
+    yield "composition", max(composition_check(PropagatorKernel.box(n, params), range(1, n),
+                                               range(1, n), 0.0, t1 * scale, 3.0 * scale)
+                             for n in range(2, 9) for t1 in (0.4, 1.0, 1.1, 2.2, 2.3)), 1e-12
 
     box6 = PropagatorKernel.box(6, params)
-    dev = greens_residual(box6, range(1, 6), range(0, 7),
-                          [z * scale for z in (0.5, 1.0, 5.0, 20.0)])
-    checks.append(_run("box", "greens-residual", dev, 1e-10))
-    dev = greens_residual_fd(box6, range(1, 6), range(1, 6),
-                             [z * scale for z in (0.5, 1.0, 5.0)], step=1e-6)
-    checks.append(_run("box", "greens-residual-fd", dev, 1e-5))
+    yield "greens-residual", greens_residual(
+        box6, range(1, 6), range(0, 7), [z * scale for z in (0.5, 1.0, 5.0, 20.0)]), 1e-10
+    yield "greens-residual-fd", greens_residual_fd(
+        box6, range(1, 6), range(1, 6), [z * scale for z in (0.5, 1.0, 5.0)], step=1e-6), 1e-5
 
     # the tridiagonal interior stencil, diagonalized densely; every level
     # must also lie below the band top 2 hbar^2/(m mu0^2)
-    dev_e = 0.0
-    dev_v = 0.0
+    dev_e = dev_v = 0.0
     for n in range(2, 33):
         spec = box_spectrum(n, params)
         c = params.energy_scale
@@ -286,22 +278,18 @@ def suite_box(params: PhysicalParams | None = None, n_box: int = 8) -> list[Chec
         first = np.argmax(np.abs(vecs) > 1e-8, axis=0)
         vecs = vecs * np.where(vecs[first, np.arange(n - 1)] < 0, -1.0, 1.0)
         dev_v = max(dev_v, _worst(vecs.T - spec.eigenvectors[:, 1:n]))
-    checks.append(_run("box", "spectrum-oracle-energies", dev_e, 1e-10))
-    checks.append(_run("box", "spectrum-oracle-vectors", dev_v, 1e-8))
+    yield "spectrum-oracle-energies", dev_e, 1e-10
+    yield "spectrum-oracle-vectors", dev_v, 1e-8
 
     # every level of a box in one stencil call; H psi and E psi are 0 on the walls
-    dev = max(_worst(_stencil(spec.eigenvectors, params)
-                     - spec.energies[:, None] * spec.eigenvectors[:, 1:-1])
-              for spec in (box_spectrum(n, params) for n in (2, 7, 32)))
-    checks.append(_run("box", "eigen-residual", dev, 1e-12))
-    return checks
+    yield "eigen-residual", max(_worst(_stencil(spec.eigenvectors, params)
+                                       - spec.energies[:, None] * spec.eigenvectors[:, 1:-1])
+                                for spec in (box_spectrum(n, params) for n in (2, 7, 32))), 1e-12
 
 
-def suite_momentum(params: PhysicalParams | None = None, seed: int = 0) -> list[CheckResult]:
-    params = params or PhysicalParams()
+def suite_momentum(params: PhysicalParams, n_box: int, seed: int):
     scale = params.mu0**2 * params.mass / params.hbar
     rng = random.Random(seed)
-    checks = []
 
     # packets on sites -40..40 evolve onto that window padded by W(z = 2);
     # the momentum grids have 8 and 16 points more than the padded window
@@ -321,23 +309,21 @@ def suite_momentum(params: PhysicalParams | None = None, seed: int = 0) -> list[
         for grid, phases in zip(grids, grid_phases):
             back = from_momentum(to_momentum(psi, grid) * phases, grid, out.lattice)
             dev = max(dev, float(np.max(np.abs(back.amplitudes - out.amplitudes))))
-    checks.append(_run("momentum", "phase-evolution", dev, 1e-9))
+    yield "phase-evolution", dev, 1e-9
 
     lat = Lattice(params, -6, 9)
     re, im = np.array([rng.gauss(0.0, 1.0) for _ in range(32)]).reshape(2, 16)
     psi = LatticeWavefunction(lat, re + 1j * im)  # 16 real parts, then 16 imaginary
     grid = MomentumGrid(params, 64)
     tilde = to_momentum(psi, grid)
-    dev = abs(float(np.sum(np.abs(tilde) ** 2)) / grid.num_points - psi.norm_sq())
-    checks.append(_run("momentum", "parseval", dev, 1e-12 * psi.norm_sq()))
-
-    dev = _worst(from_momentum(tilde, grid, lat).amplitudes - psi.amplitudes)
-    checks.append(_run("momentum", "roundtrip", dev, 1e-12))
+    yield "parseval", abs(float(np.sum(np.abs(tilde) ** 2)) / grid.num_points
+                          - psi.norm_sq()), 1e-12 * psi.norm_sq()
+    yield "roundtrip", _worst(from_momentum(tilde, grid, lat).amplitudes - psi.amplitudes), 1e-12
 
     p_test = np.linspace(-0.9, 0.9, 7) * params.brillouin_edge
     shifted = p_test + 2.0 * math.pi * params.hbar / params.mu0
-    dev = _worst(momentum_samples(psi, p_test) - momentum_samples(psi, shifted))
-    checks.append(_run("momentum", "periodicity", dev, 1e-10))
+    yield "periodicity", _worst(momentum_samples(psi, p_test)
+                                - momentum_samples(psi, shifted)), 1e-10
 
     # FFT route vs dense sum on sites -6..9 and 10^6 sites away, over (max|n| + 1)
     # sum|psi_n|: dense phases round by up to ~4 pi |n| eps (3 pi from p, pi from n p)
@@ -346,23 +332,21 @@ def suite_momentum(params: PhysicalParams | None = None, seed: int = 0) -> list[
         far = LatticeWavefunction(Lattice(params, -6 + shift, 9 + shift), psi.amplitudes)
         dev = max(dev, _worst(to_momentum(far, grid) - momentum_samples(far, grid.values))
                   / ((10 + shift) * np.sum(np.abs(psi.amplitudes))))
-    checks.append(_run("momentum", "fft-vs-dense", dev, 4.0 * math.pi * 2.0**-52))
-    return checks
+    yield "fft-vs-dense", dev, 4.0 * math.pi * 2.0**-52
 
 
-def suite_continuum() -> list[CheckResult]:
-    checks = []
-    points = continuum_sweep(1.0, 1.0, [1 / 8, 1 / 16, 1 / 32, 1 / 64])
-    errors = [p.abs_error for p in points]
+def suite_continuum(params: PhysicalParams, n_box: int, seed: int):
+    errors = [p.abs_error for p in continuum_sweep(1.0, 1.0, [1 / 8, 1 / 16, 1 / 32, 1 / 64])]
     worst_rise = max(errors[i + 1] - errors[i] for i in range(len(errors) - 1))
-    checks.append(_run("continuum", "monotone-decrease",
-                       max(0.0, worst_rise), 0.0))
+    yield "monotone-decrease", max(0.0, worst_rise), 0.0
 
     long_times = continuum_sweep(1.0, 50.0, [1 / 8])[0].abs_error
     short_times = continuum_sweep(1.0, 1.0, [1 / 8])[0].abs_error
-    checks.append(_run("continuum", "deep-time-decay",
-                       max(0.0, long_times - 0.25 * short_times), 0.0))
-    return checks
+    yield "deep-time-decay", max(0.0, long_times - 0.25 * short_times), 0.0
+
+
+_SUITES = {"bessel": suite_bessel, "free": suite_free, "box": suite_box,
+           "momentum": suite_momentum, "continuum": suite_continuum}
 
 
 def run_suite(name: str, params: PhysicalParams | None = None, n_box: int = 8,
@@ -379,19 +363,12 @@ def run_suite(name: str, params: PhysicalParams | None = None, n_box: int = 8,
     n_box = _box_size(n_box)  # checked whichever suite runs, like the seed
     if (seed := operator.index(seed)) < 0:  # random.Random(-s) is Random(s)
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    suites = {
-        "bessel": lambda: suite_bessel(seed),
-        "free": lambda: suite_free(params),
-        "box": lambda: suite_box(params, n_box),
-        "momentum": lambda: suite_momentum(params, seed),
-        "continuum": suite_continuum,
-    }
-    results = [check for key in (suites if name == "all" else (name,))
-               for check in suites[key]()]
     overrides = overrides or {}
+    results = [CheckResult(suite, check, float(dev), float(overrides.get(f"{suite}/{check}", tol)))
+               for suite in (_SUITES if name == "all" else (name,))
+               for check, dev, tol in _SUITES[suite](params, n_box, seed)]
     unknown = set(overrides) - {f"{c.suite}/{c.name}" for c in results}
     if unknown:
         raise ValueError(f"tolerance overrides {sorted(unknown)} name no record of "
                          f"suite {name!r}; keys are suite/name, e.g. 'free/unitarity'")
-    return [replace(c, tolerance=float(overrides.get(f"{c.suite}/{c.name}", c.tolerance)))
-            for c in results]
+    return results

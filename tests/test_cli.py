@@ -109,6 +109,8 @@ def test_unknown_config_key(tmp_path):
     {"mu0_list": [0.5, "x"]},
     {"dx": "1"},
     {"hbar": True},
+    # too large for a float: math.isfinite raised an uncaught OverflowError, exit 1
+    pytest.param({"hbar": 10**400}, id='{"hbar": 10**400}'),
     {"tolerances": 5},
     {"tolerances": {"free/unitarity": None}},
     {"tolerances": {"free/unitarity": True}},
@@ -475,6 +477,120 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
         b"0.25,4,16.0,0.4116411568654795,\r\n")
 
 
+# the whole `verify --suite all` CSV at three configurations: every record's
+# suite, name, order, tolerance and deviation bits
+_VERIFY_ALL_CSV = {
+    ('--N', '8', '--seed', '1'): (
+        b"suite,name,deviation,tolerance,status\r\n"
+        b"bessel,series-oracle,1.6653345369377348e-16,1e-13,pass\r\n"
+        b"bessel,order-parity,0.0,0.0,pass\r\n"
+        b"bessel,recurrence,1.1102230246251565e-16,1e-11,pass\r\n"
+        b"bessel,derivative-identity,1.6864620810963515e-11,1e-07,pass\r\n"
+        b"bessel,sum-of-squares,1.3322676295501878e-15,1e-12,pass\r\n"
+        b"bessel,normalization,2.220446049250313e-16,1e-13,pass\r\n"
+        b"bessel,jacobi-anger,2.6231021306560834e-15,1e-10,pass\r\n"
+        b"free,initial-condition,0.0,1e-14,pass\r\n"
+        b"free,unitarity,1.3322676295501878e-15,1e-10,pass\r\n"
+        b"free,composition,1.1443916996305594e-16,1e-09,pass\r\n"
+        b"free,greens-residual,1.1102230246251565e-16,1e-09,pass\r\n"
+        b"free,greens-residual-fd,1.2078004126118433e-10,1e-05,pass\r\n"
+        b"free,symmetry,0.0,0.0,pass\r\n"
+        b"free,time-reversal,0.0,1e-13,pass\r\n"
+        b"free,eigenstate-phase,6.661338147750939e-16,1e-08,pass\r\n"
+        b"free,dispersion-roundtrip,5.551115123125783e-17,1e-12,pass\r\n"
+        b"box,initial-condition,1.1518563880486e-15,1e-14,pass\r\n"
+        b"box,spectral-vs-images,1.942097114741681e-15,1e-10,pass\r\n"
+        b"box,boundary-zeros,0.0,0.0,pass\r\n"
+        b"box,eigenphase,1.1792037227924548e-15,1e-12,pass\r\n"
+        b"box,unitarity,2.1958673117011908e-15,1e-12,pass\r\n"
+        b"box,composition,1.5149212091658231e-15,1e-12,pass\r\n"
+        b"box,greens-residual,2.8701197811473104e-15,1e-10,pass\r\n"
+        b"box,greens-residual-fd,2.347779731857505e-10,1e-05,pass\r\n"
+        b"box,spectrum-oracle-energies,8.881784197001252e-16,1e-10,pass\r\n"
+        b"box,spectrum-oracle-vectors,9.624245844719326e-15,1e-08,pass\r\n"
+        b"box,eigen-residual,2.0261570199409107e-15,1e-12,pass\r\n"
+        b"momentum,phase-evolution,2.4552312978479334e-16,1e-09,pass\r\n"
+        b"momentum,parseval,0.0,3.7365573465126954e-11,pass\r\n"
+        b"momentum,roundtrip,4.742874840267547e-16,1e-12,pass\r\n"
+        b"momentum,periodicity,2.8435583831733384e-14,1e-10,pass\r\n"
+        b"momentum,fft-vs-dense,2.0612222039708024e-16,2.7902947984069054e-15,pass\r\n"
+        b"continuum,monotone-decrease,0.0,0.0,pass\r\n"
+        b"continuum,deep-time-decay,0.0,0.0,pass\r\n"),
+    ('--N', '48', '--mu0', '0.5', '--seed', '7919'): (
+        b"suite,name,deviation,tolerance,status\r\n"
+        b"bessel,series-oracle,1.6653345369377348e-16,1e-13,pass\r\n"
+        b"bessel,order-parity,0.0,0.0,pass\r\n"
+        b"bessel,recurrence,1.1102230246251565e-16,1e-11,pass\r\n"
+        b"bessel,derivative-identity,1.6864620810963515e-11,1e-07,pass\r\n"
+        b"bessel,sum-of-squares,1.3322676295501878e-15,1e-12,pass\r\n"
+        b"bessel,normalization,2.220446049250313e-16,1e-13,pass\r\n"
+        b"bessel,jacobi-anger,2.756060177257249e-15,1e-10,pass\r\n"
+        b"free,initial-condition,0.0,1e-14,pass\r\n"
+        b"free,unitarity,1.3322676295501878e-15,1e-10,pass\r\n"
+        b"free,composition,1.1443916996305594e-16,1e-09,pass\r\n"
+        b"free,greens-residual,4.440892098500626e-16,1e-09,pass\r\n"
+        b"free,greens-residual-fd,1.3695956115014327e-10,1e-05,pass\r\n"
+        b"free,symmetry,0.0,0.0,pass\r\n"
+        b"free,time-reversal,0.0,1e-13,pass\r\n"
+        b"free,eigenstate-phase,6.661338147750939e-16,1e-08,pass\r\n"
+        b"free,dispersion-roundtrip,2.220446049250313e-16,1e-12,pass\r\n"
+        b"box,initial-condition,1.1518563880486e-15,1e-14,pass\r\n"
+        b"box,spectral-vs-images,1.942097114741681e-15,1e-10,pass\r\n"
+        b"box,boundary-zeros,0.0,0.0,pass\r\n"
+        b"box,eigenphase,5.2759326650582574e-15,1e-12,pass\r\n"
+        b"box,unitarity,2.1958673117011908e-15,1e-12,pass\r\n"
+        b"box,composition,1.5149212091658231e-15,1e-12,pass\r\n"
+        b"box,greens-residual,1.1480479124589242e-14,1e-10,pass\r\n"
+        b"box,greens-residual-fd,3.498813899696614e-10,1e-05,pass\r\n"
+        b"box,spectrum-oracle-energies,3.552713678800501e-15,1e-10,pass\r\n"
+        b"box,spectrum-oracle-vectors,9.624245844719326e-15,1e-08,pass\r\n"
+        b"box,eigen-residual,8.104628079763643e-15,1e-12,pass\r\n"
+        b"momentum,phase-evolution,2.0206364052201328e-16,1e-09,pass\r\n"
+        b"momentum,parseval,3.552713678800501e-15,3.110585716902502e-11,pass\r\n"
+        b"momentum,roundtrip,4.965068306494546e-16,1e-12,pass\r\n"
+        b"momentum,periodicity,1.586492775187076e-14,1e-10,pass\r\n"
+        b"momentum,fft-vs-dense,1.4155613443915072e-16,2.7902947984069054e-15,pass\r\n"
+        b"continuum,monotone-decrease,0.0,0.0,pass\r\n"
+        b"continuum,deep-time-decay,0.0,0.0,pass\r\n"),
+    ('--N', '17', '--hbar', '0.9', '--mass', '1.3', '--seed', '3'): (
+        b"suite,name,deviation,tolerance,status\r\n"
+        b"bessel,series-oracle,1.6653345369377348e-16,1e-13,pass\r\n"
+        b"bessel,order-parity,0.0,0.0,pass\r\n"
+        b"bessel,recurrence,1.1102230246251565e-16,1e-11,pass\r\n"
+        b"bessel,derivative-identity,1.6864620810963515e-11,1e-07,pass\r\n"
+        b"bessel,sum-of-squares,1.3322676295501878e-15,1e-12,pass\r\n"
+        b"bessel,normalization,2.220446049250313e-16,1e-13,pass\r\n"
+        b"bessel,jacobi-anger,2.8700507116422944e-15,1e-10,pass\r\n"
+        b"free,initial-condition,0.0,1e-14,pass\r\n"
+        b"free,unitarity,1.3322676295501878e-15,1e-10,pass\r\n"
+        b"free,composition,1.1443916996305594e-16,1e-09,pass\r\n"
+        b"free,greens-residual,1.1102230246251565e-16,1e-09,pass\r\n"
+        b"free,greens-residual-fd,8.15846492588999e-11,1e-05,pass\r\n"
+        b"free,symmetry,0.0,0.0,pass\r\n"
+        b"free,time-reversal,0.0,1e-13,pass\r\n"
+        b"free,eigenstate-phase,2.3914935841127266e-15,1e-08,pass\r\n"
+        b"free,dispersion-roundtrip,2.7755575615628914e-17,1e-12,pass\r\n"
+        b"box,initial-condition,1.1518563880486e-15,1e-14,pass\r\n"
+        b"box,spectral-vs-images,1.942097114741681e-15,1e-10,pass\r\n"
+        b"box,boundary-zeros,0.0,0.0,pass\r\n"
+        b"box,eigenphase,2.511074399121581e-15,1e-12,pass\r\n"
+        b"box,unitarity,2.1958673117011908e-15,1e-12,pass\r\n"
+        b"box,composition,1.4054300946555646e-15,1e-12,pass\r\n"
+        b"box,greens-residual,1.7685878046281191e-15,1e-10,pass\r\n"
+        b"box,greens-residual-fd,1.3270615546269445e-10,1e-05,pass\r\n"
+        b"box,spectrum-oracle-energies,8.881784197001252e-16,1e-10,pass\r\n"
+        b"box,spectrum-oracle-vectors,8.659739592076221e-15,1e-08,pass\r\n"
+        b"box,eigen-residual,1.2628786905111156e-15,1e-12,pass\r\n"
+        b"momentum,phase-evolution,4.47545209131181e-16,1e-09,pass\r\n"
+        b"momentum,parseval,7.105427357601002e-15,4.829330365319332e-11,pass\r\n"
+        b"momentum,roundtrip,9.155133597044475e-16,1e-12,pass\r\n"
+        b"momentum,periodicity,2.1846300548576003e-14,1e-10,pass\r\n"
+        b"momentum,fft-vs-dense,2.1212321616336485e-16,2.7902947984069054e-15,pass\r\n"
+        b"continuum,monotone-decrease,0.0,0.0,pass\r\n"
+        b"continuum,deep-time-decay,0.0,0.0,pass\r\n"),
+}
+
+
 def test_verify_csv_bytes_are_pinned(tmp_path):
     out = tmp_path / "verify.csv"
     assert main(["verify", "--suite", "bessel", "--out", str(out)]) == 0
@@ -487,6 +603,9 @@ def test_verify_csv_bytes_are_pinned(tmp_path):
         b"bessel,sum-of-squares,1.3322676295501878e-15,1e-12,pass\r\n"
         b"bessel,normalization,2.220446049250313e-16,1e-13,pass\r\n"
         b"bessel,jacobi-anger,4.4988012402835255e-15,1e-10,pass\r\n")
+    for argv, expected in _VERIFY_ALL_CSV.items():
+        assert main(["verify", "--suite", "all", *argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected, argv
 
 
 def test_kernel_table_memory_is_not_per_cell(tmp_path):
@@ -628,6 +747,7 @@ def test_kernel_oversize_inputs_exit_2_before_allocating(tmp_path, capsys, argv,
 @pytest.mark.parametrize("field,bad", [
     ("n_min", 0.9), ("n_min", "0"), ("n_min", True), ("n_max", 4.5), ("n_max", None),
     ("hbar", True), ("hbar", "1.0"), ("mass", False), ("mu0", [1.0]),
+    pytest.param("hbar", 10**400, id="hbar-10**400"),  # was an OverflowError, exit 1
 ])
 def test_evolve_refuses_a_sidecar_field_it_would_cast(tmp_path, capsys, field, bad):
     # "n_min": 0.9 or "0" used to be cast by int() into a state on a truncated window
@@ -639,6 +759,38 @@ def test_evolve_refuses_a_sidecar_field_it_would_cast(tmp_path, capsys, field, b
     assert main(["evolve", str(src), "--dt", "0.5", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: sidecar {meta_path} missing or invalid field: {field} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--system", "periodic", "--N", "3", "--j-min=-9223372036854775808",
+      "--j-max=-9223372036854775808", "--r-min", "1", "--r-max", "1"],
+     "output sites j -9223372036854775808..-9223372036854775808"),
+    (["--j-min", "18446744073709551616", "--j-max", "18446744073709551616"],
+     "output sites j 18446744073709551616..18446744073709551616"),
+], ids=["int64 min", "beyond int64"])
+def test_kernel_sites_outside_the_site_domain_exit_2(tmp_path, capsys, argv, named):
+    # -2^63 wrapped in j - r and printed 0.37050+0.23789j with exit 0;
+    # 2^64 ended in an IndexError, exit 1
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--dt", "1", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {named} outside the site domain "
+                                       "|site| < 2**62\n")
+    assert not out.exists()
+
+
+def test_evolve_of_a_state_beyond_the_site_domain_exits_2(tmp_path, capsys):
+    # the files a library without the site domain saved at 2^63 - 13 .. 2^63 - 10;
+    # evolve's window arithmetic raised an OverflowError on them, exit 1
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    first = 2**63 - 13
+    src.write_text("n,re,im\r\n" + "".join(f"{first + i},{float(i == 1)!r},0.0\r\n"
+                                           for i in range(4)))
+    src.with_suffix(".json").write_text(json.dumps(
+        {"hbar": 1.0, "mass": 1.0, "mu0": 1.0, "n_min": first, "n_max": first + 3}))
+    assert main(["evolve", str(src), "--dt", "0.5", "--out", str(out)]) == 2
+    assert "lattice sites 9223372036854775795..9223372036854775798 outside the site " \
+        "domain" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -831,6 +983,14 @@ def test_suite_choices_are_the_verify_suites():
         assert parser.parse_args(["verify", "--suite", name]).suite == name
     with pytest.raises(SystemExit):
         parser.parse_args(["verify", "--suite", "periodic"])
+
+
+def test_suite_names_are_the_suites_of_run_suite():
+    # one list: the CLI's choices (read from the package, which does not load
+    # the suites) are the keys of verify's suite table, then "all"
+    from polymerqm import verify
+
+    assert tuple(verify._SUITES) + ("all",) == SUITE_NAMES
 
 
 def _run_fresh(code: str) -> subprocess.CompletedProcess:

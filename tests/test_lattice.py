@@ -37,6 +37,10 @@ def test_params_validation():
         for bad in (True, "1.0"):
             with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got"):
                 PhysicalParams(**{name: bad})
+    # ints too large for a float: math.isfinite(10**400) raised OverflowError
+    for huge in (10**400, 2**1024 - 1):
+        with pytest.raises(ValueError, match="^hbar must be finite and > 0, got"):
+            PhysicalParams(hbar=huge)
     params = PhysicalParams(hbar=1, mass=2, mu0=np.float64(0.5))
     assert [type(v) for v in (params.hbar, params.mass, params.mu0)] == [float] * 3
 
@@ -66,6 +70,12 @@ def test_lattice_window():
             Lattice(PhysicalParams(), n_min, n_max)
     lat = Lattice(PhysicalParams(), np.int64(-1), np.int32(2))
     assert (type(lat.n_min), type(lat.n_max), lat.num_sites) == (int, int, 4)
+    # sites in the domain |site| < 2^62, beyond int64 too: a ValueError, no wrap
+    assert Lattice(PhysicalParams(), -2**62 + 1, 2**62 - 1).num_sites == 2**63 - 1
+    for n_min, n_max in ((2**62, 2**62), (-2**62, 0), (2**63 - 13, 2**63 - 10),
+                         (0, 2**64)):
+        with pytest.raises(ValueError, match=f"^lattice sites {n_min}..{n_max} outside"):
+            Lattice(PhysicalParams(), n_min, n_max)
 
 
 def test_wavefunction_validation():

@@ -188,6 +188,37 @@ def test_empty_index_sets_raise_one_error_for_every_system(system, empty):
         kernel_table(kernel, js, rs, 1.0)
 
 
+@pytest.mark.parametrize("call,named", [
+    (lambda: free_kernel(2**63 - 1, -2**63 + 2, 1.0, P1), "sites j 9223372036854775807"),
+    (lambda: periodic_kernel(-2**63, 1, 1.0, 3, P1), "sites j -9223372036854775808"),
+    (lambda: free_kernel(0, [2**62], 1.0, P1), "sites r 4611686018427387904"),
+    (lambda: box_images_kernel(2**64, 0, 1.0, 3, P1), "sites j 18446744073709551616"),
+    (lambda: kernel_table(PropagatorKernel.periodic(3, P1), [-2**63], [1], 1.0),
+     "output sites j -9223372036854775808"),
+    (lambda: kernel_table(PropagatorKernel.free(P1), [0], [2**64], 1.0),
+     "input sites r 18446744073709551616"),
+], ids=["free int64 max", "periodic int64 min", "free 2^62", "box beyond int64",
+        "periodic table", "free table beyond int64"])
+def test_sites_outside_the_site_domain_raise(call, named):
+    # j - r wrapped in int64: the free call read k(-3) where |j - r| > W gives
+    # exactly 0, the periodic one read (j - r) mod 6 as 1 where it is 3;
+    # integers beyond int64 raised OverflowError
+    with pytest.raises(ValueError, match=rf"^{named}\.\..* outside the site domain"):
+        call()
+
+
+@pytest.mark.parametrize("system", ["free", "periodic"])
+def test_the_site_domain_edges_are_translates_of_the_origin(system):
+    # |site| < 2^62: the outermost sites give the origin's values bit for bit
+    kernel = PropagatorKernel(system, P1, n=None if system == "free" else 3)
+    near = np.array([-3, -1, 0, 2])
+    for shift in (2**62 - 4, -2**62 + 4):  # a multiple of the period 6
+        far = kernel_table(kernel, near + shift, near[::-1] + shift, 1.3)
+        assert np.array_equal(far, kernel_table(kernel, near, near[::-1], 1.3))
+        assert np.array_equal(kernel(near[:, None] + shift, near + shift, 1.3),
+                              kernel(near[:, None], near, 1.3))
+
+
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
