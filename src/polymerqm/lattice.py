@@ -119,7 +119,7 @@ class LatticeWavefunction:
 
 def delta_state(lattice: Lattice, n: int) -> LatticeWavefunction:
     """Position eigenstate |x_n>: amplitude 1 at site n, 0 elsewhere."""
-    if not (lattice.n_min <= n <= lattice.n_max):
+    if not (lattice.n_min <= (n := _integer(n, "site")) <= lattice.n_max):
         raise ValueError(f"site {n} outside window [{lattice.n_min}, {lattice.n_max}]")
     amps = np.zeros(lattice.num_sites, dtype=complex)
     amps[n - lattice.n_min] = 1.0

@@ -7,16 +7,17 @@ Systems (`PropagatorKernel.system`):
             equal to twice the odd part of the periodic kernel
   periodic  sum over images k of the free kernel at r + 2kN
 
-`_plan` sizes and checks every engine call (`evolve`, `kernel_table`,
-`polymerqm kernel`) before any array is made, and each kind of kernel
-vector has one reader.  `_free_vector` gives every free kernel value,
-from one Bessel table of at most W(z) + 1 orders read by |m|, exactly 0
-beyond the truncation window W: `free_kernel` and free `kernel_table`
-read it on (j, r) grids, free `evolve` convolves it and the image sums
-fold it onto Z_2N.  `_circle_read` reads every vector on Z_2N: the
-circle step of a delta for periodic and box tables (an exact sum over 2N
-momenta by FFT, the box its odd part, which also moves their states),
-and the folded images, its check route beside the box spectral sum.
+Caller sites j, r enter by `_sites` (the check routes, `kernel_table` and the
+checks), and `_windows` alone checks a window: integer arrays, nonempty,
+|site| < 2^62, at most 2^25 sites, box sites in 0..N.  `_plan` sizes and checks
+every engine call before any array is made, and each kind of kernel vector has
+one reader.  `_free_vector` gives every free kernel value, from one Bessel table
+of at most W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window
+W: `free_kernel` and free `kernel_table` read it on (j, r) grids, free `evolve`
+convolves it and the image sums fold it onto Z_2N.  `_circle_read` reads every
+vector on Z_2N: the circle step of a delta for periodic and box tables (an
+exact sum over 2N momenta by FFT, the box its odd part, which also moves their
+states), and the folded images, its check route beside the box spectral sum.
 Identities (unitarity, composition, Green's residual, plane-wave phase)
 check them, each returning its worst deviation as a float.
 `apply_hamiltonian`, the generator of `evolve` in each system, and the
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import (_MAX_SIZE, _site_domain, _work_orders, bessel_table, truncation_window,
-                     unit_imaginary_power)
+from .bessel import (_MAX_SIZE, _integer, _site_domain, _work_orders, bessel_table,
+                     truncation_window, unit_imaginary_power)
 from .dynamics import (_band, _box_interior_amplitudes, _box_modes, _box_size, _stencil,
                        dispersion_energy)
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
@@ -72,22 +73,36 @@ def _free_vector(z: float, reach: int):
 # check-route kernels: integer sites or index arrays, broadcast like numpy
 # ---------------------------------------------------------------------------
 
-def _box_domain(j_lo, j_hi, r_lo, r_hi, n_box: int) -> None:
-    """ValueError naming the j and r ranges unless both lie in the box 0..N."""
-    if min(j_lo, r_lo) < 0 or max(j_hi, r_hi) > n_box:
-        raise ValueError(f"sites j = {j_lo}..{j_hi}, r = {r_lo}..{r_hi} outside box 0..{n_box}")
+def _windows(rows, cols, n_box: int | None = None, names=("output sites j", "input sites r")):
+    """The windows (lo, hi) of j and r, else a ValueError naming one: each must be
+    nonempty, of at most `bessel._MAX_SIZE` sites, inside `bessel._site_domain`
+    and, given a box size N, inside the box 0..N."""
+    for name, (lo, hi) in zip(names, (rows, cols)):
+        if lo > hi:
+            raise ValueError(f"empty range of {name}: {lo}..{hi}")
+        if hi - lo >= _MAX_SIZE:
+            raise ValueError(f"{name.split()[0]} window {(lo, hi)} has more sites "
+                             f"than the limit {_MAX_SIZE}")
+        _site_domain(lo, hi, name)
+    if n_box is not None and (min(rows[0], cols[0]) < 0 or max(rows[1], cols[1]) > n_box):
+        raise ValueError(f"sites j = {rows[0]}..{rows[1]}, r = {cols[0]}..{cols[1]} "
+                         f"outside box 0..{n_box}")
+    return rows, cols
 
 
-def _sites(j, r, n_box: int | None = None):
-    """j, r as int64 arrays (>= 1-d) and whether both were scalars; box sites in 0..N."""
-    js, rs = (np.atleast_1d(np.asarray(v)) for v in (j, r))  # checked before the cast
-    for name, v in (("sites j", js), ("sites r", rs)):
-        if v.size:
-            _site_domain(v.min(), v.max(), name)
-    js, rs = js.astype(np.int64), rs.astype(np.int64)
-    if n_box is not None:
-        _box_domain(js.min(), js.max(), rs.min(), rs.max(), n_box)
-    return js, rs, np.ndim(j) == 0 and np.ndim(r) == 0
+def _sites(j, r, n_box: int | None = None, names=("sites j", "sites r")):
+    """(js, rs, windows, scalar): j, r as int64 arrays (>= 1-d), their windows checked by
+    `_windows` before the cast, and whether both were scalars.  Integer dtypes only (bool,
+    floats, text refused); an object array must hold Python ints, perhaps beyond int64."""
+    arrays = [np.atleast_1d(np.asarray(v)) for v in (j, r)]
+    for name, v in zip(names, arrays):
+        if v.dtype.kind not in "iu":  # object arrays entry by entry, others by dtype
+            for x in v.flat if v.dtype == object else v.flat[:1]:
+                _integer(x, name)
+    windows = _windows(*((int(v.min()), int(v.max())) if v.size else (0, -1)
+                         for v in arrays), n_box, names)
+    js, rs = (v.astype(np.int64) for v in arrays)
+    return js, rs, windows, np.ndim(j) == 0 and np.ndim(r) == 0
 
 
 def _finish(values: np.ndarray, scalar: bool):
@@ -115,7 +130,7 @@ def free_kernel(j, r, dt: float, params: PhysicalParams):
     The order enters only through |r - j|, so the kernel is symmetric in
     (j, r) bit for bit; at dt = 0 it is exactly the Kronecker delta.
     """
-    js, rs, scalar = _sites(j, r)
+    js, rs, _, scalar = _sites(j, r)
     read = _free_vector(dimensionless_time(params, dt), int(np.abs(rs - js).max()))
     return _finish(read(rs - js), scalar)
 
@@ -139,7 +154,7 @@ def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
 def box_spectral_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
     """Box propagator as the exact finite spectral sum over the N-1 levels."""
     n_box = _box_size(n_box)
-    js, rs, scalar = _sites(j, r, n_box)
+    js, rs, _, scalar = _sites(j, r, n_box)
     return _finish(_box_level_sum(js, rs, dt, n_box, params), scalar)
 
 
@@ -152,7 +167,7 @@ def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool
     """
     n_box = _box_size(n_box)
     box = n_box if mirror else None
-    js, rs, scalar = _sites(j, r, box)
+    js, rs, _, scalar = _sites(j, r, box)
     z = dimensionless_time(params, dt)
     w = truncation_window(abs(z))
     orders = np.arange(-w, w + 1)
@@ -291,9 +306,8 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
 
     rows (output sites j) and cols (input sites r) are windows (lo, hi); rows default
     to `evolve`'s: the box 0..N, else cols padded by W, periodic cut to one period 2N.
-    ValueError: a |z| `bessel_table` refuses (one z range for every system), an
-    empty window, a window over `bessel._MAX_SIZE` sites or outside the site
-    domain (`bessel._site_domain`), box sites outside 0..N.
+    ValueError: a |z| `bessel_table` refuses (one z range for every system), or
+    windows `_windows` refuses.
     """
     z = dimensionless_time(kernel.params, dt)
     _work_orders(abs(z), 0)
@@ -302,17 +316,8 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
     if rows is None:
         cap = c_lo - w + 2 * n - 1 if kernel.system == "periodic" else math.inf
         rows = (0, n) if kernel.system == "box" else (c_lo - w, min(c_hi + w, cap))
-    rows, cols = tuple(map(int, rows)), (c_lo, c_hi)
-    for name, (lo, hi) in (("output sites j", rows), ("input sites r", cols)):
-        if lo > hi:
-            raise ValueError(f"empty range of {name}: {lo}..{hi}")
-        if hi - lo >= _MAX_SIZE:
-            raise ValueError(f"{name.split()[0]} window {(lo, hi)} has more sites "
-                             f"than the limit {_MAX_SIZE}")
-        _site_domain(lo, hi, name)
-    if kernel.system == "box":
-        _box_domain(*rows, *cols, n)
-    return z, w, rows, cols
+    rows = tuple(_integer(v, "output window") for v in rows)
+    return (z, w, *_windows(rows, (c_lo, c_hi), n if kernel.system == "box" else None))
 
 
 def _kernel_rows(kernel: PropagatorKernel, plan, rs: np.ndarray):
@@ -337,10 +342,9 @@ def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.
     which `polymerqm kernel` reads a block of rows at a time): free exactly 0
     where |j - r| > W, box walls exactly 0, dt = 0 the exact identity.
     """
-    js, rs = (np.asarray(v) for v in (j_values, r_values))  # planned before the int64 cast
-    rows, cols = ((v.min(), v.max()) if v.size else (0, -1) for v in (js, rs))
-    plan = _plan(kernel, dt, cols, rows)
-    return _kernel_rows(kernel, plan, rs.astype(np.int64))(js.astype(np.int64))
+    names = ("output sites j", "input sites r")  # the names `_plan` gives them
+    js, rs, (rows, cols), _ = _sites(j_values, r_values, None, names)
+    return _kernel_rows(kernel, _plan(kernel, dt, cols, rows), rs)(js)
 
 
 def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
@@ -423,22 +427,22 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     if not (t0 <= t1 <= t):
         raise ValueError(f"need t0 <= t1 <= t, got {t0}, {t1}, {t}")
     dt_late, dt_early = t - t1, t1 - t0
-    js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
-    direct = kernel(js.reshape(js.shape + (1,) * rs.ndim), rs, t - t0)
-    js, rs = np.atleast_1d(js), np.atleast_1d(rs)
+    js, rs, (rows, cols), _ = _sites(j_values, r_values)
     if kernel.system == "box":
         sites = np.arange(0, kernel.n + 1)
     elif kernel.system == "periodic":
         sites = np.arange(0, 2 * kernel.n)
-    else:
+    else:  # planned, so a window over the size limit is refused before the arange
         pad = sum(_plan(kernel, dt, (0, 0))[1] for dt in (dt_late, dt_early))
-        sites = np.arange(min(js.min(), rs.min()) - pad, max(js.max(), rs.max()) + pad + 1)
+        span = (min(rows[0], cols[0]) - pad, max(rows[1], cols[1]) + pad)
+        _plan(kernel, dt_late, span, rows)
+        sites = np.arange(span[0], span[1] + 1)
 
+    direct = kernel(js[:, None], rs, t - t0)
     late = kernel_table(kernel, js, sites, dt_late)
     early = np.ascontiguousarray(kernel_table(kernel, sites, rs, dt_early).T)
     paths = np.sum(late[:, None, :] * early[None, :, :], axis=-1)
-    deviation = direct - paths.reshape(np.shape(direct))
-    return float(np.max(np.abs(deviation)))
+    return float(np.max(np.abs(direct - paths)))
 
 
 def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
@@ -455,8 +459,8 @@ def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
     if any(dt <= min_dt for dt in dts):
         raise ValueError(f"grid times must exceed {min_dt} (strictly after t0, "
                          "and beyond any differencing step)")
-    js, rs = (np.asarray(v, dtype=np.int64) for v in (j_values, r_values))
-    if kernel.system == "box" and (js.min() < 1 or js.max() > kernel.n - 1):
+    js, rs, ((j_lo, j_hi), _), _ = _sites(j_values, r_values)
+    if kernel.system == "box" and (j_lo < 1 or j_hi > kernel.n - 1):
         raise ValueError(f"stencil sites must be interior to the box 1..{kernel.n - 1}")
     worst = 0.0
     for dt in dts:  # rows j - 1, j, j + 1 on the last axis, where the stencil runs

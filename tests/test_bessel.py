@@ -132,6 +132,9 @@ def test_domain_errors():
         bessel_table(1.0, -1)
     with pytest.raises(ValueError):
         jacobi_anger(1.0, 0.0, -1)
+    for z, phi in ((math.nan, 0.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="^jacobi_anger arguments must be finite$"):
+            jacobi_anger(z, phi, 3)
     # orders and windows are integers, never truncated by int(): 2.5 is not 2
     for name, call in (("max_order", lambda v: bessel_table(1.0, v)),
                        ("n", lambda v: bessel_jn(v, 1.0)),

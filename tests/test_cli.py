@@ -80,12 +80,26 @@ def test_kernel_json_format(tmp_path):
     assert rows[0]["system"] == "free"
 
 
-def test_malformed_config_no_partial_output(tmp_path):
+def test_malformed_config_no_partial_output(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text("{this is not json")
     out = tmp_path / "k.csv"
-    rc = main(["kernel", "--config", str(cfg), "--out", str(out)])
-    assert rc == 2
+    for text, named in (("{this is not json", "malformed config"),
+                        ("[1]", "must hold a JSON object")):
+        cfg.write_text(text)
+        rc = main(["kernel", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("spacings,named", [
+    (["--mu0-list", " , "], "argument --mu0-list: empty mu0 list"),  # blank tokens skipped
+    ([], "error: sweep needs mu0_list (flag --mu0-list or config)"),
+], ids=["blank list", "no list"])
+def test_sweep_without_spacings_exits_2(tmp_path, capsys, spacings, named):
+    out = tmp_path / "s.csv"
+    assert _exit_code(["sweep", "--dx", "1", "--dt", "1", *spacings, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -991,6 +1005,8 @@ def test_suite_names_are_the_suites_of_run_suite():
     from polymerqm import verify
 
     assert tuple(verify._SUITES) + ("all",) == SUITE_NAMES
+    with pytest.raises(ValueError, match="^unknown suite 'periodic'; expected one of "):
+        verify.run_suite("periodic")
 
 
 def _run_fresh(code: str) -> subprocess.CompletedProcess:

@@ -134,6 +134,9 @@ def test_box_spectrum_small_cases():
     assert spec3.energies == pytest.approx([0.5, 1.5])
     with pytest.raises(ValueError):
         box_spectrum(1, params)
+    for level in (0, 3):
+        with pytest.raises(ValueError, match=rf"^level {level} outside 1\.\.2$"):
+            spec3.level(level)
 
 
 def test_box_spectrum_structure():

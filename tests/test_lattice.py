@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -176,6 +177,36 @@ def test_from_momentum_resolution_guard():
     grid = MomentumGrid(params, 5)
     with pytest.raises(ValueError):
         from_momentum(np.ones(5, dtype=complex), grid, lat)
+
+
+_OTHER = PhysicalParams(mu0=0.5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda lat: to_momentum(delta_state(lat, 0), MomentumGrid(_OTHER, 8)),
+     "wavefunction and momentum grid have different parameters"),
+    (lambda lat: from_momentum(np.ones(8), MomentumGrid(_OTHER, 8), lat),
+     "momentum grid and lattice have different parameters"),
+    (lambda lat: from_momentum(np.ones(5), MomentumGrid(lat.params, 8), lat),
+     "expected 8 momentum samples, got shape (5,)"),
+    (lambda lat: gaussian_packet(lat, 0.0, 0.0), "sigma must be > 0, got 0.0"),
+    (lambda lat: gaussian_packet(lat, 1e6, 1.0), "packet has no support on the window"),
+], ids=["to_momentum params", "from_momentum params", "from_momentum shape",
+        "sigma", "no support"])
+def test_state_and_grid_mismatches_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(Lattice(PhysicalParams(), 0, 3))
+
+
+def test_delta_state_site_is_an_integer_in_the_window():
+    # 1.5 raised an IndexError and True gave the delta at site 1
+    lat = Lattice(PhysicalParams(), 0, 3)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"site must be an integer, got {bad!r}")):
+            delta_state(lat, bad)
+    with pytest.raises(ValueError, match=r"^site 5 outside window \[0, 3\]$"):
+        delta_state(lat, 5)
+    assert delta_state(lat, np.int64(2)).amplitudes.tolist() == [0, 0, 1, 0]
 
 
 def test_parseval_on_grid():

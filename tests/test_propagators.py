@@ -197,14 +197,69 @@ def test_empty_index_sets_raise_one_error_for_every_system(system, empty):
      "output sites j -9223372036854775808"),
     (lambda: kernel_table(PropagatorKernel.free(P1), [0], [2**64], 1.0),
      "input sites r 18446744073709551616"),
+    (lambda: composition_check(PropagatorKernel.free(P1), [2**64], [0], 0.0, 0.5, 1.0),
+     "sites j 18446744073709551616"),
+    (lambda: greens_residual(PropagatorKernel.free(P1), [2**64], [0], [1.0]),
+     "sites j 18446744073709551616"),
 ], ids=["free int64 max", "periodic int64 min", "free 2^62", "box beyond int64",
-        "periodic table", "free table beyond int64"])
+        "periodic table", "free table beyond int64", "composition beyond int64",
+        "greens beyond int64"])
 def test_sites_outside_the_site_domain_raise(call, named):
     # j - r wrapped in int64: the free call read k(-3) where |j - r| > W gives
     # exactly 0, the periodic one read (j - r) mod 6 as 1 where it is 3;
     # integers beyond int64 raised OverflowError
     with pytest.raises(ValueError, match=rf"^{named}\.\..* outside the site domain"):
         call()
+
+
+_DOOR = {
+    "free_kernel": lambda j: free_kernel(j, 0, 1.0, P1),
+    "box_spectral_kernel": lambda j: box_spectral_kernel(j, 1, 1.0, 4, P1),
+    "periodic_kernel": lambda j: periodic_kernel(j, 0, 1.0, 4, P1),
+    "box_images_kernel": lambda j: box_images_kernel(j, 1, 1.0, 4, P1),
+    "kernel_table": lambda j: kernel_table(PropagatorKernel.free(P1), j, [0], 1.0),
+    "composition_check": lambda j: composition_check(PropagatorKernel.free(P1), j, [0],
+                                                     0.0, 0.5, 1.0),
+    "greens_residual": lambda j: greens_residual(PropagatorKernel.free(P1), j, [0], [1.0]),
+    "greens_residual_fd": lambda j: greens_residual_fd(PropagatorKernel.free(P1), j, [0],
+                                                       [1.0]),
+}
+
+
+@pytest.mark.parametrize("site,named", [
+    (0.5, "must be an integer, got np.float64(0.5)"),
+    (True, "must be an integer, got np.True_"),
+    ("1", "must be an integer, got np.str_('1')"),
+    ([], "empty range of "),
+], ids=["float", "bool", "text", "empty"])
+@pytest.mark.parametrize("route", sorted(_DOOR))
+def test_every_route_takes_its_sites_through_one_door(route, site, named):
+    # 0.5 and True gave the value at the truncated site 0 or 1; "1" raised numpy's
+    # UFuncTypeError in the kernels and was read as site 1 by the checks; [] in the
+    # kernels and composition_check raised numpy's zero-size reduction error
+    with pytest.raises(ValueError) as err:
+        _DOOR[route](site)
+    message = str(err.value)
+    assert named in message and re.search(r"\b(output )?sites j\b", message)
+
+
+@pytest.mark.parametrize("r", [2**62 - 1, 10**8], ids=["2^62 - 1", "10^8"])
+def test_composition_sizes_its_intermediate_window_before_allocating(r):
+    # the free intermediate window spans the separation padded by both legs' W
+    # (62 sites at dt = 0.5); at 10^6 it peaked at 61 MiB, growing linearly
+    free = PropagatorKernel.free(P1)
+    composition_check(free, [0], [1], 0.0, 0.5, 1.0)  # warm up
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"input window (-62, {r + 62}) has more sites than the limit ")):
+            composition_check(free, [0], [r], 0.0, 0.5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match=r"^input window \(-62, "):
+        composition_check(free, [r], [0], 0.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("system", ["free", "periodic"])
@@ -228,6 +283,13 @@ def test_evolve_dt_zero_restricts():
     psi = gaussian_packet(lat, 0.0, 1.0)
     out = evolve(psi, PropagatorKernel.free(P1), 0.0, out_window=(-1, 2))
     assert np.array_equal(out.amplitudes, psi.amplitudes[2:6])
+    assert np.array_equal(evolve(psi, PropagatorKernel.free(P1), 0.0,
+                                 out_window=(np.int64(-1), 2)).amplitudes, out.amplitudes)
+    # window ends are integers: (-0.5, 2) was truncated to (0, 2)
+    for bad in (-0.5, True, "-1"):
+        with pytest.raises(ValueError, match=re.escape(f"output window must be an integer, "
+                                                       f"got {bad!r}")):
+            evolve(psi, PropagatorKernel.free(P1), 0.0, out_window=(bad, 2))
 
 
 def test_evolve_plane_wave_phase():
@@ -1098,6 +1160,8 @@ def test_greens_residual_time_grid_validation():
         greens_residual(kernel, [0], [0], [])
     with pytest.raises(ValueError):
         greens_residual(PropagatorKernel.box(4, P1), [0], [1], [1.0])
+    with pytest.raises(ValueError, match="^analytic residual not defined for system 'periodic'$"):
+        greens_residual(PropagatorKernel.periodic(4, P1), [0], [1], [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -1122,6 +1186,9 @@ def test_continuum_sweep_deep_time_regime():
 def test_continuum_sweep_rejects_non_divisor():
     with pytest.raises(ValueError):
         continuum_sweep(1.0, 1.0, [0.3])
+    for dx, dt in ((0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="^need dx > 0 and dt > 0$"):
+            continuum_sweep(dx, dt, [0.5])
 
 
 def test_box_packet_smeared_continuum():

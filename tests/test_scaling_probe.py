@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,16 @@ def test_perfbench_results_of_both_checkouts(tmp_path):
     report = json.loads(out.read_text())
     assert report["perfbench"]["deep-time"]["metrics"]["wall_s"]["value"] == 2.0
     assert report["baseline"]["perfbench"]["deep-time"]["metrics"]["wall_s"]["value"] == 3.0
+
+
+@pytest.mark.parametrize("kept,missing", [("metrics", "info"), ("info", "metrics")])
+def test_perfbench_output_without_a_result_line_raises(tmp_path, kept, missing):
+    # a file with no info line used to end the map by StopIteration: "perfbench": {}, exit 0
+    lines = {"info": {"workload": "deep-time"},
+             "metrics": {"wall_s": {"value": 2.0, "unit": "s"}}}
+    run = tmp_path / "run.txt"
+    run.write_text(json.dumps({kept: lines[kept]}) + "\n")
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(run))}: no perfbench {missing} line$"):
+        probe.main(["--case", "kernel_table_free", "--out", str(out), "--perfbench", str(run)])
+    assert not out.exists()

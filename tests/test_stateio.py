@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,10 +89,11 @@ def test_malformed_row(tmp_path):
     path = tmp_path / "state.csv"
     save_wavefunction(psi, path)
     lines = path.read_text().splitlines()
-    lines[3] = "0,1.0"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="malformed row"):
-        load_wavefunction(path)
+    for row in ("0,1.0", "0,abc,0.0"):  # two fields; not a number
+        lines[3] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"malformed row {row.split(',')!r}")):
+            load_wavefunction(path)
 
 
 def test_file_bytes_are_pinned(tmp_path):

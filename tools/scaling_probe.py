@@ -233,11 +233,15 @@ def _cpu_model() -> str:
 
 
 def _last_result(path: str) -> tuple[str, dict]:
-    """(workload, result line) of one perfbench run output."""
+    """(workload, result line) of one perfbench run output; ValueError naming the
+    file if it holds no `info` line or no `metrics` line."""
     lines = [json.loads(line) for line in Path(path).read_text().splitlines()
              if line.startswith("{")]
-    workload = next(line["info"]["workload"] for line in lines if "info" in line)
-    return workload, [line for line in lines if "metrics" in line][-1]
+    infos = [line["info"]["workload"] for line in lines if "info" in line]
+    results = [line for line in lines if "metrics" in line]
+    if not infos or not results:
+        raise ValueError(f"{path}: no perfbench {'info' if not infos else 'metrics'} line")
+    return infos[0], results[-1]
 
 
 def main(argv=None) -> int:
