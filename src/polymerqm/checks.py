@@ -1,0 +1,382 @@
+"""The check routes: closed forms, identities and continuum references.
+
+`PropagatorKernel.__call__` evaluates the closed forms here (free Bessel term
+`free_kernel`, box spectral sum `box_spectral_kernel`, periodic image sum
+`periodic_kernel`, and the box image sum `box_images_kernel`) for integer sites
+or index arrays, the routes `kernel_table` and `evolve` are tested against.
+The image sums fold the engine's free vector onto Z_2N and read it by
+`_circle_read`, O(W + N + grid).  Identities (composition, Green's residual)
+check the engine against them, each returning its worst deviation as a float;
+`apply_hamiltonian`, the generator of `evolve` in each system, and the Green's
+residual share the stencil of `dynamics`.  `schrodinger_free_kernel`,
+`schrodinger_box_evolve` and `momentum_kernel_phase` are the continuum and
+momentum references.  Composition sums (numpy's pairwise summation along a
+contiguous last axis) and the image fold (in site order) add in a fixed order,
+independent of the call's grid, so results do not depend on evaluation order.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from dataclasses import dataclass
+
+import numpy as np
+
+from .bessel import bessel_table, truncation_window, unit_imaginary_power
+from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, _stencil
+from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
+from .propagators import (PropagatorKernel, _circle_read, _free_vector, _plan, _shared_params,
+                          _sites, kernel_table)
+from .spectral import dispersion_energy
+
+
+# ---------------------------------------------------------------------------
+# closed forms: integer sites or index arrays, broadcast like numpy
+# ---------------------------------------------------------------------------
+
+def _finish(values: np.ndarray, scalar: bool):
+    """values, or a complex for a scalar call."""
+    return complex(values[0]) if scalar else values
+
+
+def free_kernel(j, r, dt: float, params: PhysicalParams):
+    """Free-particle propagator between sites j and r after time dt.
+
+    One table of at most W(z) + 1 orders per call; |r - j| > W gives exactly 0.
+    The order enters only through |r - j|, so the kernel is symmetric in
+    (j, r) bit for bit; at dt = 0 it is exactly the Kronecker delta.
+    """
+    js, rs, _, scalar = _sites(j, r)
+    read = _free_vector(dimensionless_time(params, dt), int(np.abs(rs - js).max()))
+    return _finish(read(rs - js), scalar)
+
+
+def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
+                   derivative: bool = False) -> np.ndarray:
+    """sum_l m_l(j) w_l m_l(r) over the box modes m_l, broadcast over (j, r).
+
+    w_l = e^{-i E_l dt/hbar}, times -i E_l/hbar for the time derivative.
+    einsum contracts the level axis without a grid x levels array, so an
+    array call holds O(grid + sites x levels) memory.
+    """
+    gaps = _band(np.arange(1, n_box) * math.pi / n_box)
+    weights = np.exp(-1j * dimensionless_time(params, dt) * gaps)
+    if derivative:
+        weights = (-1j / params.hbar) * params.energy_scale * gaps * weights
+    return np.einsum("...l,...l->...", _box_modes(n_box, js) * weights,
+                     _box_modes(n_box, rs))
+
+
+def box_spectral_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
+    """Box propagator as the exact finite spectral sum over the N-1 levels."""
+    n_box = _box_size(n_box)
+    js, rs, _, scalar = _sites(j, r, n_box)
+    return _finish(_box_level_sum(js, rs, dt, n_box, params), scalar)
+
+
+def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool):
+    """sum_k of k_free(j, r + 2kN), minus k_free(j, -r + 2kN) if mirror: one fold.
+
+    k_free is exactly 0 beyond the truncation window W, so the image sum is
+    the free vector at orders -W..W folded onto Z_2N and `_circle_read`:
+    O(W + N + grid), however many images the window spans.
+    """
+    n_box = _box_size(n_box)
+    box = n_box if mirror else None
+    js, rs, _, scalar = _sites(j, r, box)
+    z = dimensionless_time(params, dt)
+    w = truncation_window(abs(z))
+    orders = np.arange(-w, w + 1)
+    circle = _fold(orders, _free_vector(z, w)(orders), 2 * n_box)
+    return _finish(_circle_read(circle, js, rs, box), scalar)
+
+
+def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
+    """Propagator with period 2*N*mu0, built from images of the free kernel."""
+    return _image_sum(j, r, dt, n_box, params, mirror=False)
+
+
+def box_images_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
+    """Box propagator k_P(j, r) - k_P(j, -r), twice the odd part of the periodic kernel.
+
+    Within 1e-10 of the spectral sum.
+    """
+    return _image_sum(j, r, dt, n_box, params, mirror=True)
+
+
+def momentum_kernel_phase(p, dt: float, params: PhysicalParams):
+    """Diagonal momentum-space phase e^{-i E(p) dt / hbar}.
+
+    The delta-function prefactor of the momentum propagator is never
+    materialized: evolving a momentum wavefunction IS pointwise
+    multiplication by this phase.  p is a momentum or an array of them,
+    each in the open zone; a scalar gives a complex.
+    """
+    p, dt = np.asarray(p, dtype=float), float(dt)
+    if not math.isfinite(2.0 * params.energy_scale * dt / params.hbar):
+        raise ValueError(f"dt must be finite, with E dt/hbar finite at the band top, got {dt}")
+    edge = params.brillouin_edge
+    outside = ~((-edge < p) & (p < edge))  # NaN compares false: outside
+    if np.any(outside):
+        raise ValueError(f"momentum {float(p[outside][0])} outside the open "
+                         f"interval (-{edge}, {edge})")
+    phase = np.exp(-1j * dispersion_energy(params, p) * dt / params.hbar)
+    return complex(phase) if phase.ndim == 0 else phase
+
+
+def schrodinger_free_kernel(xj: float, xr: float, dt: float,
+                            params: PhysicalParams) -> complex:
+    """Continuum free propagator sqrt(m/(2 pi i hbar dt)) e^{i m (xj-xr)^2/(2 hbar dt)}.
+
+    Principal branch: sqrt(1/i) = e^{-i pi/4}.  Defined for dt > 0 only.
+    """
+    dt = float(dt)
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise ValueError(f"Schrodinger kernel needs dt > 0, got {dt}")
+    amp = math.sqrt(params.mass / (2.0 * math.pi * params.hbar * dt))
+    phase = (params.mass * (float(xj) - float(xr)) ** 2
+             / (2.0 * params.hbar * dt) - math.pi / 4.0)
+    return complex(amp * np.exp(1j * phase))
+
+
+# ---------------------------------------------------------------------------
+# consistency checks
+# ---------------------------------------------------------------------------
+
+def apply_hamiltonian(psi: LatticeWavefunction, kernel: PropagatorKernel) -> LatticeWavefunction:
+    """H psi in the kernel's system (the generator of `evolve`) by `dynamics._stencil`.
+
+    Free: amplitudes outside the window are 0, the output window grows by
+    one site on each side.  Box: wall-free input, sites 0..N out, walls
+    exactly 0.  Periodic: psi folded onto Z_2N as `evolve` folds it (sites
+    2N apart add, so any window width is one state on the circle),
+    gathered mod 2N on the input window widened by one site on each side.
+    """
+    lat, params = psi.lattice, _shared_params(psi, kernel)
+    if kernel.system == "box":
+        out = np.pad(_stencil(_box_interior_amplitudes(psi, kernel.n), params), 1)
+        return LatticeWavefunction(Lattice(params, 0, kernel.n), out)
+    wide = (np.pad(psi.amplitudes, 2) if kernel.system == "free" else
+            _fold(lat.sites, psi.amplitudes, 2 * kernel.n)[
+                np.arange(lat.n_min - 2, lat.n_max + 3) % (2 * kernel.n)])
+    out = _stencil(wide, params)
+    return LatticeWavefunction(Lattice(params, lat.n_min - 1, lat.n_max + 1), out)
+
+
+def _index_lists(j_values, r_values):
+    """`_sites` of j and r, each an integer or a 1-d index list, else a ValueError naming it."""
+    for name, v in (("j_values", j_values), ("r_values", r_values)):
+        if np.ndim(v) > 1:
+            raise ValueError(f"{name} must be an integer or a 1-d index list, not {np.ndim(v)}-d")
+    return _sites(j_values, r_values)
+
+
+def composition_check(kernel: PropagatorKernel, j_values, r_values,
+                      t0: float, t1: float, t: float) -> float:
+    """Worst |k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over j x r.
+
+    j_values (rows) and r_values (columns) are integers or index lists.
+    The direct term is the closed-form check route, the two legs are
+    `kernel_table` blocks, so two routes are compared.  The intermediate
+    sites n are the whole system where it is finite, so the identity then
+    holds to rounding: the box sums over its sites 0..N, the periodic
+    system over one period 0..2N-1 (each image once).  For the free
+    system the window pads the grid's [min(j, r), max(j, r)] by the
+    truncation windows of both legs, outside of which the factors decay
+    super-exponentially.
+    """
+    if not (t0 <= t1 <= t):
+        raise ValueError(f"need t0 <= t1 <= t, got {t0}, {t1}, {t}")
+    dt_late, dt_early = t - t1, t1 - t0
+    js, rs, (rows, cols), _ = _index_lists(j_values, r_values)
+    if kernel.system == "box":
+        sites = np.arange(0, kernel.n + 1)
+    elif kernel.system == "periodic":
+        sites = np.arange(0, 2 * kernel.n)
+    else:  # planned, so a window over the size limit is refused before the arange
+        pad = sum(_plan(kernel, dt, (0, 0))[1] for dt in (dt_late, dt_early))
+        span = (min(rows[0], cols[0]) - pad, max(rows[1], cols[1]) + pad)
+        _plan(kernel, dt_late, span, rows)
+        sites = np.arange(span[0], span[1] + 1)
+
+    direct = kernel(js[:, None], rs, t - t0)
+    late = kernel_table(kernel, js, sites, dt_late)
+    early = np.ascontiguousarray(kernel_table(kernel, sites, rs, dt_early).T)
+    paths = np.sum(late[:, None, :] * early[None, :, :], axis=-1)
+    return float(np.max(np.abs(direct - paths)))
+
+
+def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
+                  dk_dt, min_dt: float = 0.0) -> float:
+    """Worst |i hbar dk/dt - (H k)_j| over j x r x dt, H `dynamics._stencil` in j.
+
+    k at rows j-1, j, j+1 comes from `kernel_table`; dk_dt(kernel, dt,
+    js, rs) supplies the time derivative on the j x r grid.  Box stencil
+    sites must be interior, so that j +- 1 stays inside 0..N.
+    """
+    dts = [float(dt) for dt in dt_values]
+    if not dts:
+        raise ValueError("empty time grid")
+    if any(dt <= min_dt for dt in dts):
+        raise ValueError(f"grid times must exceed {min_dt} (strictly after t0, "
+                         "and beyond any differencing step)")
+    js, rs, ((j_lo, j_hi), _), _ = _index_lists(j_values, r_values)
+    if kernel.system == "box" and (j_lo < 1 or j_hi > kernel.n - 1):
+        raise ValueError(f"stencil sites must be interior to the box 1..{kernel.n - 1}")
+    worst = 0.0
+    for dt in dts:  # rows j - 1, j, j + 1 on the last axis, where the stencil runs
+        table = np.moveaxis(kernel_table(kernel, js[:, None] + np.arange(-1, 2), rs, dt), 1, -1)
+        res = np.abs(1j * kernel.params.hbar * dk_dt(kernel, dt, js, rs)
+                     - _stencil(table, kernel.params)[..., 0])
+        worst = max(worst, float(np.max(res)))
+    return worst
+
+
+def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
+    """(dz/dt) i^|m| e^{-iz} (J'_|m| - i J_|m|), m = j - r, from one table.
+
+    The table stops at order W(z) + 1, one past the truncation window W
+    that J' reaches; orders beyond it read as exact 0, so the cost never
+    grows with |m|.
+    """
+    params = kernel.params
+    z = dimensionless_time(params, dt)
+    mag = np.abs(np.subtract.outer(js, rs))
+    top = min(int(mag.max()), truncation_window(z)) + 1
+    values = np.append(bessel_table(z, top), np.zeros(3))
+    mag = np.minimum(mag, top + 2)  # beyond it, orders m - 1, m, m + 1 all read 0
+    lower = np.where(mag == 0, -values[1], values[mag - 1])  # J_{-1} = -J_1
+    deriv = 0.5 * (lower - values[mag + 1])
+    rate = params.hbar / (params.mass * params.mu0**2)
+    return (rate * unit_imaginary_power(mag) * np.exp(-1j * z)
+            * (deriv - 1j * values[mag]))
+
+
+def _box_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
+    """-(i/hbar) (2/N) sum_l sin(l pi j/N) sin(l pi r/N) E_l e^{-i E_l dt/hbar}."""
+    return _box_level_sum(js[:, None], rs, dt, kernel.n, kernel.params, derivative=True)
+
+
+def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> float:
+    """The worst analytic Green's-function residual of the kernel for t > t0, a float.
+
+    The time derivative is evaluated in closed form over whole index
+    arrays: for the free kernel through dJ_n/dz = (J_{n-1} - J_{n+1})/2
+    plus the e^{-iz} factor, and for the box through the energy-weighted
+    spectral sum.  H is applied as the second-difference stencil in the
+    outgoing index.  The periodic system has no analytic route here.
+    """
+    dk_dt = {"free": _free_dk_dt, "box": _box_dk_dt}.get(kernel.system)
+    if dk_dt is None:
+        raise ValueError(f"analytic residual not defined for system {kernel.system!r}")
+    return _greens_worst(kernel, j_values, r_values, dt_values, dk_dt)
+
+
+def greens_residual_fd(kernel: PropagatorKernel, j_values, r_values, dt_values,
+                       step: float = 1e-6) -> float:
+    """Finite-difference cross-check of `greens_residual` (central, step h): a float."""
+    def dk_dt(kernel, dt, js, rs):
+        return (kernel_table(kernel, js, rs, dt + step)
+                - kernel_table(kernel, js, rs, dt - step)) / (2.0 * step)
+
+    return _greens_worst(kernel, j_values, r_values, dt_values, dk_dt, min_dt=step)
+
+
+# ---------------------------------------------------------------------------
+# continuum limits
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One spacing in a continuum sweep at fixed physical separation."""
+
+    mu0: float
+    sites: int        # separation in lattice sites, dx / mu0
+    z: float
+    abs_error: float  # |k(sites, 0, dt)/mu0 - k_schrodinger(dx, 0, dt)|
+
+
+def continuum_sweep(dx: float, dt: float, mu0_list,
+                    hbar: float = 1.0, mass: float = 1.0) -> list[SweepPoint]:
+    """Pointwise kernel error against the continuum propagator, per spacing.
+
+    Each mu0 must divide the separation dx exactly so the endpoints stay
+    on the lattice.  Note the pointwise error saturates at |k_S|: the
+    lattice kernel carries a second, counter-propagating saddle, so that
+    k/mu0 -> k_S + (-1)^l e^{-2iz} conj(k_S) with l = dx/mu0, and that
+    term only vanishes after smearing.  Acceptance criterion 7b
+    (tests/test_acceptance.py) asserts the convergence of the time-smeared
+    error and of the error against this two-saddle limit;
+    demos/05_continuum_limit.py also shows the packet-smeared comparison.
+    """
+    dx = float(dx)
+    dt = float(dt)
+    if dx <= 0.0 or dt <= 0.0:
+        raise ValueError("need dx > 0 and dt > 0")
+    points = []
+    for mu0 in mu0_list:
+        mu0 = float(mu0)
+        params = PhysicalParams(hbar=hbar, mass=mass, mu0=mu0)
+        l_exact = dx / mu0
+        sites = round(l_exact)
+        if sites < 1 or abs(l_exact - sites) > 1e-9 * max(1.0, abs(l_exact)):
+            raise ValueError(f"mu0 = {mu0} does not divide dx = {dx} evenly")
+        z = dimensionless_time(params, dt)
+        polymer = free_kernel(sites, 0, dt, params) / mu0
+        continuum = schrodinger_free_kernel(dx, 0.0, dt, params)
+        points.append(SweepPoint(mu0=mu0, sites=sites, z=z,
+                                 abs_error=float(abs(polymer - continuum))))
+    return points
+
+
+def box_mode_coefficients(packet, length: float, num_modes: int) -> np.ndarray:
+    """Continuum box-mode coefficients c_l = (2/L) integral sin(l pi y / L) f(y) dy."""
+    length = float(length)
+    try:
+        num_modes = operator.index(num_modes)
+    except TypeError:
+        raise ValueError(f"num_modes must be an integer, got {num_modes!r}") from None
+    if num_modes < 0:
+        raise ValueError(f"num_modes must be >= 0, got {num_modes}")
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"box length must be finite and > 0, got {length}")
+    # trapezoid sums on K + 1 points, the highest mode far below their Nyquist
+    # limit, all taken as one FFT of the odd extension of the samples
+    y = np.linspace(0.0, length, max(4097, 8 * num_modes + 1))
+    f = np.asarray(packet(y), dtype=complex)[1:-1]  # the sine is 0 at both ends
+    odd = np.concatenate([[0.0], f, [0.0], -f[::-1]])
+    return (1j / (y.size - 1)) * np.fft.fft(odd)[1:num_modes + 1]
+
+
+def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
+                           params: PhysicalParams) -> np.ndarray:
+    """Continuum box evolution of a smooth packet by the spectral series.
+
+    The pointwise kernel series does not converge; the packet-smeared
+    series does, because the mode coefficients of a smooth packet decay
+    fast.  Modes are added until the smallest retained coefficient is
+    below 1e-14 of the largest.
+    """
+    dt, length = float(dt), float(length)
+    num = 64
+    prev_tail = math.inf
+    while True:
+        coeffs = box_mode_coefficients(packet, length, num)
+        peak = float(np.max(np.abs(coeffs)))
+        tail = float(np.max(np.abs(coeffs[-8:])))
+        if peak == 0.0 or tail < 1e-14 * peak:
+            break
+        if tail > 0.25 * prev_tail or num >= 8192:
+            # tail no longer decays geometrically: residual wall
+            # mismatch or quadrature floor; more modes add nothing
+            break
+        prev_tail = tail
+        num *= 2
+    levels = np.arange(1, num + 1)
+    energies = (levels * math.pi * params.hbar / length) ** 2 / (2.0 * params.mass)
+    if not math.isfinite(float(energies[-1]) * dt / params.hbar):
+        raise ValueError(f"dt must be finite, with E dt/hbar finite at the top mode, got {dt}")
+    x = np.atleast_1d(np.asarray(x_eval, dtype=float))
+    modes = np.sin(np.outer(x, levels) * math.pi / length)
+    return modes @ (coeffs * np.exp(-1j * energies * dt / params.hbar))

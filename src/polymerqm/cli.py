@@ -32,7 +32,7 @@ import numpy as np
 from . import SUITE_NAMES
 from .dynamics import WallSupportError
 from .lattice import PhysicalParams
-from .propagators import PropagatorKernel, _kernel_rows, _plan, continuum_sweep, evolve
+from .propagators import PropagatorKernel, _kernel_rows, _plan, evolve
 from .stateio import _csv_lines, load_wavefunction, save_wavefunction, write_atomic
 
 
@@ -287,6 +287,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .checks import continuum_sweep  # the check routes load only for sweep
+
     dt = _single_time(args)
     if args.mu0_list is None:
         raise ValueError("sweep needs mu0_list (flag --mu0-list or config)")

@@ -1,4 +1,4 @@
-"""Lattice dynamics: the polymer Hamiltonian, dispersion, and the box spectrum.
+"""Lattice dynamics: the polymer Hamiltonian, its band, the box modes and walls.
 
 The kinetic term is the second-difference stencil
 
@@ -9,18 +9,18 @@ where amplitudes are constrained to vanish; no infinite potential values
 enter the arithmetic.
 
 The stencil (`_stencil`), its band 1 - cos(theta) (`_band`) and the box
-modes sqrt(2/N) sin(l pi n/N) (`_box_modes`) are written here only.
+modes sqrt(2/N) sin(l pi n/N) (`_box_modes`) are written here only; the
+dispersion and the box spectrum built from them are in `spectral`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bessel import _MAX_SIZE, _integer
-from .lattice import Lattice, LatticeWavefunction, PhysicalParams
+from .lattice import LatticeWavefunction, PhysicalParams
 
 
 class WallSupportError(ValueError):
@@ -70,58 +70,3 @@ def _box_modes(n_box: int, sites) -> np.ndarray:
     modes = math.sqrt(2.0 / n_box) * np.sin(angles)
     modes[np.asarray(sites) % n_box == 0] = 0.0  # the walls: sin(l pi) is 0, floats are not
     return modes
-
-
-def dispersion_energy(params: PhysicalParams, p):
-    """E(p) = (hbar^2 / m mu0^2) (1 - cos(mu0 p / hbar)) in [0, 2*scale], p scalar or array."""
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"momentum must be finite, got {p}")
-    energy = params.energy_scale * _band(params.mu0 * p / params.hbar)
-    return float(energy) if energy.ndim == 0 else energy
-
-
-def dispersion_momentum(params: PhysicalParams, energy: float) -> float:
-    """Inverse dispersion p_E = (hbar/mu0) arccos(1 - m mu0^2 E / hbar^2) in [0, pi hbar/mu0]."""
-    energy = float(energy)
-    band_top = 2.0 * params.energy_scale
-    if not math.isfinite(energy) or energy < 0.0 or energy > band_top * (1.0 + 1e-12):
-        raise ValueError(
-            f"energy {energy} outside the polymer band [0, {band_top}]"
-        )
-    x = 1.0 - energy / params.energy_scale
-    x = min(1.0, max(-1.0, x))  # guard rounding at the band edges
-    return (params.hbar / params.mu0) * math.acos(x)
-
-
-@dataclass(frozen=True, eq=False)
-class BoxSpectrum:
-    """All N-1 levels of the box with walls at sites 0 and N.
-
-    energies[l-1] = (hbar^2/m mu0^2)(1 - cos(l pi / N)) for l = 1..N-1;
-    eigenvectors[l-1, n] = sqrt(2/N) sin(l pi n / N) on sites n = 0..N,
-    with the wall entries exactly zero and unit lattice norm.
-    """
-
-    n: int
-    params: PhysicalParams
-    energies: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
-
-    def level(self, l: int) -> tuple[float, np.ndarray]:
-        """(E_l, eigenvector samples on 0..N) for l in 1..N-1."""
-        if not (1 <= l <= self.n - 1):
-            raise ValueError(f"level {l} outside 1..{self.n - 1}")
-        return float(self.energies[l - 1]), self.eigenvectors[l - 1]
-
-    def eigenstate(self, l: int) -> LatticeWavefunction:
-        _, vec = self.level(l)
-        return LatticeWavefunction(Lattice(self.params, 0, self.n), vec)
-
-
-def box_spectrum(n: int, params: PhysicalParams) -> BoxSpectrum:
-    """Closed-form spectrum of the box Hamiltonian on an N-interval lattice."""
-    n = _box_size(n)
-    energies = params.energy_scale * _band(np.arange(1, n) * math.pi / n)
-    vectors = _box_modes(n, np.arange(0, n + 1)).T
-    return BoxSpectrum(n=n, params=params, energies=energies, eigenvectors=vectors)

@@ -1,12 +1,8 @@
-"""Fixed regular lattice, wavefunctions on it, and the momentum picture.
+"""Fixed regular lattice and wavefunctions on it.
 
 The lattice is x_n = n * mu0 with the origin pinned at site 0.  States
 are finite windows of complex amplitudes; everything outside a window
-is implicitly zero.  The momentum representation lives on the interval
-(-pi*hbar/mu0, pi*hbar/mu0) where momentum wavefunctions are periodic,
-so the transform is a discrete-time Fourier transform.  `to_momentum` and
-`from_momentum` take it on a P-point midpoint grid by one FFT, O(M + P log P);
-`momentum_samples` is the dense sum at any momenta, their check route.
+is implicitly zero.  The momentum picture is in `spectral`.
 """
 
 from __future__ import annotations
@@ -147,80 +143,8 @@ def inner_product(a: LatticeWavefunction, b: LatticeWavefunction) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Midpoint grid of M momenta inside the open interval (-pi hbar/mu0, pi hbar/mu0).
-
-    The half-step offset keeps both endpoints (which are identified on
-    the momentum circle) out of the grid.
-    """
-
-    params: PhysicalParams
-    num_points: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "num_points", _integer(self.num_points, "num_points", 1))
-
-    @property
-    def values(self) -> np.ndarray:
-        edge = self.params.brillouin_edge
-        step = 2.0 * edge / self.num_points
-        return -edge + (np.arange(self.num_points) + 0.5) * step
-
-
-def momentum_samples(psi: LatticeWavefunction, p_values: np.ndarray) -> np.ndarray:
-    """Dense sum psi~(p) = sum_n psi_n exp(i n mu0 p / hbar) at arbitrary momenta."""
-    p = np.atleast_1d(np.asarray(p_values, dtype=float))
-    n = psi.lattice.sites
-    phase = np.exp(1j * np.outer(p, n) * psi.lattice.params.mu0
-                   / psi.lattice.params.hbar)
-    return phase @ psi.amplitudes
-
-
 def _fold(sites: np.ndarray, values, period: int) -> np.ndarray:
     """values at integer sites folded onto the circle Z_period, added in site order."""
     folded = np.zeros(period, dtype=complex)
     np.add.at(folded, sites % period, values)
     return folded
-
-
-def _twist(sites: np.ndarray, period: int) -> np.ndarray:
-    """(-1)^n e^{i pi n/P} = e^{i pi m/P}, m = n (P + 1) mod 2P taken in integers."""
-    residue = (sites % (2 * period)) * (period + 1) % (2 * period)
-    return np.exp((1j * math.pi / period) * residue)
-
-
-def to_momentum(psi: LatticeWavefunction, grid: MomentumGrid) -> np.ndarray:
-    """The momentum wavefunction of psi on the grid, by one length-P FFT.
-
-    At p_k mu0/hbar = -pi + (k + 1/2) 2 pi/P, psi~(p_k) is the unscaled
-    inverse DFT of psi_n (-1)^n e^{i pi n/P} folded mod P, in O(M + P log P).
-    """
-    if psi.lattice.params != grid.params:
-        raise ValueError("wavefunction and momentum grid have different parameters")
-    period, sites = grid.num_points, psi.lattice.sites
-    folded = _fold(sites, psi.amplitudes * _twist(sites, period), period)
-    return np.fft.ifft(folded, norm="forward")
-
-
-def from_momentum(values: np.ndarray, grid: MomentumGrid,
-                  lattice: Lattice) -> LatticeWavefunction:
-    """Invert `to_momentum` by the uniform quadrature over the momentum interval.
-
-    psi_n = (1/P) sum_k values_k exp(-i n mu0 p_k / hbar), the conjugate
-    twist times fft(values)[n mod P] / P: one FFT, O(M + P log P).  The
-    rule is exact (not approximate) when P is at least the window width,
-    since the integrand is then a trigonometric polynomial of degree < P.
-    """
-    if grid.params != lattice.params:
-        raise ValueError("momentum grid and lattice have different parameters")
-    vals = np.asarray(values, dtype=complex)
-    if vals.shape != (grid.num_points,):
-        raise ValueError(f"expected {grid.num_points} momentum samples, "
-                         f"got shape {vals.shape}")
-    if grid.num_points < lattice.num_sites:
-        raise ValueError(f"grid with {grid.num_points} points cannot resolve a "
-                         f"{lattice.num_sites}-site window")
-    period, sites = grid.num_points, lattice.sites
-    amps = np.conj(_twist(sites, period)) * np.fft.fft(vals, norm="forward")[sites % period]
-    return LatticeWavefunction(lattice, amps)

@@ -12,7 +12,6 @@ load/save cycle is lossless.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from pathlib import Path
@@ -80,13 +79,13 @@ def load_wavefunction(csv_path: str | Path) -> LatticeWavefunction:
 
     sites = []
     amps = []
-    with open(csv_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
+    with open(csv_path) as f:  # no quoting in the format: a line splits on ","
+        rows = (line.rstrip("\n").split(",") if line != "\n" else [] for line in f)
+        header = next(rows, None)
         if header != _HEADER:
             raise ValueError(f"{csv_path}: expected header {','.join(_HEADER)!r}, "
                              f"got {header!r}")
-        for row in reader:
+        for row in rows:
             if len(row) != 3:
                 raise ValueError(f"{csv_path}: malformed row {row!r}")
             try:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from polymerqm.lattice import PhysicalParams, dimensionless_time
-from polymerqm.propagators import free_kernel, schrodinger_free_kernel
+from polymerqm.checks import free_kernel, schrodinger_free_kernel
 from polymerqm.verify import run_suite
 
 P1 = PhysicalParams()

@@ -14,9 +14,9 @@ import pytest
 
 from polymerqm import SUITE_NAMES
 from polymerqm.cli import _inputs_of, build_parser, main
-from polymerqm.dynamics import box_spectrum
 from polymerqm.lattice import (Lattice, LatticeWavefunction, PhysicalParams, delta_state,
                                gaussian_packet)
+from polymerqm.spectral import box_spectrum
 from polymerqm.stateio import load_wavefunction, save_wavefunction
 
 
@@ -1018,10 +1018,32 @@ def _run_fresh(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def test_cli_import_leaves_the_check_suites_unloaded():
-    # kernel, evolve and sweep never compile verify.py; verify loads it itself
-    done = _run_fresh("import sys, polymerqm.cli; "
-                      "assert 'polymerqm.verify' not in sys.modules, 'loaded'")
+def test_cli_import_leaves_the_check_suites_unloaded(tmp_path):
+    # kernel and evolve load only the engine, sweep loads the check routes but
+    # never verify.py; verify loads it itself.  One fresh interpreter: modules
+    # only accumulate, so each check also holds for every earlier step.
+    state = tmp_path / "psi.csv"
+    save_wavefunction(delta_state(Lattice(PhysicalParams(), -3, 3), 0), state)
+    engine = ["numpy", "argparse", "json"] + [
+        f"polymerqm.{m}" for m in ("bessel", "lattice", "dynamics", "propagators", "stateio")]
+    off_path = ["polymerqm.checks", "polymerqm.spectral", "polymerqm.verify"]
+    steps = [
+        ("import", None, off_path),
+        ("kernel", ["kernel", "--dt", "1", "--out", f"{tmp_path}/k.csv"], off_path),
+        ("evolve", ["evolve", str(state), "--dt", "0.5", "--out", f"{tmp_path}/out.csv"],
+         off_path),
+        ("sweep", ["sweep", "--dt", "1", "--mu0-list", "1/2,1/4", "--out", f"{tmp_path}/s.csv"],
+         ["polymerqm.verify"]),
+    ]
+    code = ["import sys, polymerqm.cli",
+            f"missing = [m for m in {engine!r} if m not in sys.modules]",
+            "assert not missing, f'not loaded by the import: {missing}'"]
+    for step, argv, unloaded in steps:
+        if argv is not None:
+            code.append(f"assert polymerqm.cli.main({argv!r}) == 0, {step!r}")
+        code += [f"loaded = [m for m in {unloaded!r} if m in sys.modules]",
+                 f"assert not loaded, f'{step} loaded {{loaded}}'"]
+    done = _run_fresh("\n".join(code))
     assert done.returncode == 0, done.stderr
 
 

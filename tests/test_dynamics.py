@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymerqm.dynamics import (
-    WallSupportError,
+from polymerqm.dynamics import WallSupportError
+from polymerqm.spectral import (
     box_spectrum,
     dispersion_energy,
     dispersion_momentum,
@@ -17,7 +17,8 @@ from polymerqm.lattice import (
     delta_state,
     inner_product,
 )
-from polymerqm.propagators import PropagatorKernel, apply_hamiltonian
+from polymerqm.checks import apply_hamiltonian
+from polymerqm.propagators import PropagatorKernel
 
 
 def test_potential_spec_validation():

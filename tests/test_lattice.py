@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 from polymerqm.lattice import (
     Lattice,
     LatticeWavefunction,
-    MomentumGrid,
     PhysicalParams,
     delta_state,
     dimensionless_time,
-    from_momentum,
     gaussian_packet,
     inner_product,
+)
+from polymerqm.spectral import (
+    MomentumGrid,
+    from_momentum,
     momentum_samples,
     to_momentum,
 )

@@ -7,35 +7,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymerqm.dynamics import (
-    WallSupportError,
+from polymerqm.dynamics import WallSupportError
+from polymerqm.spectral import (
+    MomentumGrid,
     box_spectrum,
     dispersion_energy,
+    from_momentum,
+    to_momentum,
 )
 from polymerqm.lattice import (
     Lattice,
     LatticeWavefunction,
-    MomentumGrid,
     PhysicalParams,
-    from_momentum,
     gaussian_packet,
-    to_momentum,
 )
 from polymerqm import bessel
 from polymerqm.bessel import bessel_table, truncation_window, unit_imaginary_power
-from polymerqm.propagators import (
-    PropagatorKernel,
+from polymerqm.propagators import PropagatorKernel, evolve, kernel_table
+from polymerqm.checks import (
     apply_hamiltonian,
     box_images_kernel,
     box_mode_coefficients,
     box_spectral_kernel,
     composition_check,
     continuum_sweep,
-    evolve,
     free_kernel,
     greens_residual,
     greens_residual_fd,
-    kernel_table,
     momentum_kernel_phase,
     periodic_kernel,
     schrodinger_box_evolve,
@@ -176,6 +174,21 @@ def test_output_window_above_the_size_limit_raises_before_allocating(case):
     if window is not None:
         with pytest.raises(ValueError, match=re.escape(f"{side} window {window} ")):
             call()
+
+
+def test_kernel_table_grid_above_the_size_limit_raises_before_allocating():
+    # each window is legal, but 2^13 x (2^12 + 1) entries would be over 512 MiB
+    # of complex values; the product is checked before the gather
+    free, js, rs = PropagatorKernel.free(P1), np.arange(2**13), np.arange(2**12 + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^table of 8192 x 4097 entries is over "
+                                             rf"the limit {bessel._MAX_SIZE}$"):
+            kernel_table(free, js, rs, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("empty", ["j", "r"])
@@ -893,7 +906,7 @@ def test_verify_builds_one_bessel_table_per_route_call(monkeypatch):
     # 4 x (table + derivative), its finite-difference twin 3 x 3, symmetry
     # 2, time-reversal 2 x 2, eigenstate-phase 2 evolves.  A table per
     # (j, r) entry would make 864 and 1193.
-    from polymerqm import bessel, propagators, verify
+    from polymerqm import bessel, checks, propagators, verify
 
     built = []
     real = bessel.bessel_table
@@ -902,7 +915,7 @@ def test_verify_builds_one_bessel_table_per_route_call(monkeypatch):
         built.append(z)
         return real(z, max_order)
 
-    for module in (bessel, propagators, verify):
+    for module in (bessel, propagators, checks, verify):
         monkeypatch.setattr(module, "bessel_table", counting)
     verify.run_suite("box", n_box=8)
     box_tables = len(built)
@@ -926,8 +939,8 @@ def test_batched_box_step_is_the_per_level_evolve_bit_for_bit(n):
 
 def test_box_eigenphase_steps_do_not_grow_with_the_box(monkeypatch):
     # No timing: count the circle steps of the box suite.  The eigenphase
-    # record moves every level of a size in one step per time, so only
-    # the level count, never the step count, grows with n_box.
+    # record moves the levels of a size 16 at a time, so no step holds
+    # more than 16 levels and the step count grows as n_box / 16, not n_box.
     from polymerqm import propagators, verify
 
     steps = []
@@ -943,8 +956,9 @@ def test_box_eigenphase_steps_do_not_grow_with_the_box(monkeypatch):
         steps.clear()
         verify.run_suite("box", n_box=n_box)
         counts.append(len(steps))
-    assert counts[0] == counts[1]
-    assert (127, 256) in steps
+    assert counts[1] - counts[0] == 2 * (8 - 1)  # two times, 127 levels in 8 blocks, not 1
+    assert all(len(shape) == 1 or shape[0] <= 16 for shape in steps)
+    assert {(16, 256), (15, 256)} <= set(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1162,6 +1176,17 @@ def test_greens_residual_time_grid_validation():
         greens_residual(PropagatorKernel.box(4, P1), [0], [1], [1.0])
     with pytest.raises(ValueError, match="^analytic residual not defined for system 'periodic'$"):
         greens_residual(PropagatorKernel.periodic(4, P1), [0], [1], [1.0])
+    # sites are an integer or a 1-d index list; a 2-d one ended in numpy's
+    # "operands could not be broadcast together"
+    grid = [[0, 1], [2, 3]]
+    for call, name in [
+            (lambda: composition_check(kernel, grid, [0, 1, 2], 0.0, 0.5, 1.0), "j_values"),
+            (lambda: greens_residual(kernel, grid, [0, 1], [1.0]), "j_values"),
+            (lambda: greens_residual_fd(kernel, grid, [0, 1], [1.0]), "j_values"),
+            (lambda: composition_check(kernel, [0], grid, 0.0, 0.5, 1.0), "r_values")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer or a 1-d index "
+                                             "list, not 2-d$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

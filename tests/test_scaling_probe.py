@@ -66,3 +66,19 @@ def test_perfbench_output_without_a_result_line_raises(tmp_path, kept, missing):
     with pytest.raises(ValueError, match=f"^{re.escape(str(run))}: no perfbench {missing} line$"):
         probe.main(["--case", "kernel_table_free", "--out", str(out), "--perfbench", str(run)])
     assert not out.exists()
+
+
+def test_startup_record_of_each_command():
+    # kernel and evolve load only the engine; verify loads every module
+    record = probe.startup()
+    commands = record["commands"]
+    assert set(commands) == set(probe.STARTUP) and record["runs"] == probe.STARTUP_RUNS
+    for name, run in commands.items():
+        assert run["rc"] == 0 and run["import_s"] > 0 and run["src_lines"] > 0, name
+        assert run["peak_rss_mb"] is None or run["peak_rss_mb"] > 0, name
+    for name in ("kernel", "evolve"):
+        assert "polymerqm.propagators" in commands[name]["modules"]
+        assert not {"polymerqm.checks", "polymerqm.spectral", "polymerqm.verify"} & set(
+            commands[name]["modules"])
+        assert commands[name]["src_lines"] < commands["verify"]["src_lines"]
+    assert "polymerqm.verify" in commands["verify"]["modules"]

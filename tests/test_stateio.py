@@ -89,7 +89,7 @@ def test_malformed_row(tmp_path):
     path = tmp_path / "state.csv"
     save_wavefunction(psi, path)
     lines = path.read_text().splitlines()
-    for row in ("0,1.0", "0,abc,0.0"):  # two fields; not a number
+    for row in ("0,1.0", "0,abc,0.0", '"0",1.0,0.0'):  # two fields; not a number; quoted
         lines[3] = row
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"malformed row {row.split(',')!r}")):

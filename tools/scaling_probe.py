@@ -19,7 +19,14 @@ on a shared host the times of single calls are noisy.
 
 The output JSON holds the slopes and raw points of every case, the line
 count of the polymerqm sources it imported, the git commit of their
-checkout, and machine, Python and numpy info.  --baseline copies the
+checkout, and machine, Python and numpy info.  Unless --case picks cases,
+it also holds a start-up record: for each command, a fresh interpreter runs
+one job (`STARTUP`) three times and reports the polymerqm modules it loaded
+and their source lines, the median wall time of `import polymerqm.cli` and
+the largest peak RSS, read from the child's own VmHWM (a forked child
+inherits the probe's ru_maxrss).  The children inherit the environment, so
+the record states PYTHONDONTWRITEBYTECODE: without bytecode, every module
+loaded is compiled in every job.  --baseline copies the
 cases of an earlier output (say, of the parent commit) into the new file
 under "baseline", and --perfbench adds the last result line of each
 given `perfbench/run.py` output, keyed by workload.  --baseline-perfbench
@@ -170,6 +177,57 @@ CASES = {
 }
 
 
+# command -> one job's argv; {tmp} is a scratch directory, {state} a state file in it
+STARTUP = {
+    "kernel": ["kernel", "--dt", "1", "--out", "{tmp}/k.csv"],
+    "evolve": ["evolve", "{state}", "--dt", "0.5", "--out", "{tmp}/out.csv"],
+    "verify": ["verify", "--suite", "all", "--out", "{tmp}/verify.csv"],
+    "sweep": ["sweep", "--dt", "1", "--mu0-list", "1/2,1/4", "--out", "{tmp}/sweep.csv"],
+}
+
+STARTUP_RUNS = 3
+
+# run in a fresh interpreter with the argv as JSON; prints its record as JSON
+_STARTUP_CHILD = """
+import json, sys, time
+from pathlib import Path
+start = time.perf_counter()
+import polymerqm.cli
+import_s = time.perf_counter() - start
+rc = polymerqm.cli.main(json.loads(sys.argv[1]))
+try:
+    with open("/proc/self/status") as f:
+        peak = next((int(line.split()[1]) / 1024 for line in f if line.startswith("VmHWM:")), None)
+except OSError:
+    peak = None
+mods = sorted(m for m in sys.modules if m.split(".")[0] == "polymerqm")
+lines = sum(len(Path(sys.modules[m].__file__).read_text().splitlines()) for m in mods)
+print(json.dumps({"rc": rc, "modules": mods, "src_lines": lines,
+                  "import_s": import_s, "peak_rss_mb": peak}))
+"""
+
+
+def startup() -> dict:
+    """The start-up record of every `STARTUP` command (see the module docstring)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(polymerqm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    commands = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        state = os.path.join(tmp, "psi.csv")
+        polymerqm.save_wavefunction(_packet(64), state)
+        for name, argv in STARTUP.items():
+            argv = [arg.format(tmp=tmp, state=state) for arg in argv]
+            done = [json.loads(subprocess.run(
+                [sys.executable, "-c", _STARTUP_CHILD, json.dumps(argv)], env=env,
+                check=True, capture_output=True, text=True).stdout.splitlines()[-1])
+                for _ in range(STARTUP_RUNS)]
+            peaks = [run["peak_rss_mb"] for run in done if run["peak_rss_mb"] is not None]
+            commands[name] = {**done[0], "import_s": statistics.median(
+                run["import_s"] for run in done), "peak_rss_mb": max(peaks, default=None)}
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "runs": STARTUP_RUNS, "commands": commands}
+
+
 def measure(call) -> tuple[float, int]:
     """Median seconds of 3 calls (5 when they are quick) and one call's tracemalloc peak."""
     call()
@@ -271,10 +329,12 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "cases": cases,
     }
+    if not args.case:
+        report["startup"] = startup()
     if args.baseline:
         base = json.loads(Path(args.baseline).read_text())
-        report["baseline"] = {key: base[key]
-                              for key in ("src_lines", "commit", "dirty", "cases")}
+        report["baseline"] = {key: base[key] for key in
+                              ("src_lines", "commit", "dirty", "cases", "startup") if key in base}
     if args.perfbench:
         report["perfbench"] = dict(map(_last_result, args.perfbench))
     if args.baseline_perfbench:
