@@ -173,38 +173,45 @@ def _index_lists(j_values, r_values):
 
 
 def composition_check(kernel: PropagatorKernel, j_values, r_values,
-                      t0: float, t1: float, t: float) -> float:
-    """Worst |k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over j x r.
+                      t0: float, t1, t: float) -> float:
+    """Worst |k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over j x r and every t1.
 
-    j_values (rows) and r_values (columns) are integers or index lists.
-    The direct term is the closed-form check route, the two legs are
-    `kernel_table` blocks, so two routes are compared.  The intermediate
-    sites n are the whole system where it is finite, so the identity then
-    holds to rounding: the box sums over its sites 0..N, the periodic
-    system over one period 0..2N-1 (each image once).  For the free
-    system the window pads the grid's [min(j, r), max(j, r)] by the
-    truncation windows of both legs, outside of which the factors decay
-    super-exponentially.
+    j_values (rows) and r_values (columns) are integers or index lists; t1 is
+    one intermediate time or a 1-d sequence of them.  The direct term is the
+    closed-form check route, built once, the two legs are `kernel_table` blocks,
+    so two routes are compared.  The intermediate sites n are the whole system
+    where it is finite, so the identity then holds to rounding: the box sums
+    over its sites 0..N, the periodic system over one period 0..2N-1 (each
+    image once).  For the free system the window pads the grid's [min(j, r),
+    max(j, r)] by the truncation windows of both legs, outside of which the
+    factors decay super-exponentially.
     """
-    if not (t0 <= t1 <= t):
-        raise ValueError(f"need t0 <= t1 <= t, got {t0}, {t1}, {t}")
-    dt_late, dt_early = t - t1, t1 - t0
+    if np.ndim(t1) > 1 or np.size(t1) == 0:
+        raise ValueError(f"t1 must be one time or a nonempty 1-d sequence, got {t1!r}")
+    t1s = np.atleast_1d(t1).tolist()
+    for mid in t1s:
+        if not (t0 <= mid <= t):
+            raise ValueError(f"need t0 <= t1 <= t, got {t0}, {mid}, {t}")
     js, rs, (rows, cols), _ = _index_lists(j_values, r_values)
-    if kernel.system == "box":
-        sites = np.arange(0, kernel.n + 1)
-    elif kernel.system == "periodic":
-        sites = np.arange(0, 2 * kernel.n)
-    else:  # planned, so a window over the size limit is refused before the arange
-        pad = sum(_plan(kernel, dt, (0, 0))[1] for dt in (dt_late, dt_early))
-        span = (min(rows[0], cols[0]) - pad, max(rows[1], cols[1]) + pad)
-        _plan(kernel, dt_late, span, rows)
-        sites = np.arange(span[0], span[1] + 1)
 
+    def span(dt_late, dt_early):  # planned, so a window over the size limit is refused early
+        if kernel.system != "free":
+            return 0, kernel.n if kernel.system == "box" else 2 * kernel.n - 1
+        pad = sum(_plan(kernel, dt, (0, 0))[1] for dt in (dt_late, dt_early))
+        window = (min(rows[0], cols[0]) - pad, max(rows[1], cols[1]) + pad)
+        _plan(kernel, dt_late, window, rows)
+        return window
+
+    spans = [span(t - mid, mid - t0) for mid in t1s]
     direct = kernel(js[:, None], rs, t - t0)
-    late = kernel_table(kernel, js, sites, dt_late)
-    early = np.ascontiguousarray(kernel_table(kernel, sites, rs, dt_early).T)
-    paths = np.sum(late[:, None, :] * early[None, :, :], axis=-1)
-    return float(np.max(np.abs(direct - paths)))
+    worst = []
+    for mid, (lo, hi) in zip(t1s, spans):
+        sites = np.arange(lo, hi + 1)
+        late = kernel_table(kernel, js, sites, t - mid)
+        early = np.ascontiguousarray(kernel_table(kernel, sites, rs, mid - t0).T)
+        paths = np.sum(late[:, None, :] * early[None, :, :], axis=-1)
+        worst.append(float(np.max(np.abs(direct - paths))))
+    return max(worst)
 
 
 def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,

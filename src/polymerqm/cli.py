@@ -33,7 +33,7 @@ from . import SUITE_NAMES
 from .dynamics import WallSupportError
 from .lattice import PhysicalParams
 from .propagators import PropagatorKernel, _kernel_rows, _plan, evolve
-from .stateio import _csv_lines, load_wavefunction, save_wavefunction, write_atomic
+from .stateio import _BLOCK, _csv_lines, load_wavefunction, save_wavefunction, write_atomic
 
 
 def _parse_mu0_list(text: str) -> tuple[float, ...]:
@@ -210,7 +210,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
     Every time is planned first (`_plan`), so an error writes nothing;
     then each time's kernel vector is built in turn, its rows of j
-    gathered about 4096 cells at a time, each written once formatted.
+    gathered about `_BLOCK` cells at a time, each row turned into Python
+    floats and written once formatted.
     """
     kernel = _kernel(args, _params(args))
     lo, hi = (0, kernel.n) if kernel.system == "box" else (-4, 4)
@@ -225,7 +226,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     system = json.dumps(args.system) if as_json else args.system
     mid, end, sep = (',\n    "im": ', "\n  }", ",\n") if as_json else (",", "", "\r\n")
     r_cells = [str(r) for r in rs.tolist()]
-    step = max(1, 4096 // rs.size)  # rows of j per gather
+    step = max(1, _BLOCK // rs.size)  # rows of j per gather
 
     def blocks():
         for dt, plan in plans:
@@ -234,13 +235,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
                     else f",{dt!r},{z!r},")
             for start in range(j_lo, j_hi + 1, step):
                 block = np.arange(start, min(start + step, j_hi + 1))
-                table = rows(block)
-                for j, res, ims in zip(block.tolist(), table.real.tolist(),
-                                       table.imag.tolist()):
+                for j, row in zip(block.tolist(), rows(block)):
                     head = (f'  {{\n    "system": {system},\n    "j": {j},\n    "r": '
                             if as_json else f"{system},{j},")
                     yield sep.join([f"{head}{r}{tail}{re!r}{mid}{im!r}{end}"
-                                    for r, re, im in zip(r_cells, res, ims)])
+                                    for r, re, im in zip(r_cells, row.real.tolist(),
+                                                         row.imag.tolist())])
 
     header = ["system", "j", "r", "dt", "z", "re", "im"]
     _emit(_json_list(blocks()) if as_json else _csv_lines(header, blocks()), args.out)

@@ -7,7 +7,8 @@ Layout for a state stored at `state.csv`:
 
 The CSV is the command line's one format: CRLF line ends, floats as
 shortest round-trip `repr`, no quoting, one f-string per line.  So a
-load/save cycle is lossless.
+load/save cycle is lossless.  Both directions hold the Python objects of
+one block of `_BLOCK` sites at a time, never of the whole state.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams
 
 _HEADER = ["n", "re", "im"]
+_BLOCK = 4096  # sites per formatted or parsed block; also cells per kernel-table gather
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
@@ -53,8 +55,10 @@ def _csv_lines(header: list[str], lines):
 
 def save_wavefunction(psi: LatticeWavefunction, csv_path: str | Path) -> None:
     lat, amps = psi.lattice, psi.amplitudes
-    lines = (f"{n},{re!r},{im!r}" for n, re, im in
-             zip(lat.sites.tolist(), amps.real.tolist(), amps.imag.tolist()))
+    lines = (f"{n},{re!r},{im!r}" for lo in range(0, amps.size, _BLOCK)
+             for n, re, im in zip(range(lat.n_min + lo, lat.n_max + 1),
+                                  amps[lo:lo + _BLOCK].real.tolist(),
+                                  amps[lo:lo + _BLOCK].imag.tolist()))
     meta = {"hbar": lat.params.hbar, "mass": lat.params.mass, "mu0": lat.params.mu0,
             "n_min": lat.n_min, "n_max": lat.n_max}
     write_atomic(csv_path, _csv_lines(_HEADER, lines))
@@ -77,26 +81,31 @@ def load_wavefunction(csv_path: str | Path) -> LatticeWavefunction:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"sidecar {meta_path} missing or invalid field: {exc}") from exc
 
-    sites = []
-    amps = []
+    # sites are checked as they arrive; a malformed row anywhere outranks a site mismatch
+    blocks, amps, in_order, n_max, expected = [], [], True, lattice.n_max, lattice.n_min - 1
     with open(csv_path) as f:  # no quoting in the format: a line splits on ","
         rows = (line.rstrip("\n").split(",") if line != "\n" else [] for line in f)
         header = next(rows, None)
         if header != _HEADER:
             raise ValueError(f"{csv_path}: expected header {','.join(_HEADER)!r}, "
                              f"got {header!r}")
-        for row in rows:
+        for expected, row in enumerate(rows, lattice.n_min):
             if len(row) != 3:
                 raise ValueError(f"{csv_path}: malformed row {row!r}")
             try:
-                sites.append(int(row[0]))
-                amps.append(complex(float(row[1]), float(row[2])))
+                site, amp = int(row[0]), complex(float(row[1]), float(row[2]))
             except ValueError as exc:
                 raise ValueError(f"{csv_path}: malformed row {row!r}") from exc
+            if in_order and site == expected <= n_max:
+                amps.append(amp)
+                if len(amps) == _BLOCK:
+                    blocks.append(np.array(amps, dtype=complex))
+                    amps = []
+            else:
+                in_order = False
 
-    if sites != list(range(lattice.n_min, lattice.n_max + 1)):
-        raise ValueError(
-            f"{csv_path}: site column must be exactly {lattice.n_min}..{lattice.n_max} "
-            "in increasing order"
-        )
-    return LatticeWavefunction(lattice, np.array(amps, dtype=complex))
+    if not in_order or expected != n_max:
+        raise ValueError(f"{csv_path}: site column must be exactly {lattice.n_min}.."
+                         f"{lattice.n_max} in increasing order")
+    blocks.append(np.array(amps, dtype=complex))  # the last, partial block (maybe empty)
+    return LatticeWavefunction(lattice, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))

@@ -808,6 +808,19 @@ def test_evolve_of_a_state_beyond_the_site_domain_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evolve_of_a_state_shorter_than_its_declared_window_exits_2(tmp_path, capsys):
+    # the reader built list(range(n_min, n_max + 1)) of the sidecar's window to
+    # compare the sites with: at n_max = 10^11 a MemoryError, exit 1
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    save_wavefunction(delta_state(Lattice(PhysicalParams(), 0, 2), 1), src)
+    meta_path = src.with_suffix(".json")
+    meta_path.write_text(json.dumps(dict(json.loads(meta_path.read_text()), n_max=10**11)))
+    assert main(["evolve", str(src), "--dt", "0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {src}: site column must be exactly "
+                                       "0..100000000000 in increasing order\n")
+    assert not out.exists()
+
+
 def test_kernel_memory_does_not_grow_with_times(tmp_path):
     # each time's kernel vector is built as its rows are written: one time
     # peaks at 8.05 MiB (the circle step at N = 65,536), eight at 10.05 MiB,

@@ -1093,6 +1093,27 @@ def test_composition_ordering_enforced():
         composition_check(kernel, 0, 0, 0.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("kernel", [PropagatorKernel.free(P1), PropagatorKernel.box(6, P1),
+                                    PropagatorKernel.periodic(4, P1)],
+                         ids=["free", "box", "periodic"])
+def test_composition_over_several_times_is_the_worst_single_call(kernel):
+    # one direct term for every t1; each t1 keeps its own intermediate sites
+    js, rs, t1s = [1, 2, 5], [1, 3], [0.0, 0.4, 1.1, 2.2, 3.0]
+    for times in (t1s, np.array(t1s[1:3]), [1.1]):
+        single = [composition_check(kernel, js, rs, 0.0, t1, 3.0) for t1 in times]
+        assert composition_check(kernel, js, rs, 0.0, times, 3.0) == max(single)
+
+
+@pytest.mark.parametrize("t1,named", [
+    ([], "t1 must be one time or a nonempty 1-d sequence, got []"),
+    ([[0.5]], "t1 must be one time or a nonempty 1-d sequence, got [[0.5]]"),
+    ([0.5, 2.0], "need t0 <= t1 <= t, got 0.0, 2.0, 1.0"),
+], ids=["empty", "2-d", "one late"])
+def test_composition_times_are_refused(t1, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        composition_check(PropagatorKernel.free(P1), 0, 0, 0.0, t1, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Green's function residual
 # ---------------------------------------------------------------------------

@@ -26,6 +26,14 @@ def test_every_case_runs_at_its_two_smallest_sizes(name):
     assert all(p["time_s"] > 0 and p["peak_bytes"] > 0 for p in case["points"])
 
 
+def test_state_io_case_peaks_below_three_amplitude_arrays():
+    # save plus load holds one block of Python objects at a time; the whole-state
+    # lists peaked at 7.3 MiB for 2^16 sites (1 MiB of amplitudes)
+    case = probe.run_case("state_io", [2**15, 2**16])
+    assert case["size"] == "M"
+    assert all(p["peak_bytes"] < 3 * 16 * p["size"] for p in case["points"])
+
+
 def test_report_holds_source_machine_and_baseline(tmp_path):
     base = tmp_path / "base.json"
     assert probe.main(["--case", "kernel_table_free", "--out", str(base)]) == 0

@@ -9,11 +9,11 @@ it for every job.
 
 Each case doubles one size at a time (window M, box size N, separation
 |j - r|, Bessel argument z, grid side, table rows: columns of r at 64 rows of j,
-or rows of j at 64 columns; times T of one table).  At every size it records the
-median wall time of a few calls, after one warm-up call, and the
-tracemalloc peak of one more call.  For the case it fits the
-least-squares slope of log2(time) and of log2(peak) against log2(size):
-1 is linear, 2 quadratic, 0 flat.  Everything runs in this one process
+or rows of j at 64 columns; times T of one table; sites M of a saved and loaded
+state file).  At every size it records the median wall time of a few calls,
+after one warm-up call, and the tracemalloc peak of one more call.  For the
+case it fits the least-squares slope of log2(time) and of log2(peak) against
+log2(size): 1 is linear, 2 quadratic, 0 flat.  Everything runs in this one process
 and takes well under a minute.  Wall-time slopes are a report, not a gate:
 on a shared host the times of single calls are noisy.
 
@@ -143,6 +143,18 @@ def _kernel_times(times):
     return call
 
 
+def _state_io(m):
+    """`save_wavefunction`, then `load_wavefunction`, of an m-site packet in a temp directory."""
+    psi = _packet(m)
+
+    def call():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "psi.csv")
+            polymerqm.save_wavefunction(psi, path)
+            return polymerqm.load_wavefunction(path)
+    return call
+
+
 # name -> (what is doubled, its sizes, size -> the call to measure)
 CASES = {
     "evolve_free_z10": ("M", [2**k for k in range(12, 18)], _evolve_free(10.0)),
@@ -174,6 +186,8 @@ CASES = {
                           _kernel_text("csv", "j", ("--system", "periodic", "--N", "4096"))),
     # times of one table: a kernel vector per time, built as its rows are written
     "kernel_periodic_times": ("T", [1, 2, 4, 8, 16], _kernel_times),
+    # state files streamed a block of sites at a time: the peak is the amplitude arrays
+    "state_io": ("M", [2**k for k in range(12, 19)], _state_io),
 }
 
 
