@@ -18,22 +18,22 @@ from polymerqm import (
     PropagatorKernel,
     delta_state,
     evolve,
-    free_kernel,
     truncation_window,
 )
 
 params = PhysicalParams(hbar=1.0, mass=1.0, mu0=1.0)
+kernel = PropagatorKernel.free(params)
 
 print("=== kernel table at z = 1 ===")
 print("   j    r          re          im")
 for j in range(0, 3):
     for r in range(0, 3):
-        k = free_kernel(j, r, 1.0, params)
+        k = kernel(j, r, 1.0)
         print(f"{j:4d} {r:4d} {k.real:11.6f} {k.imag:11.6f}")
 
 print()
 print("=== initial condition: dt -> 0 gives the Kronecker delta ===")
-dev = max(abs(free_kernel(j, r, 0.0, params) - (1.0 if j == r else 0.0))
+dev = max(abs(kernel(j, r, 0.0) - (1.0 if j == r else 0.0))
           for j in range(-12, 13) for r in range(-12, 13))
 print(f"max |k(j,r;0) - delta_jr| over j,r in [-12,12]: {dev:.2e}")
 
@@ -41,7 +41,6 @@ print()
 print("=== spreading of a position eigenstate ===")
 lat = Lattice(params, 0, 0)
 psi = delta_state(lat, 0)
-kernel = PropagatorKernel.free(params)
 for dt in (0.5, 2.0, 8.0):
     out = evolve(psi, kernel, dt)
     prob = np.abs(out.amplitudes) ** 2
@@ -55,5 +54,5 @@ print()
 print("=== unitarity is the Bessel sum-of-squares identity ===")
 for z in (0.1, 1.0, 10.0, 100.0):
     w = truncation_window(z)
-    total = sum(abs(free_kernel(n, 0, z, params)) ** 2 for n in range(-w, w + 1))
+    total = sum(abs(kernel(n, 0, z)) ** 2 for n in range(-w, w + 1))
     print(f"z={z:6.1f}  sum |k|^2 = {total:.15f}")

@@ -15,9 +15,9 @@ import numpy as np
 
 from polymerqm import (
     PhysicalParams,
+    PropagatorKernel,
     box_images_kernel,
     box_spectral_kernel,
-    free_kernel,
     periodic_kernel,
     truncation_window,
 )
@@ -34,7 +34,8 @@ print(f"k_P(2+2N, 1)     = {shifted:.12f}")
 print(f"|difference|     = {abs(base - shifted):.2e}")
 # images up to |k| reach every order -W..W from the separation j - r = 1
 cutoff = (truncation_window(z) + 1) // (2 * N) + 1
-brute = sum(free_kernel(2, 1 + 2 * k * N, z, params) for k in range(-cutoff, cutoff + 1))
+free = PropagatorKernel.free(params)
+brute = sum(free(2, 1 + 2 * k * N, z) for k in range(-cutoff, cutoff + 1))
 print(f"vs explicit image sum ({2 * cutoff + 1} images): {abs(base - brute):.2e}")
 
 print()

@@ -33,7 +33,6 @@ from polymerqm import (
     PropagatorKernel,
     continuum_sweep,
     evolve,
-    free_kernel,
     schrodinger_box_evolve,
     schrodinger_free_kernel,
 )
@@ -61,7 +60,8 @@ def smeared_error(mu0, dx=1.0, dt0=1.0, width=0.04, num=801):
     dts = np.linspace(dt0 - 5 * width, dt0 + 5 * width, num)
     weight = np.exp(-0.5 * ((dts - dt0) / width) ** 2)
     weight /= np.trapezoid(weight, dts)
-    polymer = np.array([free_kernel(sites, 0, dt, params) / mu0 for dt in dts])
+    free = PropagatorKernel.free(params)
+    polymer = np.array([free(sites, 0, dt) / mu0 for dt in dts])
     continuum = np.array([schrodinger_free_kernel(dx, 0.0, dt, params)
                           for dt in dts])
     return abs(np.trapezoid((polymer - continuum) * weight, dts))

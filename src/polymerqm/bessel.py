@@ -69,6 +69,8 @@ _REFILL_STEPS = 16
 # For orders it bounds work, not memory: three orders take 0.1 s at z = 1e7
 # and 0.23 s at the limit (one core of a 2-vCPU Xeon VM) and O(sqrt(z)) memory;
 # `bessel_table`, `_plan` and `dynamics._box_size` raise before they allocate.
+# For the circle 2N it bounds memory as well: a circle step holds about 64 bytes
+# per site of 2N (128 MiB at 2N = 2**21), so about 2 GiB at 2N = 2**25.
 _MAX_SIZE = 2 ** 25
 
 

@@ -1,12 +1,12 @@
 """The check routes: closed forms, identities and continuum references.
 
-`PropagatorKernel.__call__` evaluates the closed forms here (free Bessel term
-`free_kernel`, box spectral sum `box_spectral_kernel`, periodic image sum
-`periodic_kernel`, and the box image sum `box_images_kernel`) for integer sites
-or index arrays, the routes `kernel_table` and `evolve` are tested against.
-The image sums fold the engine's free vector onto Z_2N and read it by
-`_circle_read`, O(W + N + grid).  Identities (composition, Green's residual)
-check the engine against them, each returning its worst deviation as a float;
+`PropagatorKernel.__call__`, `kernel_table` and `evolve` read the engine; the
+closed forms here are independent routes to the same kernels, called by name
+for integer sites or index arrays: the box spectral sum `box_spectral_kernel`,
+and the image sums `periodic_kernel` and `box_images_kernel`, which fold the
+engine's free vector onto Z_2N and read it by `_circle_read`, O(W + N + grid).
+Identities (composition, Green's residual) check the engine, each returning
+its worst deviation as a float;
 `apply_hamiltonian`, the generator of `evolve` in each system, and the Green's
 residual share the stencil of `dynamics`.  `schrodinger_free_kernel`,
 `schrodinger_box_evolve` and `momentum_kernel_phase` are the continuum and
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_table, truncation_window, unit_imaginary_power
+from .bessel import _MAX_SIZE, bessel_table, truncation_window, unit_imaginary_power
 from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, _stencil
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
 from .propagators import (PropagatorKernel, _circle_read, _free_vector, _plan, _shared_params,
@@ -38,18 +38,6 @@ from .spectral import dispersion_energy
 def _finish(values: np.ndarray, scalar: bool):
     """values, or a complex for a scalar call."""
     return complex(values[0]) if scalar else values
-
-
-def free_kernel(j, r, dt: float, params: PhysicalParams):
-    """Free-particle propagator between sites j and r after time dt.
-
-    One table of at most W(z) + 1 orders per call; |r - j| > W gives exactly 0.
-    The order enters only through |r - j|, so the kernel is symmetric in
-    (j, r) bit for bit; at dt = 0 it is exactly the Kronecker delta.
-    """
-    js, rs, _, scalar = _sites(j, r)
-    read = _free_vector(dimensionless_time(params, dt), int(np.abs(rs - js).max()))
-    return _finish(read(rs - js), scalar)
 
 
 def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
@@ -177,9 +165,9 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     """Worst |k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over j x r and every t1.
 
     j_values (rows) and r_values (columns) are integers or index lists; t1 is
-    one intermediate time or a 1-d sequence of them.  The direct term is the
-    closed-form check route, built once, the two legs are `kernel_table` blocks,
-    so two routes are compared.  The intermediate sites n are the whole system
+    one intermediate time or a 1-d sequence of them.  The direct term and the
+    two legs are the engine (`kernel(j, r, dt)` built once, `kernel_table`
+    blocks per t1).  The intermediate sites n are the whole system
     where it is finite, so the identity then holds to rounding: the box sums
     over its sites 0..N, the periodic system over one period 0..2N-1 (each
     image once).  For the free system the window pads the grid's [min(j, r),
@@ -330,7 +318,7 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
         if sites < 1 or abs(l_exact - sites) > 1e-9 * max(1.0, abs(l_exact)):
             raise ValueError(f"mu0 = {mu0} does not divide dx = {dx} evenly")
         z = dimensionless_time(params, dt)
-        polymer = free_kernel(sites, 0, dt, params) / mu0
+        polymer = PropagatorKernel.free(params)(sites, 0, dt) / mu0
         continuum = schrodinger_free_kernel(dx, 0.0, dt, params)
         points.append(SweepPoint(mu0=mu0, sites=sites, z=z,
                                  abs_error=float(abs(polymer - continuum))))
@@ -363,7 +351,7 @@ def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
     The pointwise kernel series does not converge; the packet-smeared
     series does, because the mode coefficients of a smooth packet decay
     fast.  Modes are added until the smallest retained coefficient is
-    below 1e-14 of the largest.
+    below 1e-14 of the largest; over `bessel._MAX_SIZE` points x modes raise.
     """
     dt, length = float(dt), float(length)
     num = 64
@@ -385,5 +373,7 @@ def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
     if not math.isfinite(float(energies[-1]) * dt / params.hbar):
         raise ValueError(f"dt must be finite, with E dt/hbar finite at the top mode, got {dt}")
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
+    if x.size * num > _MAX_SIZE:
+        raise ValueError(f"{x.size} points x {num} modes is over the limit {_MAX_SIZE}")
     modes = np.sin(np.outer(x, levels) * math.pi / length)
     return modes @ (coeffs * np.exp(-1j * energies * dt / params.hbar))

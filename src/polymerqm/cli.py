@@ -230,12 +230,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
     def blocks():
         for dt, plan in plans:
-            z, rows = plan[0], _kernel_rows(kernel, plan, rs)
+            z, read = plan[0], _kernel_rows(kernel, plan)
             tail = (f',\n    "dt": {dt!r},\n    "z": {z!r},\n    "re": ' if as_json
                     else f",{dt!r},{z!r},")
             for start in range(j_lo, j_hi + 1, step):
                 block = np.arange(start, min(start + step, j_hi + 1))
-                for j, row in zip(block.tolist(), rows(block)):
+                for j, row in zip(block.tolist(), read(block[:, None], rs)):
                     head = (f'  {{\n    "system": {system},\n    "j": {j},\n    "r": '
                             if as_json else f"{system},{j},")
                     yield sep.join([f"{head}{r}{tail}{re!r}{mid}{im!r}{end}"

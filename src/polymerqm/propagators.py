@@ -7,17 +7,17 @@ Systems (`PropagatorKernel.system`):
             equal to twice the odd part of the periodic kernel
   periodic  sum over images k of the free kernel at r + 2kN
 
-Caller sites j, r enter by `_sites` (`kernel_table` and the check routes of
+Caller sites j, r enter by `_sites` (kernel calls, `kernel_table`, the routes of
 `checks`), and `_windows` alone checks a window: integer arrays, nonempty,
 |site| < 2^62, at most 2^25 sites, box sites in 0..N.  `_plan` sizes and checks
 every engine call before any array is made, and each kind of kernel vector has
 one reader.  `_free_vector` gives every free kernel value, from one Bessel table
 of at most W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window
-W: free `kernel_table` reads it on (j, r) grids and free `evolve` convolves it.
-`_circle_read` reads every vector on Z_2N: the circle step of a delta for
-periodic and box tables (an exact sum over 2N momenta by FFT, the box its odd
-part, which also moves their states).  The closed forms, identities and
-continuum references that check the engine are in `checks`, loaded on demand.
+W: kernel calls and tables read it on (j, r) grids, free `evolve` convolves it.
+`_circle_read` reads every vector on Z_2N at min(d, 2N - d), so that tables are
+symmetric bit for bit: the circle step of a delta for periodic and box (an exact
+sum over 2N momenta by FFT, the box its odd part, which also moves their states).
+The closed forms, identities and references that check the engine are in `checks`.
 """
 
 from __future__ import annotations
@@ -96,14 +96,17 @@ def _sites(j, r, n_box: int | None = None, names=("sites j", "sites r")):
 
 
 def _circle_read(circle: np.ndarray, js, rs, n_box: int | None) -> np.ndarray:
-    """k(j, r) = circle[(j - r) mod 2N] from a kernel vector on Z_2N, js and rs broadcast.
+    """k(j, r) = circle[d], d = (j - r) mod 2N, from a kernel vector on Z_2N, js and rs broadcast.
 
-    A box (n_box not None, sites 0..N): minus circle[(j + r) mod 2N], with
+    Read at min(d, 2N - d), as `_free_vector` reads by |m|: tables are symmetric bit
+    for bit.  A box (n_box not None, sites 0..N): minus the entry at (j + r) mod 2N,
     the walls exactly 0: r = 0 or N reads one entry twice, rows j = 0, N are set.
     """
-    values = circle[(js - rs) % circle.size]
+    d = (js - rs) % circle.size
+    values = circle[np.minimum(d, circle.size - d, out=d)]
     if n_box is not None:
-        values -= circle[(js + rs) % circle.size]
+        d = (js + rs) % circle.size
+        values -= circle[np.minimum(d, circle.size - d, out=d)]
         np.copyto(values, 0.0, where=(js == 0) | (js == n_box))
     return values
 
@@ -116,10 +119,9 @@ def _circle_read(circle: np.ndarray, js, rs, n_box: int | None) -> np.ndarray:
 class PropagatorKernel:
     """A lattice system: free, a box with walls at sites 0 and n, or period 2n.
 
-    Calling it as kernel(j, r, dt) evaluates the closed form of `checks`
-    (free Bessel term, box spectral sum, periodic image sum) for integer
-    sites or index arrays: the check route that `evolve` and `kernel_table`,
-    which share one kernel vector per dt, are tested against.
+    Calling it as kernel(j, r, dt) reads the engine of `kernel_table` and `evolve`
+    (`_plan`, then one kernel vector) at integer sites or index arrays broadcast
+    like numpy, a complex for two scalars; `checks` holds the closed forms.
     """
 
     system: str
@@ -149,13 +151,9 @@ class PropagatorKernel:
         return cls("periodic", params, n=n)
 
     def __call__(self, j, r, dt: float):
-        from .checks import box_spectral_kernel, free_kernel, periodic_kernel  # loaded on use
-
-        if self.system == "free":
-            return free_kernel(j, r, dt, self.params)
-        if self.system == "box":
-            return box_spectral_kernel(j, r, dt, self.n, self.params)
-        return periodic_kernel(j, r, dt, self.n, self.params)
+        js, rs, (rows, cols), scalar = _sites(j, r)  # a box's sites are checked by `_plan`
+        values = _kernel_rows(self, _plan(self, dt, cols, rows))(js, rs)
+        return complex(values.flat[0]) if scalar else values
 
 
 def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
@@ -207,19 +205,19 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
     return (z, w, *_windows(rows, (c_lo, c_hi), n if kernel.system == "box" else None))
 
 
-def _kernel_rows(kernel: PropagatorKernel, plan, rs: np.ndarray):
-    """rows(j) = k(j, r, dt) for r in rs and j in the plan's rows, from one kernel vector.
+def _kernel_rows(kernel: PropagatorKernel, plan):
+    """read(j, r) = k(j, r, dt) from one kernel vector, j and r in the plan's windows.
 
-    Free: `_free_vector` out to the largest |j - r| (a grid corner), each entry bit
+    Free: `_free_vector` out to the largest |j - r| (a window corner), each entry bit
     for bit the whole grid's.  Periodic, box: `_circle_read` of a circle-stepped delta.
     """
     z, _, (j_lo, j_hi), (r_lo, r_hi) = plan
     if kernel.system == "free":
         read = _free_vector(z, max(abs(j_lo - r_hi), abs(j_hi - r_lo)))
-        return lambda j: read(np.subtract.outer(j, rs))
+        return lambda j, r: read(np.subtract(j, r))
     box = kernel.n if kernel.system == "box" else None
     circle = _circle_step((np.arange(2 * kernel.n) == 0).astype(complex), z)
-    return lambda j: _circle_read(circle, np.asarray(j)[..., None], rs, box)
+    return lambda j, r: _circle_read(circle, np.asarray(j), np.asarray(r), box)
 
 
 def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.ndarray:
@@ -234,7 +232,7 @@ def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.
     js, rs, (rows, cols), _ = _sites(j_values, r_values, None, names)
     if js.size * rs.size > _MAX_SIZE:
         raise ValueError(f"table of {js.size} x {rs.size} entries is over the limit {_MAX_SIZE}")
-    return _kernel_rows(kernel, _plan(kernel, dt, cols, rows), rs)(js)
+    return _kernel_rows(kernel, _plan(kernel, dt, cols, rows))(js[..., None], rs)
 
 
 def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,

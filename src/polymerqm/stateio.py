@@ -7,8 +7,8 @@ Layout for a state stored at `state.csv`:
 
 The CSV is the command line's one format: CRLF line ends, floats as
 shortest round-trip `repr`, no quoting, one f-string per line.  So a
-load/save cycle is lossless.  Both directions hold the Python objects of
-one block of `_BLOCK` sites at a time, never of the whole state.
+load/save cycle is lossless.  A save holds the Python objects of one block
+of `_BLOCK` sites, a load one array of the declared window, never more.
 """
 
 from __future__ import annotations
@@ -81,9 +81,13 @@ def load_wavefunction(csv_path: str | Path) -> LatticeWavefunction:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"sidecar {meta_path} missing or invalid field: {exc}") from exc
 
-    # sites are checked as they arrive; a malformed row anywhere outranks a site mismatch
-    blocks, amps, in_order, n_max, expected = [], [], True, lattice.n_max, lattice.n_min - 1
+    # made once the file can hold 6 bytes a row ("n,0,0\n"); a malformed row outranks a mismatch
+    mismatch = ValueError(f"{csv_path}: site column must be exactly {lattice.n_min}.."
+                          f"{lattice.n_max} in increasing order")
     with open(csv_path) as f:  # no quoting in the format: a line splits on ","
+        if os.fstat(f.fileno()).st_size < 6 * lattice.num_sites:
+            raise mismatch
+        amps, in_order, expected = np.empty(lattice.num_sites, complex), True, lattice.n_min - 1
         rows = (line.rstrip("\n").split(",") if line != "\n" else [] for line in f)
         header = next(rows, None)
         if header != _HEADER:
@@ -96,16 +100,11 @@ def load_wavefunction(csv_path: str | Path) -> LatticeWavefunction:
                 site, amp = int(row[0]), complex(float(row[1]), float(row[2]))
             except ValueError as exc:
                 raise ValueError(f"{csv_path}: malformed row {row!r}") from exc
-            if in_order and site == expected <= n_max:
-                amps.append(amp)
-                if len(amps) == _BLOCK:
-                    blocks.append(np.array(amps, dtype=complex))
-                    amps = []
+            if in_order and site == expected <= lattice.n_max:
+                amps[expected - lattice.n_min] = amp
             else:
                 in_order = False
 
-    if not in_order or expected != n_max:
-        raise ValueError(f"{csv_path}: site column must be exactly {lattice.n_min}.."
-                         f"{lattice.n_max} in increasing order")
-    blocks.append(np.array(amps, dtype=complex))  # the last, partial block (maybe empty)
-    return LatticeWavefunction(lattice, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+    if not in_order or expected != lattice.n_max:
+        raise mismatch
+    return LatticeWavefunction(lattice, amps)

@@ -1,13 +1,14 @@
 """Named property suites behind the `verify` command.
 
-Each invariant shared by the systems is one function of a
-`PropagatorKernel` and its grid that returns the worst deviation as a
-float: `_initial_condition`, `_unitarity`, `_symmetry` and
-`_time_reversal` here, beside the library's `composition_check`,
-`greens_residual` and `greens_residual_fd`.  A suite is a generator,
-called as suite(params, n_box, seed), that yields one (name, deviation,
-tolerance) record per property at fixed desk-scale sample grids;
-`run_suite` reads the suites from `_SUITES` and makes every `CheckResult`.
+Each invariant shared by the systems is one function of a `PropagatorKernel`
+and its grid that returns the worst deviation as a float: `_initial_condition`,
+`_unitarity`, `_symmetry` and `_time_reversal` here, beside the library's
+`composition_check`, `greens_residual` and `greens_residual_fd`, all on the
+engine's kernel calls; the closed forms of `checks` are compared with it by
+name.  A suite is a generator, called as suite(params, n_box, seed), that
+yields one (name, deviation, tolerance) record per property at fixed
+desk-scale sample grids; `run_suite` reads the suites from `_SUITES` and
+makes every `CheckResult`.
 Randomized samples (Jacobi-Anger points, Gaussian packets, amplitudes)
 come from `random.Random(seed)`: a deterministic stdlib generator, so
 two runs with the same seed produce identical reports, and
@@ -105,8 +106,7 @@ def _unitarity(kernel: PropagatorKernel, lo: int, hi: int, dt: float) -> float:
     the truncation window, outside of which the kernel is exactly 0.
     """
     if kernel.system == "free":
-        column = kernel_table(kernel, range(lo, hi + 1), [0], dt)[:, 0]
-        return abs(float(np.sum(np.abs(column) ** 2)) - 1.0)
+        return abs(float(np.sum(np.abs(kernel(np.arange(lo, hi + 1), 0, dt)) ** 2)) - 1.0)
     k = kernel(*_grid(lo, hi), dt)
     return _worst(k @ k.conj().T - np.eye(hi - lo + 1))
 
@@ -220,8 +220,8 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
         _worst(box_spectral_kernel(*_grid(0, n), z * scale, n, params)
                - box_images_kernel(*_grid(0, n), z * scale, n, params=params))
         for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0)), 1e-10
-    yield "boundary-zeros", _worst(box_spectral_kernel(
-        np.array([[0], [n_box]]), np.arange(0, n_box + 1), 1.7 * scale, n_box, params)), 0.0
+    yield "boundary-zeros", _worst(kernel_table(PropagatorKernel.box(n_box, params), [0, n_box],
+                                                range(n_box + 1), 1.7 * scale)), 0.0
 
     dev = 0.0
     for n, times in [(n_box, (0.3, 2.0))] + [(n, (0.7, 3.1)) for n in (2, 5, 9)]:
@@ -269,6 +269,16 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
     yield "eigen-residual", max(_worst(_stencil(spec.eigenvectors, params)
                                        - spec.energies[:, None] * spec.eigenvectors[:, 1:-1])
                                 for spec in (box_spectrum(n, params) for n in (2, 7, 32))), 1e-12
+
+    boxes = [PropagatorKernel.box(n, params) for n in (2, 6, 17, 48)]  # the engine's tables
+    yield "symmetry", max(_symmetry(box, *_grid(0, box.n), z * scale)
+                          for box in boxes for z in (0.3, 1.7, 25.0)), 0.0
+    yield "time-reversal", max(_time_reversal(box, *_grid(0, box.n), z * scale)
+                               for box in boxes for z in (0.4, 2.0)), 1e-14
+    yield "engine-vs-spectral", max(
+        _worst(PropagatorKernel.box(n, params)(*_grid(0, n), z * scale)
+               - box_spectral_kernel(*_grid(0, n), z * scale, n, params))
+        for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0)), 1e-13
 
 
 def suite_momentum(params: PhysicalParams, n_box: int, seed: int):

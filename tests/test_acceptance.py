@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from polymerqm.lattice import PhysicalParams, dimensionless_time
-from polymerqm.checks import free_kernel, schrodinger_free_kernel
+from polymerqm.checks import schrodinger_free_kernel
+from polymerqm.propagators import PropagatorKernel
 from polymerqm.verify import run_suite
 
 P1 = PhysicalParams()
@@ -142,7 +143,8 @@ def time_smeared_error(mu0: float, dx: float = 1.0, dt0: float = 1.0) -> float:
                       SMEAR_SAMPLES)
     weight = np.exp(-0.5 * ((dts - dt0) / SMEAR_WIDTH) ** 2)
     weight /= np.trapezoid(weight, dts)
-    polymer = np.array([free_kernel(sites, 0, dt, params) / mu0 for dt in dts])
+    free = PropagatorKernel.free(params)
+    polymer = np.array([free(sites, 0, dt) / mu0 for dt in dts])
     continuum = np.array([schrodinger_free_kernel(dx, 0.0, dt, params)
                           for dt in dts])
     return float(abs(np.trapezoid((polymer - continuum) * weight, dts)))
@@ -154,7 +156,7 @@ def two_saddle_error(mu0: float, dx: float = 1.0, dt: float = 1.0) -> float:
     params = PhysicalParams(mu0=mu0)
     z = dimensionless_time(params, dt)
     k_s = schrodinger_free_kernel(dx, 0.0, dt, params)
-    polymer = free_kernel(sites, 0, dt, params) / mu0
+    polymer = PropagatorKernel.free(params)(sites, 0, dt) / mu0
     return float(abs(polymer - k_s
                      - (-1) ** sites * np.exp(-2j * z) * np.conj(k_s)))
 

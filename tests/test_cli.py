@@ -512,17 +512,20 @@ _VERIFY_ALL_CSV = {
         b"free,time-reversal,0.0,1e-13,pass\r\n"
         b"free,eigenstate-phase,6.661338147750939e-16,1e-08,pass\r\n"
         b"free,dispersion-roundtrip,5.551115123125783e-17,1e-12,pass\r\n"
-        b"box,initial-condition,1.1518563880486e-15,1e-14,pass\r\n"
+        b"box,initial-condition,0.0,1e-14,pass\r\n"
         b"box,spectral-vs-images,1.942097114741681e-15,1e-10,pass\r\n"
         b"box,boundary-zeros,0.0,0.0,pass\r\n"
         b"box,eigenphase,1.1792037227924548e-15,1e-12,pass\r\n"
-        b"box,unitarity,2.1958673117011908e-15,1e-12,pass\r\n"
-        b"box,composition,1.5149212091658231e-15,1e-12,pass\r\n"
-        b"box,greens-residual,2.8701197811473104e-15,1e-10,pass\r\n"
-        b"box,greens-residual-fd,2.347779731857505e-10,1e-05,pass\r\n"
+        b"box,unitarity,8.604228440844963e-16,1e-12,pass\r\n"
+        b"box,composition,5.661048867003677e-16,1e-12,pass\r\n"
+        b"box,greens-residual,2.8921789250429584e-15,1e-10,pass\r\n"
+        b"box,greens-residual-fd,2.2399747679684184e-10,1e-05,pass\r\n"
         b"box,spectrum-oracle-energies,8.881784197001252e-16,1e-10,pass\r\n"
         b"box,spectrum-oracle-vectors,9.624245844719326e-15,1e-08,pass\r\n"
         b"box,eigen-residual,2.0261570199409107e-15,1e-12,pass\r\n"
+        b"box,symmetry,0.0,0.0,pass\r\n"
+        b"box,time-reversal,5.117875266520904e-16,1e-14,pass\r\n"
+        b"box,engine-vs-spectral,1.6946818973100074e-15,1e-13,pass\r\n"
         b"momentum,phase-evolution,2.4552312978479334e-16,1e-09,pass\r\n"
         b"momentum,parseval,0.0,3.7365573465126954e-11,pass\r\n"
         b"momentum,roundtrip,4.742874840267547e-16,1e-12,pass\r\n"
@@ -548,17 +551,20 @@ _VERIFY_ALL_CSV = {
         b"free,time-reversal,0.0,1e-13,pass\r\n"
         b"free,eigenstate-phase,6.661338147750939e-16,1e-08,pass\r\n"
         b"free,dispersion-roundtrip,2.220446049250313e-16,1e-12,pass\r\n"
-        b"box,initial-condition,1.1518563880486e-15,1e-14,pass\r\n"
+        b"box,initial-condition,0.0,1e-14,pass\r\n"
         b"box,spectral-vs-images,1.942097114741681e-15,1e-10,pass\r\n"
         b"box,boundary-zeros,0.0,0.0,pass\r\n"
         b"box,eigenphase,5.2759326650582574e-15,1e-12,pass\r\n"
-        b"box,unitarity,2.1958673117011908e-15,1e-12,pass\r\n"
-        b"box,composition,1.5149212091658231e-15,1e-12,pass\r\n"
-        b"box,greens-residual,1.1480479124589242e-14,1e-10,pass\r\n"
-        b"box,greens-residual-fd,3.498813899696614e-10,1e-05,pass\r\n"
+        b"box,unitarity,8.604228440844963e-16,1e-12,pass\r\n"
+        b"box,composition,5.661048867003677e-16,1e-12,pass\r\n"
+        b"box,greens-residual,1.1568715700171834e-14,1e-10,pass\r\n"
+        b"box,greens-residual-fd,3.4988139595785953e-10,1e-05,pass\r\n"
         b"box,spectrum-oracle-energies,3.552713678800501e-15,1e-10,pass\r\n"
         b"box,spectrum-oracle-vectors,9.624245844719326e-15,1e-08,pass\r\n"
         b"box,eigen-residual,8.104628079763643e-15,1e-12,pass\r\n"
+        b"box,symmetry,0.0,0.0,pass\r\n"
+        b"box,time-reversal,5.117875266520904e-16,1e-14,pass\r\n"
+        b"box,engine-vs-spectral,1.6946818973100074e-15,1e-13,pass\r\n"
         b"momentum,phase-evolution,2.0206364052201328e-16,1e-09,pass\r\n"
         b"momentum,parseval,3.552713678800501e-15,3.110585716902502e-11,pass\r\n"
         b"momentum,roundtrip,4.965068306494546e-16,1e-12,pass\r\n"
@@ -584,17 +590,20 @@ _VERIFY_ALL_CSV = {
         b"free,time-reversal,0.0,1e-13,pass\r\n"
         b"free,eigenstate-phase,2.3914935841127266e-15,1e-08,pass\r\n"
         b"free,dispersion-roundtrip,2.7755575615628914e-17,1e-12,pass\r\n"
-        b"box,initial-condition,1.1518563880486e-15,1e-14,pass\r\n"
+        b"box,initial-condition,0.0,1e-14,pass\r\n"
         b"box,spectral-vs-images,1.942097114741681e-15,1e-10,pass\r\n"
         b"box,boundary-zeros,0.0,0.0,pass\r\n"
         b"box,eigenphase,2.511074399121581e-15,1e-12,pass\r\n"
-        b"box,unitarity,2.1958673117011908e-15,1e-12,pass\r\n"
-        b"box,composition,1.4054300946555646e-15,1e-12,pass\r\n"
-        b"box,greens-residual,1.7685878046281191e-15,1e-10,pass\r\n"
+        b"box,unitarity,8.604228440844963e-16,1e-12,pass\r\n"
+        b"box,composition,7.899680058268651e-16,1e-12,pass\r\n"
+        b"box,greens-residual,1.7794982479793266e-15,1e-10,pass\r\n"
         b"box,greens-residual-fd,1.3270615546269445e-10,1e-05,pass\r\n"
         b"box,spectrum-oracle-energies,8.881784197001252e-16,1e-10,pass\r\n"
         b"box,spectrum-oracle-vectors,8.659739592076221e-15,1e-08,pass\r\n"
         b"box,eigen-residual,1.2628786905111156e-15,1e-12,pass\r\n"
+        b"box,symmetry,0.0,0.0,pass\r\n"
+        b"box,time-reversal,5.117875266520904e-16,1e-14,pass\r\n"
+        b"box,engine-vs-spectral,1.6946818973100074e-15,1e-13,pass\r\n"
         b"momentum,phase-evolution,4.47545209131181e-16,1e-09,pass\r\n"
         b"momentum,parseval,7.105427357601002e-15,4.829330365319332e-11,pass\r\n"
         b"momentum,roundtrip,9.155133597044475e-16,1e-12,pass\r\n"

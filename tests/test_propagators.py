@@ -31,7 +31,6 @@ from polymerqm.checks import (
     box_spectral_kernel,
     composition_check,
     continuum_sweep,
-    free_kernel,
     greens_residual,
     greens_residual_fd,
     momentum_kernel_phase,
@@ -42,6 +41,7 @@ from polymerqm.checks import (
 from polymerqm.propagators import _plan
 
 P1 = PhysicalParams()
+FREE = PropagatorKernel.free(P1)
 
 
 # ---------------------------------------------------------------------------
@@ -52,40 +52,39 @@ def test_free_kernel_initial_condition():
     for j in range(-5, 6):
         for r in range(-5, 6):
             want = 1.0 if j == r else 0.0
-            assert free_kernel(j, r, 0.0, P1) == want
+            assert FREE(j, r, 0.0) == want
 
 
 def test_free_kernel_frozen_value():
     # J_0(1) e^{-i}
     want = 0.41343807449223535 - 0.6438916508806562j
-    assert free_kernel(0, 0, 1.0, P1) == pytest.approx(want, abs=1e-13)
+    assert FREE(0, 0, 1.0) == pytest.approx(want, abs=1e-13)
 
 
 def test_free_kernel_symmetry_bitwise():
     for dt in (0.3, 2.0, 17.5):
         for j, r in ((0, 2), (-3, 5), (7, -1)):
-            assert free_kernel(j, r, dt, P1) == free_kernel(r, j, dt, P1)
+            assert FREE(j, r, dt) == FREE(r, j, dt)
 
 
 def test_free_kernel_time_reversal():
     for dt in (0.4, 1.0, 9.0):
         for j, r in ((0, 0), (1, 4), (-2, 3)):
-            assert abs(np.conj(free_kernel(j, r, dt, P1))
-                       - free_kernel(j, r, -dt, P1)) <= 1e-13
+            assert abs(np.conj(FREE(j, r, dt)) - FREE(j, r, -dt)) <= 1e-13
 
 
 def test_free_kernel_unitarity():
     for z in (0.1, 1.0, 10.0, 100.0):
         w = truncation_window(z)
-        total = sum(abs(free_kernel(n, 0, z, P1)) ** 2 for n in range(-w, w + 1))
+        total = sum(abs(FREE(n, 0, z)) ** 2 for n in range(-w, w + 1))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_free_kernel_scales_with_params():
     params = PhysicalParams(hbar=2.0, mass=0.5, mu0=0.2)
     z = 2.0 * 1.3 / (0.5 * 0.04)
-    assert free_kernel(2, 6, 1.3, params) == pytest.approx(
-        free_kernel(2, 6, z, P1), abs=1e-12)
+    assert PropagatorKernel.free(params)(2, 6, 1.3) == pytest.approx(
+        FREE(2, 6, z), abs=1e-12)
 
 
 @pytest.mark.parametrize("separation", [10**6, 10**9])
@@ -94,11 +93,11 @@ def test_free_far_orders_exact_zero_from_small_table(separation):
     # of at most W + 1 orders, not one of |j - r| orders (8 GB at 1e9)
     free = PropagatorKernel.free(P1)
     kernel_table(free, [0], [1], 1.0)  # warm up, so the trace sees one call
-    free_kernel(0, 1, 1.0, P1)
+    FREE(0, 1, 1.0)
     tracemalloc.start()
     try:
         table = kernel_table(free, [0], [separation], 1.0)
-        value = free_kernel(0, separation, 1.0, P1)
+        value = FREE(0, separation, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -112,10 +111,10 @@ def test_free_kernel_grid_reads_one_vector_of_magnitudes():
     # order array, its index made in place, the result); phases per grid
     # entry peaked at 2.26 MiB.  The bound is 1.5 MiB, 23 % over the measurement
     sites = np.arange(200)
-    free_kernel(sites[:, None], sites, 50.0, P1)  # warm up
+    FREE(sites[:, None], sites, 50.0)  # warm up
     tracemalloc.start()
     try:
-        table = free_kernel(sites[:, None], sites, 50.0, P1)
+        table = FREE(sites[:, None], sites, 50.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -202,9 +201,9 @@ def test_empty_index_sets_raise_one_error_for_every_system(system, empty):
 
 
 @pytest.mark.parametrize("call,named", [
-    (lambda: free_kernel(2**63 - 1, -2**63 + 2, 1.0, P1), "sites j 9223372036854775807"),
+    (lambda: FREE(2**63 - 1, -2**63 + 2, 1.0), "sites j 9223372036854775807"),
     (lambda: periodic_kernel(-2**63, 1, 1.0, 3, P1), "sites j -9223372036854775808"),
-    (lambda: free_kernel(0, [2**62], 1.0, P1), "sites r 4611686018427387904"),
+    (lambda: FREE(0, [2**62], 1.0), "sites r 4611686018427387904"),
     (lambda: box_images_kernel(2**64, 0, 1.0, 3, P1), "sites j 18446744073709551616"),
     (lambda: kernel_table(PropagatorKernel.periodic(3, P1), [-2**63], [1], 1.0),
      "output sites j -9223372036854775808"),
@@ -226,7 +225,7 @@ def test_sites_outside_the_site_domain_raise(call, named):
 
 
 _DOOR = {
-    "free_kernel": lambda j: free_kernel(j, 0, 1.0, P1),
+    "kernel_call": lambda j: FREE(j, 0, 1.0),
     "box_spectral_kernel": lambda j: box_spectral_kernel(j, 1, 1.0, 4, P1),
     "periodic_kernel": lambda j: periodic_kernel(j, 0, 1.0, 4, P1),
     "box_images_kernel": lambda j: box_images_kernel(j, 1, 1.0, 4, P1),
@@ -526,7 +525,7 @@ def test_box_images_walls_and_identity():
 
 def test_periodic_matches_brute_force_images():
     def brute(j, r, dt, n, count):
-        return sum(free_kernel(j, r + 2 * k * n, dt, P1)
+        return sum(FREE(j, r + 2 * k * n, dt)
                    for k in range(-count, count + 1))
 
     for n in (2, 5):
@@ -570,7 +569,7 @@ def test_evolve_box_images_matches_spectral():
     kernel = PropagatorKernel.box(n, P1)
     for dt in (0.6, 2.4):
         out = evolve(psi, kernel, dt).amplitudes
-        for route in (kernel, _box_images_route(n)):
+        for route in (_check_route("box-spectral", n), _check_route("box-images", n)):
             assert np.max(np.abs(_dense_sum(route, psi, lat.sites, dt) - out)) <= 1e-11
 
 
@@ -581,7 +580,7 @@ def test_evolve_periodic_translation_equivariance():
     lat = Lattice(P1, 0, 1)
     psi = LatticeWavefunction(lat, [0.8, 0.6j])
     shifted = LatticeWavefunction(Lattice(P1, 2 * n, 2 * n + 1), psi.amplitudes)
-    out = _dense_sum(kernel, psi, range(0, 2 * n), 1.5)
+    out = _dense_sum(_check_route("periodic", n), psi, range(0, 2 * n), 1.5)
     out_shifted = evolve(shifted, kernel, 1.5,
                          out_window=(2 * n, 4 * n - 1))
     assert np.max(np.abs(out - out_shifted.amplitudes)) <= 1e-12
@@ -640,19 +639,21 @@ def _dense_sum(kernel, psi, out_sites, dt):
                      for j in out_sites])
 
 
-def _box_images_route(n):
-    """The box kernel as the scalar image sum, k(j, r, dt)."""
-    return lambda j, r, dt: box_images_kernel(j, r, dt, n, P1)
+def _check_route(label, n):
+    """A closed form of `checks` as k(j, r, dt): the box spectral sum, the box image
+    sum or the periodic image sum."""
+    route = {"box-spectral": box_spectral_kernel, "box-images": box_images_kernel,
+             "periodic": periodic_kernel}[label]
+    return lambda j, r, dt: route(j, r, dt, n, P1)
 
 
 def _system_and_route(label, n):
     """Engine kernel and scalar reference for a test label. Both box labels
-    run the one box engine: "box-spectral" checks it against its own scalar
-    spectral sum, "box-images" against the scalar image sum."""
-    if label == "box-images":
-        return PropagatorKernel.box(n, P1), _box_images_route(n)
-    kernel = PropagatorKernel("box" if label == "box-spectral" else label, P1, n=n)
-    return kernel, kernel
+    run the one box engine: "box-spectral" checks it against the scalar
+    spectral sum, "box-images" against the scalar image sum; periodic is
+    checked against its image sum, free against its own kernel call."""
+    kernel = PropagatorKernel("box" if label.startswith("box") else label, P1, n=n)
+    return kernel, kernel if label == "free" else _check_route(label, n)
 
 
 @given(data=st.data())
@@ -754,11 +755,11 @@ def test_evolve_circle_step_error_scales_with_z(system):
     # the circle-step phases carry an error of about z * eps; pin it at
     # z = 1e4 against the Bessel-table check routes
     n, z = 5, 1.0e4
-    kernel, _ = _system_and_route(system, n)
+    kernel, route = _system_and_route(system, n)
     amps = np.random.default_rng(11).normal(size=n - 1) + 0.3j
     psi = LatticeWavefunction(Lattice(P1, 1, n - 1), amps)
     out = evolve(psi, kernel, z, out_window=(0, n))
-    want = _dense_sum(kernel, psi, out.lattice.sites, z)
+    want = _dense_sum(route, psi, out.lattice.sites, z)
     scale = float(np.sum(np.abs(amps)))
     assert np.max(np.abs(out.amplitudes - want)) <= 2 * z * np.finfo(float).eps * scale
 
@@ -823,7 +824,7 @@ def _free_terms(z, orders):
 
     Phases per entry, one Bessel table of min(max |m|, W) + 1 orders read
     by min(|m|, top + 1), a negative z conjugating i^|m|: independent of
-    the vector that `free_kernel` and `kernel_table` read.
+    the vector that `kernel(j, r, dt)` and `kernel_table` read.
     """
     mag = np.abs(np.asarray(orders, dtype=np.int64))
     top = min(int(mag.max()), truncation_window(abs(z)))
@@ -847,19 +848,42 @@ def test_free_kernel_table_is_the_grid_of_free_terms_bit_for_bit():
             for cols in (rs, rs + 3 * w + 50, rs[:1]):
                 want = _free_terms(z, np.subtract.outer(js, cols))
                 assert _same_bits(kernel_table(free, js, cols, z), want)
-                assert _same_bits(free_kernel(js[:, None], cols, z, P1), want)
+                assert _same_bits(FREE(js[:, None], cols, z), want)
 
 
 def test_kernel_object_dispatch_matches_functions():
-    assert PropagatorKernel.free(P1)(1, 3, 0.7) == free_kernel(1, 3, 0.7, P1)
-    assert PropagatorKernel.box(5, P1)(1, 3, 0.7) == \
-        box_spectral_kernel(1, 3, 0.7, 5, P1)
-    assert PropagatorKernel.periodic(5, P1)(1, 3, 0.7) == \
-        periodic_kernel(1, 3, 0.7, 5, params=P1)
+    # the call reads the engine: kernel_table's bits, and within the tolerance of
+    # verify's box/engine-vs-spectral of the closed forms called by name
+    for kernel, closed in ((FREE, None),
+                           (PropagatorKernel.box(5, P1), _check_route("box-spectral", 5)),
+                           (PropagatorKernel.periodic(5, P1), _check_route("periodic", 5))):
+        value = kernel(1, 3, 0.7)
+        assert isinstance(value, complex)
+        assert value == kernel_table(kernel, [1], [3], 0.7)[0, 0]
+        if closed is not None:
+            assert abs(value - closed(1, 3, 0.7)) <= 1e-13
+
+
+@pytest.mark.parametrize("system", ["free", "box", "periodic"])
+def test_tables_are_exactly_symmetric_and_the_call_reads_the_engine(system):
+    # box and periodic read their Z_2N vector at min(d, 2N - d), as free reads
+    # by |m|; reading it at d left them asymmetric by up to 1.8e-12 at z = 1e4
+    for n in (2, 8, 17, 48, 128):
+        kernel = PropagatorKernel(system, P1, n=None if system == "free" else n)
+        sites = np.arange(0, n + 1) if system == "box" else np.arange(-n, 2 * n + 1)
+        for z in (0.3, 1.7, 25.0, 1e4):
+            table = kernel_table(kernel, sites, sites, z)
+            assert _same_bits(table, np.ascontiguousarray(table.T))
+            assert _same_bits(kernel(sites[:, None], sites, z), table)
+        jj, rr = sites[:, None], sites
+        want = (jj - rr) % (2 * n) == 0 if system == "periodic" else jj == rr
+        if system == "box":
+            want &= jj % n != 0  # the walls
+        assert np.array_equal(kernel_table(kernel, sites, sites, 0.0), want + 0j)
 
 
 _ROUTES = {
-    "free": lambda j, r, dt, n: free_kernel(j, r, dt, P1),
+    "free": lambda j, r, dt, n: FREE(j, r, dt),
     "box-spectral": lambda j, r, dt, n: box_spectral_kernel(j, r, dt, n, P1),
     "box-images": lambda j, r, dt, n: box_images_kernel(j, r, dt, n, P1),
     "periodic": lambda j, r, dt, n: periodic_kernel(j, r, dt, n, P1),
@@ -1287,6 +1311,23 @@ def test_schrodinger_box_evolve_rejects_non_finite_dt(dt):
     # was NaN amplitudes
     with pytest.raises(ValueError, match="dt must be finite"):
         schrodinger_box_evolve(_smooth_packet, [1.0, 4.0], dt, 8.0, P1)
+
+
+def test_schrodinger_box_evolve_refuses_a_matrix_over_the_limit():
+    # the points x modes sine matrix was unbounded: 2^19 + 1 points at 64 modes
+    # would be 512 MiB of complex values; refused before np.outer allocates
+    packet = lambda y: np.exp(-2.0 * (y - 4.0) ** 2 + 1.2j * y)
+    x = np.linspace(0.0, 8.0, bessel._MAX_SIZE // 64 + 1)
+    schrodinger_box_evolve(packet, x[:5], 0.8, 8.0, P1)  # warm up
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^{x.size} points x \d+ modes is over "
+                                             rf"the limit {bessel._MAX_SIZE}$"):
+            schrodinger_box_evolve(packet, x, 0.8, 8.0, P1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_box_mode_coefficients_rejects_a_negative_mode_count():

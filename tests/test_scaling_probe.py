@@ -18,6 +18,15 @@ def test_slope_of_power_laws():
     assert probe.slope(sizes, [5.0] * 4) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [[2**16], [8, 8, 8]])
+def test_slope_refuses_fewer_than_two_distinct_sizes(sizes):
+    # one point used to give np.polyfit's RankWarning and a meaningless slope
+    with pytest.raises(ValueError, match="at least two distinct sizes"):
+        probe.slope(sizes, [1.0] * len(sizes))
+    with pytest.raises(ValueError, match="at least two distinct sizes"):
+        probe.run_case("kernel_table_free", sizes)
+
+
 @pytest.mark.parametrize("name", sorted(probe.CASES))
 def test_every_case_runs_at_its_two_smallest_sizes(name):
     sizes = probe.CASES[name][1][:2]

@@ -172,6 +172,9 @@ CASES = {
     # one check-route entry at N = 1000: the fold of the free vector over z
     "image_sum_periodic_z": ("z", [1e3 * 4**k for k in range(6)],
                              lambda z: lambda: periodic_kernel(3, 1, z, 1000, P)),
+    # the same entry by the engine's call: the circle step of a delta, O(N log N) at any z
+    "kernel_call_periodic_z": ("z", [1e3 * 4**k for k in range(6)],
+                               lambda z: lambda: PropagatorKernel.periodic(1000, P)(3, 1, z)),
     "bessel_table": ("z", [1e3 * 2**k for k in range(11)],
                      lambda z: lambda: bessel_table(z, 2)),
     "momentum_roundtrip": ("M", [2**k for k in range(6, 11)], _momentum),
@@ -260,7 +263,10 @@ def measure(call) -> tuple[float, int]:
 
 
 def slope(sizes, values) -> float:
-    """Least-squares slope of log2(value) against log2(size)."""
+    """Least-squares slope of log2(value) against log2(size); ValueError for fewer
+    than two distinct sizes, through which no line is determined."""
+    if len(set(sizes)) < 2:
+        raise ValueError(f"a slope needs at least two distinct sizes, got {list(sizes)}")
     logs = np.log2(np.maximum(np.asarray(values, dtype=float), 1e-12))
     return float(np.polyfit(np.log2(sizes), logs, 1)[0])
 
