@@ -19,15 +19,15 @@ each block's sum of even orders for the normalization, so a table needs
 O(max_order + sqrt(z)) memory, not O(z).  Tables without a blocked fill
 are the scalar loop bit for bit.
 
-Accuracy as tested (tests/test_bessel.py): absolute error <= 1e-13
-against an exact-rational series (z <= 20.25, orders <= 12) and against
-30-digit mpmath at z = 2.5e3, 1e4, 1e5, 1e6 for orders 0, 1, 17 and
-floor(sqrt(z)), where the measured error is <= 2.2e-16; the blocked
-fill agrees with the scalar loop to <= 1e-14 over whole tables and over
-tables ending at each block edge (measured <= 7.7e-16 up to z = 1e6);
-the normalization, sum-of-squares and three-term-recurrence identities
-hold over whole tables up to z = 1e5.  Orders near z, where mpmath's
-series does not converge, are covered by those identities only.
+Accuracy as tested (tests/test_bessel.py): absolute error <= 1e-13 against an
+exact-rational series (z <= 20.25, orders <= 12) and against 30-digit mpmath at
+z = 2.5e3, 1e4, 1e5, 1e6 for orders 0, 1, 17 and floor(sqrt(z)), where the measured
+error is <= 2.2e-16; the blocked fill agrees with the scalar loop to <= 1e-14 over
+whole tables and over tables ending at each block edge (measured <= 7.7e-16 up to
+z = 1e6); the normalization, sum-of-squares and three-term-recurrence identities
+hold over whole tables up to z = 1e5.  Every order, those near z included, is within
+z*eps/20 of the FFT circle step of a delta at z = 1e5 and 1e6
+(`test_free_vector_is_the_circle_step_of_a_delta_at_every_order`).
 """
 
 from __future__ import annotations
@@ -334,9 +334,7 @@ def jacobi_anger(z: float, phi: float, window: int) -> complex:
         z, phi = -z, phi + math.pi
 
     table = bessel_table(z, window)
-    if window == 0:
-        return complex(table[0])
-    # n and -n terms pair up to 2 i^n J_n(z) cos(n phi).
+    # n and -n terms pair up to 2 i^n J_n(z) cos(n phi); window 0 sums no pair.
     n = np.arange(1, window + 1)
     terms = 2.0 * unit_imaginary_power(n) * table[1:] * np.cos(n * phi)
     return complex(table[0] + np.sum(terms))

@@ -2,11 +2,11 @@
 
 `PropagatorKernel.__call__`, `kernel_table` and `evolve` read the engine; the
 closed forms here are independent routes to the same kernels, called by name
-for integer sites or index arrays: the box spectral sum `box_spectral_kernel`,
-and the image sums `periodic_kernel` and `box_images_kernel`, which fold the
-engine's free vector onto Z_2N and read it by `_circle_read`, O(W + N + grid).
-Identities (composition, Green's residual) check the engine, each returning
-its worst deviation as a float;
+for integer sites or index arrays through the engine's door `_read`: the box
+spectral sum `box_spectral_kernel`, and the image sums `periodic_kernel` and
+`box_images_kernel`, which fold the engine's free vector onto Z_2N and read it
+by `_circle_read`, O(W + N + grid).  Identities (composition, Green's residual)
+check the engine, each returning its worst deviation as a float;
 `apply_hamiltonian`, the generator of `evolve` in each system, and the Green's
 residual share the stencil of `dynamics`.  `schrodinger_free_kernel`,
 `schrodinger_box_evolve` and `momentum_kernel_phase` are the continuum and
@@ -26,8 +26,8 @@ import numpy as np
 from .bessel import _MAX_SIZE, bessel_table, truncation_window, unit_imaginary_power
 from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, _stencil
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
-from .propagators import (PropagatorKernel, _circle_read, _free_vector, _plan, _shared_params,
-                          _sites, kernel_table)
+from .propagators import (PropagatorKernel, _circle_read, _free_vector, _plan, _read,
+                          _shared_params, _sites, kernel_table)
 from .spectral import dispersion_energy
 
 
@@ -35,19 +35,17 @@ from .spectral import dispersion_energy
 # closed forms: integer sites or index arrays, broadcast like numpy
 # ---------------------------------------------------------------------------
 
-def _finish(values: np.ndarray, scalar: bool):
-    """values, or a complex for a scalar call."""
-    return complex(values[0]) if scalar else values
-
-
-def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
+def _box_level_sum(dt: float, n_box: int, params: PhysicalParams, js, rs,
                    derivative: bool = False) -> np.ndarray:
     """sum_l m_l(j) w_l m_l(r) over the box modes m_l, broadcast over (j, r).
 
     w_l = e^{-i E_l dt/hbar}, times -i E_l/hbar for the time derivative.
-    einsum contracts the level axis without a grid x levels array, so an
-    array call holds O(grid + sites x levels) memory.
+    einsum contracts the level axis without a grid x levels array, so an array call
+    holds O(grid + sites x levels) memory; over `bessel._MAX_SIZE` site x level
+    entries are refused before any mode is made.
     """
+    if (sites := np.size(js) + np.size(rs)) * (n_box - 1) > _MAX_SIZE:
+        raise ValueError(f"{sites} sites x {n_box - 1} levels is over the limit {_MAX_SIZE}")
     gaps = _band(np.arange(1, n_box) * math.pi / n_box)
     weights = np.exp(-1j * dimensionless_time(params, dt) * gaps)
     if derivative:
@@ -59,8 +57,7 @@ def _box_level_sum(js, rs, dt: float, n_box: int, params: PhysicalParams,
 def box_spectral_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
     """Box propagator as the exact finite spectral sum over the N-1 levels."""
     n_box = _box_size(n_box)
-    js, rs, _, scalar = _sites(j, r, n_box)
-    return _finish(_box_level_sum(js, rs, dt, n_box, params), scalar)
+    return _read(j, r, lambda *_: lambda js, rs: _box_level_sum(dt, n_box, params, js, rs), n_box)
 
 
 def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool):
@@ -72,12 +69,13 @@ def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool
     """
     n_box = _box_size(n_box)
     box = n_box if mirror else None
-    js, rs, _, scalar = _sites(j, r, box)
-    z = dimensionless_time(params, dt)
-    w = truncation_window(abs(z))
-    orders = np.arange(-w, w + 1)
-    circle = _fold(orders, _free_vector(z, w)(orders), 2 * n_box)
-    return _finish(_circle_read(circle, js, rs, box), scalar)
+
+    def reader(*_):  # the fold needs no windows
+        z = dimensionless_time(params, dt)
+        orders = np.arange(-(w := truncation_window(abs(z))), w + 1)
+        circle = _fold(orders, _free_vector(z, w)(orders), 2 * n_box)
+        return lambda js, rs: _circle_read(circle, js, rs, box)
+    return _read(j, r, reader, box)
 
 
 def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
@@ -197,7 +195,7 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
         sites = np.arange(lo, hi + 1)
         late = kernel_table(kernel, js, sites, t - mid)
         early = np.ascontiguousarray(kernel_table(kernel, sites, rs, mid - t0).T)
-        paths = np.sum(late[:, None, :] * early[None, :, :], axis=-1)
+        paths = np.array([np.sum(row * early, axis=-1) for row in late])  # O(R S) at a time
         worst.append(float(np.max(np.abs(direct - paths))))
     return max(worst)
 
@@ -248,11 +246,6 @@ def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
             * (deriv - 1j * values[mag]))
 
 
-def _box_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
-    """-(i/hbar) (2/N) sum_l sin(l pi j/N) sin(l pi r/N) E_l e^{-i E_l dt/hbar}."""
-    return _box_level_sum(js[:, None], rs, dt, kernel.n, kernel.params, derivative=True)
-
-
 def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> float:
     """The worst analytic Green's-function residual of the kernel for t > t0, a float.
 
@@ -262,7 +255,8 @@ def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> 
     spectral sum.  H is applied as the second-difference stencil in the
     outgoing index.  The periodic system has no analytic route here.
     """
-    dk_dt = {"free": _free_dk_dt, "box": _box_dk_dt}.get(kernel.system)
+    dk_dt = {"free": _free_dk_dt, "box": lambda kernel, dt, js, rs: _box_level_sum(
+        dt, kernel.n, kernel.params, js[:, None], rs, derivative=True)}.get(kernel.system)
     if dk_dt is None:
         raise ValueError(f"analytic residual not defined for system {kernel.system!r}")
     return _greens_worst(kernel, j_values, r_values, dt_values, dk_dt)

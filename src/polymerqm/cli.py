@@ -58,6 +58,14 @@ def _parse_dt(text: str) -> tuple[float]:
     return (float(text),)
 
 
+def _parse_window(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi, two integers, got {text!r}") from None
+    return lo, hi
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -230,7 +238,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
     def blocks():
         for dt, plan in plans:
-            z, read = plan[0], _kernel_rows(kernel, plan)
+            z, read = plan[0], _kernel_rows(kernel, dt, (j_lo, j_hi), (r_lo, r_hi))
             tail = (f',\n    "dt": {dt!r},\n    "z": {z!r},\n    "re": ' if as_json
                     else f",{dt!r},{z!r},")
             for start in range(j_lo, j_hi + 1, step):
@@ -251,13 +259,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ValueError("evolve needs --out for the evolved state file")
     dt = _single_time(args)
-    window = None
-    if args.out_window is not None:
-        lo, hi = args.out_window.split(":", 1)
-        window = (int(lo), int(hi))
     psi0 = load_wavefunction(args.state)
     # the sidecar carries the physics; the config only selects the system
-    psi1 = evolve(psi0, _kernel(args, psi0.lattice.params), dt, window)
+    psi1 = evolve(psi0, _kernel(args, psi0.lattice.params), dt, args.out_window)
     save_wavefunction(psi1, args.out)
     sys.stdout.write(f"norm_before={psi0.norm()!r}\n")
     sys.stdout.write(f"norm_after={psi1.norm()!r}\n")
@@ -336,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     for bound in ("--j-min", "--j-max", "--r-min", "--r-max"):
         sub["kernel"].add_argument(bound, type=int)
     sub["evolve"].add_argument("state", help="input wavefunction CSV (with JSON sidecar)")
-    sub["evolve"].add_argument("--out-window",
+    sub["evolve"].add_argument("--out-window", type=_parse_window,
                                help="free/periodic output window lo:hi "
                                     "(use --out-window=-8:8 for negative bounds)")
     return parser

@@ -7,23 +7,24 @@ Systems (`PropagatorKernel.system`):
             equal to twice the odd part of the periodic kernel
   periodic  sum over images k of the free kernel at r + 2kN
 
-Caller sites j, r enter by `_sites` (kernel calls, `kernel_table`, the routes of
-`checks`), and `_windows` alone checks a window: integer arrays, nonempty,
-|site| < 2^62, at most 2^25 sites, box sites in 0..N.  `_plan` sizes and checks
-every engine call before any array is made, and each kind of kernel vector has
-one reader.  `_free_vector` gives every free kernel value, from one Bessel table
-of at most W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window
-W: kernel calls and tables read it on (j, r) grids, free `evolve` convolves it.
-`_circle_read` reads every vector on Z_2N at min(d, 2N - d), so that tables are
-symmetric bit for bit: the circle step of a delta for periodic and box (an exact
-sum over 2N momenta by FFT, the box its odd part, which also moves their states).
-The closed forms, identities and references that check the engine are in `checks`.
+Caller sites j, r enter by `_sites`; `_windows` alone checks a window (integer arrays,
+nonempty, |site| < 2^62, at most 2^25 sites, box sites in 0..N).  Every kernel read
+(calls, `kernel_table`, the closed forms of `checks`) passes the door `_read`: `_sites`,
+at most 2^25 broadcast entries, a complex for scalars.  `_plan` checks every engine
+call before any array is made; each kind of kernel vector has one reader.
+`_free_vector` gives every free kernel value, from one Bessel table of at most
+W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window W: calls and
+tables read it on (j, r) grids, free `evolve` convolves it.  `_circle_read` reads
+every vector on Z_2N at min(d, 2N - d), so tables are symmetric bit for bit: the
+circle step of a delta for periodic and box (an exact sum over 2N momenta by FFT,
+the box its odd part, which also moves their states).  `checks` has the closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -95,6 +96,17 @@ def _sites(j, r, n_box: int | None = None, names=("sites j", "sites r")):
     return js, rs, windows, np.ndim(j) == 0 and np.ndim(r) == 0
 
 
+def _read(j, r, reader, n_box: int | None = None, names=("sites j", "sites r")):
+    """Every kernel read's door: `_sites`, a refusal of more than `bessel._MAX_SIZE` broadcast
+    entries (np.broadcast makes no array), reader(rows, cols)(js, rs), a complex for scalars."""
+    js, rs, windows, scalar = _sites(j, r, n_box, names)
+    if (grid := np.broadcast(js, rs)).size > _MAX_SIZE:
+        raise ValueError(f"table of {' x '.join(map(str, grid.shape))} entries is over the "
+                         f"limit {_MAX_SIZE}")
+    values = reader(*windows)(js, rs)
+    return complex(values.flat[0]) if scalar else values
+
+
 def _circle_read(circle: np.ndarray, js, rs, n_box: int | None) -> np.ndarray:
     """k(j, r) = circle[d], d = (j - r) mod 2N, from a kernel vector on Z_2N, js and rs broadcast.
 
@@ -119,9 +131,8 @@ def _circle_read(circle: np.ndarray, js, rs, n_box: int | None) -> np.ndarray:
 class PropagatorKernel:
     """A lattice system: free, a box with walls at sites 0 and n, or period 2n.
 
-    Calling it as kernel(j, r, dt) reads the engine of `kernel_table` and `evolve`
-    (`_plan`, then one kernel vector) at integer sites or index arrays broadcast
-    like numpy, a complex for two scalars; `checks` holds the closed forms.
+    kernel(j, r, dt) reads the engine of `kernel_table` and `evolve` through `_read`
+    at integer sites or index arrays broadcast like numpy; `checks` has the closed forms.
     """
 
     system: str
@@ -151,9 +162,7 @@ class PropagatorKernel:
         return cls("periodic", params, n=n)
 
     def __call__(self, j, r, dt: float):
-        js, rs, (rows, cols), scalar = _sites(j, r)  # a box's sites are checked by `_plan`
-        values = _kernel_rows(self, _plan(self, dt, cols, rows))(js, rs)
-        return complex(values.flat[0]) if scalar else values
+        return _read(j, r, partial(_kernel_rows, self, dt))  # box sites: checked by `_plan`
 
 
 def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
@@ -205,34 +214,29 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
     return (z, w, *_windows(rows, (c_lo, c_hi), n if kernel.system == "box" else None))
 
 
-def _kernel_rows(kernel: PropagatorKernel, plan):
-    """read(j, r) = k(j, r, dt) from one kernel vector, j and r in the plan's windows.
+def _kernel_rows(kernel: PropagatorKernel, dt: float, rows, cols):
+    """`_plan`, then read(j, r) = k(j, r, dt) from one kernel vector, j and r in the windows.
 
     Free: `_free_vector` out to the largest |j - r| (a window corner), each entry bit
     for bit the whole grid's.  Periodic, box: `_circle_read` of a circle-stepped delta.
     """
-    z, _, (j_lo, j_hi), (r_lo, r_hi) = plan
+    z, _, (j_lo, j_hi), (r_lo, r_hi) = _plan(kernel, dt, cols, rows)
     if kernel.system == "free":
         read = _free_vector(z, max(abs(j_lo - r_hi), abs(j_hi - r_lo)))
         return lambda j, r: read(np.subtract(j, r))
     box = kernel.n if kernel.system == "box" else None
     circle = _circle_step((np.arange(2 * kernel.n) == 0).astype(complex), z)
-    return lambda j, r: _circle_read(circle, np.asarray(j), np.asarray(r), box)
+    return partial(_circle_read, circle, n_box=box)
 
 
 def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.ndarray:
     """k(j, r, dt) for j in j_values (rows) and r in r_values (columns).
 
-    Planned (`_plan`), then gathered from one kernel vector per dt (`_kernel_rows`,
-    which `polymerqm kernel` reads a block of rows at a time): free exactly 0
-    where |j - r| > W, box walls exactly 0, dt = 0 the exact identity.  A grid of
-    more than `bessel._MAX_SIZE` entries is refused.
+    `_read` on the outer grid, then one kernel vector per dt (`_kernel_rows`): free
+    exactly 0 where |j - r| > W, box walls exactly 0, dt = 0 the exact identity.
     """
-    names = ("output sites j", "input sites r")  # the names `_plan` gives them
-    js, rs, (rows, cols), _ = _sites(j_values, r_values, None, names)
-    if js.size * rs.size > _MAX_SIZE:
-        raise ValueError(f"table of {js.size} x {rs.size} entries is over the limit {_MAX_SIZE}")
-    return _kernel_rows(kernel, _plan(kernel, dt, cols, rows))(js[..., None], rs)
+    return _read(np.atleast_1d(j_values)[..., None], r_values, partial(_kernel_rows, kernel, dt),
+                 None, ("output sites j", "input sites r"))  # the names `_plan` gives them
 
 
 def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,

@@ -330,6 +330,24 @@ def test_large_argument_against_mpmath(z):
             assert abs(table[n] - want) <= 1e-13, (n, z)
 
 
+@pytest.mark.parametrize("z", [1e5, 1e6])
+def test_free_vector_is_the_circle_step_of_a_delta_at_every_order(z):
+    # on a circle of P >= 2W + 64 sites (a power of two) the periodic kernel is the
+    # free one at orders |m| <= W + 4, since every image lies more than W sites
+    # away; the FFT circle step shares no code with the Miller recurrence, so this
+    # covers the orders near z that mpmath's series cannot reach.  Worst entries
+    # measured: 2.97e-13 at z = 1e5 and 1.43e-12 at 1e6, 0.013 and 0.006 of z eps
+    from polymerqm.propagators import _circle_step, _free_vector
+
+    w = truncation_window(z)
+    period = 1 << (2 * w + 63).bit_length()
+    delta = np.zeros(period, dtype=complex)
+    delta[0] = 1.0
+    orders = np.arange(-w - 4, w + 5)
+    circle = _circle_step(delta, z)[orders % period]
+    assert np.max(np.abs(circle - _free_vector(z, w + 4)(orders))) <= z * np.finfo(float).eps / 20
+
+
 def test_work_array_limit_admits_every_argument_in_use():
     # the accuracy tests and the benchmark go up to z = 1e6, 30 times
     # below the limit

@@ -745,6 +745,18 @@ def test_evolve_huge_out_window_exits_2(tmp_path, capsys, system):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window", ["5", "a:b", "5:1.5", "1:2:3"])
+def test_evolve_malformed_out_window_is_a_usage_error(tmp_path, capsys, window):
+    # "5" ended in "not enough values to unpack (expected 2, got 1)" and "a:b" and
+    # "5:1.5" in int()'s "invalid literal": exit 2, but naming neither the flag nor its form
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    save_wavefunction(delta_state(Lattice(PhysicalParams(), 0, 4), 2), src)
+    assert _exit_code(["evolve", str(src), f"--out-window={window}", "--out", str(out)]) == 2
+    assert (f"argument --out-window: expected lo:hi, two integers, got {window!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,named", [
     (["--r-min", "0", "--r-max", "10000000000", "--j-min", "0", "--j-max", "0"],
      "input window (0, 10000000000) has more sites than the limit 33554432"),

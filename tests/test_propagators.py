@@ -175,21 +175,6 @@ def test_output_window_above_the_size_limit_raises_before_allocating(case):
             call()
 
 
-def test_kernel_table_grid_above_the_size_limit_raises_before_allocating():
-    # each window is legal, but 2^13 x (2^12 + 1) entries would be over 512 MiB
-    # of complex values; the product is checked before the gather
-    free, js, rs = PropagatorKernel.free(P1), np.arange(2**13), np.arange(2**12 + 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=rf"^table of 8192 x 4097 entries is over "
-                                             rf"the limit {bessel._MAX_SIZE}$"):
-            kernel_table(free, js, rs, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
 @pytest.mark.parametrize("empty", ["j", "r"])
 @pytest.mark.parametrize("system", ["free", "box", "periodic"])
 def test_empty_index_sets_raise_one_error_for_every_system(system, empty):
@@ -225,17 +210,19 @@ def test_sites_outside_the_site_domain_raise(call, named):
 
 
 _DOOR = {
-    "kernel_call": lambda j: FREE(j, 0, 1.0),
-    "box_spectral_kernel": lambda j: box_spectral_kernel(j, 1, 1.0, 4, P1),
-    "periodic_kernel": lambda j: periodic_kernel(j, 0, 1.0, 4, P1),
-    "box_images_kernel": lambda j: box_images_kernel(j, 1, 1.0, 4, P1),
-    "kernel_table": lambda j: kernel_table(PropagatorKernel.free(P1), j, [0], 1.0),
-    "composition_check": lambda j: composition_check(PropagatorKernel.free(P1), j, [0],
-                                                     0.0, 0.5, 1.0),
-    "greens_residual": lambda j: greens_residual(PropagatorKernel.free(P1), j, [0], [1.0]),
-    "greens_residual_fd": lambda j: greens_residual_fd(PropagatorKernel.free(P1), j, [0],
-                                                       [1.0]),
+    "kernel_call": lambda j, r: FREE(j, r, 1.0),
+    "box_spectral_kernel": lambda j, r: box_spectral_kernel(j, r, 1.0, 4, P1),
+    "periodic_kernel": lambda j, r: periodic_kernel(j, r, 1.0, 4, P1),
+    "box_images_kernel": lambda j, r: box_images_kernel(j, r, 1.0, 4, P1),
+    "kernel_table": lambda j, r: kernel_table(PropagatorKernel.free(P1), j, r, 1.0),
+    "composition_check": lambda j, r: composition_check(PropagatorKernel.free(P1), j, r,
+                                                        0.0, 0.5, 1.0),
+    "greens_residual": lambda j, r: greens_residual(PropagatorKernel.free(P1), j, r, [1.0]),
+    "greens_residual_fd": lambda j, r: greens_residual_fd(PropagatorKernel.free(P1), j, r,
+                                                          [1.0]),
 }
+# the routes that take j and r as index lists and read their outer grid
+_OUTER = {"kernel_table", "composition_check", "greens_residual", "greens_residual_fd"}
 
 
 @pytest.mark.parametrize("site,named", [
@@ -250,9 +237,39 @@ def test_every_route_takes_its_sites_through_one_door(route, site, named):
     # UFuncTypeError in the kernels and was read as site 1 by the checks; [] in the
     # kernels and composition_check raised numpy's zero-size reduction error
     with pytest.raises(ValueError) as err:
-        _DOOR[route](site)
+        _DOOR[route](site, 1)
     message = str(err.value)
     assert named in message and re.search(r"\b(output )?sites j\b", message)
+
+
+@pytest.mark.parametrize("route", sorted(_DOOR))
+def test_every_route_refuses_a_grid_over_the_size_limit_before_allocating(route):
+    # each window is legal (sites 0..4, inside the box 0..4), but 2^13 x (2^12 + 1)
+    # entries would be over 512 MiB of complex values: the broadcast shape is
+    # counted before any plan or grid-sized array.  A free call on a 2^10 x 2^11
+    # grid peaked at 64 MiB with nothing to refuse it; the Green's residuals
+    # read rows j - 1, j, j + 1 of the engine's table
+    js, rs = np.arange(2**13) % 5, np.arange(2**12 + 1) % 5
+    shape = "8192 x 3 x 4097" if route.startswith("greens") else "8192 x 4097"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^table of {shape} entries is over "
+                                             rf"the limit {bessel._MAX_SIZE}$"):
+            _DOOR[route](js if route in _OUTER else js[:, None], rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("route", sorted(set(_DOOR) - _OUTER))
+def test_the_size_limit_counts_broadcast_entries(route):
+    # j and r of 2^13 sites each are 2^13 entries read elementwise, not the
+    # 2^26 of their sizes' product
+    js = np.arange(2**13) % 5
+    values = _DOOR[route](js, js[::-1])
+    assert values.shape == (2**13,)
+    assert values[7] == _DOOR[route](int(js[7]), int(js[::-1][7]))
 
 
 @pytest.mark.parametrize("r", [2**62 - 1, 10**8], ids=["2^62 - 1", "10^8"])
@@ -494,6 +511,23 @@ def test_box_spectral_full_grid_memory():
         tracemalloc.stop()
     assert table.shape == (129, 129)
     assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("sites,n", [(3, 2**24), (33 + 33, 2**19 + 1)],
+                         ids=["3 sites at N = 2^24", "33 x 33 grid at N = 2^19 + 1"])
+def test_box_level_sum_refuses_a_working_set_over_the_limit_before_allocating(sites, n):
+    # the level sum holds sites x (N - 1) mode values whatever the grid: a 33 x 33
+    # grid (1,089 entries) at N = 2^14 peaked at 16.9 MiB; refused before the modes
+    j, r = (np.array([[1], [2]]), 3) if sites == 3 else (np.arange(33)[:, None], np.arange(33))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^{sites} sites x {n - 1} levels is over "
+                                             rf"the limit {bessel._MAX_SIZE}$"):
+            box_spectral_kernel(j, r, 1.0, n, P1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_box_images_matches_spectral():
@@ -1086,6 +1120,21 @@ def test_composition_free():
         for sep in (0, 3, 8):
             dev = composition_check(kernel, 0, sep, 0.0, z2, z1 + z2)
             assert dev <= 1e-9, (z1, z2, sep)
+
+
+def test_composition_sums_its_paths_one_row_at_a_time():
+    # 32 x 32 sites, z = 1000 per leg: S = 4,592 intermediate sites.  The
+    # J x R x S product of both legs peaked at 76.3 MiB; one row of j at a
+    # time, 6.84 MiB (the legs' tables and one R x S product)
+    free, js = PropagatorKernel.free(P1), np.arange(32)
+    composition_check(free, js, js, 0.0, 1000.0, 2000.0)  # warm up
+    tracemalloc.start()
+    try:
+        assert composition_check(free, js, js, 0.0, 1000.0, 2000.0) <= 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_composition_box_exact_window():
