@@ -74,7 +74,7 @@ def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool
         z = dimensionless_time(params, dt)
         orders = np.arange(-(w := truncation_window(abs(z))), w + 1)
         circle = _fold(orders, _free_vector(z, w)(orders), 2 * n_box)
-        return lambda js, rs: _circle_read(circle, js, rs, box)
+        return lambda js, rs: _circle_read(circle, js, rs, mirror)
     return _read(j, r, reader, box)
 
 
@@ -249,11 +249,11 @@ def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
 def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> float:
     """The worst analytic Green's-function residual of the kernel for t > t0, a float.
 
-    The time derivative is evaluated in closed form over whole index
-    arrays: for the free kernel through dJ_n/dz = (J_{n-1} - J_{n+1})/2
-    plus the e^{-iz} factor, and for the box through the energy-weighted
-    spectral sum.  H is applied as the second-difference stencil in the
-    outgoing index.  The periodic system has no analytic route here.
+    The time derivative is in closed form over whole index arrays: free through
+    dJ_n/dz = (J_{n-1} - J_{n+1})/2 and e^{-iz}, box through the energy-weighted
+    spectral sum; H is the stencil in the outgoing index; periodic has none.  Free,
+    it is that stencil on the kernel's own Bessel table, ~eps for any table: it tests
+    the phases and the stencil, not the values J_n, which `greens_residual_fd` tests.
     """
     dk_dt = {"free": _free_dk_dt, "box": lambda kernel, dt, js, rs: _box_level_sum(
         dt, kernel.n, kernel.params, js[:, None], rs, derivative=True)}.get(kernel.system)

@@ -17,7 +17,7 @@ W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window W: calls and
 tables read it on (j, r) grids, free `evolve` convolves it.  `_circle_read` reads
 every vector on Z_2N at min(d, 2N - d), so tables are symmetric bit for bit: the
 circle step of a delta for periodic and box (an exact sum over 2N momenta by FFT,
-the box its odd part, which also moves their states).  `checks` has the closed forms.
+the box its odd part), which moves their states too, a box as its `_odd` image.
 """
 
 from __future__ import annotations
@@ -107,19 +107,18 @@ def _read(j, r, reader, n_box: int | None = None, names=("sites j", "sites r")):
     return complex(values.flat[0]) if scalar else values
 
 
-def _circle_read(circle: np.ndarray, js, rs, n_box: int | None) -> np.ndarray:
+def _circle_read(circle: np.ndarray, js, rs, mirror: bool) -> np.ndarray:
     """k(j, r) = circle[d], d = (j - r) mod 2N, from a kernel vector on Z_2N, js and rs broadcast.
 
     Read at min(d, 2N - d), as `_free_vector` reads by |m|: tables are symmetric bit
-    for bit.  A box (n_box not None, sites 0..N): minus the entry at (j + r) mod 2N,
-    the walls exactly 0: r = 0 or N reads one entry twice, rows j = 0, N are set.
+    for bit.  A box (mirror, sites 0..N): minus the entry at (j + r) mod 2N,
+    the walls exactly 0, as j or r = 0 or N reads one entry twice: c[x] - c[x] = +0.
     """
     d = (js - rs) % circle.size
     values = circle[np.minimum(d, circle.size - d, out=d)]
-    if n_box is not None:
+    if mirror:
         d = (js + rs) % circle.size
         values -= circle[np.minimum(d, circle.size - d, out=d)]
-        np.copyto(values, 0.0, where=(js == 0) | (js == n_box))
     return values
 
 
@@ -181,12 +180,9 @@ def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     return np.fft.ifft(phases * np.fft.fft(psi))
 
 
-def _box_step(full: np.ndarray, z: float) -> np.ndarray:
-    """States on sites 0..N (last axis) moved by the circle step of their odd extension."""
-    odd = np.concatenate([full, -full[..., -2:0:-1]], axis=-1)
-    out = _circle_step(odd, z)[..., :full.shape[-1]]
-    out[..., [0, -1]] = 0.0  # the walls, exactly
-    return out
+def _odd(full: np.ndarray) -> np.ndarray:
+    """The odd image on Z_2N of states on sites 0..N (the last axis): -psi_(2N - n) at n > N."""
+    return np.concatenate([full, -full[..., -2:0:-1]], axis=-1)
 
 
 def _shared_params(psi: LatticeWavefunction, kernel: PropagatorKernel) -> PhysicalParams:
@@ -224,9 +220,8 @@ def _kernel_rows(kernel: PropagatorKernel, dt: float, rows, cols):
     if kernel.system == "free":
         read = _free_vector(z, max(abs(j_lo - r_hi), abs(j_hi - r_lo)))
         return lambda j, r: read(np.subtract(j, r))
-    box = kernel.n if kernel.system == "box" else None
     circle = _circle_step((np.arange(2 * kernel.n) == 0).astype(complex), z)
-    return partial(_circle_read, circle, n_box=box)
+    return partial(_circle_read, circle, mirror=kernel.system == "box")
 
 
 def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.ndarray:
@@ -250,8 +245,8 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
     Periodic: a state is its fold onto Z_2N, where sites 2N apart add (so
     an input window wider than 2N is one state on the circle); the exact
     circle step moves the fold and any window reads it mod 2N.  Box: the
-    circle step of the odd extension; it needs wall-free input and gives
-    sites 0..N, walls exactly 0.  Circle-step error is about z * eps (see
+    same, on `_odd` of the wall-free input on sites 0..N, read at 0..N with
+    the walls exactly 0.  Circle-step error is about z * eps (see
     _circle_step).  At dt = 0 every system returns its input exactly.
     """
     lat, params, amps = psi0.lattice, _shared_params(psi0, kernel), psi0.amplitudes
@@ -261,11 +256,11 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
             raise ValueError(f"box evolution always produces sites 0..{kernel.n}")
         amps, cols = _box_interior_amplitudes(psi0, kernel.n), (0, kernel.n)
     z, w, (lo, hi), _ = _plan(kernel, dt, cols, out_window)
-    if kernel.system == "box":
-        out = _box_step(amps, z)
-    elif kernel.system == "periodic":
-        folded = _fold(lat.sites, amps, 2 * kernel.n)
-        out = _circle_step(folded, z)[np.arange(lo, hi + 1) % (2 * kernel.n)]
+    if kernel.system != "free":
+        circle = _odd(amps) if kernel.system == "box" else _fold(lat.sites, amps, 2 * kernel.n)
+        out = _circle_step(circle, z)[np.arange(lo, hi + 1) % (2 * kernel.n)]
+        if kernel.system == "box":
+            out[[0, -1]] = 0.0  # the walls, exactly
     else:
         # [-W, W] clipped into the orders the window needs: never empty,
         # and a lone order beyond W is exactly 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _integer
+from .bessel import _MAX_SIZE, _integer
 from .dynamics import _band, _box_modes, _box_size
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold
 
@@ -69,8 +69,9 @@ class BoxSpectrum:
 
 
 def box_spectrum(n: int, params: PhysicalParams) -> BoxSpectrum:
-    """Closed-form spectrum of the box Hamiltonian on an N-interval lattice."""
-    n = _box_size(n)
+    """The closed-form box spectrum on N intervals, dense: N >= 5,793 is over `_MAX_SIZE`."""
+    if (n := _box_size(n)) ** 2 - 1 > _MAX_SIZE:
+        raise ValueError(f"{n - 1} levels x {n + 1} sites is over the limit {_MAX_SIZE}")
     energies = params.energy_scale * _band(np.arange(1, n) * math.pi / n)
     vectors = _box_modes(n, np.arange(0, n + 1)).T
     return BoxSpectrum(n=n, params=params, energies=energies, eigenvectors=vectors)
@@ -98,8 +99,10 @@ class MomentumGrid:
 
 
 def momentum_samples(psi: LatticeWavefunction, p_values: np.ndarray) -> np.ndarray:
-    """Dense sum psi~(p) = sum_n psi_n exp(i n mu0 p / hbar) at arbitrary momenta."""
-    p = np.atleast_1d(np.asarray(p_values, dtype=float))
+    """Dense sum psi~(p) = sum_n psi_n exp(i n mu0 p / hbar), at most `_MAX_SIZE` p x n."""
+    p, sites = np.atleast_1d(np.asarray(p_values, dtype=float)), psi.lattice.num_sites
+    if p.size * sites > _MAX_SIZE:
+        raise ValueError(f"{p.size} momenta x {sites} sites is over the limit {_MAX_SIZE}")
     n = psi.lattice.sites
     phase = np.exp(1j * np.outer(p, n) * psi.lattice.params.mu0
                    / psi.lattice.params.hbar)

@@ -31,7 +31,7 @@ from .checks import (box_images_kernel, box_spectral_kernel, composition_check,
 from .dynamics import _box_size, _stencil
 from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, dimensionless_time,
                       gaussian_packet)
-from .propagators import PropagatorKernel, _box_step, evolve, kernel_table
+from .propagators import PropagatorKernel, _circle_step, _odd, evolve, kernel_table
 from .spectral import (MomentumGrid, box_spectrum, dispersion_energy, dispersion_momentum,
                        from_momentum, momentum_samples, to_momentum)
 
@@ -226,12 +226,12 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
     dev = 0.0
     for n, times in [(n_box, (0.3, 2.0))] + [(n, (0.7, 3.1)) for n in (2, 5, 9)]:
         spectrum = box_spectrum(n, params)
-        states = spectrum.eigenvectors.astype(complex)  # levels 1..N-1 on sites 0..N
-        for dt in (z * scale for z in times):  # 16 levels per box step, row by row FFTs
+        states = spectrum.eigenvectors  # real levels 1..N-1 on sites 0..N
+        for dt in (z * scale for z in times):  # 16 levels per circle step, row by row FFTs
             phases = np.exp(-1j * spectrum.energies * dt / params.hbar)
             for block in (slice(lo, lo + 16) for lo in range(0, n - 1, 16)):
-                out = _box_step(states[block], dimensionless_time(params, dt))
-                dev = max(dev, _worst(out - phases[block, None] * states[block]))
+                out = _circle_step(_odd(states[block]), dimensionless_time(params, dt))
+                dev = max(dev, _worst(out[:, 1:n] - phases[block, None] * states[block, 1:n]))
     yield "eigenphase", dev, 1e-12
 
     yield "unitarity", max(_unitarity(PropagatorKernel.box(n, params), 1, n - 1, z * scale)

@@ -224,9 +224,10 @@ def test_evolve_wall_violation_exit_code(tmp_path):
     psi = LatticeWavefunction(lat, [0.5, 0.5, 0.5, 0.5, 0.5])
     src = tmp_path / "in.csv"
     save_wavefunction(psi, src)
-    rc = main(["evolve", str(src), "--system", "box", "--N", "4", "--dt", "1",
-               "--out", str(tmp_path / "out.csv")])
-    assert rc == 3
+    for dt in ("1", "1e18"):  # the wall check runs first: exit 3, not the z range's exit 2
+        rc = main(["evolve", str(src), "--system", "box", "--N", "4", "--dt", dt,
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 3
 
 
 def test_verify_free_suite(tmp_path, capsys):
@@ -266,6 +267,14 @@ def test_verify_rejects_box_size_below_two(tmp_path, capsys, suite, n):
     out = tmp_path / "report.csv"
     assert main(["verify", "--suite", suite, "--N", n, "--out", str(out)]) == 2
     assert "integer >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_box_above_the_spectrum_limit_exits_2(tmp_path, capsys):
+    # eigenphase's dense box spectrum at N = 5,793 is refused, not a MemoryError (exit 1)
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", "box", "--N", "5793", "--out", str(out)]) == 2
+    assert "5792 levels x 5794 sites is over the limit 33554432" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polymerqm import spectral
 from polymerqm.dynamics import WallSupportError
 from polymerqm.spectral import (
     box_spectrum,
@@ -138,6 +140,31 @@ def test_box_spectrum_small_cases():
     for level in (0, 3):
         with pytest.raises(ValueError, match=rf"^level {level} outside 1\.\.2$"):
             spec3.level(level)
+
+
+def test_box_spectrum_refuses_a_dense_matrix_over_the_size_limit(monkeypatch):
+    # (N - 1) levels x (N + 1) sites: over 2^25 entries from N = 5,793, refused before any mode
+    params = PhysicalParams()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"^5792 levels x 5794 sites is over the limit 33554432$"):
+            box_spectrum(5793, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # N = 5,792 (33,547,263 entries) goes on to its modes, stopped here before they are made
+    built = []
+
+    def stop(n, sites):
+        built.append(n)
+        raise RuntimeError("modes")
+
+    monkeypatch.setattr(spectral, "_box_modes", stop)
+    with pytest.raises(RuntimeError, match="modes"):
+        box_spectrum(5792, params)
+    assert built == [5792]
 
 
 def test_box_spectrum_structure():

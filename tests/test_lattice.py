@@ -233,6 +233,21 @@ def test_momentum_function_periodicity():
                          - momentum_samples(psi, p + period))) <= 1e-12
 
 
+def test_momentum_samples_refuses_phases_over_the_size_limit_before_allocating():
+    # the dense phases take 32 bytes an entry: 2^13 momenta x 2^13 sites would ask for 2 GiB
+    psi = LatticeWavefunction(Lattice(PhysicalParams(), 0, 2**13 - 1), np.ones(2**13))
+    p = np.zeros(2**13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"^8192 momenta x 8192 sites is over the limit 33554432$"):
+            momentum_samples(psi, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_momentum_roundtrip_beyond_dense_reach():
     # M = P = 2^16: the dense phase matrices would take 64 GiB each
     params = PhysicalParams()

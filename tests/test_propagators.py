@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 import tracemalloc
 
@@ -354,8 +355,9 @@ def test_evolve_box_eigenvector_single_level():
 def test_evolve_box_rejects_wall_support():
     lat = Lattice(P1, 0, 4)
     psi = LatticeWavefunction(lat, [0.0, 0.5, 0.5, 0.5, 0.2])
-    with pytest.raises(WallSupportError):
-        evolve(psi, PropagatorKernel.box(4, P1), 1.0)
+    for dt in (1.0, 1e18):  # checked before a z the plan refuses
+        with pytest.raises(WallSupportError):
+            evolve(psi, PropagatorKernel.box(4, P1), dt)
 
 
 def test_evolve_box_window_fixed():
@@ -982,15 +984,30 @@ def test_verify_builds_one_bessel_table_per_route_call(monkeypatch):
     assert (box_tables, len(built)) == (15, 1 + 4 + 9 + 8 + 9 + 2 + 4 + 2)
 
 
+def test_periodic_evolve_plans_before_it_folds():
+    # the fold onto Z_2N at N = 2^22 takes 128 MiB; a z the plan refuses is refused first
+    psi = LatticeWavefunction(Lattice(P1, 0, 0), np.ones(1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^z = 1e\+18 is out of range"):
+            evolve(psi, PropagatorKernel.periodic(2**22, P1), 1e18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("n", [2, 9, 64])
 def test_batched_box_step_is_the_per_level_evolve_bit_for_bit(n):
-    from polymerqm.propagators import _box_step
+    # the circle step of the odd images of every level at once, inside the walls;
+    # only `evolve` sets the walls to exactly 0
+    from polymerqm.propagators import _circle_step, _odd
 
     spectrum = box_spectrum(n, P1)
     box = PropagatorKernel.box(n, P1)
     for dt in (0.0, 0.7, 3.1, 250.0):
-        stack = _box_step(spectrum.eigenvectors.astype(complex), dt)
-        each = [evolve(spectrum.eigenstate(level), box, dt).amplitudes
+        stack = _circle_step(_odd(spectrum.eigenvectors.astype(complex)), dt)[:, 1:n]
+        each = [evolve(spectrum.eigenstate(level), box, dt).amplitudes[1:n]
                 for level in range(1, n)]
         assert _same_bits(np.ascontiguousarray(stack), np.array(each))
 
@@ -1008,7 +1025,8 @@ def test_box_eigenphase_steps_do_not_grow_with_the_box(monkeypatch):
         steps.append(psi.shape)
         return real(psi, z)
 
-    monkeypatch.setattr(propagators, "_circle_step", counting)
+    for module in (propagators, verify):  # the engine's steps and eigenphase's own
+        monkeypatch.setattr(module, "_circle_step", counting)
     counts = []
     for n_box in (8, 128):
         steps.clear()
@@ -1237,6 +1255,23 @@ def test_greens_residual_fd_cross_check():
     res = greens_residual_fd(box, range(1, 6), range(1, 6), [0.5, 1.0],
                              step=1e-6)
     assert type(res) is float and res <= 1e-5
+
+
+def test_only_the_fd_residual_reads_the_free_kernels_bessel_values(monkeypatch):
+    # the free analytic residual is the stencil applied to the kernel's own Bessel
+    # table, so seeded random numbers in place of every table pass it; on verify's
+    # free grid the finite difference refuses them
+    from polymerqm import checks, propagators
+
+    def noise(z, max_order):
+        return np.array([random.Random(n).uniform(-1.0, 1.0) for n in range(max_order + 1)])
+
+    for module in (propagators, checks):
+        monkeypatch.setattr(module, "bessel_table", noise)
+    free, sites = PropagatorKernel.free(P1), range(-8, 9)
+    assert greens_residual(free, sites, sites, [0.5, 1.0, 5.0, 20.0]) <= 1e-9
+    assert greens_residual_fd(free, range(-4, 5), range(-4, 5), [0.5, 1.0, 5.0],
+                              step=1e-6) > 1e-5
 
 
 @pytest.mark.parametrize("kernel,js,rs", [

@@ -182,6 +182,9 @@ CASES = {
     "momentum_roundtrip_large": ("M", [2**k for k in range(12, 17)], _momentum),
     "verify_all": ("N", [2**k for k in range(3, 9)],
                    lambda n: lambda: run_suite("all", n_box=n)),
+    # the box suite at the caller's N: eigenphase's dense spectrum and its 16-level steps
+    "verify_box_n": ("N", [2**k for k in range(7, 13)],
+                     lambda n: lambda: run_suite("box", n_box=n)),
     "kernel_csv": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv")),
     "kernel_json": ("rows", [64 * 2**k for k in range(6, 10)], _kernel_text("json")),
     "kernel_csv_j": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv", "j")),
