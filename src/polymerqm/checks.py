@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _MAX_SIZE, bessel_table, truncation_window, unit_imaginary_power
+from .bessel import _MAX_SIZE, truncation_window
 from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, _stencil
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
-from .propagators import (PropagatorKernel, _circle_read, _free_vector, _plan, _read,
+from .propagators import (PropagatorKernel, _circle_read, _free_vector, _odd, _plan, _read,
                           _shared_params, _sites, kernel_table)
 from .spectral import dispersion_energy
 
@@ -227,33 +227,25 @@ def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
 
 
 def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
-    """(dz/dt) i^|m| e^{-iz} (J'_|m| - i J_|m|), m = j - r, from one table.
-
-    The table stops at order W(z) + 1, one past the truncation window W
-    that J' reaches; orders beyond it read as exact 0, so the cost never
-    grows with |m|.
-    """
+    """(dz/dt)((n/z - i) k_n + i k_(n+1)), n = |j - r|, by dJ_n/dz = (n/z) J_n - J_(n+1) on
+    the engine's k_n = i^n J_n e^{-iz} (`_free_vector`, exact 0 beyond W: cost free of n)."""
     params = kernel.params
     z = dimensionless_time(params, dt)
     mag = np.abs(np.subtract.outer(js, rs))
-    top = min(int(mag.max()), truncation_window(z)) + 1
-    values = np.append(bessel_table(z, top), np.zeros(3))
-    mag = np.minimum(mag, top + 2)  # beyond it, orders m - 1, m, m + 1 all read 0
-    lower = np.where(mag == 0, -values[1], values[mag - 1])  # J_{-1} = -J_1
-    deriv = 0.5 * (lower - values[mag + 1])
+    read = _free_vector(z, int(mag.max()) + 1)
     rate = params.hbar / (params.mass * params.mu0**2)
-    return (rate * unit_imaginary_power(mag) * np.exp(-1j * z)
-            * (deriv - 1j * values[mag]))
+    k = read(mag)  # n k_n / z: n / z overflows at far orders and tiny z, and inf x 0 is NaN
+    return rate * (mag * k / z - 1j * k + 1j * read(mag + 1))
 
 
 def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> float:
     """The worst analytic Green's-function residual of the kernel for t > t0, a float.
 
     The time derivative is in closed form over whole index arrays: free through
-    dJ_n/dz = (J_{n-1} - J_{n+1})/2 and e^{-iz}, box through the energy-weighted
-    spectral sum; H is the stencil in the outgoing index; periodic has none.  Free,
-    it is that stencil on the kernel's own Bessel table, ~eps for any table: it tests
-    the phases and the stencil, not the values J_n, which `greens_residual_fd` tests.
+    dJ_n/dz = (n/z) J_n - J_{n+1} on the kernel's own values, box through the energy-
+    weighted spectral sum; H is the stencil in the outgoing index; periodic has none.
+    Free, it tests the recurrence of J_n, the phases i^|m| e^{-iz}, dz/dt and the stencil,
+    not the scale: the equation is linear, so a uniformly rescaled table passes it.
     """
     dk_dt = {"free": _free_dk_dt, "box": lambda kernel, dt, js, rs: _box_level_sum(
         dt, kernel.n, kernel.params, js[:, None], rs, derivative=True)}.get(kernel.system)
@@ -331,11 +323,13 @@ def box_mode_coefficients(packet, length: float, num_modes: int) -> np.ndarray:
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError(f"box length must be finite and > 0, got {length}")
     # trapezoid sums on K + 1 points, the highest mode far below their Nyquist
-    # limit, all taken as one FFT of the odd extension of the samples
-    y = np.linspace(0.0, length, max(4097, 8 * num_modes + 1))
-    f = np.asarray(packet(y), dtype=complex)[1:-1]  # the sine is 0 at both ends
-    odd = np.concatenate([[0.0], f, [0.0], -f[::-1]])
-    return (1j / (y.size - 1)) * np.fft.fft(odd)[1:num_modes + 1]
+    # limit, all taken as one FFT of the `_odd` image of the samples
+    if (samples := max(4097, 8 * num_modes + 1)) > _MAX_SIZE:
+        raise ValueError(f"{samples} samples for {num_modes} modes is over the limit {_MAX_SIZE}")
+    y = np.linspace(0.0, length, samples)
+    f = np.array(packet(y), dtype=complex)
+    f[[0, -1]] = 0.0  # the sine is 0 at both ends
+    return (1j / (samples - 1)) * np.fft.fft(_odd(f))[1:num_modes + 1]
 
 
 def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,

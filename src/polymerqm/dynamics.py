@@ -66,7 +66,10 @@ def _band(theta):
 
 def _box_modes(n_box: int, sites) -> np.ndarray:
     """sqrt(2/N) sin(l pi n/N) at sites n for the levels l = 1..N-1, on a new last axis."""
-    angles = np.multiply.outer(sites, np.arange(1, n_box)) * math.pi / n_box
-    modes = math.sqrt(2.0 / n_box) * np.sin(angles)
+    modes = np.multiply.outer(sites, np.arange(1, n_box), dtype=float)  # one array, in place
+    modes *= math.pi
+    modes /= n_box
+    np.sin(modes, out=modes)
+    modes *= math.sqrt(2.0 / n_box)
     modes[np.asarray(sites) % n_box == 0] = 0.0  # the walls: sin(l pi) is 0, floats are not
     return modes

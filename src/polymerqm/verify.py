@@ -246,17 +246,14 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
     yield "greens-residual-fd", greens_residual_fd(
         box6, range(1, 6), range(1, 6), [z * scale for z in (0.5, 1.0, 5.0)], step=1e-6), 1e-5
 
-    # the tridiagonal interior stencil, diagonalized densely; every level
-    # must also lie below the band top 2 hbar^2/(m mu0^2)
+    # the interior rows of the stencil of the identity, diagonalized densely;
+    # every level must also lie below the band top 2 hbar^2/(m mu0^2)
     dev_e = dev_v = 0.0
     for n in range(2, 33):
         spec = box_spectrum(n, params)
-        c = params.energy_scale
-        if not float(np.max(spec.energies)) < 2.0 * c:
+        if not float(np.max(spec.energies)) < 2.0 * params.energy_scale:
             dev_e = math.inf
-        matrix = np.diag(np.full(n - 1, c)) + np.diag(np.full(n - 2, -0.5 * c), 1) \
-            + np.diag(np.full(n - 2, -0.5 * c), -1)
-        vals, vecs = np.linalg.eigh(matrix)
+        vals, vecs = np.linalg.eigh(_stencil(np.eye(n + 1), params)[1:-1])
         dev_e = max(dev_e, float(np.max(np.abs(vals - spec.energies))))
         # fix each column's sign by its first entry above rounding noise
         first = np.argmax(np.abs(vecs) > 1e-8, axis=0)

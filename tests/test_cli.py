@@ -593,7 +593,7 @@ _VERIFY_ALL_CSV = {
         b"free,initial-condition,0.0,1e-14,pass\r\n"
         b"free,unitarity,1.3322676295501878e-15,1e-10,pass\r\n"
         b"free,composition,1.1443916996305594e-16,1e-09,pass\r\n"
-        b"free,greens-residual,1.1102230246251565e-16,1e-09,pass\r\n"
+        b"free,greens-residual,5.551115123125783e-17,1e-09,pass\r\n"
         b"free,greens-residual-fd,8.15846492588999e-11,1e-05,pass\r\n"
         b"free,symmetry,0.0,0.0,pass\r\n"
         b"free,time-reversal,0.0,1e-13,pass\r\n"

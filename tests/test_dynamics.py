@@ -167,6 +167,19 @@ def test_box_spectrum_refuses_a_dense_matrix_over_the_size_limit(monkeypatch):
     assert built == [5792]
 
 
+def test_box_spectrum_holds_one_dense_matrix():
+    # the modes are made in place: the angles were a second N x N array beside their sine
+    box_spectrum(8, PhysicalParams())  # warm up
+    tracemalloc.start()
+    try:
+        spec = box_spectrum(2048, PhysicalParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.eigenvectors.shape == (2047, 2049)
+    assert peak < 1.1 * spec.eigenvectors.nbytes
+
+
 def test_box_spectrum_structure():
     params = PhysicalParams(hbar=0.7, mass=1.3, mu0=0.2)
     for n in (2, 5, 12, 32):

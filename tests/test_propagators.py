@@ -966,7 +966,7 @@ def test_verify_builds_one_bessel_table_per_route_call(monkeypatch):
     # 4 x (table + derivative), its finite-difference twin 3 x 3, symmetry
     # 2, time-reversal 2 x 2, eigenstate-phase 2 evolves.  A table per
     # (j, r) entry would make 864 and 1193.
-    from polymerqm import bessel, checks, propagators, verify
+    from polymerqm import bessel, propagators, verify
 
     built = []
     real = bessel.bessel_table
@@ -975,7 +975,7 @@ def test_verify_builds_one_bessel_table_per_route_call(monkeypatch):
         built.append(z)
         return real(z, max_order)
 
-    for module in (bessel, propagators, checks, verify):
+    for module in (bessel, propagators, verify):
         monkeypatch.setattr(module, "bessel_table", counting)
     verify.run_suite("box", n_box=8)
     box_tables = len(built)
@@ -1233,6 +1233,14 @@ def test_greens_residual_free_far_orders_from_small_table():
     assert peak < 2**20
 
 
+def test_greens_residual_free_is_finite_at_far_orders_and_tiny_times():
+    # dk/dt takes n k_n / z: (n / z) k_n is inf x 0 = NaN at |j - r| = 10^6 and z = 1e-303
+    kernel = PropagatorKernel.free(P1)
+    with np.errstate(over="raise", invalid="raise"):
+        assert greens_residual(kernel, [0, 1], [10**6], [1e-303]) == 0.0
+        assert greens_residual(kernel, range(-3, 4), range(-3, 4), [1e-303]) <= 1e-15
+
+
 def test_greens_residual_box():
     kernel = PropagatorKernel.box(6, P1)
     res = greens_residual(kernel, range(1, 6), range(0, 7),
@@ -1257,21 +1265,22 @@ def test_greens_residual_fd_cross_check():
     assert type(res) is float and res <= 1e-5
 
 
-def test_only_the_fd_residual_reads_the_free_kernels_bessel_values(monkeypatch):
-    # the free analytic residual is the stencil applied to the kernel's own Bessel
-    # table, so seeded random numbers in place of every table pass it; on verify's
-    # free grid the finite difference refuses them
-    from polymerqm import checks, propagators
+def test_both_free_residuals_refuse_a_random_bessel_table(monkeypatch):
+    # the analytic residual reads the kernel's own values, so on verify's free grids
+    # seeded random numbers in place of every table fail it and the finite difference;
+    # the equation is linear, so a uniformly rescaled table passes both
+    from polymerqm import propagators
 
     def noise(z, max_order):
         return np.array([random.Random(n).uniform(-1.0, 1.0) for n in range(max_order + 1)])
 
-    for module in (propagators, checks):
-        monkeypatch.setattr(module, "bessel_table", noise)
-    free, sites = PropagatorKernel.free(P1), range(-8, 9)
+    free, sites, fd_sites = PropagatorKernel.free(P1), range(-8, 9), range(-4, 5)
+    monkeypatch.setattr(propagators, "bessel_table", noise)
+    assert greens_residual(free, sites, sites, [0.5, 1.0, 5.0, 20.0]) > 1e-9
+    assert greens_residual_fd(free, fd_sites, fd_sites, [0.5, 1.0, 5.0], step=1e-6) > 1e-5
+    monkeypatch.setattr(propagators, "bessel_table", lambda z, n: 2.0 * bessel_table(z, n))
     assert greens_residual(free, sites, sites, [0.5, 1.0, 5.0, 20.0]) <= 1e-9
-    assert greens_residual_fd(free, range(-4, 5), range(-4, 5), [0.5, 1.0, 5.0],
-                              step=1e-6) > 1e-5
+    assert greens_residual_fd(free, fd_sites, fd_sites, [0.5, 1.0, 5.0], step=1e-6) <= 1e-5
 
 
 @pytest.mark.parametrize("kernel,js,rs", [
@@ -1422,6 +1431,17 @@ def test_box_mode_coefficients_rejects_a_negative_mode_count():
     with pytest.raises(ValueError, match="num_modes must be an integer, got 2.5"):
         box_mode_coefficients(_smooth_packet, 8.0, 2.5)
     assert box_mode_coefficients(_smooth_packet, 8.0, 0).shape == (0,)
+    # 10^9 modes asked np.linspace for 8 x 10^9 + 1 samples (64 GB); 2^22 is the first refused
+    for modes in (2**22, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^{8 * modes + 1} samples for {modes} modes "
+                                                 rf"is over the limit {bessel._MAX_SIZE}$"):
+                box_mode_coefficients(_smooth_packet, 8.0, modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("length", [0.0, -8.0, math.inf, math.nan])
