@@ -6,7 +6,8 @@ for integer sites or index arrays through the engine's door `_read`: the box
 spectral sum `box_spectral_kernel`, and the image sums `periodic_kernel` and
 `box_images_kernel`, which fold the engine's free vector onto Z_2N and read it
 by `_circle_read`, O(W + N + grid).  Identities (composition, Green's residual)
-check the engine, each returning its worst deviation as a float;
+check the engine, each folding its samples into one float by `_worst`, the one
+reducer of `verify` too: a NaN anywhere makes it NaN, and so fails the check;
 `apply_hamiltonian`, the generator of `evolve` in each system, and the Green's
 residual share the stencil of `dynamics`.  `schrodinger_free_kernel`,
 `schrodinger_box_evolve` and `momentum_kernel_phase` are the continuum and
@@ -18,12 +19,11 @@ independent of the call's grid, so results do not depend on evaluation order.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _MAX_SIZE, truncation_window
+from .bessel import _MAX_SIZE, _integer, truncation_window
 from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, _stencil
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
 from .propagators import (PropagatorKernel, _circle_read, _free_vector, _odd, _plan, _read,
@@ -130,6 +130,16 @@ def schrodinger_free_kernel(xj: float, xr: float, dt: float,
 # consistency checks
 # ---------------------------------------------------------------------------
 
+def _worst(*deviations) -> float:
+    """The largest |d| over numbers and arrays of deviations, NaN if any entry is NaN.
+
+    np.max keeps a NaN where the builtin max drops it (max(0.0, nan) is 0.0), so
+    a deviation that cannot be evaluated fails its check.  The entries are copied
+    into one array, so a caller with large samples passes each one's `_worst`.
+    """
+    return float(np.max(np.abs(np.concatenate([np.ravel(d) for d in deviations]))))
+
+
 def apply_hamiltonian(psi: LatticeWavefunction, kernel: PropagatorKernel) -> LatticeWavefunction:
     """H psi in the kernel's system (the generator of `evolve`) by `dynamics._stencil`.
 
@@ -190,14 +200,13 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
 
     spans = [span(t - mid, mid - t0) for mid in t1s]
     direct = kernel(js[:, None], rs, t - t0)
-    worst = []
-    for mid, (lo, hi) in zip(t1s, spans):
+
+    def deviation(mid, lo, hi):  # one t1 at a time, O(R S) per row of paths
         sites = np.arange(lo, hi + 1)
         late = kernel_table(kernel, js, sites, t - mid)
         early = np.ascontiguousarray(kernel_table(kernel, sites, rs, mid - t0).T)
-        paths = np.array([np.sum(row * early, axis=-1) for row in late])  # O(R S) at a time
-        worst.append(float(np.max(np.abs(direct - paths))))
-    return max(worst)
+        return _worst(direct - np.array([np.sum(row * early, axis=-1) for row in late]))
+    return _worst(*(deviation(mid, *span) for mid, span in zip(t1s, spans)))
 
 
 def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
@@ -217,13 +226,12 @@ def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
     js, rs, ((j_lo, j_hi), _), _ = _index_lists(j_values, r_values)
     if kernel.system == "box" and (j_lo < 1 or j_hi > kernel.n - 1):
         raise ValueError(f"stencil sites must be interior to the box 1..{kernel.n - 1}")
-    worst = 0.0
-    for dt in dts:  # rows j - 1, j, j + 1 on the last axis, where the stencil runs
+
+    def residual(dt):  # rows j - 1, j, j + 1 on the last axis, where the stencil runs
         table = np.moveaxis(kernel_table(kernel, js[:, None] + np.arange(-1, 2), rs, dt), 1, -1)
-        res = np.abs(1j * kernel.params.hbar * dk_dt(kernel, dt, js, rs)
-                     - _stencil(table, kernel.params)[..., 0])
-        worst = max(worst, float(np.max(res)))
-    return worst
+        return _worst(1j * kernel.params.hbar * dk_dt(kernel, dt, js, rs)
+                      - _stencil(table, kernel.params)[..., 0])
+    return _worst(*map(residual, dts))
 
 
 def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
@@ -313,13 +321,7 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
 
 def box_mode_coefficients(packet, length: float, num_modes: int) -> np.ndarray:
     """Continuum box-mode coefficients c_l = (2/L) integral sin(l pi y / L) f(y) dy."""
-    length = float(length)
-    try:
-        num_modes = operator.index(num_modes)
-    except TypeError:
-        raise ValueError(f"num_modes must be an integer, got {num_modes!r}") from None
-    if num_modes < 0:
-        raise ValueError(f"num_modes must be >= 0, got {num_modes}")
+    length, num_modes = float(length), _integer(num_modes, "num_modes", 0)
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError(f"box length must be finite and > 0, got {length}")
     # trapezoid sums on K + 1 points, the highest mode far below their Nyquist

@@ -8,7 +8,8 @@ engine's kernel calls; the closed forms of `checks` are compared with it by
 name.  A suite is a generator, called as suite(params, n_box, seed), that
 yields one (name, deviation, tolerance) record per property at fixed
 desk-scale sample grids; `run_suite` reads the suites from `_SUITES` and
-makes every `CheckResult`.
+makes every `CheckResult`.  Every record and invariant folds its samples by
+`checks._worst`, the one reducer: a NaN sample makes the record NaN, a failure.
 Randomized samples (Jacobi-Anger points, Gaussian packets, amplitudes)
 come from `random.Random(seed)`: a deterministic stdlib generator, so
 two runs with the same seed produce identical reports, and
@@ -18,15 +19,14 @@ two runs with the same seed produce identical reports, and
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import SUITE_NAMES
-from .bessel import bessel_jn, bessel_table, jacobi_anger, truncation_window
-from .checks import (box_images_kernel, box_spectral_kernel, composition_check,
+from .bessel import _integer, bessel_jn, bessel_table, jacobi_anger, truncation_window
+from .checks import (_worst, box_images_kernel, box_spectral_kernel, composition_check,
                      continuum_sweep, greens_residual, greens_residual_fd, momentum_kernel_phase)
 from .dynamics import _box_size, _stencil
 from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, dimensionless_time,
@@ -45,6 +45,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
+        """deviation <= tolerance: False for a NaN deviation, which `_worst` never drops."""
         return self.deviation <= self.tolerance
 
 
@@ -76,10 +77,6 @@ def bessel_series_reference(n: int, z: float, stop: float = 1e-18) -> float:
             return total / den
 
 
-def _worst(deviations) -> float:
-    return float(np.max(np.abs(deviations)))
-
-
 def _grid(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Sites lo..hi as a column and a row: the (j, r) grid of a check route."""
     sites = np.arange(lo, hi + 1)
@@ -106,7 +103,7 @@ def _unitarity(kernel: PropagatorKernel, lo: int, hi: int, dt: float) -> float:
     the truncation window, outside of which the kernel is exactly 0.
     """
     if kernel.system == "free":
-        return abs(float(np.sum(np.abs(kernel(np.arange(lo, hi + 1), 0, dt)) ** 2)) - 1.0)
+        return _worst(np.sum(np.abs(kernel(np.arange(lo, hi + 1), 0, dt)) ** 2) - 1.0)
     k = kernel(*_grid(lo, hi), dt)
     return _worst(k @ k.conj().T - np.eye(hi - lo + 1))
 
@@ -127,61 +124,46 @@ def _time_reversal(kernel: PropagatorKernel, js, rs, dt: float) -> float:
 
 def suite_bessel(params: PhysicalParams, n_box: int, seed: int):
     # one table per z: W(z) >= 20 > 12, so it starts where bessel_jn's does
-    yield "series-oracle", max(
-        _worst(bessel_table(z, 12) - [bessel_series_reference(n, z) for n in range(13)])
-        for z in (0.0, 0.3, 0.5, 1.0, 2.5, 3.0, 5.0, 6.0, 8.0, 9.0, 12.0)), 1e-13
+    yield "series-oracle", _worst(*(
+        bessel_table(z, 12) - [bessel_series_reference(n, z) for n in range(13)]
+        for z in (0.0, 0.3, 0.5, 1.0, 2.5, 3.0, 5.0, 6.0, 8.0, 9.0, 12.0))), 1e-13
 
-    yield "order-parity", max(abs(bessel_jn(-n, z) - (-1.0) ** n * bessel_jn(n, z))
-                              for n in range(0, 9) for z in (0.5, 1.0, 5.0, 20.0)), 0.0
+    yield "order-parity", _worst(*(bessel_jn(-n, z) - (-1.0) ** n * bessel_jn(n, z)
+                                   for n in range(0, 9) for z in (0.5, 1.0, 5.0, 20.0))), 0.0
 
-    dev = 0.0
-    for z in (0.5, 1.0, 5.0, 20.0, 100.0):
-        table = bessel_table(z, truncation_window(z) + 1)
-        for n in range(1, truncation_window(z) // 2 + 1):
-            dev = max(dev, abs(table[n - 1] + table[n + 1] - (2.0 * n / z) * table[n]))
-    yield "recurrence", dev, 1e-11
+    def recurrence(z):  # orders n = 1..W/2 of a table to W + 1
+        table, n = bessel_table(z, (w := truncation_window(z)) + 1), np.arange(1, w // 2 + 1)
+        return table[n - 1] + table[n + 1] - (2.0 * n / z) * table[n]
+    yield "recurrence", _worst(*map(recurrence, (0.5, 1.0, 5.0, 20.0, 100.0))), 1e-11
 
-    h = 1e-5
-    dev = 0.0
-    for z in (1.0, 3.0, 7.5, 15.0):  # orders n = 0..8, J_{-1} = -J_1
-        fd = (bessel_table(z + h, 8) - bessel_table(z - h, 8)) / (2.0 * h)
+    def derivative(z, h=1e-5):  # orders n = 0..8, J_{-1} = -J_1
         table = bessel_table(z, 9)
-        exact = 0.5 * (np.append(-table[1], table[:8]) - table[1:])
-        dev = max(dev, _worst(fd - exact))
-    yield "derivative-identity", dev, 1e-7
+        return ((bessel_table(z + h, 8) - bessel_table(z - h, 8)) / (2.0 * h)
+                - 0.5 * (np.append(-table[1], table[:8]) - table[1:]))
+    yield "derivative-identity", _worst(*map(derivative, (1.0, 3.0, 7.5, 15.0))), 1e-7
 
-    dev = 0.0
-    for z in (0.1, 1.0, 10.0, 100.0):
-        table = bessel_table(z, truncation_window(z))
-        total = table[0] ** 2 + 2.0 * np.sum(table[1:] ** 2)
-        dev = max(dev, abs(total - 1.0))
-    yield "sum-of-squares", dev, 1e-12
-
-    dev = 0.0
-    for z in (1.0, 10.0, 50.0):
-        table = bessel_table(z, truncation_window(z))
-        dev = max(dev, abs(table[0] + 2.0 * np.sum(table[2::2]) - 1.0))
-    yield "normalization", dev, 1e-13
+    tables = (bessel_table(z, truncation_window(z)) for z in (0.1, 1.0, 10.0, 100.0))
+    yield "sum-of-squares", _worst(*(t[0] ** 2 + 2.0 * np.sum(t[1:] ** 2) - 1.0
+                                     for t in tables)), 1e-12
+    tables = (bessel_table(z, truncation_window(z)) for z in (1.0, 10.0, 50.0))
+    yield "normalization", _worst(*(t[0] + 2.0 * np.sum(t[2::2]) - 1.0 for t in tables)), 1e-13
 
     rng = random.Random(seed)
-    dev = 0.0
-    for _ in range(20):
-        z = rng.uniform(0.0, 20.0)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        val = jacobi_anger(z, phi, truncation_window(z))
-        dev = max(dev, abs(val - np.exp(1j * z * math.cos(phi))))
-    yield "jacobi-anger", dev, 1e-10
+    points = [(rng.uniform(0.0, 20.0), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(20)]
+    yield "jacobi-anger", _worst(*(  # the builtin abs: numpy's ufunc differs in the last bit
+        abs(jacobi_anger(z, phi, truncation_window(z)) - np.exp(1j * z * math.cos(phi)))
+        for z, phi in points)), 1e-10
 
 
 def suite_free(params: PhysicalParams, n_box: int, seed: int):
     scale = params.mu0**2 * params.mass / params.hbar  # dt giving z = 1
     kernel = PropagatorKernel.free(params)
     yield "initial-condition", _initial_condition(kernel, -16, 16), 1e-14
-    yield "unitarity", max(_unitarity(kernel, -(w := truncation_window(z)), w, z * scale)
-                           for z in (0.1, 1.0, 10.0, 100.0)), 1e-10
-    yield "composition", max(composition_check(kernel, 0, range(0, 9), 0.0,
-                                               z2 * scale, (z1 + z2) * scale)
-                             for z1, z2 in ((1.0, 1.0), (2.0, 0.5), (10.0, 10.0))), 1e-9
+    yield "unitarity", _worst(*(_unitarity(kernel, -(w := truncation_window(z)), w, z * scale)
+                                for z in (0.1, 1.0, 10.0, 100.0))), 1e-10
+    yield "composition", _worst(*(composition_check(kernel, 0, range(0, 9), 0.0,
+                                                    z2 * scale, (z1 + z2) * scale)
+                                  for z1, z2 in ((1.0, 1.0), (2.0, 0.5), (10.0, 10.0)))), 1e-9
 
     sites = range(-8, 9)
     yield "greens-residual", greens_residual(
@@ -190,55 +172,52 @@ def suite_free(params: PhysicalParams, n_box: int, seed: int):
         kernel, range(-4, 5), range(-4, 5), [z * scale for z in (0.5, 1.0, 5.0)],
         step=1e-6), 1e-5
     yield "symmetry", _symmetry(kernel, [[-5], [0], [2]], [-1, 3, 7], 1.3 * scale), 0.0
-    yield "time-reversal", max(_time_reversal(kernel, [[-3], [0], [4]], [-2, 1, 6], dt)
-                               for dt in (0.4 * scale, 2.0 * scale)), 1e-13
+    yield "time-reversal", _worst(*(_time_reversal(kernel, [[-3], [0], [4]], [-2, 1, 6], dt)
+                                    for dt in (0.4 * scale, 2.0 * scale))), 1e-13
 
-    # truncated plane wave picks up exactly e^{-i E dt / hbar} in the interior
-    dev = 0.0
-    for z in (1.0, 5.0):
+    def plane_wave(z):  # a truncated plane wave picks up exactly e^{-i E dt / hbar} inside
         dt = z * scale
         half = truncation_window(z) + 10
         lat = Lattice(params, -half, half)
         p = 0.6 * params.brillouin_edge
         psi = LatticeWavefunction(lat, np.exp(1j * lat.sites * params.mu0 * p / params.hbar))
         out = evolve(psi, kernel, dt, out_window=(-10, 10))
-        expected = (np.exp(-1j * dispersion_energy(params, p) * dt / params.hbar)
-                    * np.exp(1j * out.lattice.sites * params.mu0 * p / params.hbar))
-        dev = max(dev, _worst(out.amplitudes - expected))
-    yield "eigenstate-phase", dev, 1e-8
+        return out.amplitudes - (np.exp(-1j * dispersion_energy(params, p) * dt / params.hbar)
+                                 * np.exp(1j * out.lattice.sites * params.mu0 * p / params.hbar))
+    yield "eigenstate-phase", _worst(*map(plane_wave, (1.0, 5.0))), 1e-8
 
-    yield "dispersion-roundtrip", max(
-        abs(dispersion_energy(params, dispersion_momentum(params, energy)) - energy)
-        for energy in (0.0, 0.4 * params.energy_scale, 2.0 * params.energy_scale)), 1e-12
+    yield "dispersion-roundtrip", _worst(*(
+        dispersion_energy(params, dispersion_momentum(params, energy)) - energy
+        for energy in (0.0, 0.4 * params.energy_scale, 2.0 * params.energy_scale))), 1e-12
 
 
 def suite_box(params: PhysicalParams, n_box: int, seed: int):
     scale = params.mu0**2 * params.mass / params.hbar
-    yield "initial-condition", max(_initial_condition(PropagatorKernel.box(n, params), 0, n)
-                                   for n in range(2, 17)), 1e-14
-    yield "spectral-vs-images", max(
-        _worst(box_spectral_kernel(*_grid(0, n), z * scale, n, params)
-               - box_images_kernel(*_grid(0, n), z * scale, n, params=params))
-        for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0)), 1e-10
+    yield "initial-condition", _worst(*(_initial_condition(PropagatorKernel.box(n, params), 0, n)
+                                        for n in range(2, 17))), 1e-14
+    yield "spectral-vs-images", _worst(*(
+        box_spectral_kernel(*_grid(0, n), z * scale, n, params)
+        - box_images_kernel(*_grid(0, n), z * scale, n, params=params)
+        for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0))), 1e-10
     yield "boundary-zeros", _worst(kernel_table(PropagatorKernel.box(n_box, params), [0, n_box],
                                                 range(n_box + 1), 1.7 * scale)), 0.0
 
-    dev = 0.0
-    for n, times in [(n_box, (0.3, 2.0))] + [(n, (0.7, 3.1)) for n in (2, 5, 9)]:
-        spectrum = box_spectrum(n, params)
-        states = spectrum.eigenvectors  # real levels 1..N-1 on sites 0..N
-        for dt in (z * scale for z in times):  # 16 levels per circle step, row by row FFTs
-            phases = np.exp(-1j * spectrum.energies * dt / params.hbar)
-            for block in (slice(lo, lo + 16) for lo in range(0, n - 1, 16)):
-                out = _circle_step(_odd(states[block]), dimensionless_time(params, dt))
-                dev = max(dev, _worst(out[:, 1:n] - phases[block, None] * states[block, 1:n]))
-    yield "eigenphase", dev, 1e-12
+    def eigenphases():  # 16 levels per circle step, row by row FFTs; one block held at a time
+        for n, times in [(n_box, (0.3, 2.0))] + [(n, (0.7, 3.1)) for n in (2, 5, 9)]:
+            spectrum = box_spectrum(n, params)
+            states = spectrum.eigenvectors  # real levels 1..N-1 on sites 0..N
+            for dt in (z * scale for z in times):
+                phases = np.exp(-1j * spectrum.energies * dt / params.hbar)
+                for block in (slice(lo, lo + 16) for lo in range(0, n - 1, 16)):
+                    out = _circle_step(_odd(states[block]), dimensionless_time(params, dt))
+                    yield _worst(out[:, 1:n] - phases[block, None] * states[block, 1:n])
+    yield "eigenphase", _worst(*eigenphases()), 1e-12
 
-    yield "unitarity", max(_unitarity(PropagatorKernel.box(n, params), 1, n - 1, z * scale)
-                           for n in range(2, 17) for z in (0.5, 3.0)), 1e-12
-    yield "composition", max(composition_check(
+    yield "unitarity", _worst(*(_unitarity(PropagatorKernel.box(n, params), 1, n - 1, z * scale)
+                                for n in range(2, 17) for z in (0.5, 3.0))), 1e-12
+    yield "composition", _worst(*(composition_check(
         PropagatorKernel.box(n, params), range(1, n), range(1, n), 0.0,
-        [t1 * scale for t1 in (0.4, 1.0, 1.1, 2.2, 2.3)], 3.0 * scale) for n in range(2, 9)), 1e-12
+        [t1 * scale for t1 in (0.4, 1.0, 1.1, 2.2, 2.3)], 3.0 * scale) for n in range(2, 9))), 1e-12
 
     box6 = PropagatorKernel.box(6, params)
     yield "greens-residual", greens_residual(
@@ -246,36 +225,34 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
     yield "greens-residual-fd", greens_residual_fd(
         box6, range(1, 6), range(1, 6), [z * scale for z in (0.5, 1.0, 5.0)], step=1e-6), 1e-5
 
-    # the interior rows of the stencil of the identity, diagonalized densely;
-    # every level must also lie below the band top 2 hbar^2/(m mu0^2)
-    dev_e = dev_v = 0.0
-    for n in range(2, 33):
+    def oracle(n):  # the interior rows of the stencil of the identity, diagonalized densely
         spec = box_spectrum(n, params)
-        if not float(np.max(spec.energies)) < 2.0 * params.energy_scale:
-            dev_e = math.inf
         vals, vecs = np.linalg.eigh(_stencil(np.eye(n + 1), params)[1:-1])
-        dev_e = max(dev_e, float(np.max(np.abs(vals - spec.energies))))
         # fix each column's sign by its first entry above rounding noise
         first = np.argmax(np.abs(vecs) > 1e-8, axis=0)
         vecs = vecs * np.where(vecs[first, np.arange(n - 1)] < 0, -1.0, 1.0)
-        dev_v = max(dev_v, _worst(vecs.T - spec.eigenvectors[:, 1:n]))
-    yield "spectrum-oracle-energies", dev_e, 1e-10
-    yield "spectrum-oracle-vectors", dev_v, 1e-8
+        # every level must also lie below the band top 2 hbar^2/(m mu0^2), else inf
+        return (_worst(np.where(spec.energies < 2.0 * params.energy_scale,
+                                vals - spec.energies, math.inf)),
+                _worst(vecs.T - spec.eigenvectors[:, 1:n]))
+    energies, vectors = zip(*map(oracle, range(2, 33)))
+    yield "spectrum-oracle-energies", _worst(*energies), 1e-10
+    yield "spectrum-oracle-vectors", _worst(*vectors), 1e-8
 
     # every level of a box in one stencil call; H psi and E psi are 0 on the walls
-    yield "eigen-residual", max(_worst(_stencil(spec.eigenvectors, params)
-                                       - spec.energies[:, None] * spec.eigenvectors[:, 1:-1])
-                                for spec in (box_spectrum(n, params) for n in (2, 7, 32))), 1e-12
+    yield "eigen-residual", _worst(*(
+        _stencil(spec.eigenvectors, params) - spec.energies[:, None] * spec.eigenvectors[:, 1:-1]
+        for spec in (box_spectrum(n, params) for n in (2, 7, 32)))), 1e-12
 
     boxes = [PropagatorKernel.box(n, params) for n in (2, 6, 17, 48)]  # the engine's tables
-    yield "symmetry", max(_symmetry(box, *_grid(0, box.n), z * scale)
-                          for box in boxes for z in (0.3, 1.7, 25.0)), 0.0
-    yield "time-reversal", max(_time_reversal(box, *_grid(0, box.n), z * scale)
-                               for box in boxes for z in (0.4, 2.0)), 1e-14
-    yield "engine-vs-spectral", max(
-        _worst(PropagatorKernel.box(n, params)(*_grid(0, n), z * scale)
-               - box_spectral_kernel(*_grid(0, n), z * scale, n, params))
-        for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0)), 1e-13
+    yield "symmetry", _worst(*(_symmetry(box, *_grid(0, box.n), z * scale)
+                               for box in boxes for z in (0.3, 1.7, 25.0))), 0.0
+    yield "time-reversal", _worst(*(_time_reversal(box, *_grid(0, box.n), z * scale)
+                                    for box in boxes for z in (0.4, 2.0))), 1e-14
+    yield "engine-vs-spectral", _worst(*(
+        PropagatorKernel.box(n, params)(*_grid(0, n), z * scale)
+        - box_spectral_kernel(*_grid(0, n), z * scale, n, params)
+        for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0))), 1e-13
 
 
 def suite_momentum(params: PhysicalParams, n_box: int, seed: int):
@@ -290,25 +267,26 @@ def suite_momentum(params: PhysicalParams, n_box: int, seed: int):
     window = (-40 - pad, 40 + pad)
     grids = [MomentumGrid(params, window[1] - window[0] + 1 + extra) for extra in (8, 16)]
     grid_phases = [momentum_kernel_phase(grid.values, dt, params) for grid in grids]
-    dev = 0.0
-    for _ in range(3):
-        center = rng.uniform(-3.0, 3.0) * params.mu0
-        sigma = rng.uniform(2.0, 4.0) * params.mu0
-        p = rng.uniform(-0.5, 0.5) * params.brillouin_edge
-        psi = gaussian_packet(Lattice(params, -40, 40), center, sigma, p)
-        out = evolve(psi, kernel, dt, window)
-        for grid, phases in zip(grids, grid_phases):
-            back = from_momentum(to_momentum(psi, grid) * phases, grid, out.lattice)
-            dev = max(dev, float(np.max(np.abs(back.amplitudes - out.amplitudes))))
-    yield "phase-evolution", dev, 1e-9
+
+    def packets():
+        for _ in range(3):
+            center = rng.uniform(-3.0, 3.0) * params.mu0
+            sigma = rng.uniform(2.0, 4.0) * params.mu0
+            p = rng.uniform(-0.5, 0.5) * params.brillouin_edge
+            psi = gaussian_packet(Lattice(params, -40, 40), center, sigma, p)
+            out = evolve(psi, kernel, dt, window)
+            for grid, phases in zip(grids, grid_phases):
+                back = from_momentum(to_momentum(psi, grid) * phases, grid, out.lattice)
+                yield back.amplitudes - out.amplitudes
+    yield "phase-evolution", _worst(*packets()), 1e-9
 
     lat = Lattice(params, -6, 9)
     re, im = np.array([rng.gauss(0.0, 1.0) for _ in range(32)]).reshape(2, 16)
     psi = LatticeWavefunction(lat, re + 1j * im)  # 16 real parts, then 16 imaginary
     grid = MomentumGrid(params, 64)
     tilde = to_momentum(psi, grid)
-    yield "parseval", abs(float(np.sum(np.abs(tilde) ** 2)) / grid.num_points
-                          - psi.norm_sq()), 1e-12 * psi.norm_sq()
+    yield "parseval", _worst(float(np.sum(np.abs(tilde) ** 2)) / grid.num_points
+                             - psi.norm_sq()), 1e-12 * psi.norm_sq()
     yield "roundtrip", _worst(from_momentum(tilde, grid, lat).amplitudes - psi.amplitudes), 1e-12
 
     p_test = np.linspace(-0.9, 0.9, 7) * params.brillouin_edge
@@ -318,22 +296,21 @@ def suite_momentum(params: PhysicalParams, n_box: int, seed: int):
 
     # FFT route vs dense sum on sites -6..9 and 10^6 sites away, over (max|n| + 1)
     # sum|psi_n|: dense phases round by up to ~4 pi |n| eps (3 pi from p, pi from n p)
-    dev = 0.0
-    for shift in (0, 10**6):
+    def fft_vs_dense(shift):
         far = LatticeWavefunction(Lattice(params, -6 + shift, 9 + shift), psi.amplitudes)
-        dev = max(dev, _worst(to_momentum(far, grid) - momentum_samples(far, grid.values))
-                  / ((10 + shift) * np.sum(np.abs(psi.amplitudes))))
-    yield "fft-vs-dense", dev, 4.0 * math.pi * 2.0**-52
+        return (np.abs(to_momentum(far, grid) - momentum_samples(far, grid.values))
+                / ((10 + shift) * np.sum(np.abs(psi.amplitudes))))
+    yield "fft-vs-dense", _worst(*map(fft_vs_dense, (0, 10**6))), 4.0 * math.pi * 2.0**-52
 
 
 def suite_continuum(params: PhysicalParams, n_box: int, seed: int):
+    # signed: only a rise counts, its positive part by np.maximum, which keeps a NaN
     errors = [p.abs_error for p in continuum_sweep(1.0, 1.0, [1 / 8, 1 / 16, 1 / 32, 1 / 64])]
-    worst_rise = max(errors[i + 1] - errors[i] for i in range(len(errors) - 1))
-    yield "monotone-decrease", max(0.0, worst_rise), 0.0
+    yield "monotone-decrease", _worst(np.maximum(np.diff(errors), 0.0)), 0.0
 
     long_times = continuum_sweep(1.0, 50.0, [1 / 8])[0].abs_error
     short_times = continuum_sweep(1.0, 1.0, [1 / 8])[0].abs_error
-    yield "deep-time-decay", max(0.0, long_times - 0.25 * short_times), 0.0
+    yield "deep-time-decay", _worst(np.maximum(long_times - 0.25 * short_times, 0.0)), 0.0
 
 
 _SUITES = {"bessel": suite_bessel, "free": suite_free, "box": suite_box,
@@ -352,10 +329,9 @@ def run_suite(name: str, params: PhysicalParams | None = None, n_box: int = 8,
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     params = params or PhysicalParams()
     n_box = _box_size(n_box)  # checked whichever suite runs, like the seed
-    if (seed := operator.index(seed)) < 0:  # random.Random(-s) is Random(s)
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _integer(seed, "seed", 0)  # random.Random(-s) is Random(s)
     overrides = overrides or {}
-    results = [CheckResult(suite, check, float(dev), float(overrides.get(f"{suite}/{check}", tol)))
+    results = [CheckResult(suite, check, dev, float(overrides.get(f"{suite}/{check}", tol)))
                for suite in (_SUITES if name == "all" else (name,))
                for check, dev, tol in _SUITES[suite](params, n_box, seed)]
     unknown = set(overrides) - {f"{c.suite}/{c.name}" for c in results}

@@ -283,8 +283,35 @@ def test_verify_rejects_a_negative_seed(tmp_path, capsys, suite):
     # random.Random(-s) is Random(s): a negative seed would alias its opposite
     out = tmp_path / "report.csv"
     assert main(["verify", "--suite", suite, "--seed", "-1", "--out", str(out)]) == 2
-    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "1"])
+def test_run_suite_takes_only_an_integer_seed(seed):
+    # operator.index took True as seed 1 and raised a TypeError for 1.5
+    from polymerqm import verify
+
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+        verify.run_suite("continuum", seed=seed)
+
+
+def test_verify_fails_a_record_with_a_nan_sample(tmp_path, monkeypatch):
+    # z = 100 is the last sample of recurrence and sum-of-squares: the builtin max
+    # dropped its NaN, and both records passed at 1.1e-16 and 2.2e-16
+    from polymerqm import verify
+
+    real = verify.bessel_table
+    monkeypatch.setattr(verify, "bessel_table", lambda z, n: real(z, n) * (
+        math.nan if z == 100.0 else 1.0))
+    records = {r.name: r for r in verify.run_suite("bessel")}
+    for name in ("recurrence", "sum-of-squares"):
+        assert math.isnan(records[name].deviation) and not records[name].passed
+    assert all(r.passed for r in records.values() if r.name not in ("recurrence", "sum-of-squares"))
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", "bessel", "--out", str(out)]) == 1
+    status = {row["name"]: (row["deviation"], row["status"]) for row in read_csv(out)}
+    assert status["recurrence"] == status["sum-of-squares"] == ("nan", "fail")
 
 
 def test_verify_accepts_a_seed_beyond_64_bits(tmp_path):

@@ -1195,6 +1195,18 @@ def test_composition_over_several_times_is_the_worst_single_call(kernel):
         assert composition_check(kernel, js, rs, 0.0, times, 3.0) == max(single)
 
 
+def test_composition_fails_on_a_nan_leg_at_any_time(monkeypatch):
+    # both legs of the second t1 run for dt = 1: its NaN deviation came second to the
+    # first t1's in the builtin max, which returned 1.6e-16 here
+    from polymerqm import checks
+
+    def nan_at_one(kernel, js, rs, dt):
+        return kernel_table(kernel, js, rs, dt) * (math.nan if dt == 1.0 else 1.0)
+
+    monkeypatch.setattr(checks, "kernel_table", nan_at_one)
+    assert math.isnan(composition_check(FREE, [0, 2], range(0, 4), 0.0, [0.5, 1.0, 1.5], 2.0))
+
+
 @pytest.mark.parametrize("t1,named", [
     ([], "t1 must be one time or a nonempty 1-d sequence, got []"),
     ([[0.5]], "t1 must be one time or a nonempty 1-d sequence, got [[0.5]]"),
@@ -1239,6 +1251,21 @@ def test_greens_residual_free_is_finite_at_far_orders_and_tiny_times():
     with np.errstate(over="raise", invalid="raise"):
         assert greens_residual(kernel, [0, 1], [10**6], [1e-303]) == 0.0
         assert greens_residual(kernel, range(-3, 4), range(-3, 4), [1e-303]) <= 1e-15
+
+
+def test_greens_residual_is_nan_where_it_cannot_be_evaluated(monkeypatch):
+    # at a subnormal z the derivative's complex division by z overflows to NaN in
+    # every entry, and the builtin max returned 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(greens_residual(FREE, range(-3, 4), range(-3, 4), [1e-310]))
+    # a NaN table at the later of two times, which the builtin max dropped
+    from polymerqm import checks
+
+    def nan_late(kernel, js, rs, dt):
+        return kernel_table(kernel, js, rs, dt) * (math.nan if dt > 0.9 else 1.0)
+
+    monkeypatch.setattr(checks, "kernel_table", nan_late)
+    assert math.isnan(greens_residual_fd(FREE, range(-4, 5), range(-4, 5), [0.5, 1.0]))
 
 
 def test_greens_residual_box():
@@ -1425,10 +1452,10 @@ def test_schrodinger_box_evolve_refuses_a_matrix_over_the_limit():
 
 def test_box_mode_coefficients_rejects_a_negative_mode_count():
     # -5 modes gave 8187 coefficients through the slice [1:num_modes + 1]
-    with pytest.raises(ValueError, match="num_modes must be >= 0, got -5"):
+    with pytest.raises(ValueError, match="num_modes must be an integer >= 0, got -5"):
         box_mode_coefficients(_smooth_packet, 8.0, -5)
     # 2.5 modes gave 2 coefficients through int()
-    with pytest.raises(ValueError, match="num_modes must be an integer, got 2.5"):
+    with pytest.raises(ValueError, match="num_modes must be an integer >= 0, got 2.5"):
         box_mode_coefficients(_smooth_packet, 8.0, 2.5)
     assert box_mode_coefficients(_smooth_packet, 8.0, 0).shape == (0,)
     # 10^9 modes asked np.linspace for 8 x 10^9 + 1 samples (64 GB); 2^22 is the first refused
