@@ -10,10 +10,10 @@ check the engine, each folding its samples into one float by `_worst`, the one
 reducer of `verify` too: a NaN anywhere makes it NaN, and so fails the check;
 `apply_hamiltonian`, the generator of `evolve` in each system, and the Green's
 residual share the stencil of `dynamics`.  `schrodinger_free_kernel`,
-`schrodinger_box_evolve` and `momentum_kernel_phase` are the continuum and
-momentum references.  Composition sums (numpy's pairwise summation along a
-contiguous last axis) and the image fold (in site order) add in a fixed order,
-independent of the call's grid, so results do not depend on evaluation order.
+`schrodinger_box_gaussian` (by images, as the polymer box) and
+`momentum_kernel_phase` are the continuum and momentum references.  Sums add in
+a fixed order, independent of the call's grid: compositions by numpy's pairwise
+summation along a contiguous last axis, image sums in site order or out from the packet.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _MAX_SIZE, _integer, truncation_window
+from .bessel import _MAX_SIZE, truncation_window
 from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, _stencil
-from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
-from .propagators import (PropagatorKernel, _circle_read, _free_vector, _odd, _plan, _read,
+from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, _fold, _gaussian_inputs,
+                      dimensionless_time)
+from .propagators import (PropagatorKernel, _circle_read, _free_vector, _plan, _read,
                           _shared_params, _sites, kernel_table)
 from .spectral import dispersion_energy
 
@@ -65,17 +66,18 @@ def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool
 
     k_free is exactly 0 beyond the truncation window W, so the image sum is
     the free vector at orders -W..W folded onto Z_2N and `_circle_read`:
-    O(W + N + grid), however many images the window spans.
+    O(W + N + grid), however many images the window spans, 2^16 orders at a time.
     """
     n_box = _box_size(n_box)
-    box = n_box if mirror else None
 
     def reader(*_):  # the fold needs no windows
-        z = dimensionless_time(params, dt)
-        orders = np.arange(-(w := truncation_window(abs(z))), w + 1)
-        circle = _fold(orders, _free_vector(z, w)(orders), 2 * n_box)
+        read = _free_vector(z := dimensionless_time(params, dt), w := truncation_window(abs(z)))
+        circle = np.zeros(2 * n_box, dtype=complex)
+        for lo in range(-w, w + 1, 2**16):  # in site order, as one `_fold` adds: its bits
+            orders = np.arange(lo, min(lo + 2**16, w + 1))
+            np.add.at(circle, orders % (2 * n_box), read(orders))
         return lambda js, rs: _circle_read(circle, js, rs, mirror)
-    return _read(j, r, reader, box)
+    return _read(j, r, reader, n_box if mirror else None)
 
 
 def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
@@ -319,51 +321,38 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
     return points
 
 
-def box_mode_coefficients(packet, length: float, num_modes: int) -> np.ndarray:
-    """Continuum box-mode coefficients c_l = (2/L) integral sin(l pi y / L) f(y) dy."""
-    length, num_modes = float(length), _integer(num_modes, "num_modes", 0)
+def schrodinger_box_gaussian(x_eval, dt: float, length: float, center: float, sigma: float,
+                             momentum: float, params: PhysicalParams) -> np.ndarray:
+    """Continuum box evolution of exp(-(x - x0)^2/(4 sigma^2) + ipx/hbar) by images, x in [0, L].
+
+    sum_k [G(x - 2kL; x0, p) - G(x - 2kL; -x0, -p)] = P(x) - P(-x), P the image sum of the
+    free packet G(y) = a^(-1/2) exp(-(y - x0 - pt/m)^2/(4 sigma^2 a) + ip(y - pt/2m)/hbar),
+    a = 1 + i hbar t/(2 m sigma^2).  Images are added from the one nearest the packet, each
+    way up to the first whose term is exactly 0 at every point: O(points) each, at most
+    55 s/L + 5 for the width s = sigma |a| (e^-746 underflows); over `_MAX_SIZE` terms raise.
+    """
+    center, sigma, momentum = _gaussian_inputs(center, sigma, momentum)
+    dt, length, x = float(dt), float(length), np.asarray(x_eval, dtype=float)
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError(f"box length must be finite and > 0, got {length}")
-    # trapezoid sums on K + 1 points, the highest mode far below their Nyquist
-    # limit, all taken as one FFT of the `_odd` image of the samples
-    if (samples := max(4097, 8 * num_modes + 1)) > _MAX_SIZE:
-        raise ValueError(f"{samples} samples for {num_modes} modes is over the limit {_MAX_SIZE}")
-    y = np.linspace(0.0, length, samples)
-    f = np.array(packet(y), dtype=complex)
-    f[[0, -1]] = 0.0  # the sine is 0 at both ends
-    return (1j / (samples - 1)) * np.fft.fft(_odd(f))[1:num_modes + 1]
+    if not np.all((0.0 <= x) & (x <= length)):  # NaN compares false: refused
+        raise ValueError(f"points must lie in the box [0, {length}]")
+    a = complex(1.0, params.hbar * dt / (2.0 * params.mass) / sigma / sigma)  # never / 0
+    drift, lag = center + momentum * dt / params.mass, momentum * dt / (2.0 * params.mass)
+    if not (math.isfinite(abs(a)) and math.isfinite(drift / length)):  # the image index too
+        raise ValueError(f"dt must be finite, as must hbar dt/(m sigma^2) and (x0 + p dt/m)/L, "
+                         f"got {dt}")
+    if (terms := 2 * x.size * (55.0 * sigma * abs(a) / length + 5)) > _MAX_SIZE:
+        raise ValueError(f"{terms:.3g} image terms is over the limit {_MAX_SIZE}")
+    y, width = np.concatenate([x.ravel(), -x.ravel()]), 4.0 * sigma * sigma * a
 
+    def image(k):  # a^(1/2) G(y - 2kL) at every point of y
+        return np.exp(-(y - 2 * k * length - drift) ** 2 / width
+                      + 1j * momentum * (y - 2 * k * length - lag) / params.hbar)
 
-def schrodinger_box_evolve(packet, x_eval, dt: float, length: float,
-                           params: PhysicalParams) -> np.ndarray:
-    """Continuum box evolution of a smooth packet by the spectral series.
-
-    The pointwise kernel series does not converge; the packet-smeared
-    series does, because the mode coefficients of a smooth packet decay
-    fast.  Modes are added until the smallest retained coefficient is
-    below 1e-14 of the largest; over `bessel._MAX_SIZE` points x modes raise.
-    """
-    dt, length = float(dt), float(length)
-    num = 64
-    prev_tail = math.inf
-    while True:
-        coeffs = box_mode_coefficients(packet, length, num)
-        peak = float(np.max(np.abs(coeffs)))
-        tail = float(np.max(np.abs(coeffs[-8:])))
-        if peak == 0.0 or tail < 1e-14 * peak:
-            break
-        if tail > 0.25 * prev_tail or num >= 8192:
-            # tail no longer decays geometrically: residual wall
-            # mismatch or quadrature floor; more modes add nothing
-            break
-        prev_tail = tail
-        num *= 2
-    levels = np.arange(1, num + 1)
-    energies = (levels * math.pi * params.hbar / length) ** 2 / (2.0 * params.mass)
-    if not math.isfinite(float(energies[-1]) * dt / params.hbar):
-        raise ValueError(f"dt must be finite, with E dt/hbar finite at the top mode, got {dt}")
-    x = np.atleast_1d(np.asarray(x_eval, dtype=float))
-    if x.size * num > _MAX_SIZE:
-        raise ValueError(f"{x.size} points x {num} modes is over the limit {_MAX_SIZE}")
-    modes = np.sin(np.outer(x, levels) * math.pi / length)
-    return modes @ (coeffs * np.exp(-1j * energies * dt / params.hbar))
+    total = image(first := round(-drift / (2.0 * length)))
+    for step in (1, -1):  # past the image nearest the packet, each point's terms only fall
+        k = first + step
+        while np.any(term := image(k)):
+            total, k = total + term, k + step
+    return ((total[:x.size] - total[x.size:]) / np.sqrt(a)).reshape(x.shape)

@@ -110,7 +110,10 @@ class LatticeWavefunction:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        """sqrt(`norm_sq`), squares summed at an exact power-of-2 scale: same bits, no overflow."""
+        exp = math.frexp(float(np.max(mags := np.abs(self.amplitudes))))[1]
+        with np.errstate(over="ignore"):  # past the float range: inf
+            return float(np.ldexp(math.sqrt(float(np.sum(np.ldexp(mags, -exp) ** 2))), exp))
 
 
 def delta_state(lattice: Lattice, n: int) -> LatticeWavefunction:
@@ -125,15 +128,26 @@ def delta_state(lattice: Lattice, n: int) -> LatticeWavefunction:
 def gaussian_packet(lattice: Lattice, center: float, sigma: float,
                     momentum: float = 0.0) -> LatticeWavefunction:
     """Normalized Gaussian wave packet exp(-(x-x0)^2/(4 sigma^2) + i p x / hbar)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    center, sigma, momentum = _gaussian_inputs(center, sigma, momentum)
     x = lattice.positions
     amps = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)
                   + 1j * momentum * x / lattice.params.hbar)
-    nrm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    nrm = LatticeWavefunction(lattice, amps).norm()  # finite where the squares underflow
     if nrm == 0.0:
         raise ValueError("packet has no support on the window")
     return LatticeWavefunction(lattice, amps / nrm)
+
+
+def _gaussian_inputs(center, sigma, momentum) -> tuple[float, float, float]:
+    """center, sigma, momentum as floats, else a ValueError naming one: finite, sigma > 0,
+    and sigma^2, a divisor of the exponent, a normal float."""
+    values = tuple(map(float, (center, sigma, momentum)))
+    for name, v in zip(("center", "sigma", "momentum"), values):
+        if not math.isfinite(v) or (name == "sigma" and v <= 0.0):
+            raise ValueError(f"{name} must be {'> 0' if math.isfinite(v) else 'finite'}, got {v}")
+    if not sys.float_info.min <= values[1] * values[1] < math.inf:
+        raise ValueError(f"sigma = {values[1]} is out of range: sigma^2 is not a normal float")
+    return values
 
 
 def inner_product(a: LatticeWavefunction, b: LatticeWavefunction) -> complex:

@@ -909,6 +909,16 @@ def test_evolve_periodic_default_window_keeps_the_norm(tmp_path, capsys):
     assert [int(row["n"]) for row in read_csv(dst)] == list(range(-54, -22))
 
 
+def test_evolve_prints_the_finite_norm_of_a_large_state(tmp_path, capsys):
+    # nine sites of 1e200 printed norm_before=inf: the sum of squares overflowed
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    save_wavefunction(LatticeWavefunction(Lattice(PhysicalParams(), 0, 8), np.full(9, 1e200)), src)
+    assert main(["evolve", str(src), "--system", "free", "--dt", "0.5", "--out", str(dst)]) == 0
+    before, after = capsys.readouterr().out.split()
+    assert before == "norm_before=3e+200"
+    assert float(after.split("=")[1]) == pytest.approx(3e200, rel=1e-13)
+
+
 def test_evolve_requires_out(tmp_path):
     src = tmp_path / "in.csv"
     save_wavefunction(delta_state(Lattice(PhysicalParams(), 0, 1), 0), src)

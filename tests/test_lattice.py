@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +297,51 @@ def test_gaussian_packet_normalized():
     lat = Lattice(PhysicalParams(), -30, 30)
     psi = gaussian_packet(lat, 1.5, 3.0, 0.4)
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-14)
+    # a far tail (amplitudes e^-380 ~ 1e-165, squares 0) was "no support on the window"
+    tail = gaussian_packet(Lattice(PhysicalParams(), 0, 3), 42.0, 1.0)
+    assert tail.norm_sq() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("center", math.nan, "center must be finite, got nan"),
+    ("momentum", math.inf, "momentum must be finite, got inf"),
+    ("sigma", math.inf, "sigma must be finite, got inf"),
+    ("sigma", math.nan, "sigma must be finite, got nan"),
+    ("sigma", -1, "sigma must be > 0, got -1.0"),
+    ("sigma", 1e-170, "sigma = 1e-170 is out of range: sigma^2 is not a normal float"),
+    ("sigma", 1e200, "sigma = 1e+200 is out of range: sigma^2 is not a normal float"),
+])
+def test_gaussian_packet_names_a_bad_input(name, bad, message):
+    # NaN failed only as "amplitudes must be finite", after RuntimeWarnings,
+    # sigma = inf gave a flat state of norm 1, and 1e200 an OverflowError
+    inputs = dict(center=0.0, sigma=2.0, momentum=0.3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gaussian_packet(Lattice(PhysicalParams(), -8, 8), **{**inputs, name: bad})
+
+
+@pytest.mark.parametrize("value, norm", [(1e200, 3e200), (1e-200, 3e-200), (5e-324, 1.5e-323),
+                                         (-3e307j, 9e307), (0.0, 0.0)])
+def test_norm_of_a_finite_state_is_finite(value, norm):
+    # nine sites of 1e200 gave inf, with an overflow RuntimeWarning, and of 1e-200 gave 0.0
+    psi = LatticeWavefunction(Lattice(PhysicalParams(), 0, 8), np.full(9, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert psi.norm() == norm
+
+
+def test_norm_keeps_the_bits_of_a_normal_sum_of_squares():
+    # scaling by a power of 2 is exact, so where sum |a|^2 is a normal float the norm
+    # is sqrt of it bit for bit: the norms `polymerqm evolve` prints do not move
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 9, 1000):
+        for scale in (1e-150, 1e-3, 1.0, 3.7, 1e150):
+            amps = (rng.normal(size=size) + 1j * rng.normal(size=size)) * scale
+            amps[rng.random(size) < 0.3] *= 10.0 ** rng.uniform(-300.0, 0.0)
+            psi = LatticeWavefunction(Lattice(PhysicalParams(), 0, size - 1), amps)
+            if sys.float_info.min <= (total := psi.norm_sq()):
+                assert psi.norm() == math.sqrt(total), (size, scale)
+    assert math.inf == LatticeWavefunction(Lattice(PhysicalParams(), 0, 8),
+                                           np.full(9, 1e308)).norm()
 
 
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=1000))

@@ -28,7 +28,6 @@ from polymerqm.propagators import PropagatorKernel, evolve, kernel_table
 from polymerqm.checks import (
     apply_hamiltonian,
     box_images_kernel,
-    box_mode_coefficients,
     box_spectral_kernel,
     composition_check,
     continuum_sweep,
@@ -36,10 +35,11 @@ from polymerqm.checks import (
     greens_residual_fd,
     momentum_kernel_phase,
     periodic_kernel,
-    schrodinger_box_evolve,
+    schrodinger_box_gaussian,
     schrodinger_free_kernel,
 )
-from polymerqm.propagators import _plan
+from polymerqm.lattice import _fold
+from polymerqm.propagators import _circle_read, _free_vector, _plan
 
 P1 = PhysicalParams()
 FREE = PropagatorKernel.free(P1)
@@ -645,6 +645,31 @@ def test_image_sum_memory_does_not_grow_with_images(route, side, n):
         tracemalloc.stop()
     assert table.shape == (side, side)
     assert peak < 2 * 2**20
+
+
+def _traced_peak(call):
+    """call()'s result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("route, mirror, n", [(periodic_kernel, False, 1000),
+                                              (box_images_kernel, True, 39)])
+def test_image_fold_in_blocks_keeps_the_bytes_of_one_fold(route, mirror, n):
+    # at z = 1e5 the 2W + 1 orders fold in four blocks of 2^16, in site order: the
+    # bytes of one `_fold` of them all.  The one fold held about 40 bytes an order
+    # beside the free vector (7.68 MiB against the vector's 3.96); the blocks add 0.11
+    z, sites = 1e5, np.arange(40)
+    orders = np.arange(-(w := truncation_window(z)), w + 1)
+    circle = _fold(orders, _free_vector(z, w)(orders), 2 * n)
+    want = _circle_read(circle, sites[:, None], sites, mirror)
+    _, vector_peak = _traced_peak(lambda: _free_vector(z, w))
+    got, peak = _traced_peak(lambda: route(sites[:, None], sites, z, n, P1))
+    assert got.tobytes() == want.tobytes()
+    assert peak < vector_peak + 2**19
 
 
 @pytest.mark.parametrize("n", [2, 5, 16])
@@ -1383,7 +1408,7 @@ def test_continuum_sweep_rejects_non_divisor():
 
 def test_box_packet_smeared_continuum():
     # distributional box limit: a smooth packet evolved on finer and finer
-    # lattices approaches the continuum mode-sum evolution
+    # lattices approaches the continuum image-sum evolution
     length = 8.0
     packet = lambda y: np.exp(-(y - 3.0) ** 2 / (4 * 0.5**2) + 1.2j * y)
     errors = []
@@ -1396,88 +1421,98 @@ def test_box_packet_smeared_continuum():
         amps[-1] = 0.0
         psi = LatticeWavefunction(lat, amps * math.sqrt(mu0))
         out = evolve(psi, PropagatorKernel.box(n, params), 0.8)
-        ref = schrodinger_box_evolve(packet, lat.positions, 0.8, length, params)
+        ref = schrodinger_box_gaussian(lat.positions, 0.8, length, 3.0, 0.5, 1.2, params)
         errors.append(float(np.max(np.abs(out.amplitudes / math.sqrt(mu0) - ref))))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < errors[0] / 8.0
 
 
-def test_box_mode_coefficients_sine_transform():
-    # the FFT sine transform gives the trapezoid sums of the dense
-    # modes x quadrature route, in O(modes) memory
-    length = 3.0
-    packet = lambda y: y * (length - y) * np.exp(1j * y)
-    y = np.linspace(0.0, length, 4097)
-    levels = np.arange(1, 65)
-    dense = (2.0 / length) * np.trapezoid(
-        np.sin(np.outer(levels, y) * math.pi / length) * packet(y), y, axis=1)
-    assert np.max(np.abs(box_mode_coefficients(packet, length, 64) - dense)) <= 1e-14
-    tracemalloc.start()
-    try:
-        coeffs = box_mode_coefficients(packet, length, 512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert coeffs.shape == (512,)
-    assert peak < 4 * 2**20
+@pytest.mark.parametrize("dt", [0.0, 0.8, 5.0, 40.0, -3.0])
+def test_schrodinger_box_gaussian_is_the_fft_evolution_of_its_odd_image(dt):
+    # the reference at dt = 0, extended oddly onto the circle [0, 2L), evolved
+    # exactly by e^{-i hbar k^2 t/2m} per Fourier mode: measured <= 9.6e-15
+    # (dt = 40, 275 images), against the 1.8e-5 of the retired mode series
+    length = 8.0
+    x = 2 * length * np.arange(2**11) / 2**11
+    inside, outside = x[x <= length], 2 * length - x[x > length]
+    gauss = lambda y, t: schrodinger_box_gaussian(y, t, length, 3.0, 0.5, 1.2, P1)
+    start = np.concatenate([gauss(inside, 0.0), -gauss(outside, 0.0)])
+    k = 2 * math.pi * np.fft.fftfreq(x.size, x[1])
+    moved = np.fft.ifft(np.exp(-0.5j * k**2 * dt) * np.fft.fft(start))[:inside.size]
+    assert np.max(np.abs(moved - gauss(inside, dt))) <= 1e-13
 
 
-def _smooth_packet(y):
-    return y * (8.0 - y) * np.exp(1j * y)
+def test_schrodinger_box_gaussian_walls_and_its_free_limit():
+    # wall at 0 exactly 0; far from both walls at dt = 0, the packet itself
+    length = 40.0
+    x = np.linspace(0.0, length, 401)
+    got = schrodinger_box_gaussian(x, 0.0, length, 20.0, 0.7, -0.9, P1)
+    assert got[0] == 0.0
+    want = np.exp(-(x - 20.0) ** 2 / (4 * 0.7**2) - 0.9j * x)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert schrodinger_box_gaussian(4.0, 0.8, 8.0, 3.0, 0.5, 1.2, P1).shape == ()
+
+
+@pytest.mark.parametrize("dt", [0.0, 0.8, 40.0])
+def test_schrodinger_box_gaussian_one_more_image_changes_no_bit(dt):
+    # the point 0.25 stops one image before the grid 0, 0.125, ..., 8 does (two
+    # at dt = 0): the images it does not take add exactly 0 to it
+    x = np.linspace(0.0, 8.0, 65)
+    alone = schrodinger_box_gaussian([0.25], dt, 8.0, 3.0, 0.5, 1.2, P1)
+    grid = schrodinger_box_gaussian(x, dt, 8.0, 3.0, 0.5, 1.2, P1)
+    assert alone.tobytes() == grid[2:3].tobytes() and alone[0] != 0.0
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 1e308])
-def test_schrodinger_box_evolve_rejects_non_finite_dt(dt):
-    # was NaN amplitudes
-    with pytest.raises(ValueError, match="dt must be finite"):
-        schrodinger_box_evolve(_smooth_packet, [1.0, 4.0], dt, 8.0, P1)
+def test_schrodinger_box_gaussian_rejects_non_finite_dt(dt):
+    # dt = 1e308 overflows hbar dt/(2 m sigma^2); the mode series returned NaN for nan
+    with pytest.raises(ValueError, match="^dt must be finite"):
+        schrodinger_box_gaussian([1.0, 4.0], dt, 8.0, 3.0, 0.5, 1.2, P1)
 
 
-def test_schrodinger_box_evolve_refuses_a_matrix_over_the_limit():
-    # the points x modes sine matrix was unbounded: 2^19 + 1 points at 64 modes
-    # would be 512 MiB of complex values; refused before np.outer allocates
-    packet = lambda y: np.exp(-2.0 * (y - 4.0) ** 2 + 1.2j * y)
-    x = np.linspace(0.0, 8.0, bessel._MAX_SIZE // 64 + 1)
-    schrodinger_box_evolve(packet, x[:5], 0.8, 8.0, P1)  # warm up
+@pytest.mark.parametrize("name, bad, message", [
+    ("center", math.nan, "center must be finite, got nan"),
+    ("center", -math.inf, "center must be finite, got -inf"),
+    ("momentum", math.nan, "momentum must be finite, got nan"),
+    ("sigma", math.inf, "sigma must be finite, got inf"),
+    ("sigma", 0.0, "sigma must be > 0, got 0.0"),
+    ("sigma", -0.5, "sigma must be > 0, got -0.5"),
+    ("x_eval", [8.5], "points must lie in the box [0, 8.0]"),
+    ("x_eval", [math.nan], "points must lie in the box [0, 8.0]"),
+])
+def test_schrodinger_box_gaussian_names_a_bad_input(name, bad, message):
+    # a NaN packet ran the mode series to its 8,192-mode cap and returned NaN
+    inputs = dict(x_eval=[1.0, 4.0], dt=0.8, length=8.0, center=3.0, sigma=0.5, momentum=1.2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        schrodinger_box_gaussian(**{**inputs, name: bad}, params=P1)
+
+
+def test_schrodinger_box_gaussian_refuses_an_image_index_past_the_floats():
+    # (x0 + p dt/m)/L = 1e310 made round() raise an OverflowError
+    with pytest.raises(ValueError, match=r"^dt must be finite, as must .* \(x0 \+ p dt/m\)/L"):
+        schrodinger_box_gaussian([0.0], 0.5, 1e-10, 1e300, 1e-150, 0.0, P1)
+
+
+def test_schrodinger_box_gaussian_refuses_images_over_the_limit():
+    # dt = 1e7 spreads the packet over about 6.9e7 images of 2 points and their
+    # mirrors; refused before any image is made, not run for hours
+    x = np.array([1.0, 4.0])
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=rf"^{x.size} points x \d+ modes is over "
-                                             rf"the limit {bessel._MAX_SIZE}$"):
-            schrodinger_box_evolve(packet, x, 0.8, 8.0, P1)
+        with pytest.raises(ValueError, match=rf"^2.75e\+08 image terms is over the limit "
+                                             rf"{bessel._MAX_SIZE}$"):
+            schrodinger_box_gaussian(x, 1e7, 8.0, 3.0, 0.5, 1.2, P1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
 
 
-def test_box_mode_coefficients_rejects_a_negative_mode_count():
-    # -5 modes gave 8187 coefficients through the slice [1:num_modes + 1]
-    with pytest.raises(ValueError, match="num_modes must be an integer >= 0, got -5"):
-        box_mode_coefficients(_smooth_packet, 8.0, -5)
-    # 2.5 modes gave 2 coefficients through int()
-    with pytest.raises(ValueError, match="num_modes must be an integer >= 0, got 2.5"):
-        box_mode_coefficients(_smooth_packet, 8.0, 2.5)
-    assert box_mode_coefficients(_smooth_packet, 8.0, 0).shape == (0,)
-    # 10^9 modes asked np.linspace for 8 x 10^9 + 1 samples (64 GB); 2^22 is the first refused
-    for modes in (2**22, 10**9):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=rf"^{8 * modes + 1} samples for {modes} modes "
-                                                 rf"is over the limit {bessel._MAX_SIZE}$"):
-                box_mode_coefficients(_smooth_packet, 8.0, modes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-
 @pytest.mark.parametrize("length", [0.0, -8.0, math.inf, math.nan])
 def test_box_length_must_be_finite_and_positive(length):
     # length 0 gave nonsense coefficients and NaN evolution, -8 garbage, inf zeros
     with pytest.raises(ValueError, match="box length must be finite and > 0"):
-        box_mode_coefficients(_smooth_packet, length, 8)
-    with pytest.raises(ValueError, match="box length must be finite and > 0"):
-        schrodinger_box_evolve(_smooth_packet, [1.0, 4.0], 0.8, length, P1)
+        schrodinger_box_gaussian([0.0], 0.8, length, 3.0, 0.5, 1.2, P1)
 
 
 _BOX_SIZE_ROUTES = {

@@ -10,10 +10,11 @@ it for every job.
 Each case doubles one size at a time (window M, box size N, separation
 |j - r|, Bessel argument z, grid side, table rows: columns of r at 64 rows of j,
 or rows of j at 64 columns; times T of one table; sites M of a saved and loaded
-state file).  At every size it records the median wall time of a few calls,
-after one warm-up call, and the tracemalloc peak of one more call.  For the
-case it fits the least-squares slope of log2(time) and of log2(peak) against
-log2(size): 1 is linear, 2 quadratic, 0 flat.  Everything runs in this one process
+state file; evaluation points of the continuum box reference).  At every
+size it records the median wall time of a few calls, after one warm-up call,
+and the tracemalloc peak of one more call.  For the case it fits the
+least-squares slope of log2(time) and of log2(peak) against log2(size): 1 is
+linear, 2 quadratic, 0 flat.  Everything runs in this one process
 and takes well under a minute.  Wall-time slopes are a report, not a gate:
 on a shared host the times of single calls are noisy.
 
@@ -53,7 +54,7 @@ import polymerqm
 from polymerqm import (
     Lattice, LatticeWavefunction, MomentumGrid, PhysicalParams, PropagatorKernel,
     apply_hamiltonian, bessel_table, evolve, from_momentum, gaussian_packet,
-    kernel_table, periodic_kernel, to_momentum,
+    kernel_table, periodic_kernel, schrodinger_box_gaussian, to_momentum,
 )
 from polymerqm.cli import main as cli_main
 from polymerqm.verify import run_suite
@@ -107,6 +108,12 @@ def _kernel_table_free(separation):
 def _image_sum_periodic(side):
     sites = np.arange(side)
     return lambda: periodic_kernel(sites[:, None], sites, 1e3, 4, P)
+
+
+def _box_gaussian(points):
+    """The continuum box reference at `points` points of [0, 8]: demo 05's packet at t = 0.8."""
+    x = np.linspace(0.0, 8.0, points)
+    return lambda: schrodinger_box_gaussian(x, 0.8, 8.0, 3.0, 0.5, 1.2, P)
 
 
 def _momentum(m):
@@ -175,6 +182,8 @@ CASES = {
     # the same entry by the engine's call: the circle step of a delta, O(N log N) at any z
     "kernel_call_periodic_z": ("z", [1e3 * 4**k for k in range(6)],
                                lambda z: lambda: PropagatorKernel.periodic(1000, P)(3, 1, z)),
+    # the continuum box reference by images: a fixed count of images, O(points) each
+    "box_gaussian_points": ("points", [2**k for k in range(8, 16)], _box_gaussian),
     "bessel_table": ("z", [1e3 * 2**k for k in range(11)],
                      lambda z: lambda: bessel_table(z, 2)),
     "momentum_roundtrip": ("M", [2**k for k in range(6, 11)], _momentum),
