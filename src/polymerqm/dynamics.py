@@ -64,9 +64,14 @@ def _band(theta):
     return 2.0 * np.sin(0.5 * theta) ** 2
 
 
-def _box_modes(n_box: int, sites) -> np.ndarray:
-    """sqrt(2/N) sin(l pi n/N) at sites n for the levels l = 1..N-1, on a new last axis."""
-    modes = np.multiply.outer(sites, np.arange(1, n_box), dtype=float)  # one array, in place
+def _box_modes(n_box: int, sites, levels=None) -> np.ndarray:
+    """sqrt(2/N) sin(l pi n/N) at sites n for the levels l (default 1..N-1), on axes after n's.
+
+    l n is exact below 2^53 and np.fmod takes it mod 2N exactly; unreduced, the sine of
+    an angle of order pi N loses about eps pi N relative."""
+    levels = np.arange(1, n_box) if levels is None else levels
+    modes = np.multiply.outer(sites, levels, dtype=float)  # one array, in place: l n mod 2N
+    np.fmod(modes, 2 * n_box, out=modes)
     modes *= math.pi
     modes /= n_box
     np.sin(modes, out=modes)

@@ -6,7 +6,8 @@ momentum wavefunctions are periodic, so the transform is a discrete-time
 Fourier transform.  `to_momentum` and `from_momentum` take it on a P-point
 midpoint grid by one FFT, O(M + P log P); `momentum_samples` is the dense sum
 at any momenta, their check route.  The band and the box modes themselves are
-`dynamics._band` and `dynamics._box_modes`.
+`dynamics._band` and `dynamics._box_modes`; a `BoxSpectrum` holds only the
+N - 1 energies and makes a mode, in O(N), when `level` reads it.
 """
 
 from __future__ import annotations
@@ -45,23 +46,22 @@ def dispersion_momentum(params: PhysicalParams, energy: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BoxSpectrum:
-    """All N-1 levels of the box with walls at sites 0 and N.
+    """The N-1 levels of the box with walls at sites 0 and N, kept as their energies.
 
-    energies[l-1] = (hbar^2/m mu0^2)(1 - cos(l pi / N)) for l = 1..N-1;
-    eigenvectors[l-1, n] = sqrt(2/N) sin(l pi n / N) on sites n = 0..N,
-    with the wall entries exactly zero and unit lattice norm.
+    energies[l-1] = (hbar^2/m mu0^2)(1 - cos(l pi / N)) for l = 1..N-1.  The
+    mode sqrt(2/N) sin(l pi n / N) on sites n = 0..N, exactly zero at the walls
+    and of unit lattice norm, is made by `level(l)` when read, in O(N).
     """
 
     n: int
     params: PhysicalParams
     energies: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
 
     def level(self, l: int) -> tuple[float, np.ndarray]:
-        """(E_l, eigenvector samples on 0..N) for l in 1..N-1."""
-        if not (1 <= l <= self.n - 1):
+        """(E_l, eigenvector samples on 0..N) for l in 1..N-1: `dynamics._box_modes` of l."""
+        if not (1 <= (l := _integer(l, "level")) <= self.n - 1):
             raise ValueError(f"level {l} outside 1..{self.n - 1}")
-        return float(self.energies[l - 1]), self.eigenvectors[l - 1]
+        return float(self.energies[l - 1]), _box_modes(self.n, np.arange(self.n + 1), l)
 
     def eigenstate(self, l: int) -> LatticeWavefunction:
         _, vec = self.level(l)
@@ -69,12 +69,10 @@ class BoxSpectrum:
 
 
 def box_spectrum(n: int, params: PhysicalParams) -> BoxSpectrum:
-    """The closed-form box spectrum on N intervals, dense: N >= 5,793 is over `_MAX_SIZE`."""
-    if (n := _box_size(n)) ** 2 - 1 > _MAX_SIZE:
-        raise ValueError(f"{n - 1} levels x {n + 1} sites is over the limit {_MAX_SIZE}")
-    energies = params.energy_scale * _band(np.arange(1, n) * math.pi / n)
-    vectors = _box_modes(n, np.arange(0, n + 1)).T
-    return BoxSpectrum(n=n, params=params, energies=energies, eigenvectors=vectors)
+    """The closed-form box spectrum on N intervals, O(N): its modes are made when read."""
+    n = _box_size(n)
+    return BoxSpectrum(n=n, params=params,
+                       energies=params.energy_scale * _band(np.arange(1, n) * math.pi / n))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ yields one (name, deviation, tolerance) record per property at fixed
 desk-scale sample grids; `run_suite` reads the suites from `_SUITES` and
 makes every `CheckResult`.  Every record and invariant folds its samples by
 `checks._worst`, the one reducer: a NaN sample makes the record NaN, a failure.
-Randomized samples (Jacobi-Anger points, Gaussian packets, amplitudes)
-come from `random.Random(seed)`: a deterministic stdlib generator, so
+Randomized samples (Jacobi-Anger points, Gaussian packets, amplitudes, box
+levels) come from `random.Random(seed)`: a deterministic stdlib generator, so
 two runs with the same seed produce identical reports, and
 `numpy.random` stays unloaded.
 """
@@ -28,7 +28,7 @@ from . import SUITE_NAMES
 from .bessel import _integer, bessel_jn, bessel_table, jacobi_anger, truncation_window
 from .checks import (_worst, box_images_kernel, box_spectral_kernel, composition_check,
                      continuum_sweep, greens_residual, greens_residual_fd, momentum_kernel_phase)
-from .dynamics import _box_size, _stencil
+from .dynamics import _box_modes, _box_size, _stencil
 from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, dimensionless_time,
                       gaussian_packet)
 from .propagators import PropagatorKernel, _circle_step, _odd, evolve, kernel_table
@@ -167,10 +167,12 @@ def suite_free(params: PhysicalParams, n_box: int, seed: int):
 
     sites = range(-8, 9)
     yield "greens-residual", greens_residual(
-        kernel, sites, sites, [z * scale for z in (0.5, 1.0, 5.0, 20.0)]), 1e-9
+        kernel, sites, sites, [z * scale for z in (0.5, 1.0, 5.0, 20.0)]
+    ) / params.energy_scale, 1e-9
     yield "greens-residual-fd", greens_residual_fd(
         kernel, range(-4, 5), range(-4, 5), [z * scale for z in (0.5, 1.0, 5.0)],
-        step=1e-6), 1e-5
+        step=1e-6 * scale
+    ) / params.energy_scale, 1e-5
     yield "symmetry", _symmetry(kernel, [[-5], [0], [2]], [-1, 3, 7], 1.3 * scale), 0.0
     yield "time-reversal", _worst(*(_time_reversal(kernel, [[-3], [0], [4]], [-2, 1, 6], dt)
                                     for dt in (0.4 * scale, 2.0 * scale))), 1e-13
@@ -188,7 +190,8 @@ def suite_free(params: PhysicalParams, n_box: int, seed: int):
 
     yield "dispersion-roundtrip", _worst(*(
         dispersion_energy(params, dispersion_momentum(params, energy)) - energy
-        for energy in (0.0, 0.4 * params.energy_scale, 2.0 * params.energy_scale))), 1e-12
+        for energy in (0.0, 0.4 * params.energy_scale, 2.0 * params.energy_scale))
+    ) / params.energy_scale, 1e-12
 
 
 def suite_box(params: PhysicalParams, n_box: int, seed: int):
@@ -200,17 +203,20 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
         - box_images_kernel(*_grid(0, n), z * scale, n, params=params)
         for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0))), 1e-10
     yield "boundary-zeros", _worst(kernel_table(PropagatorKernel.box(n_box, params), [0, n_box],
-                                                range(n_box + 1), 1.7 * scale)), 0.0
+                                                np.arange(n_box + 1), 1.7 * scale)), 0.0
 
-    def eigenphases():  # 16 levels per circle step, row by row FFTs; one block held at a time
+    def eigenphases():  # at most 48 levels of a size, made a block at a time before its steps
         for n, times in [(n_box, (0.3, 2.0))] + [(n, (0.7, 3.1)) for n in (2, 5, 9)]:
-            spectrum = box_spectrum(n, params)
-            states = spectrum.eigenvectors  # real levels 1..N-1 on sites 0..N
-            for dt in (z * scale for z in times):
-                phases = np.exp(-1j * spectrum.energies * dt / params.hbar)
-                for block in (slice(lo, lo + 16) for lo in range(0, n - 1, 16)):
-                    out = _circle_step(_odd(states[block]), dimensionless_time(params, dt))
-                    yield _worst(out[:, 1:n] - phases[block, None] * states[block, 1:n])
+            levels = np.arange(1, n) if n - 1 <= 48 else np.r_[  # first, seeded and last 16
+                1:17, sorted(random.Random(seed).sample(range(17, n - 16), 16)), n - 16:n]
+            energies = box_spectrum(n, params).energies[levels - 1]
+            block = max(1, min(16, 2**13 // (2 * n)))  # levels x 2N <= 2^13, or one level
+            for lo in range(0, levels.size, block):
+                states = _box_modes(n, np.arange(n + 1), levels[lo:lo + block]).T  # on 0..N
+                for dt in (z * scale for z in times):
+                    out = _circle_step(_odd(states), dimensionless_time(params, dt))
+                    phases = np.exp(-1j * energies[lo:lo + block] * dt / params.hbar)
+                    yield _worst(out[:, 1:n] - phases[:, None] * states[:, 1:n])
     yield "eigenphase", _worst(*eigenphases()), 1e-12
 
     yield "unitarity", _worst(*(_unitarity(PropagatorKernel.box(n, params), 1, n - 1, z * scale)
@@ -221,28 +227,29 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
 
     box6 = PropagatorKernel.box(6, params)
     yield "greens-residual", greens_residual(
-        box6, range(1, 6), range(0, 7), [z * scale for z in (0.5, 1.0, 5.0, 20.0)]), 1e-10
+        box6, range(1, 6), range(0, 7), [z * scale for z in (0.5, 1.0, 5.0, 20.0)]
+    ) / params.energy_scale, 1e-10
     yield "greens-residual-fd", greens_residual_fd(
-        box6, range(1, 6), range(1, 6), [z * scale for z in (0.5, 1.0, 5.0)], step=1e-6), 1e-5
+        box6, range(1, 6), range(1, 6), [z * scale for z in (0.5, 1.0, 5.0)], step=1e-6 * scale
+    ) / params.energy_scale, 1e-5
 
     def oracle(n):  # the interior rows of the stencil of the identity, diagonalized densely
-        spec = box_spectrum(n, params)
+        energies = box_spectrum(n, params).energies
         vals, vecs = np.linalg.eigh(_stencil(np.eye(n + 1), params)[1:-1])
         # fix each column's sign by its first entry above rounding noise
         first = np.argmax(np.abs(vecs) > 1e-8, axis=0)
         vecs = vecs * np.where(vecs[first, np.arange(n - 1)] < 0, -1.0, 1.0)
         # every level must also lie below the band top 2 hbar^2/(m mu0^2), else inf
-        return (_worst(np.where(spec.energies < 2.0 * params.energy_scale,
-                                vals - spec.energies, math.inf)),
-                _worst(vecs.T - spec.eigenvectors[:, 1:n]))
+        return (_worst(np.where(energies < 2.0 * params.energy_scale, vals - energies, math.inf))
+                / params.energy_scale, _worst(vecs - _box_modes(n, np.arange(1, n))))
     energies, vectors = zip(*map(oracle, range(2, 33)))
     yield "spectrum-oracle-energies", _worst(*energies), 1e-10
     yield "spectrum-oracle-vectors", _worst(*vectors), 1e-8
 
-    # every level of a box in one stencil call; H psi and E psi are 0 on the walls
-    yield "eigen-residual", _worst(*(
-        _stencil(spec.eigenvectors, params) - spec.energies[:, None] * spec.eigenvectors[:, 1:-1]
-        for spec in (box_spectrum(n, params) for n in (2, 7, 32)))), 1e-12
+    def eigen_residual(n):  # every level of a box in one stencil call; H and E are 0 on the walls
+        states, energies = _box_modes(n, np.arange(n + 1)).T, box_spectrum(n, params).energies
+        return _stencil(states, params) - energies[:, None] * states[:, 1:-1]
+    yield "eigen-residual", _worst(*map(eigen_residual, (2, 7, 32))) / params.energy_scale, 1e-12
 
     boxes = [PropagatorKernel.box(n, params) for n in (2, 6, 17, 48)]  # the engine's tables
     yield "symmetry", _worst(*(_symmetry(box, *_grid(0, box.n), z * scale)

@@ -270,12 +270,34 @@ def test_verify_rejects_box_size_below_two(tmp_path, capsys, suite, n):
     assert not out.exists()
 
 
-def test_verify_box_above_the_spectrum_limit_exits_2(tmp_path, capsys):
-    # eigenphase's dense box spectrum at N = 5,793 is refused, not a MemoryError (exit 1)
+def test_verify_box_past_the_old_spectrum_limit_passes(tmp_path):
+    # N = 5,793 was refused (exit 2) for eigenphase's dense box spectrum, which is gone
     out = tmp_path / "report.csv"
-    assert main(["verify", "--suite", "box", "--N", "5793", "--out", str(out)]) == 2
-    assert "5792 levels x 5794 sites is over the limit 33554432" in capsys.readouterr().err
+    assert main(["verify", "--suite", "box", "--N", "5793", "--out", str(out)]) == 0
+    assert out.read_bytes().count(b",pass\r\n") == 14
+
+
+def test_verify_box_at_the_largest_n_names_the_table_limit(tmp_path, capsys):
+    # N = 2^24 is a legal box (2N = 2^25), but boundary-zeros' two rows of N + 1
+    # sites are over the entry limit: refused by name before the table is made
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", "box", "--N", str(2**24), "--out", str(out)]) == 2
+    assert "table of 2 x 16777217 entries is over the limit 33554432" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    *(["--mu0", f"{mu0:g}"] for mu0 in (1e-4, 1e-3, 1e-2, 0.05, 0.1, 1.0, 10.0, 100.0, 1e3)),
+    *(["--hbar", f"{10.0**k:g}"] for k in range(-3, 4)),
+    *(["--mass", f"{10.0**k:g}"] for k in range(-6, 5)),
+    ["--hbar", "0.9", "--mass", "1.3"],
+], ids=" ".join)
+def test_verify_passes_in_the_papers_units(tmp_path, argv):
+    # sample times and the differencing step are in z, energies and residuals in
+    # hbar^2/(m mu0^2): mu0 = 0.01 and hbar = 100 exited 1, mu0 = 1e-3 and mass = 1e-6 exit 2
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", "all", *argv, "--out", str(out)]) == 0
+    assert ",fail" not in out.read_text()
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -551,14 +573,14 @@ _VERIFY_ALL_CSV = {
         b"box,initial-condition,0.0,1e-14,pass\r\n"
         b"box,spectral-vs-images,1.942097114741681e-15,1e-10,pass\r\n"
         b"box,boundary-zeros,0.0,0.0,pass\r\n"
-        b"box,eigenphase,1.1792037227924548e-15,1e-12,pass\r\n"
+        b"box,eigenphase,8.881784197001252e-16,1e-12,pass\r\n"
         b"box,unitarity,8.604228440844963e-16,1e-12,pass\r\n"
         b"box,composition,5.661048867003677e-16,1e-12,pass\r\n"
-        b"box,greens-residual,2.8921789250429584e-15,1e-10,pass\r\n"
+        b"box,greens-residual,2.648585892402976e-15,1e-10,pass\r\n"
         b"box,greens-residual-fd,2.2399747679684184e-10,1e-05,pass\r\n"
         b"box,spectrum-oracle-energies,8.881784197001252e-16,1e-10,pass\r\n"
-        b"box,spectrum-oracle-vectors,9.624245844719326e-15,1e-08,pass\r\n"
-        b"box,eigen-residual,2.0261570199409107e-15,1e-12,pass\r\n"
+        b"box,spectrum-oracle-vectors,9.235667786100521e-15,1e-08,pass\r\n"
+        b"box,eigen-residual,2.220446049250313e-16,1e-12,pass\r\n"
         b"box,symmetry,0.0,0.0,pass\r\n"
         b"box,time-reversal,5.117875266520904e-16,1e-14,pass\r\n"
         b"box,engine-vs-spectral,1.6946818973100074e-15,1e-13,pass\r\n"
@@ -581,23 +603,23 @@ _VERIFY_ALL_CSV = {
         b"free,initial-condition,0.0,1e-14,pass\r\n"
         b"free,unitarity,1.3322676295501878e-15,1e-10,pass\r\n"
         b"free,composition,1.1443916996305594e-16,1e-09,pass\r\n"
-        b"free,greens-residual,4.440892098500626e-16,1e-09,pass\r\n"
-        b"free,greens-residual-fd,1.3695956115014327e-10,1e-05,pass\r\n"
+        b"free,greens-residual,1.1102230246251565e-16,1e-09,pass\r\n"
+        b"free,greens-residual-fd,1.2078004126118433e-10,1e-05,pass\r\n"
         b"free,symmetry,0.0,0.0,pass\r\n"
         b"free,time-reversal,0.0,1e-13,pass\r\n"
         b"free,eigenstate-phase,6.661338147750939e-16,1e-08,pass\r\n"
-        b"free,dispersion-roundtrip,2.220446049250313e-16,1e-12,pass\r\n"
+        b"free,dispersion-roundtrip,5.551115123125783e-17,1e-12,pass\r\n"
         b"box,initial-condition,0.0,1e-14,pass\r\n"
         b"box,spectral-vs-images,1.942097114741681e-15,1e-10,pass\r\n"
         b"box,boundary-zeros,0.0,0.0,pass\r\n"
-        b"box,eigenphase,5.2759326650582574e-15,1e-12,pass\r\n"
+        b"box,eigenphase,8.881784197001252e-16,1e-12,pass\r\n"
         b"box,unitarity,8.604228440844963e-16,1e-12,pass\r\n"
         b"box,composition,5.661048867003677e-16,1e-12,pass\r\n"
-        b"box,greens-residual,1.1568715700171834e-14,1e-10,pass\r\n"
-        b"box,greens-residual-fd,3.4988139595785953e-10,1e-05,pass\r\n"
-        b"box,spectrum-oracle-energies,3.552713678800501e-15,1e-10,pass\r\n"
-        b"box,spectrum-oracle-vectors,9.624245844719326e-15,1e-08,pass\r\n"
-        b"box,eigen-residual,8.104628079763643e-15,1e-12,pass\r\n"
+        b"box,greens-residual,2.648585892402976e-15,1e-10,pass\r\n"
+        b"box,greens-residual-fd,2.2399747679684184e-10,1e-05,pass\r\n"
+        b"box,spectrum-oracle-energies,8.881784197001252e-16,1e-10,pass\r\n"
+        b"box,spectrum-oracle-vectors,9.235667786100521e-15,1e-08,pass\r\n"
+        b"box,eigen-residual,2.220446049250313e-16,1e-12,pass\r\n"
         b"box,symmetry,0.0,0.0,pass\r\n"
         b"box,time-reversal,5.117875266520904e-16,1e-14,pass\r\n"
         b"box,engine-vs-spectral,1.6946818973100074e-15,1e-13,pass\r\n"
@@ -620,23 +642,23 @@ _VERIFY_ALL_CSV = {
         b"free,initial-condition,0.0,1e-14,pass\r\n"
         b"free,unitarity,1.3322676295501878e-15,1e-10,pass\r\n"
         b"free,composition,1.1443916996305594e-16,1e-09,pass\r\n"
-        b"free,greens-residual,5.551115123125783e-17,1e-09,pass\r\n"
-        b"free,greens-residual-fd,8.15846492588999e-11,1e-05,pass\r\n"
+        b"free,greens-residual,8.909197111189528e-17,1e-09,pass\r\n"
+        b"free,greens-residual-fd,1.3428211302392478e-10,1e-05,pass\r\n"
         b"free,symmetry,0.0,0.0,pass\r\n"
         b"free,time-reversal,0.0,1e-13,pass\r\n"
         b"free,eigenstate-phase,2.3914935841127266e-15,1e-08,pass\r\n"
-        b"free,dispersion-roundtrip,2.7755575615628914e-17,1e-12,pass\r\n"
+        b"free,dispersion-roundtrip,4.454598555594764e-17,1e-12,pass\r\n"
         b"box,initial-condition,0.0,1e-14,pass\r\n"
         b"box,spectral-vs-images,1.942097114741681e-15,1e-10,pass\r\n"
         b"box,boundary-zeros,0.0,0.0,pass\r\n"
-        b"box,eigenphase,2.511074399121581e-15,1e-12,pass\r\n"
+        b"box,eigenphase,7.256454257126016e-16,1e-12,pass\r\n"
         b"box,unitarity,8.604228440844963e-16,1e-12,pass\r\n"
         b"box,composition,7.899680058268651e-16,1e-12,pass\r\n"
-        b"box,greens-residual,1.7794982479793266e-15,1e-10,pass\r\n"
-        b"box,greens-residual-fd,1.3270615546269445e-10,1e-05,pass\r\n"
-        b"box,spectrum-oracle-energies,8.881784197001252e-16,1e-10,pass\r\n"
-        b"box,spectrum-oracle-vectors,8.659739592076221e-15,1e-08,pass\r\n"
-        b"box,eigen-residual,1.2628786905111156e-15,1e-12,pass\r\n"
+        b"box,greens-residual,2.6437395057902425e-15,1e-10,pass\r\n"
+        b"box,greens-residual-fd,2.653289365742835e-10,1e-05,pass\r\n"
+        b"box,spectrum-oracle-energies,1.4254715377903245e-15,1e-10,pass\r\n"
+        b"box,spectrum-oracle-vectors,8.382183835919932e-15,1e-08,pass\r\n"
+        b"box,eigen-residual,1.7818394222379056e-16,1e-12,pass\r\n"
         b"box,symmetry,0.0,0.0,pass\r\n"
         b"box,time-reversal,5.117875266520904e-16,1e-14,pass\r\n"
         b"box,engine-vs-spectral,1.6946818973100074e-15,1e-13,pass\r\n"

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymerqm import spectral
-from polymerqm.dynamics import WallSupportError
+from polymerqm.dynamics import WallSupportError, _box_modes
 from polymerqm.spectral import (
     box_spectrum,
     dispersion_energy,
@@ -132,7 +131,7 @@ def test_box_spectrum_small_cases():
     params = PhysicalParams()
     spec2 = box_spectrum(2, params)
     assert spec2.energies == pytest.approx([1.0])
-    assert np.allclose(spec2.eigenvectors, [[0.0, 1.0, 0.0]])
+    assert np.allclose(spec2.level(1)[1], [0.0, 1.0, 0.0])
     spec3 = box_spectrum(3, params)
     assert spec3.energies == pytest.approx([0.5, 1.5])
     with pytest.raises(ValueError):
@@ -142,42 +141,75 @@ def test_box_spectrum_small_cases():
             spec3.level(level)
 
 
-def test_box_spectrum_refuses_a_dense_matrix_over_the_size_limit(monkeypatch):
-    # (N - 1) levels x (N + 1) sites: over 2^25 entries from N = 5,793, refused before any mode
-    params = PhysicalParams()
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError,
-                           match=r"^5792 levels x 5794 sites is over the limit 33554432$"):
-            box_spectrum(5793, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    # N = 5,792 (33,547,263 entries) goes on to its modes, stopped here before they are made
-    built = []
-
-    def stop(n, sites):
-        built.append(n)
-        raise RuntimeError("modes")
-
-    monkeypatch.setattr(spectral, "_box_modes", stop)
-    with pytest.raises(RuntimeError, match="modes"):
-        box_spectrum(5792, params)
-    assert built == [5792]
+@pytest.mark.parametrize("level", [True, 2.0, 1.5, "2"])
+def test_box_level_must_be_an_integer(level):
+    # True read as level 1, 2.0 and 1.5 raised IndexError and "2" TypeError
+    spec = box_spectrum(3, PhysicalParams())
+    for read in (spec.level, spec.eigenstate):
+        with pytest.raises(ValueError, match=rf"^level must be an integer, got {level!r}$"):
+            read(level)
+    assert spec.level(np.int64(2))[0] == spec.level(2)[0] == spec.energies[1]
 
 
-def test_box_spectrum_holds_one_dense_matrix():
-    # the modes are made in place: the angles were a second N x N array beside their sine
+def test_box_spectrum_keeps_no_modes_and_makes_each_one_when_read():
+    # only the N - 1 energies are held; level(l) is the column l of _box_modes, bit for bit
+    params = PhysicalParams(hbar=0.7, mass=1.3, mu0=0.2)
+    assert not hasattr(box_spectrum(4, params), "eigenvectors")
+    for n in (2, 9, 64, 1000):
+        spec, modes = box_spectrum(n, params), _box_modes(n, np.arange(n + 1))
+        for level in range(1, n):
+            energy, vec = spec.level(level)
+            assert energy == spec.energies[level - 1]
+            assert vec.shape == (n + 1,)
+            assert np.array_equal(vec.view(np.uint64), modes[:, level - 1].view(np.uint64))
+
+
+def test_box_spectrum_is_linear_in_n():
+    # N = 5,793 and up used to be refused as a dense (N - 1) x (N + 1) matrix
     box_spectrum(8, PhysicalParams())  # warm up
     tracemalloc.start()
     try:
-        spec = box_spectrum(2048, PhysicalParams())
+        spec = box_spectrum(2**20, PhysicalParams())
+        state = spec.eigenstate(2**20 - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spec.eigenvectors.shape == (2047, 2049)
-    assert peak < 1.1 * spec.eigenvectors.nbytes
+    assert spec.energies.shape == (2**20 - 1,)
+    assert peak < 5 * 8 * 2**20  # a few arrays of N floats: the angles and the band's temporaries
+    assert state.amplitudes[0] == state.amplitudes[-1] == 0.0
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_box_modes_are_made_in_place():
+    # the angles were a second N x N array beside their sine, and the
+    # reduction mod 2N is made in the same array
+    _box_modes(8, np.arange(9))  # warm up
+    tracemalloc.start()
+    try:
+        modes = _box_modes(2048, np.arange(2049))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert modes.shape == (2049, 2047)
+    assert peak < 1.1 * modes.nbytes
+
+
+def test_box_modes_reduce_the_angle_exactly():
+    # l n is exact below 2^53 and np.fmod takes it mod 2N with the bits of the integer
+    # %; unreduced, sin(pi l n / N) loses about eps pi N relative (4.8e-9 at N = 2^24)
+    import mpmath
+
+    n = 2**24
+    sites = np.array([1, 3, 12345, n // 2 - 1, n // 2 + 1, n - 7, n - 1])
+    levels = np.array([1, 2, 777, n // 3, n - 5, n - 1])
+    modes = _box_modes(n, sites, levels)
+    angles = np.multiply.outer(sites, levels) % (2 * n) * math.pi / n
+    assert np.array_equal(modes, np.sin(angles) * math.sqrt(2.0 / n))
+    with mpmath.workdps(40):
+        exact = [[float(mpmath.sqrt(mpmath.mpf(2) / n)
+                        * mpmath.sinpi(mpmath.mpf(int(s) * int(l)) / n)) for l in levels]
+                 for s in sites]
+    assert np.max(np.abs(modes - exact)) <= 4 * 2.0**-52 * math.sqrt(2.0 / n)
 
 
 def test_box_spectrum_structure():
@@ -186,13 +218,10 @@ def test_box_spectrum_structure():
         spec = box_spectrum(n, params)
         assert np.all(np.diff(spec.energies) > 0)
         assert np.max(spec.energies) < 2.0 * params.energy_scale
-        assert np.all(spec.eigenvectors[:, 0] == 0.0)
-        assert np.all(spec.eigenvectors[:, n] == 0.0)
-        lat = Lattice(params, 0, n)
-        for a in range(1, n):
-            va = LatticeWavefunction(lat, spec.eigenvectors[a - 1])
-            for b in range(a, n):
-                vb = LatticeWavefunction(lat, spec.eigenvectors[b - 1])
+        states = [spec.eigenstate(level) for level in range(1, n)]
+        assert all(s.amplitudes[0] == 0.0 and s.amplitudes[n] == 0.0 for s in states)
+        for a, va in enumerate(states):
+            for b, vb in enumerate(states[a:], start=a):
                 want = 1.0 if a == b else 0.0
                 assert inner_product(va, vb) == pytest.approx(want, abs=1e-12)
 

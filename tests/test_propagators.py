@@ -1026,40 +1026,94 @@ def test_periodic_evolve_plans_before_it_folds():
 def test_batched_box_step_is_the_per_level_evolve_bit_for_bit(n):
     # the circle step of the odd images of every level at once, inside the walls;
     # only `evolve` sets the walls to exactly 0
+    from polymerqm.dynamics import _box_modes
     from polymerqm.propagators import _circle_step, _odd
 
     spectrum = box_spectrum(n, P1)
     box = PropagatorKernel.box(n, P1)
     for dt in (0.0, 0.7, 3.1, 250.0):
-        stack = _circle_step(_odd(spectrum.eigenvectors.astype(complex)), dt)[:, 1:n]
+        stack = _circle_step(_odd(_box_modes(n, np.arange(n + 1)).T.astype(complex)), dt)[:, 1:n]
         each = [evolve(spectrum.eigenstate(level), box, dt).amplitudes[1:n]
                 for level in range(1, n)]
         assert _same_bits(np.ascontiguousarray(stack), np.array(each))
 
 
-def test_box_eigenphase_steps_do_not_grow_with_the_box(monkeypatch):
-    # No timing: count the circle steps of the box suite.  The eigenphase
-    # record moves the levels of a size 16 at a time, so no step holds
-    # more than 16 levels and the step count grows as n_box / 16, not n_box.
+def _eigenphase_steps(monkeypatch, n_box, wrong_level=None):
+    """The box suite at n_box, seed 0: (eigenphase record, shapes of verify's own
+    circle steps, the levels stepped on the circle 2 n_box, read from their spectra).
+
+    wrong_level: those steps also turn momenta +-l of the circle 2 n_box by 1e-9
+    rad, a step that is wrong on level l alone (its odd image holds only them).
+    """
     from polymerqm import propagators, verify
 
-    steps = []
-    real = propagators._circle_step
+    shapes, levels, real = [], [], propagators._circle_step
 
-    def counting(psi, z):
-        steps.append(psi.shape)
-        return real(psi, z)
+    def step(psi, z):
+        shapes.append(psi.shape)
+        out = real(psi, z)
+        if psi.shape[-1] != 2 * n_box:
+            return out
+        levels.extend(np.argmax(np.abs(np.fft.fft(psi))[:, :n_box + 1], axis=-1))
+        if wrong_level is None:
+            return out
+        spectrum = np.fft.fft(out)
+        spectrum[:, [wrong_level, 2 * n_box - wrong_level]] *= np.exp(1e-9j)
+        return np.fft.ifft(spectrum)
 
-    for module in (propagators, verify):  # the engine's steps and eigenphase's own
-        monkeypatch.setattr(module, "_circle_step", counting)
-    counts = []
-    for n_box in (8, 128):
-        steps.clear()
-        verify.run_suite("box", n_box=n_box)
-        counts.append(len(steps))
-    assert counts[1] - counts[0] == 2 * (8 - 1)  # two times, 127 levels in 8 blocks, not 1
-    assert all(len(shape) == 1 or shape[0] <= 16 for shape in steps)
-    assert {(16, 256), (15, 256)} <= set(steps)
+    monkeypatch.setattr(verify, "_circle_step", step)
+    records = verify.run_suite("box", n_box=n_box)
+    return next(r.deviation for r in records if r.name == "eigenphase"), shapes, levels
+
+
+def test_box_eigenphase_steps_do_not_grow_with_the_box(monkeypatch):
+    # No timing: count eigenphase's circle steps.  It steps every level up to
+    # N - 1 = 48 and 48 levels above, in blocks of at most 16 levels and of at
+    # most 2^13 entries of the circle (one level from N = 4096 on): so the
+    # step count stays bounded and each step holds O(N).
+    counts = {}
+    for n_box in (8, 49, 50, 128, 4096, 2**15):
+        deviation, shapes, levels = _eigenphase_steps(monkeypatch, n_box)
+        assert deviation <= 1e-14
+        assert all(len(s) == 2 and s[0] <= 16 and s[0] * s[1] <= max(2**13, s[1])
+                   for s in shapes)
+        assert len(levels) == 2 * len(set(levels)) == 2 * min(n_box - 1, 48)  # two times
+        counts[n_box] = len(shapes)
+    assert counts[8] == 2 + 6  # one block of 7 levels; the boxes 2, 5 and 9 one each
+    assert counts[49] == counts[50] == counts[128] == 2 * 3 + 6
+    assert counts[2**15] == counts[4096] == 2 * 48 + 6
+
+
+def test_box_eigenphase_sees_a_step_wrong_on_one_level(monkeypatch):
+    # N = 128 steps 48 of its 127 levels: the first 16, the last 16 and 16
+    # drawn from the seed; a step wrong on one of them fails the record
+    n = 128
+    stepped = set(_eigenphase_steps(monkeypatch, n)[2])
+    middle = sorted(stepped - set(range(1, 17)) - set(range(n - 16, n)))
+    assert len(stepped) == 48 and len(middle) == 16
+    assert all(17 <= level <= n - 17 for level in middle)
+    for level in (1, n - 1, middle[8]):
+        assert _eigenphase_steps(monkeypatch, n, wrong_level=level)[0] > 1e-12, level
+    # the same fault on a level that is not stepped goes unseen: the fault is one level's
+    unseen = min(set(range(17, n - 16)) - stepped)
+    assert _eigenphase_steps(monkeypatch, n, wrong_level=unseen)[0] <= 1e-14
+
+
+def test_box_suite_far_past_the_old_spectrum_limit():
+    # N = 2^16 was refused (N >= 5,793 made a dense spectrum); now each step holds one
+    # level of the circle 2N and the angles l n are reduced mod 2N before the sine
+    from polymerqm.verify import run_suite
+
+    run_suite("box", n_box=8)  # warm up
+    tracemalloc.start()
+    try:
+        records = run_suite("box", n_box=2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in records)
+    assert next(r.deviation for r in records if r.name == "eigenphase") <= 1e-14
+    assert peak < 24 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ state file; evaluation points of the continuum box reference).  At every
 size it records the median wall time of a few calls, after one warm-up call,
 and the tracemalloc peak of one more call.  For the case it fits the
 least-squares slope of log2(time) and of log2(peak) against log2(size): 1 is
-linear, 2 quadratic, 0 flat.  Everything runs in this one process
-and takes well under a minute.  Wall-time slopes are a report, not a gate:
-on a shared host the times of single calls are noisy.
+linear, 2 quadratic, 0 flat.  Everything runs in this one process; a full
+run took 55 s on a 2-vCPU VM, about 19 s each in `state_io` and
+`verify_box_far_n`, and about twice that when the host was busy.
+Wall-time slopes are a report, not a gate: on a shared host the times of
+single calls are noisy.
 
 The output JSON holds the slopes and raw points of every case, the line
 count of the polymerqm sources it imported, the git commit of their
@@ -191,9 +193,13 @@ CASES = {
     "momentum_roundtrip_large": ("M", [2**k for k in range(12, 17)], _momentum),
     "verify_all": ("N", [2**k for k in range(3, 9)],
                    lambda n: lambda: run_suite("all", n_box=n)),
-    # the box suite at the caller's N: eigenphase's dense spectrum and its 16-level steps
+    # the box suite at the caller's N: eigenphase's 48 levels, each block of them made
+    # before its circle steps
     "verify_box_n": ("N", [2**k for k in range(7, 13)],
                      lambda n: lambda: run_suite("box", n_box=n)),
+    # the same past N = 5,793, where a dense spectrum was refused: one level per step
+    "verify_box_far_n": ("N", [2**k for k in range(13, 18)],
+                         lambda n: lambda: run_suite("box", n_box=n)),
     "kernel_csv": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv")),
     "kernel_json": ("rows", [64 * 2**k for k in range(6, 10)], _kernel_text("json")),
     "kernel_csv_j": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv", "j")),
