@@ -64,14 +64,20 @@ _BLOCKED_MIN_ORDERS = 2048
 # even, so that every buffer starts at an even step.
 _REFILL_STEPS = 16
 
-# Most orders one Miller pass may run over, max(W, max_order) + 15, and most
-# sites an engine window or a circle 2N may hold: 2**25 (z up to about 3.3e7).
-# For orders it bounds work, not memory: three orders take 0.1 s at z = 1e7
-# and 0.23 s at the limit (one core of a 2-vCPU Xeon VM) and O(sqrt(z)) memory;
-# `bessel_table`, `_plan` and `dynamics._box_size` raise before they allocate.
-# For the circle 2N it bounds memory as well: a circle step holds about 64 bytes
-# per site of 2N (128 MiB at 2N = 2**21), so about 2 GiB at 2N = 2**25.
+# The size limit, 2**25, refused by `_limit` alone: the orders max(W, max_order) + 15
+# of one Miller pass (z up to about 3.3e7), the sites of an engine window or a circle 2N,
+# and the entries each check route counts.  For orders it bounds work, not memory: three
+# orders take 0.1 s at z = 1e7 and 0.23 s at the limit (one core of a 2-vCPU Xeon VM), in
+# O(sqrt(z)) memory.  For the circle it bounds memory too: a circle step holds about 64
+# bytes per site of 2N (128 MiB at 2N = 2**21), so about 2 GiB at 2N = 2**25.
 _MAX_SIZE = 2 ** 25
+
+
+def _limit(count, what: str, *args):
+    """count, or above _MAX_SIZE the size refusal "<what.format(*args)> the limit 33554432"."""
+    if count > _MAX_SIZE:
+        raise ValueError(f"{what.format(*args)} the limit {_MAX_SIZE}")
+    return count
 
 
 def truncation_window(z: float) -> int:
@@ -86,14 +92,12 @@ def truncation_window(z: float) -> int:
 
 
 def _work_orders(z: float, max_order: int) -> int:
-    """The orders max(W, max_order) + 15 of a Miller pass at z >= 0: above
-    _MAX_SIZE a ValueError naming z and the limit, the z range of every system."""
+    """The orders max(W, max_order) + 15 of a Miller pass at z >= 0, counted by `_limit`:
+    its refusal names z, and sets the z range of every system."""
     n_start = max(truncation_window(z), max_order) + 15
-    if n_start > _MAX_SIZE:
-        order = f"at order {max_order} " if max_order else ""
-        raise ValueError(f"z = {z!r} {order}is out of range: {n_start} working orders, "
-                         f"above the limit {_MAX_SIZE}")
-    return n_start
+    at = "at order {1} " if max_order else ""
+    return _limit(n_start, "z = {0!r} " + at + "is out of range: {2} working orders, above",
+                  z, max_order, n_start)
 
 
 def _integer(value, name: str, least: int | None = None) -> int:
@@ -259,7 +263,7 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
     rescale guard runs it down to 32 z**(1/3) orders below the turning
     point; when enough orders are left, `_blocked_fill` runs the rest,
     keeping only orders up to max_order: memory is O(max_order + sqrt(z)).
-    A pass over more than _MAX_SIZE orders is a ValueError.
+    A pass over more orders than `_limit` allows is a ValueError.
     """
     z = _validate_argument(z)
     max_order = _integer(max_order, "max_order", 0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _MAX_SIZE, truncation_window
+from .bessel import _limit, truncation_window
 from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, _stencil
 from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, _fold, _gaussian_inputs,
                       dimensionless_time)
@@ -41,12 +41,11 @@ def _box_level_sum(dt: float, n_box: int, params: PhysicalParams, js, rs,
     """sum_l m_l(j) w_l m_l(r) over the box modes m_l, broadcast over (j, r).
 
     w_l = e^{-i E_l dt/hbar}, times -i E_l/hbar for the time derivative.
-    einsum contracts the level axis without a grid x levels array, so an array call
-    holds O(grid + sites x levels) memory; over `bessel._MAX_SIZE` site x level
-    entries are refused before any mode is made.
+    einsum contracts the level axis without a grid x levels array, so an array call holds
+    O(grid + sites x levels) memory; `bessel._limit` counts sites x levels before any mode.
     """
-    if (sites := np.size(js) + np.size(rs)) * (n_box - 1) > _MAX_SIZE:
-        raise ValueError(f"{sites} sites x {n_box - 1} levels is over the limit {_MAX_SIZE}")
+    sites = np.size(js) + np.size(rs)
+    _limit(sites * (n_box - 1), "{} sites x {} levels is over", sites, n_box - 1)
     gaps = _band(np.arange(1, n_box) * math.pi / n_box)
     weights = np.exp(-1j * dimensionless_time(params, dt) * gaps)
     if derivative:
@@ -265,8 +264,11 @@ def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> 
 
 
 def greens_residual_fd(kernel: PropagatorKernel, j_values, r_values, dt_values,
-                       step: float = 1e-6) -> float:
-    """Finite-difference cross-check of `greens_residual` (central, step h): a float."""
+                       step: float | None = None) -> float:
+    """Finite-difference cross-check of `greens_residual` (central, step h; 1e-6 in z): a float."""
+    if step is None:
+        step = 1e-6 * (kernel.params.mu0**2 * kernel.params.mass / kernel.params.hbar)
+
     def dk_dt(kernel, dt, js, rs):
         return (kernel_table(kernel, js, rs, dt + step)
                 - kernel_table(kernel, js, rs, dt - step)) / (2.0 * step)
@@ -329,7 +331,7 @@ def schrodinger_box_gaussian(x_eval, dt: float, length: float, center: float, si
     free packet G(y) = a^(-1/2) exp(-(y - x0 - pt/m)^2/(4 sigma^2 a) + ip(y - pt/2m)/hbar),
     a = 1 + i hbar t/(2 m sigma^2).  Images are added from the one nearest the packet, each
     way up to the first whose term is exactly 0 at every point: O(points) each, at most
-    55 s/L + 5 for the width s = sigma |a| (e^-746 underflows); over `_MAX_SIZE` terms raise.
+    55 s/L + 5 for the width s = sigma |a| (e^-746 underflows); `bessel._limit` counts terms.
     """
     center, sigma, momentum = _gaussian_inputs(center, sigma, momentum)
     dt, length, x = float(dt), float(length), np.asarray(x_eval, dtype=float)
@@ -342,8 +344,8 @@ def schrodinger_box_gaussian(x_eval, dt: float, length: float, center: float, si
     if not (math.isfinite(abs(a)) and math.isfinite(drift / length)):  # the image index too
         raise ValueError(f"dt must be finite, as must hbar dt/(m sigma^2) and (x0 + p dt/m)/L, "
                          f"got {dt}")
-    if (terms := 2 * x.size * (55.0 * sigma * abs(a) / length + 5)) > _MAX_SIZE:
-        raise ValueError(f"{terms:.3g} image terms is over the limit {_MAX_SIZE}")
+    terms = 2 * x.size * (55.0 * sigma * abs(a) / length + 5)
+    _limit(terms, "{:.3g} image terms is over", terms)
     y, width = np.concatenate([x.ravel(), -x.ravel()]), 4.0 * sigma * sigma * a
 
     def image(k):  # a^(1/2) G(y - 2kL) at every point of y

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .bessel import _MAX_SIZE, _integer
+from .bessel import _integer, _limit
 from .lattice import LatticeWavefunction, PhysicalParams
 
 
@@ -28,10 +28,9 @@ class WallSupportError(ValueError):
 
 
 def _box_size(n) -> int:
-    """Box size (or half period) N as an int >= 2 with 2N <= bessel._MAX_SIZE, else ValueError."""
+    """Box size (or half period) N as an int >= 2 whose circle 2N `bessel._limit` takes."""
     size = _integer(n, "system size N", 2)
-    if 2 * size > _MAX_SIZE:
-        raise ValueError(f"system size N = {size} has 2N over the limit {_MAX_SIZE}")
+    _limit(2 * size, "system size N = {} has 2N over", size)
     return size
 
 

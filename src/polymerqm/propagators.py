@@ -7,11 +7,11 @@ Systems (`PropagatorKernel.system`):
             equal to twice the odd part of the periodic kernel
   periodic  sum over images k of the free kernel at r + 2kN
 
-Caller sites j, r enter by `_sites`; `_windows` alone checks a window (integer arrays,
-nonempty, |site| < 2^62, at most 2^25 sites, box sites in 0..N).  Every kernel read
-(calls, `kernel_table`, the closed forms of `checks`) passes the door `_read`: `_sites`,
-at most 2^25 broadcast entries, a complex for scalars.  `_plan` checks every engine
-call before any array is made; each kind of kernel vector has one reader.
+Caller sites j (output) and r (input) enter by `_sites`; `_windows` alone checks a window
+(integer arrays, nonempty, |site| < 2^62, box sites in 0..N).  Every kernel read (calls,
+`kernel_table`, the closed forms of `checks`) passes the door `_read`: `_sites`, broadcast
+entries counted by `bessel._limit` before any copy, a complex for scalars.  `_plan` checks
+every engine call before any array is made; each kind of kernel vector has one reader.
 `_free_vector` gives every free kernel value, from one Bessel table of at most
 W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window W: calls and
 tables read it on (j, r) grids, free `evolve` convolves it.  `_circle_read` reads
@@ -28,12 +28,13 @@ from functools import partial
 
 import numpy as np
 
-from .bessel import (_MAX_SIZE, _integer, _site_domain, _work_orders, bessel_table,
+from .bessel import (_integer, _limit, _site_domain, _work_orders, bessel_table,
                      truncation_window, unit_imaginary_power)
 from .dynamics import _band, _box_interior_amplitudes, _box_size
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
 
 _SYSTEMS = ("free", "box", "periodic")
+_AXES = (("output sites j", "output"), ("input sites r", "input"))  # j, r: name, side
 
 
 def _free_vector(z: float, reach: int):
@@ -64,16 +65,14 @@ def _free_vector(z: float, reach: int):
 # caller sites and the readers of kernel vectors
 # ---------------------------------------------------------------------------
 
-def _windows(rows, cols, n_box: int | None = None, names=("output sites j", "input sites r")):
+def _windows(rows, cols, n_box: int | None = None):
     """The windows (lo, hi) of j and r, else a ValueError naming one: each must be
-    nonempty, of at most `bessel._MAX_SIZE` sites, inside `bessel._site_domain`
+    nonempty, of sites `bessel._limit` takes, inside `bessel._site_domain`
     and, given a box size N, inside the box 0..N."""
-    for name, (lo, hi) in zip(names, (rows, cols)):
+    for (name, side), (lo, hi) in zip(_AXES, (rows, cols)):
         if lo > hi:
             raise ValueError(f"empty range of {name}: {lo}..{hi}")
-        if hi - lo >= _MAX_SIZE:
-            raise ValueError(f"{name.split()[0]} window {(lo, hi)} has more sites "
-                             f"than the limit {_MAX_SIZE}")
+        _limit(hi - lo + 1, "{} window {} has more sites than", side, (lo, hi))
         _site_domain(lo, hi, name)
     if n_box is not None and (min(rows[0], cols[0]) < 0 or max(rows[1], cols[1]) > n_box):
         raise ValueError(f"sites j = {rows[0]}..{rows[1]}, r = {cols[0]}..{cols[1]} "
@@ -81,28 +80,27 @@ def _windows(rows, cols, n_box: int | None = None, names=("output sites j", "inp
     return rows, cols
 
 
-def _sites(j, r, n_box: int | None = None, names=("sites j", "sites r")):
-    """(js, rs, windows, scalar): j, r as int64 arrays (>= 1-d), their windows checked by
-    `_windows` before the cast, and whether both were scalars.  Integer dtypes only (bool,
-    floats, text refused); an object array must hold Python ints, perhaps beyond int64."""
+def _sites(j, r, n_box: int | None = None):
+    """(js, rs, windows, scalar): j, r as int64 arrays (>= 1-d; int64 ones are not copied),
+    their windows checked by `_windows` before the cast, and whether both were scalars.  Integer
+    dtypes only (bool, floats, text refused); an object array holds Python ints, maybe > int64."""
     arrays = [np.atleast_1d(np.asarray(v)) for v in (j, r)]
-    for name, v in zip(names, arrays):
+    for (name, _), v in zip(_AXES, arrays):
         if v.dtype.kind not in "iu":  # object arrays entry by entry, others by dtype
             for x in v.flat if v.dtype == object else v.flat[:1]:
                 _integer(x, name)
     windows = _windows(*((int(v.min()), int(v.max())) if v.size else (0, -1)
-                         for v in arrays), n_box, names)
-    js, rs = (v.astype(np.int64) for v in arrays)
+                         for v in arrays), n_box)
+    js, rs = (v.astype(np.int64, copy=False) for v in arrays)
     return js, rs, windows, np.ndim(j) == 0 and np.ndim(r) == 0
 
 
-def _read(j, r, reader, n_box: int | None = None, names=("sites j", "sites r")):
-    """Every kernel read's door: `_sites`, a refusal of more than `bessel._MAX_SIZE` broadcast
-    entries (np.broadcast makes no array), reader(rows, cols)(js, rs), a complex for scalars."""
-    js, rs, windows, scalar = _sites(j, r, n_box, names)
-    if (grid := np.broadcast(js, rs)).size > _MAX_SIZE:
-        raise ValueError(f"table of {' x '.join(map(str, grid.shape))} entries is over the "
-                         f"limit {_MAX_SIZE}")
+def _read(j, r, reader, n_box: int | None = None):
+    """Every kernel read's door: `_sites`, the broadcast entries counted by `bessel._limit`
+    (np.broadcast makes no array), reader(rows, cols)(js, rs), a complex for scalars."""
+    js, rs, windows, scalar = _sites(j, r, n_box)
+    grid = np.broadcast(js, rs)
+    _limit(grid.size, "table of {}" + " x {}" * (grid.ndim - 1) + " entries is over", *grid.shape)
     values = reader(*windows)(js, rs)
     return complex(values.flat[0]) if scalar else values
 
@@ -230,8 +228,7 @@ def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.
     `_read` on the outer grid, then one kernel vector per dt (`_kernel_rows`): free
     exactly 0 where |j - r| > W, box walls exactly 0, dt = 0 the exact identity.
     """
-    return _read(np.atleast_1d(j_values)[..., None], r_values, partial(_kernel_rows, kernel, dt),
-                 None, ("output sites j", "input sites r"))  # the names `_plan` gives them
+    return _read(np.atleast_1d(j_values)[..., None], r_values, partial(_kernel_rows, kernel, dt))
 
 
 def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,

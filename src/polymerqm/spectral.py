@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _MAX_SIZE, _integer
+from .bessel import _integer, _limit
 from .dynamics import _band, _box_modes, _box_size
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold
 
@@ -97,10 +97,9 @@ class MomentumGrid:
 
 
 def momentum_samples(psi: LatticeWavefunction, p_values: np.ndarray) -> np.ndarray:
-    """Dense sum psi~(p) = sum_n psi_n exp(i n mu0 p / hbar), at most `_MAX_SIZE` p x n."""
+    """Dense sum psi~(p) = sum_n psi_n exp(i n mu0 p / hbar); p x n counted by `bessel._limit`."""
     p, sites = np.atleast_1d(np.asarray(p_values, dtype=float)), psi.lattice.num_sites
-    if p.size * sites > _MAX_SIZE:
-        raise ValueError(f"{p.size} momenta x {sites} sites is over the limit {_MAX_SIZE}")
+    _limit(p.size * sites, "{} momenta x {} sites is over", p.size, sites)
     n = psi.lattice.sites
     phase = np.exp(1j * np.outer(p, n) * psi.lattice.params.mu0
                    / psi.lattice.params.hbar)

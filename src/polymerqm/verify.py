@@ -170,8 +170,7 @@ def suite_free(params: PhysicalParams, n_box: int, seed: int):
         kernel, sites, sites, [z * scale for z in (0.5, 1.0, 5.0, 20.0)]
     ) / params.energy_scale, 1e-9
     yield "greens-residual-fd", greens_residual_fd(
-        kernel, range(-4, 5), range(-4, 5), [z * scale for z in (0.5, 1.0, 5.0)],
-        step=1e-6 * scale
+        kernel, range(-4, 5), range(-4, 5), [z * scale for z in (0.5, 1.0, 5.0)]
     ) / params.energy_scale, 1e-5
     yield "symmetry", _symmetry(kernel, [[-5], [0], [2]], [-1, 3, 7], 1.3 * scale), 0.0
     yield "time-reversal", _worst(*(_time_reversal(kernel, [[-3], [0], [4]], [-2, 1, 6], dt)
@@ -230,7 +229,7 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
         box6, range(1, 6), range(0, 7), [z * scale for z in (0.5, 1.0, 5.0, 20.0)]
     ) / params.energy_scale, 1e-10
     yield "greens-residual-fd", greens_residual_fd(
-        box6, range(1, 6), range(1, 6), [z * scale for z in (0.5, 1.0, 5.0)], step=1e-6 * scale
+        box6, range(1, 6), range(1, 6), [z * scale for z in (0.5, 1.0, 5.0)]
     ) / params.energy_scale, 1e-5
 
     def oracle(n):  # the interior rows of the stencil of the identity, diagonalized densely

@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import polymerqm
 
@@ -19,3 +21,15 @@ def test_star_import_binds_every_name():
     assert set(polymerqm.__all__) <= set(namespace)
     assert namespace["evolve"] is polymerqm.propagators.evolve
     assert not hasattr(polymerqm, "no_such_name")
+
+
+def test_the_size_limit_has_one_door():
+    # `bessel._limit` is the one refusal of the size limit: seven hand-written checks
+    # in five modules, each worded its own way, had to be kept in step by hand
+    sources = {path.name: path.read_text()
+               for path in sorted(Path(polymerqm.__file__).parent.glob("*.py"))}
+    assert [name for name, text in sources.items() if "_MAX_SIZE" in text] == ["bessel.py"]
+    raises = [ast.get_source_segment(text, node) for text in sources.values()
+              for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)]
+    assert [r for r in raises if "the limit" in r] == \
+        ['raise ValueError(f"{what.format(*args)} the limit {_MAX_SIZE}")']

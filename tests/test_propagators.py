@@ -187,18 +187,18 @@ def test_empty_index_sets_raise_one_error_for_every_system(system, empty):
 
 
 @pytest.mark.parametrize("call,named", [
-    (lambda: FREE(2**63 - 1, -2**63 + 2, 1.0), "sites j 9223372036854775807"),
-    (lambda: periodic_kernel(-2**63, 1, 1.0, 3, P1), "sites j -9223372036854775808"),
-    (lambda: FREE(0, [2**62], 1.0), "sites r 4611686018427387904"),
-    (lambda: box_images_kernel(2**64, 0, 1.0, 3, P1), "sites j 18446744073709551616"),
+    (lambda: FREE(2**63 - 1, -2**63 + 2, 1.0), "output sites j 9223372036854775807"),
+    (lambda: periodic_kernel(-2**63, 1, 1.0, 3, P1), "output sites j -9223372036854775808"),
+    (lambda: FREE(0, [2**62], 1.0), "input sites r 4611686018427387904"),
+    (lambda: box_images_kernel(2**64, 0, 1.0, 3, P1), "output sites j 18446744073709551616"),
     (lambda: kernel_table(PropagatorKernel.periodic(3, P1), [-2**63], [1], 1.0),
      "output sites j -9223372036854775808"),
     (lambda: kernel_table(PropagatorKernel.free(P1), [0], [2**64], 1.0),
      "input sites r 18446744073709551616"),
     (lambda: composition_check(PropagatorKernel.free(P1), [2**64], [0], 0.0, 0.5, 1.0),
-     "sites j 18446744073709551616"),
+     "output sites j 18446744073709551616"),
     (lambda: greens_residual(PropagatorKernel.free(P1), [2**64], [0], [1.0]),
-     "sites j 18446744073709551616"),
+     "output sites j 18446744073709551616"),
 ], ids=["free int64 max", "periodic int64 min", "free 2^62", "box beyond int64",
         "periodic table", "free table beyond int64", "composition beyond int64",
         "greens beyond int64"])
@@ -249,18 +249,20 @@ def test_every_route_refuses_a_grid_over_the_size_limit_before_allocating(route)
     # entries would be over 512 MiB of complex values: the broadcast shape is
     # counted before any plan or grid-sized array.  A free call on a 2^10 x 2^11
     # grid peaked at 64 MiB with nothing to refuse it; the Green's residuals
-    # read rows j - 1, j, j + 1 of the engine's table
-    js, rs = np.arange(2**13) % 5, np.arange(2**12 + 1) % 5
-    shape = "8192 x 3 x 4097" if route.startswith("greens") else "8192 x 4097"
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=rf"^table of {shape} entries is over "
-                                             rf"the limit {bessel._MAX_SIZE}$"):
-            _DOOR[route](js if route in _OUTER else js[:, None], rs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    # read rows j - 1, j, j + 1 of the engine's table.  int64 sites are not copied
+    # before the count: 2 x (2^24 + 1) entries made a 128 MiB copy of r, then raised
+    for js, rs in [(np.arange(2**13) % 5, np.arange(2**12 + 1) % 5),
+                   (np.array([0, 4]), np.arange(2**24 + 1) % 5)]:
+        rows = f"{js.size} x 3" if route.startswith("greens") else js.size
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^table of {rows} x {rs.size} entries is over "
+                                                 rf"the limit {bessel._MAX_SIZE}$"):
+                _DOOR[route](js if route in _OUTER else js[:, None], rs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, rs.size
 
 
 @pytest.mark.parametrize("route", sorted(set(_DOOR) - _OUTER))
@@ -1116,6 +1118,23 @@ def test_box_suite_far_past_the_old_spectrum_limit():
     assert peak < 24 * 2**20
 
 
+def test_box_suite_at_the_largest_n_refuses_before_copying_its_sites():
+    # N = 2^24 is a legal box, but boundary-zeros' table of 2 x (2^24 + 1) entries is
+    # refused.  The peak is the record's own np.arange of the sites (128 MiB); their
+    # int64 copy, made before the count, doubled it to 256 MiB
+    from polymerqm.verify import run_suite
+
+    run_suite("box", n_box=8)  # warm up
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^table of 2 x 16777217 entries is over"):
+            run_suite("box", n_box=2**24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # momentum kernel
 # ---------------------------------------------------------------------------
@@ -1369,6 +1388,23 @@ def test_greens_residual_fd_cross_check():
     res = greens_residual_fd(box, range(1, 6), range(1, 6), [0.5, 1.0],
                              step=1e-6)
     assert type(res) is float and res <= 1e-5
+
+
+@pytest.mark.parametrize("mu0", [1e-3, 0.05, 1.0, 1e3])
+def test_greens_residual_fd_default_step_is_in_z(mu0):
+    # the default step is 1e-6 in z, 1e-6 * (mu0^2 m / hbar) in dt, the step verify passes.
+    # It was 1e-6 in dt: on verify's grids mu0 = 1e-3 refused every time (z = 0.5 is
+    # dt = 5e-7), mu0 = 0.05 read 6.6e-8 of the energy scale and mu0 = 1e3 read 1.0e-4
+    params = PhysicalParams(mu0=mu0)
+    scale = mu0**2 * params.mass / params.hbar
+    dts = [z * scale for z in (0.5, 1.0, 5.0)]
+    for kernel, sites in [(PropagatorKernel.free(params), range(-4, 5)),
+                          (PropagatorKernel.box(6, params), range(1, 6))]:
+        res = greens_residual_fd(kernel, sites, sites, dts)
+        assert res.hex() == greens_residual_fd(kernel, sites, sites, dts, step=1e-6 * scale).hex()
+        assert res <= 1e-9 * params.energy_scale  # 1.2e-10 free, 2.2e-10 box at every mu0
+        if mu0 == 1.0:
+            assert res.hex() == greens_residual_fd(kernel, sites, sites, dts, step=1e-6).hex()
 
 
 def test_both_free_residuals_refuse_a_random_bessel_table(monkeypatch):
