@@ -16,9 +16,9 @@ from polymerqm import (
     PhysicalParams,
     PropagatorKernel,
     apply_hamiltonian,
-    box_spectral_kernel,
     box_spectrum,
     evolve,
+    spectral_sum,
 )
 
 params = PhysicalParams()
@@ -57,9 +57,9 @@ for l in (1, 3, 7):
 
 print()
 print("=== interior evolution matrix is unitary, kernel vanishes at walls ===")
-interior = np.array([[box_spectral_kernel(j, r, dt, N, params)
+interior = np.array([[spectral_sum(kernel, j, r, dt)
                       for r in range(1, N)] for j in range(1, N)])
 gram = interior @ interior.conj().T
 print(f"max |U U+ - 1| at dt={dt}: {np.max(np.abs(gram - np.eye(N - 1))):.2e}")
-wall = max(abs(box_spectral_kernel(0, r, dt, N, params)) for r in range(N + 1))
+wall = max(abs(spectral_sum(kernel, 0, r, dt)) for r in range(N + 1))
 print(f"max |k| on the walls: {wall:.2e}")

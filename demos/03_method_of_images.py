@@ -16,19 +16,19 @@ import numpy as np
 from polymerqm import (
     PhysicalParams,
     PropagatorKernel,
-    box_images_kernel,
-    box_spectral_kernel,
-    periodic_kernel,
+    image_sum,
+    spectral_sum,
     truncation_window,
 )
 
 params = PhysicalParams()
 N = 5
 z = 2.0
+box, periodic = PropagatorKernel.box(N, params), PropagatorKernel.periodic(N, params)
 
 print(f"=== periodic kernel, N = {N}, z = {z} ===")
-base = periodic_kernel(2, 1, z, N, params=params)
-shifted = periodic_kernel(2 + 2 * N, 1, z, N, params=params)
+base = image_sum(periodic, 2, 1, z)
+shifted = image_sum(periodic, 2 + 2 * N, 1, z)
 print(f"k_P(2, 1)        = {base:.12f}")
 print(f"k_P(2+2N, 1)     = {shifted:.12f}")
 print(f"|difference|     = {abs(base - shifted):.2e}")
@@ -43,11 +43,10 @@ print("=== box kernel: spectral sum vs image sum ===")
 print("   j    r   |spectral - images|")
 # one call per route: j down the rows, r across the columns
 sites = np.arange(0, N + 1)
-worst = np.max(np.abs(box_spectral_kernel(sites[:, None], sites, z, N, params)
-                      - box_images_kernel(sites[:, None], sites, z, N, params=params)))
+worst = np.max(np.abs(spectral_sum(box, sites[:, None], sites, z)
+                      - image_sum(box, sites[:, None], sites, z)))
 for j, r in ((0, 3), (1, 1), (2, 4), (5, 2)):
-    dev = abs(box_spectral_kernel(j, r, z, N, params)
-              - box_images_kernel(j, r, z, N, params=params))
+    dev = abs(spectral_sum(box, j, r, z) - image_sum(box, j, r, z))
     print(f"{j:4d} {r:4d}   {dev:.2e}")
 print(f"worst over all pairs: {worst:.2e}")
 

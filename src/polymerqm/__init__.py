@@ -25,10 +25,9 @@ _PUBLIC = {
     "propagators": ("PropagatorKernel", "evolve", "kernel_table"),
     "spectral": ("BoxSpectrum", "MomentumGrid", "box_spectrum", "dispersion_energy",
                  "dispersion_momentum", "from_momentum", "momentum_samples", "to_momentum"),
-    "checks": ("SweepPoint", "apply_hamiltonian", "box_images_kernel", "box_spectral_kernel",
-               "composition_check", "continuum_sweep", "greens_residual", "greens_residual_fd",
-               "momentum_kernel_phase", "periodic_kernel", "schrodinger_box_gaussian",
-               "schrodinger_free_kernel"),
+    "checks": ("SweepPoint", "apply_hamiltonian", "composition_check", "continuum_sweep",
+               "greens_residual", "greens_residual_fd", "image_sum", "momentum_kernel_phase",
+               "schrodinger_box_gaussian", "schrodinger_free_kernel", "spectral_sum"),
     "stateio": ("load_wavefunction", "save_wavefunction"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -1,11 +1,11 @@
 """The check routes: closed forms, identities and continuum references.
 
-`PropagatorKernel.__call__`, `kernel_table` and `evolve` read the engine; the
-closed forms here are independent routes to the same kernels, called by name
-for integer sites or index arrays through the engine's door `_read`: the box
-spectral sum `box_spectral_kernel`, and the image sums `periodic_kernel` and
-`box_images_kernel`, which fold the engine's free vector onto Z_2N and read it
-by `_circle_read`, O(W + N + grid).  Identities (composition, Green's residual)
+`PropagatorKernel.__call__`, `kernel_table` and `evolve` read the engine; the closed forms
+here are independent routes to the same kernels, each taking the `PropagatorKernel` it
+checks, at integer sites or index arrays through the engine's door `_read`: `spectral_sum`
+(the box's N-1 levels) and `image_sum` (periodic, and the box as its odd part), which folds
+the engine's free vector onto Z_2N and reads it by `_circle_read`, O(W + N + grid); each
+refuses a system it has no construction for.  Identities (composition, Green's residual)
 check the engine, each folding its samples into one float by `_worst`, the one
 reducer of `verify` too: a NaN anywhere makes it NaN, and so fails the check;
 `apply_hamiltonian`, the generator of `evolve` in each system, and the Green's
@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _limit, truncation_window
-from .dynamics import _band, _box_interior_amplitudes, _box_modes, _box_size, _stencil
-from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, _fold, _gaussian_inputs,
+from .dynamics import _band, _box_modes, _stencil
+from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, _gaussian_inputs,
                       dimensionless_time)
-from .propagators import (PropagatorKernel, _circle_read, _free_vector, _plan, _read,
-                          _shared_params, _sites, kernel_table)
+from .propagators import (PropagatorKernel, _circle_read, _free_vector, _on_circle, _plan, _read,
+                          _sites, _state_params, kernel_table)
 from .spectral import dispersion_energy
 
 
@@ -36,7 +36,7 @@ from .spectral import dispersion_energy
 # closed forms: integer sites or index arrays, broadcast like numpy
 # ---------------------------------------------------------------------------
 
-def _box_level_sum(dt: float, n_box: int, params: PhysicalParams, js, rs,
+def _box_level_sum(kernel: PropagatorKernel, dt: float, js, rs,
                    derivative: bool = False) -> np.ndarray:
     """sum_l m_l(j) w_l m_l(r) over the box modes m_l, broadcast over (j, r).
 
@@ -44,7 +44,7 @@ def _box_level_sum(dt: float, n_box: int, params: PhysicalParams, js, rs,
     einsum contracts the level axis without a grid x levels array, so an array call holds
     O(grid + sites x levels) memory; `bessel._limit` counts sites x levels before any mode.
     """
-    sites = np.size(js) + np.size(rs)
+    n_box, params, sites = kernel.n, kernel.params, np.size(js) + np.size(rs)
     _limit(sites * (n_box - 1), "{} sites x {} levels is over", sites, n_box - 1)
     gaps = _band(np.arange(1, n_box) * math.pi / n_box)
     weights = np.exp(-1j * dimensionless_time(params, dt) * gaps)
@@ -54,42 +54,35 @@ def _box_level_sum(dt: float, n_box: int, params: PhysicalParams, js, rs,
                      _box_modes(n_box, rs))
 
 
-def box_spectral_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
-    """Box propagator as the exact finite spectral sum over the N-1 levels."""
-    n_box = _box_size(n_box)
-    return _read(j, r, lambda *_: lambda js, rs: _box_level_sum(dt, n_box, params, js, rs), n_box)
+def spectral_sum(kernel: PropagatorKernel, j, r, dt: float):
+    """The box kernel k(j, r, dt) as the exact finite spectral sum over its N-1 levels."""
+    if kernel.system != "box":
+        raise ValueError(f"spectral sum not defined for system {kernel.system!r}")
+    return _read(j, r, lambda *_: lambda js, rs: _box_level_sum(kernel, dt, js, rs), kernel.n)
 
 
-def _image_sum(j, r, dt: float, n_box: int, params: PhysicalParams, mirror: bool):
-    """sum_k of k_free(j, r + 2kN), minus k_free(j, -r + 2kN) if mirror: one fold.
+def image_sum(kernel: PropagatorKernel, j, r, dt: float):
+    """The periodic kernel sum_k k_free(j, r + 2kN, dt), or the box kernel as its odd part
+    k_P(j, r) - k_P(j, -r), built from images of the free kernel: within 1e-10 of the
+    box's spectral sum.
 
     k_free is exactly 0 beyond the truncation window W, so the image sum is
     the free vector at orders -W..W folded onto Z_2N and `_circle_read`:
     O(W + N + grid), however many images the window spans, 2^16 orders at a time.
     """
-    n_box = _box_size(n_box)
+    if kernel.system == "free":
+        raise ValueError(f"image sum not defined for system {kernel.system!r}")
+    mirror = kernel.system == "box"
 
     def reader(*_):  # the fold needs no windows
-        read = _free_vector(z := dimensionless_time(params, dt), w := truncation_window(abs(z)))
-        circle = np.zeros(2 * n_box, dtype=complex)
+        read = _free_vector(z := dimensionless_time(kernel.params, dt),
+                            w := truncation_window(abs(z)))
+        circle = np.zeros(2 * kernel.n, dtype=complex)
         for lo in range(-w, w + 1, 2**16):  # in site order, as one `_fold` adds: its bits
             orders = np.arange(lo, min(lo + 2**16, w + 1))
-            np.add.at(circle, orders % (2 * n_box), read(orders))
+            np.add.at(circle, orders % (2 * kernel.n), read(orders))
         return lambda js, rs: _circle_read(circle, js, rs, mirror)
-    return _read(j, r, reader, n_box if mirror else None)
-
-
-def periodic_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
-    """Propagator with period 2*N*mu0, built from images of the free kernel."""
-    return _image_sum(j, r, dt, n_box, params, mirror=False)
-
-
-def box_images_kernel(j, r, dt: float, n_box: int, params: PhysicalParams):
-    """Box propagator k_P(j, r) - k_P(j, -r), twice the odd part of the periodic kernel.
-
-    Within 1e-10 of the spectral sum.
-    """
-    return _image_sum(j, r, dt, n_box, params, mirror=True)
+    return _read(j, r, reader, kernel.n if mirror else None)
 
 
 def momentum_kernel_phase(p, dt: float, params: PhysicalParams):
@@ -145,26 +138,21 @@ def apply_hamiltonian(psi: LatticeWavefunction, kernel: PropagatorKernel) -> Lat
     """H psi in the kernel's system (the generator of `evolve`) by `dynamics._stencil`.
 
     Free: amplitudes outside the window are 0, the output window grows by
-    one site on each side.  Box: wall-free input, sites 0..N out, walls
-    exactly 0.  Periodic: psi folded onto Z_2N as `evolve` folds it (sites
-    2N apart add, so any window width is one state on the circle),
-    gathered mod 2N on the input window widened by one site on each side.
+    one site on each side.  Periodic and box: psi `_on_circle` as `evolve` puts it, read
+    mod 2N one site past each end of the output window: periodic, the input window grown
+    by one site on each side; box, sites 0..N, each wall exactly +0 (psi_1 - psi_1).
     """
-    lat, params = psi.lattice, _shared_params(psi, kernel)
-    if kernel.system == "box":
-        out = np.pad(_stencil(_box_interior_amplitudes(psi, kernel.n), params), 1)
-        return LatticeWavefunction(Lattice(params, 0, kernel.n), out)
+    lat, params = psi.lattice, _state_params(psi, kernel)
+    lo, hi = (0, kernel.n) if kernel.system == "box" else (lat.n_min - 1, lat.n_max + 1)
     wide = (np.pad(psi.amplitudes, 2) if kernel.system == "free" else
-            _fold(lat.sites, psi.amplitudes, 2 * kernel.n)[
-                np.arange(lat.n_min - 2, lat.n_max + 3) % (2 * kernel.n)])
-    out = _stencil(wide, params)
-    return LatticeWavefunction(Lattice(params, lat.n_min - 1, lat.n_max + 1), out)
+            _on_circle(psi, kernel)[np.arange(lo - 1, hi + 2) % (2 * kernel.n)])
+    return LatticeWavefunction(Lattice(params, lo, hi), _stencil(wide, params))
 
 
 def _index_lists(j_values, r_values):
     """`_sites` of j and r, each an integer or a 1-d index list, else a ValueError naming it."""
     for name, v in (("j_values", j_values), ("r_values", r_values)):
-        if np.ndim(v) > 1:
+        if not isinstance(v, range) and np.ndim(v) > 1:
             raise ValueError(f"{name} must be an integer or a 1-d index list, not {np.ndim(v)}-d")
     return _sites(j_values, r_values)
 
@@ -257,7 +245,7 @@ def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> 
     not the scale: the equation is linear, so a uniformly rescaled table passes it.
     """
     dk_dt = {"free": _free_dk_dt, "box": lambda kernel, dt, js, rs: _box_level_sum(
-        dt, kernel.n, kernel.params, js[:, None], rs, derivative=True)}.get(kernel.system)
+        kernel, dt, js[:, None], rs, derivative=True)}.get(kernel.system)
     if dk_dt is None:
         raise ValueError(f"analytic residual not defined for system {kernel.system!r}")
     return _greens_worst(kernel, j_values, r_values, dt_values, dk_dt)

@@ -34,23 +34,16 @@ def _box_size(n) -> int:
     return size
 
 
-def _box_interior_amplitudes(psi: LatticeWavefunction, n_box: int) -> np.ndarray:
-    """Embed a box state into the full 0..N window, checking wall support.
-
-    Any nonzero amplitude at a wall or outside the box violates the
-    boundary conditions psi(x_0) = psi(x_N) = 0.
-    """
+def _box_walls(psi: LatticeWavefunction, n_box: int) -> None:
+    """Refuse a box state with a nonzero amplitude at a wall or outside the box, against the
+    boundary conditions psi(x_0) = psi(x_N) = 0; O(state) work, no array of the box."""
     sites, amps = psi.lattice.sites, psi.amplitudes
-    inside = (sites > 0) & (sites < n_box)
-    bad = np.flatnonzero(~inside & (amps != 0))
+    bad = np.flatnonzero(((sites <= 0) | (sites >= n_box)) & (amps != 0))
     if bad.size:
         raise WallSupportError(
             f"box state has nonzero amplitude {amps[bad[0]]} at site {sites[bad[0]]}; "
             f"support must lie strictly inside (0, {n_box})"
         )
-    full = np.zeros(n_box + 1, dtype=complex)
-    full[sites[inside]] = amps[inside]
-    return full
 
 
 def _stencil(amps, params: PhysicalParams) -> np.ndarray:

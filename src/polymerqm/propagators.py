@@ -8,16 +8,17 @@ Systems (`PropagatorKernel.system`):
   periodic  sum over images k of the free kernel at r + 2kN
 
 Caller sites j (output) and r (input) enter by `_sites`; `_windows` alone checks a window
-(integer arrays, nonempty, |site| < 2^62, box sites in 0..N).  Every kernel read (calls,
-`kernel_table`, the closed forms of `checks`) passes the door `_read`: `_sites`, broadcast
-entries counted by `bessel._limit` before any copy, a complex for scalars.  `_plan` checks
-every engine call before any array is made; each kind of kernel vector has one reader.
-`_free_vector` gives every free kernel value, from one Bessel table of at most
-W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window W: calls and
-tables read it on (j, r) grids, free `evolve` convolves it.  `_circle_read` reads
-every vector on Z_2N at min(d, 2N - d), so tables are symmetric bit for bit: the
-circle step of a delta for periodic and box (an exact sum over 2N momenta by FFT,
-the box its odd part), which moves their states too, a box as its `_odd` image.
+(integer arrays or ranges, nonempty, |site| < 2^62, box sites in 0..N).  Every kernel read
+(calls, `kernel_table`, the closed forms of `checks`) passes the door `_read`: `_sites`, its
+broadcast entries counted by `bessel._limit` before any copy (a range by len()), a complex
+for scalars.  `_plan` checks every engine call before any array is made; each kind of
+kernel vector has one reader.  `_free_vector` gives every free kernel value, from one Bessel
+table of at most W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window W:
+calls and tables read it on (j, r) grids, free `evolve` convolves it.  `_circle_read` reads
+every vector on Z_2N at min(d, 2N - d), so tables are symmetric bit for bit: the circle
+step of a delta for periodic and box (an exact sum over 2N momenta by FFT, the box its odd
+part).  `_on_circle` puts a periodic or box state on Z_2N, for `evolve`'s circle step and
+`checks.apply_hamiltonian`'s stencil alike: a fold, or a box's `_odd` image.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .bessel import (_integer, _limit, _site_domain, _work_orders, bessel_table,
                      truncation_window, unit_imaginary_power)
-from .dynamics import _band, _box_interior_amplitudes, _box_size
+from .dynamics import _band, _box_size, _box_walls
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold, dimensionless_time
 
 _SYSTEMS = ("free", "box", "periodic")
@@ -80,27 +81,38 @@ def _windows(rows, cols, n_box: int | None = None):
     return rows, cols
 
 
-def _sites(j, r, n_box: int | None = None):
-    """(js, rs, windows, scalar): j, r as int64 arrays (>= 1-d; int64 ones are not copied),
-    their windows checked by `_windows` before the cast, and whether both were scalars.  Integer
-    dtypes only (bool, floats, text refused); an object array holds Python ints, maybe > int64."""
-    arrays = [np.atleast_1d(np.asarray(v)) for v in (j, r)]
-    for (name, _), v in zip(_AXES, arrays):
-        if v.dtype.kind not in "iu":  # object arrays entry by entry, others by dtype
+def _ends(v) -> tuple[int, int]:
+    """(lo, hi) of caller sites, a range's from its two ends; (0, -1) if there are none."""
+    if isinstance(v, range):
+        return (min(v[0], v[-1]), max(v[0], v[-1])) if v else (0, -1)
+    return (int(v.min()), int(v.max())) if v.size else (0, -1)
+
+
+def _sites(j, r, n_box: int | None = None, count: bool = False, outer: bool = False):
+    """(js, rs, windows, scalar): j, r as int64 arrays (>= 1-d; int64 ones not copied; a range by
+    np.arange, cast as its stop may pass int64), windows checked by `_windows` and, if count, the
+    broadcast entries (j with a last axis if outer) by `bessel._limit`, both before any cast, and
+    whether both were scalars.  Integer dtypes only (not bool, floats, text), maybe > int64."""
+    scalar = not outer and not any(isinstance(v, range) or np.ndim(v) for v in (j, r))
+    given = [v if isinstance(v, range) else np.atleast_1d(np.asarray(v)) for v in (j, r)]
+    for (name, _), v in zip(_AXES, given):
+        if not isinstance(v, range) and v.dtype.kind not in "iu":  # object arrays entry by entry
             for x in v.flat if v.dtype == object else v.flat[:1]:
                 _integer(x, name)
-    windows = _windows(*((int(v.min()), int(v.max())) if v.size else (0, -1)
-                         for v in arrays), n_box)
-    js, rs = (v.astype(np.int64, copy=False) for v in arrays)
-    return js, rs, windows, np.ndim(j) == 0 and np.ndim(r) == 0
+    windows = _windows(*map(_ends, given), n_box)
+    if count:  # np.broadcast makes no array, nor does a range's zero-strided view
+        j_like, r_like = (np.broadcast_to(0, len(v)) if isinstance(v, range) else v for v in given)
+        grid = np.broadcast(j_like[..., None] if outer else j_like, r_like)
+        _limit(grid.size, "table of {}" + " x {}" * (grid.ndim - 1) + " entries is over",
+               *grid.shape)
+    js, rs = ((np.arange(v.start, v.stop, v.step) if isinstance(v, range) else v)
+              .astype(np.int64, copy=False) for v in given)
+    return js[..., None] if outer else js, rs, windows, scalar
 
 
-def _read(j, r, reader, n_box: int | None = None):
-    """Every kernel read's door: `_sites`, the broadcast entries counted by `bessel._limit`
-    (np.broadcast makes no array), reader(rows, cols)(js, rs), a complex for scalars."""
-    js, rs, windows, scalar = _sites(j, r, n_box)
-    grid = np.broadcast(js, rs)
-    _limit(grid.size, "table of {}" + " x {}" * (grid.ndim - 1) + " entries is over", *grid.shape)
+def _read(j, r, reader, n_box: int | None = None, outer: bool = False):
+    """Every kernel read's door: `_sites`, counted, reader(windows)(js, rs), scalars a complex."""
+    js, rs, windows, scalar = _sites(j, r, n_box, count=True, outer=outer)
     values = reader(*windows)(js, rs)
     return complex(values.flat[0]) if scalar else values
 
@@ -183,10 +195,24 @@ def _odd(full: np.ndarray) -> np.ndarray:
     return np.concatenate([full, -full[..., -2:0:-1]], axis=-1)
 
 
-def _shared_params(psi: LatticeWavefunction, kernel: PropagatorKernel) -> PhysicalParams:
+def _state_params(psi: LatticeWavefunction, kernel: PropagatorKernel) -> PhysicalParams:
+    """The kernel's params, once psi is a state of its system (a box's: `dynamics._box_walls`)."""
     if psi.lattice.params != kernel.params:
         raise ValueError("state and kernel carry different physical parameters")
+    if kernel.system == "box":
+        _box_walls(psi, kernel.n)
     return kernel.params
+
+
+def _on_circle(psi: LatticeWavefunction, kernel: PropagatorKernel) -> np.ndarray:
+    """A state on Z_2N: periodic, its fold (sites 2N apart add: any window is one state); box,
+    `_odd` of its amplitudes inside the walls scattered onto 0..N, every bit kept (-0.0 too)."""
+    sites, amps = psi.lattice.sites, psi.amplitudes
+    if kernel.system == "periodic":
+        return _fold(sites, amps, 2 * kernel.n)
+    full, inside = np.zeros(kernel.n + 1, dtype=complex), (sites > 0) & (sites < kernel.n)
+    full[sites[inside]] = amps[inside]
+    return _odd(full)
 
 
 def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
@@ -228,34 +254,28 @@ def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.
     `_read` on the outer grid, then one kernel vector per dt (`_kernel_rows`): free
     exactly 0 where |j - r| > W, box walls exactly 0, dt = 0 the exact identity.
     """
-    return _read(np.atleast_1d(j_values)[..., None], r_values, partial(_kernel_rows, kernel, dt))
+    return _read(j_values, r_values, partial(_kernel_rows, kernel, dt), outer=True)
 
 
 def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
            out_window: tuple[int, int] | None = None) -> LatticeWavefunction:
     """psi(x_j, t0+dt) = sum_r k(j, r, dt) psi_r, from one kernel vector.
 
-    Planned first: `_plan` gives the default output window.  Free: the
-    orders j - r the window needs, clipped to |m| <= W (the kernel is
+    Planned first: `_plan` gives the default output window, before any array of the
+    system.  Free: the orders j - r the window needs, clipped to |m| <= W (the kernel is
     exactly 0 beyond), in a full np.convolve cut to the window: at most
     (2W + 1) M multiply-adds for M input sites, wherever the window sits.
-    Periodic: a state is its fold onto Z_2N, where sites 2N apart add (so
-    an input window wider than 2N is one state on the circle); the exact
-    circle step moves the fold and any window reads it mod 2N.  Box: the
-    same, on `_odd` of the wall-free input on sites 0..N, read at 0..N with
-    the walls exactly 0.  Circle-step error is about z * eps (see
-    _circle_step).  At dt = 0 every system returns its input exactly.
+    Periodic and box: the exact circle step moves the state `_on_circle` and any window
+    reads it mod 2N, a box at 0..N with the walls exactly 0.  Circle-step error is about
+    z * eps (see _circle_step).  At dt = 0 every system returns its input exactly.
     """
-    lat, params, amps = psi0.lattice, _shared_params(psi0, kernel), psi0.amplitudes
-    cols = (lat.n_min, lat.n_max)
-    if kernel.system == "box":  # embedded first: sites outside 0..N may hold zeros
-        if out_window is not None and tuple(out_window) != (0, kernel.n):
-            raise ValueError(f"box evolution always produces sites 0..{kernel.n}")
-        amps, cols = _box_interior_amplitudes(psi0, kernel.n), (0, kernel.n)
+    lat, params, amps = psi0.lattice, _state_params(psi0, kernel), psi0.amplitudes
+    cols = (0, kernel.n) if kernel.system == "box" else (lat.n_min, lat.n_max)  # zeros past walls
+    if kernel.system == "box" and out_window is not None and tuple(out_window) != cols:
+        raise ValueError(f"box evolution always produces sites 0..{kernel.n}")
     z, w, (lo, hi), _ = _plan(kernel, dt, cols, out_window)
     if kernel.system != "free":
-        circle = _odd(amps) if kernel.system == "box" else _fold(lat.sites, amps, 2 * kernel.n)
-        out = _circle_step(circle, z)[np.arange(lo, hi + 1) % (2 * kernel.n)]
+        out = _circle_step(_on_circle(psi0, kernel), z)[np.arange(lo, hi + 1) % (2 * kernel.n)]
         if kernel.system == "box":
             out[[0, -1]] = 0.0  # the walls, exactly
     else:

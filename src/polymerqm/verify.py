@@ -26,8 +26,8 @@ import numpy as np
 
 from . import SUITE_NAMES
 from .bessel import _integer, bessel_jn, bessel_table, jacobi_anger, truncation_window
-from .checks import (_worst, box_images_kernel, box_spectral_kernel, composition_check,
-                     continuum_sweep, greens_residual, greens_residual_fd, momentum_kernel_phase)
+from .checks import (_worst, composition_check, continuum_sweep, greens_residual,
+                     greens_residual_fd, image_sum, momentum_kernel_phase, spectral_sum)
 from .dynamics import _box_modes, _box_size, _stencil
 from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, dimensionless_time,
                       gaussian_packet)
@@ -198,11 +198,11 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
     yield "initial-condition", _worst(*(_initial_condition(PropagatorKernel.box(n, params), 0, n)
                                         for n in range(2, 17))), 1e-14
     yield "spectral-vs-images", _worst(*(
-        box_spectral_kernel(*_grid(0, n), z * scale, n, params)
-        - box_images_kernel(*_grid(0, n), z * scale, n, params=params)
+        spectral_sum(box := PropagatorKernel.box(n, params), *_grid(0, n), z * scale)
+        - image_sum(box, *_grid(0, n), z * scale)
         for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0))), 1e-10
     yield "boundary-zeros", _worst(kernel_table(PropagatorKernel.box(n_box, params), [0, n_box],
-                                                np.arange(n_box + 1), 1.7 * scale)), 0.0
+                                                range(n_box + 1), 1.7 * scale)), 0.0
 
     def eigenphases():  # at most 48 levels of a size, made a block at a time before its steps
         for n, times in [(n_box, (0.3, 2.0))] + [(n, (0.7, 3.1)) for n in (2, 5, 9)]:
@@ -256,8 +256,8 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
     yield "time-reversal", _worst(*(_time_reversal(box, *_grid(0, box.n), z * scale)
                                     for box in boxes for z in (0.4, 2.0))), 1e-14
     yield "engine-vs-spectral", _worst(*(
-        PropagatorKernel.box(n, params)(*_grid(0, n), z * scale)
-        - box_spectral_kernel(*_grid(0, n), z * scale, n, params)
+        (box := PropagatorKernel.box(n, params))(*_grid(0, n), z * scale)
+        - spectral_sum(box, *_grid(0, n), z * scale)
         for n in (2, 3, 4, 8, 16) for z in (0.5, 2.0, 10.0))), 1e-13
 
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -33,3 +34,12 @@ def test_the_size_limit_has_one_door():
               for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)]
     assert [r for r in raises if "the limit" in r] == \
         ['raise ValueError(f"{what.format(*args)} the limit {_MAX_SIZE}")']
+
+
+def test_no_public_callable_takes_a_box_size_beside_its_kernel():
+    # a system is a `PropagatorKernel`: the check routes took (j, r, dt, n_box, params)
+    # and checked N again, where the engine and every identity take the kernel
+    public = [getattr(polymerqm, name) for name in polymerqm.__all__]
+    takes = {obj.__name__: inspect.signature(obj).parameters for obj in public if callable(obj)
+             and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    assert "spectral_sum" in takes and [n for n, ps in takes.items() if "n_box" in ps] == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 import random
 import re
 import tracemalloc
@@ -27,16 +28,15 @@ from polymerqm.bessel import bessel_table, truncation_window, unit_imaginary_pow
 from polymerqm.propagators import PropagatorKernel, evolve, kernel_table
 from polymerqm.checks import (
     apply_hamiltonian,
-    box_images_kernel,
-    box_spectral_kernel,
     composition_check,
     continuum_sweep,
     greens_residual,
     greens_residual_fd,
+    image_sum,
     momentum_kernel_phase,
-    periodic_kernel,
     schrodinger_box_gaussian,
     schrodinger_free_kernel,
+    spectral_sum,
 )
 from polymerqm.lattice import _fold
 from polymerqm.propagators import _circle_read, _free_vector, _plan
@@ -188,9 +188,11 @@ def test_empty_index_sets_raise_one_error_for_every_system(system, empty):
 
 @pytest.mark.parametrize("call,named", [
     (lambda: FREE(2**63 - 1, -2**63 + 2, 1.0), "output sites j 9223372036854775807"),
-    (lambda: periodic_kernel(-2**63, 1, 1.0, 3, P1), "output sites j -9223372036854775808"),
+    (lambda: image_sum(PropagatorKernel.periodic(3, P1), -2**63, 1, 1.0),
+     "output sites j -9223372036854775808"),
     (lambda: FREE(0, [2**62], 1.0), "input sites r 4611686018427387904"),
-    (lambda: box_images_kernel(2**64, 0, 1.0, 3, P1), "output sites j 18446744073709551616"),
+    (lambda: image_sum(PropagatorKernel.box(3, P1), 2**64, 0, 1.0),
+     "output sites j 18446744073709551616"),
     (lambda: kernel_table(PropagatorKernel.periodic(3, P1), [-2**63], [1], 1.0),
      "output sites j -9223372036854775808"),
     (lambda: kernel_table(PropagatorKernel.free(P1), [0], [2**64], 1.0),
@@ -212,9 +214,9 @@ def test_sites_outside_the_site_domain_raise(call, named):
 
 _DOOR = {
     "kernel_call": lambda j, r: FREE(j, r, 1.0),
-    "box_spectral_kernel": lambda j, r: box_spectral_kernel(j, r, 1.0, 4, P1),
-    "periodic_kernel": lambda j, r: periodic_kernel(j, r, 1.0, 4, P1),
-    "box_images_kernel": lambda j, r: box_images_kernel(j, r, 1.0, 4, P1),
+    "box_spectral_sum": lambda j, r: spectral_sum(PropagatorKernel.box(4, P1), j, r, 1.0),
+    "periodic_image_sum": lambda j, r: image_sum(PropagatorKernel.periodic(4, P1), j, r, 1.0),
+    "box_image_sum": lambda j, r: image_sum(PropagatorKernel.box(4, P1), j, r, 1.0),
     "kernel_table": lambda j, r: kernel_table(PropagatorKernel.free(P1), j, r, 1.0),
     "composition_check": lambda j, r: composition_check(PropagatorKernel.free(P1), j, r,
                                                         0.0, 0.5, 1.0),
@@ -224,6 +226,8 @@ _DOOR = {
 }
 # the routes that take j and r as index lists and read their outer grid
 _OUTER = {"kernel_table", "composition_check", "greens_residual", "greens_residual_fd"}
+# the identities, which cast their index lists before their tables count them
+_LISTS = {"composition_check", "greens_residual", "greens_residual_fd"}
 
 
 @pytest.mark.parametrize("site,named", [
@@ -250,19 +254,26 @@ def test_every_route_refuses_a_grid_over_the_size_limit_before_allocating(route)
     # counted before any plan or grid-sized array.  A free call on a 2^10 x 2^11
     # grid peaked at 64 MiB with nothing to refuse it; the Green's residuals
     # read rows j - 1, j, j + 1 of the engine's table.  int64 sites are not copied
-    # before the count: 2 x (2^24 + 1) entries made a 128 MiB copy of r, then raised
+    # before the count: 2 x (2^24 + 1) entries made a 128 MiB copy of r, then raised.
+    # A range is counted by len() and its window read from its two ends: made into
+    # an array through Python ints, range(2^24 + 1) peaked at 768 MiB
     for js, rs in [(np.arange(2**13) % 5, np.arange(2**12 + 1) % 5),
-                   (np.array([0, 4]), np.arange(2**24 + 1) % 5)]:
+                   (np.array([0, 4]), np.arange(2**24 + 1) % 5),
+                   (np.array([0, 4]), range(2**24 + 1))]:
         rows = f"{js.size} x 3" if route.startswith("greens") else js.size
+        message = rf"^table of {rows} x {len(rs)} entries is over the limit {bessel._MAX_SIZE}$"
+        if isinstance(rs, range) and route.startswith("box_"):  # refused by the ends of r
+            message = rf"^sites j = 0\.\.4, r = 0\.\.{2**24} outside box 0\.\.4$"
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=rf"^table of {rows} x {rs.size} entries is over "
-                                                 rf"the limit {bessel._MAX_SIZE}$"):
+            with pytest.raises(ValueError, match=message):
                 _DOOR[route](js if route in _OUTER else js[:, None], rs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20, rs.size
+        # an identity makes a range r one int64 array (128 MiB here), by np.arange
+        cast = 8 * len(rs) if isinstance(rs, range) and route in _LISTS else 0
+        assert peak < 2**20 + cast, (len(rs), peak)
 
 
 @pytest.mark.parametrize("route", sorted(set(_DOOR) - _OUTER))
@@ -360,6 +371,40 @@ def test_evolve_box_rejects_wall_support():
     for dt in (1.0, 1e18):  # checked before a z the plan refuses
         with pytest.raises(WallSupportError):
             evolve(psi, PropagatorKernel.box(4, P1), dt)
+
+
+def test_evolve_box_at_dt_zero_keeps_the_bits_of_its_interior():
+    # the box state is scattered onto 0..N with every bit: a fold (sites adding onto
+    # zeros) would turn its -0.0 parts into +0.0.  The walls are exact +0
+    amps = np.array([-0.0 - 0.0j, 0.5 - 0.0j, -0.0 + 2.0j, 1e-300 + 0j, -3.25 - 0.0j])
+    out = evolve(LatticeWavefunction(Lattice(P1, 1, 5), amps), PropagatorKernel.box(6, P1), 0.0)
+    assert (out.lattice.n_min, out.lattice.n_max) == (0, 6)
+    assert out.amplitudes[1:6].tobytes() == amps.tobytes()
+    assert out.amplitudes[[0, 6]].tobytes() == np.zeros(2, complex).tobytes()
+
+
+def test_evolve_box_plans_before_it_embeds():
+    # the odd image of a box at N = 2^24 on Z_2N takes 256 MiB; a z the plan refuses
+    # is refused first, after the wall check, which makes no array of the box
+    psi = LatticeWavefunction(Lattice(P1, 1, 4), np.ones(4))
+    box = PropagatorKernel.box(2**24, P1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^z = 1e\+18 is out of range"):
+            evolve(psi, box, 1e18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_box_hamiltonian_walls_are_exact_positive_zeros():
+    # H psi reads the odd image, so each wall is psi_1 - psi_1 (or its mirror): +0, also
+    # next to -0.0 amplitudes
+    amps = np.array([-0.0 - 0.0j, 0.25 + 1j, -0.0 + 0.0j])
+    h_psi = apply_hamiltonian(LatticeWavefunction(Lattice(P1, 1, 3), amps),
+                              PropagatorKernel.box(4, P1))
+    assert h_psi.amplitudes[[0, 4]].tobytes() == np.zeros(2, complex).tobytes()
 
 
 def test_evolve_box_window_fixed():
@@ -460,10 +505,11 @@ def test_hamiltonian_params_mismatch(kernel):
 # ---------------------------------------------------------------------------
 
 def test_box_spectral_walls_vanish():
+    box = PropagatorKernel.box(4, P1)
     for r in range(0, 5):
-        assert box_spectral_kernel(0, r, 1.3, 4, P1) == 0.0
-        assert box_spectral_kernel(4, r, 1.3, 4, P1) == 0.0
-        assert box_spectral_kernel(r, 0, 1.3, 4, P1) == 0.0
+        assert spectral_sum(box, 0, r, 1.3) == 0.0
+        assert spectral_sum(box, 4, r, 1.3) == 0.0
+        assert spectral_sum(box, r, 0, 1.3) == 0.0
 
 
 def test_box_spectral_initial_condition():
@@ -471,45 +517,45 @@ def test_box_spectral_initial_condition():
         for j in range(1, n):
             for r in range(1, n):
                 want = 1.0 if j == r else 0.0
-                assert box_spectral_kernel(j, r, 0.0, n, P1) == pytest.approx(
+                assert spectral_sum(PropagatorKernel.box(n, P1), j, r, 0.0) == pytest.approx(
                     want, abs=1e-14)
 
 
 def test_box_spectral_single_mode():
     z = 0.77
-    assert box_spectral_kernel(1, 1, z, 2, P1) == pytest.approx(
+    assert spectral_sum(PropagatorKernel.box(2, P1), 1, 1, z) == pytest.approx(
         np.exp(-1j * z), abs=1e-14)
 
 
 def test_box_spectral_frozen_value():
     want = 0.08504344872615211 - 0.5966012706589305j
-    assert box_spectral_kernel(1, 2, 3.0, 4, P1) == pytest.approx(want, abs=1e-13)
+    assert spectral_sum(PropagatorKernel.box(4, P1), 1, 2, 3.0) == pytest.approx(want, abs=1e-13)
 
 
 def test_box_spectral_domain():
     with pytest.raises(ValueError):
-        box_spectral_kernel(-1, 2, 1.0, 4, P1)
+        spectral_sum(PropagatorKernel.box(4, P1), -1, 2, 1.0)
     with pytest.raises(ValueError):
-        box_spectral_kernel(1, 5, 1.0, 4, P1)
+        spectral_sum(PropagatorKernel.box(4, P1), 1, 5, 1.0)
 
 
 def test_box_domain_error_names_the_ranges():
     # one line naming the j and r ranges, not the index arrays
     with pytest.raises(ValueError) as err:
-        box_spectral_kernel(np.arange(40)[:, None], np.arange(3), 1.0, 5, P1)
+        spectral_sum(PropagatorKernel.box(5, P1), np.arange(40)[:, None], np.arange(3), 1.0)
     message = str(err.value)
     assert "\n" not in message and "0..39" in message and "0..2" in message
     with pytest.raises(ValueError, match="0..39"):
-        box_images_kernel(np.arange(40)[:, None], np.arange(3), 1.0, 5, P1)
+        image_sum(PropagatorKernel.box(5, P1), np.arange(40)[:, None], np.arange(3), 1.0)
 
 
 def test_box_spectral_full_grid_memory():
     # the level sum is contracted: a grid x levels array would be 51 MB here
-    sites = np.arange(0, 129)
-    box_spectral_kernel(sites[:, None], sites, 1.3, 128, P1)
+    sites, box = np.arange(0, 129), PropagatorKernel.box(128, P1)
+    spectral_sum(box, sites[:, None], sites, 1.3)
     tracemalloc.start()
     try:
-        table = box_spectral_kernel(sites[:, None], sites, 1.3, 128, P1)
+        table = spectral_sum(box, sites[:, None], sites, 1.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -523,41 +569,52 @@ def test_box_level_sum_refuses_a_working_set_over_the_limit_before_allocating(si
     # the level sum holds sites x (N - 1) mode values whatever the grid: a 33 x 33
     # grid (1,089 entries) at N = 2^14 peaked at 16.9 MiB; refused before the modes
     j, r = (np.array([[1], [2]]), 3) if sites == 3 else (np.arange(33)[:, None], np.arange(33))
+    box = PropagatorKernel.box(n, P1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=rf"^{sites} sites x {n - 1} levels is over "
                                              rf"the limit {bessel._MAX_SIZE}$"):
-            box_spectral_kernel(j, r, 1.0, n, P1)
+            spectral_sum(box, j, r, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("route, system", [(spectral_sum, "free"), (spectral_sum, "periodic"),
+                                           (image_sum, "free")])
+def test_check_routes_refuse_a_system_they_have_no_construction_for(route, system):
+    kernel = PropagatorKernel(system, P1, n=None if system == "free" else 4)
+    with pytest.raises(ValueError, match=rf"^(spectral|image) sum not defined for system "
+                                         rf"'{system}'$"):
+        route(kernel, 1, 2, 0.5)
+
+
 def test_box_images_matches_spectral():
     worst = 0.0
     for n in (2, 3, 4, 8, 16):
+        box = PropagatorKernel.box(n, P1)
         for z in (0.5, 2.0, 10.0):
             for j in range(0, n + 1):
                 for r in range(0, n + 1):
-                    dev = abs(box_spectral_kernel(j, r, z, n, P1)
-                              - box_images_kernel(j, r, z, n, params=P1))
+                    dev = abs(spectral_sum(box, j, r, z) - image_sum(box, j, r, z))
                     worst = max(worst, dev)
     assert worst <= 1e-10
 
 
 def test_box_images_frozen_case():
-    assert box_images_kernel(1, 2, 3.0, 4, params=P1) == pytest.approx(
-        box_spectral_kernel(1, 2, 3.0, 4, P1), abs=1e-10)
+    box = PropagatorKernel.box(4, P1)
+    assert image_sum(box, 1, 2, 3.0) == pytest.approx(spectral_sum(box, 1, 2, 3.0), abs=1e-10)
 
 
 def test_box_images_walls_and_identity():
-    assert box_images_kernel(0, 2, 1.0, 4, params=P1) == 0.0
-    assert box_images_kernel(3, 4, 1.0, 4, params=P1) == 0.0
+    box = PropagatorKernel.box(4, P1)
+    assert image_sum(box, 0, 2, 1.0) == 0.0
+    assert image_sum(box, 3, 4, 1.0) == 0.0
     for j in range(1, 4):
         for r in range(1, 4):
             want = 1.0 if j == r else 0.0
-            assert box_images_kernel(j, r, 0.0, 4, params=P1) == pytest.approx(
+            assert image_sum(box, j, r, 0.0) == pytest.approx(
                 want, abs=1e-14)
 
 
@@ -569,7 +626,7 @@ def test_periodic_matches_brute_force_images():
     for n in (2, 5):
         for z in (0.5, 4.0):
             for j, r in ((0, 0), (1, 3), (4, 1)):
-                k_fast = periodic_kernel(j, r, z, n, params=P1)
+                k_fast = image_sum(PropagatorKernel.periodic(n, P1), j, r, z)
                 # images up to |k| reach orders -W..W from any separation j - r
                 count = (truncation_window(z) + abs(j - r)) // (2 * n) + 1
                 k_slow = brute(j, r, z, n, count)
@@ -578,12 +635,11 @@ def test_periodic_matches_brute_force_images():
 
 def test_periodic_shift_invariance():
     for n in (3, 4):
+        periodic = PropagatorKernel.periodic(n, P1)
         for z in (1.0, 6.0):
-            base = periodic_kernel(2, 1, z, n, params=P1)
-            assert abs(periodic_kernel(2 + 2 * n, 1, z, n, params=P1) - base) \
-                <= 1e-12
-            assert abs(periodic_kernel(2, 1 - 2 * n, z, n, params=P1) - base) \
-                <= 1e-12
+            base = image_sum(periodic, 2, 1, z)
+            assert abs(image_sum(periodic, 2 + 2 * n, 1, z) - base) <= 1e-12
+            assert abs(image_sum(periodic, 2, 1 - 2 * n, z) - base) <= 1e-12
 
 
 def test_periodic_initial_condition_mod_2n():
@@ -591,7 +647,7 @@ def test_periodic_initial_condition_mod_2n():
     for j in range(-6, 7):
         for r in range(-6, 7):
             want = 1.0 if (j - r) % (2 * n) == 0 else 0.0
-            assert periodic_kernel(j, r, 0.0, n, params=P1) == pytest.approx(
+            assert image_sum(PropagatorKernel.periodic(n, P1), j, r, 0.0) == pytest.approx(
                 want, abs=1e-15)
 
 
@@ -626,22 +682,20 @@ def test_evolve_periodic_translation_equivariance():
 
 def test_image_cutoff_depends_on_separation_only():
     # check-route cost and value do not move with absolute site index
-    n, z = 5, 3.0
-    shift = 2 * n * 10**4
+    periodic, z = PropagatorKernel.periodic(5, P1), 3.0
+    shift = 2 * periodic.n * 10**4
     for j, r in ((2, 1), (0, 7), (-3, 4), (9, -6)):
-        assert periodic_kernel(j + shift, r + shift, z, n, P1) == \
-            periodic_kernel(j, r, z, n, P1)
+        assert image_sum(periodic, j + shift, r + shift, z) == image_sum(periodic, j, r, z)
 
 
-@pytest.mark.parametrize("route, side, n", [(periodic_kernel, 128, 4),
-                                            (box_images_kernel, 65, 64)])
-def test_image_sum_memory_does_not_grow_with_images(route, side, n):
+@pytest.mark.parametrize("system, side, n", [("periodic", 128, 4), ("box", 65, 64)])
+def test_image_sum_memory_does_not_grow_with_images(system, side, n):
     # one fold of the free vector onto Z_2N, O(W + N + grid); grid x images
     # order arrays peaked at 281 MiB (periodic) and 10.5 MiB (box) on these grids
-    sites = np.arange(side)
+    sites, kernel = np.arange(side), PropagatorKernel(system, P1, n=n)
     tracemalloc.start()
     try:
-        table = route(sites[:, None], sites, 1e3, n, P1)
+        table = image_sum(kernel, sites[:, None], sites, 1e3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -658,31 +712,30 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("route, mirror, n", [(periodic_kernel, False, 1000),
-                                              (box_images_kernel, True, 39)])
-def test_image_fold_in_blocks_keeps_the_bytes_of_one_fold(route, mirror, n):
+@pytest.mark.parametrize("system, mirror, n", [("periodic", False, 1000), ("box", True, 39)])
+def test_image_fold_in_blocks_keeps_the_bytes_of_one_fold(system, mirror, n):
     # at z = 1e5 the 2W + 1 orders fold in four blocks of 2^16, in site order: the
     # bytes of one `_fold` of them all.  The one fold held about 40 bytes an order
     # beside the free vector (7.68 MiB against the vector's 3.96); the blocks add 0.11
-    z, sites = 1e5, np.arange(40)
+    z, sites, kernel = 1e5, np.arange(40), PropagatorKernel(system, P1, n=n)
     orders = np.arange(-(w := truncation_window(z)), w + 1)
     circle = _fold(orders, _free_vector(z, w)(orders), 2 * n)
     want = _circle_read(circle, sites[:, None], sites, mirror)
     _, vector_peak = _traced_peak(lambda: _free_vector(z, w))
-    got, peak = _traced_peak(lambda: route(sites[:, None], sites, z, n, P1))
+    got, peak = _traced_peak(lambda: image_sum(kernel, sites[:, None], sites, z))
     assert got.tobytes() == want.tobytes()
     assert peak < vector_peak + 2**19
 
 
 @pytest.mark.parametrize("n", [2, 5, 16])
-def test_periodic_kernel_matches_exact_momentum_sum_at_large_z(n):
+def test_periodic_image_sum_matches_exact_momentum_sum_at_large_z(n):
     # k_P(m) = (1/2N) sum_q e^{i pi q m/N - iz(1 - cos(pi q/N))} over the 2N
     # momenta, at 40 digits.  Measured worst 1.79e-14 (N = 2, z = 1e5);
     # the bound is 1e-13, 5.6x that
     mpmath = pytest.importorskip("mpmath")
-    seps = np.arange(2 * n)
+    seps, periodic = np.arange(2 * n), PropagatorKernel.periodic(n, P1)
     for z in (0.5, 7.25, 1e3, 1e4 + 0.5, 1e5):
-        got = periodic_kernel(seps, 0, z, n, P1)
+        got = image_sum(periodic, seps, 0, z)
         with mpmath.workdps(40):
             for m in seps:
                 want = mpmath.fsum(mpmath.expj(mpmath.pi * q * int(m) / n - mpmath.mpf(z)
@@ -705,9 +758,9 @@ def _dense_sum(kernel, psi, out_sites, dt):
 def _check_route(label, n):
     """A closed form of `checks` as k(j, r, dt): the box spectral sum, the box image
     sum or the periodic image sum."""
-    route = {"box-spectral": box_spectral_kernel, "box-images": box_images_kernel,
-             "periodic": periodic_kernel}[label]
-    return lambda j, r, dt: route(j, r, dt, n, P1)
+    route, system = {"box-spectral": (spectral_sum, "box"), "box-images": (image_sum, "box"),
+                     "periodic": (image_sum, "periodic")}[label]
+    return partial(route, PropagatorKernel(system, P1, n=n))
 
 
 def _system_and_route(label, n):
@@ -947,9 +1000,9 @@ def test_tables_are_exactly_symmetric_and_the_call_reads_the_engine(system):
 
 _ROUTES = {
     "free": lambda j, r, dt, n: FREE(j, r, dt),
-    "box-spectral": lambda j, r, dt, n: box_spectral_kernel(j, r, dt, n, P1),
-    "box-images": lambda j, r, dt, n: box_images_kernel(j, r, dt, n, P1),
-    "periodic": lambda j, r, dt, n: periodic_kernel(j, r, dt, n, P1),
+    "box-spectral": lambda j, r, dt, n: spectral_sum(PropagatorKernel.box(n, P1), j, r, dt),
+    "box-images": lambda j, r, dt, n: image_sum(PropagatorKernel.box(n, P1), j, r, dt),
+    "periodic": lambda j, r, dt, n: image_sum(PropagatorKernel.periodic(n, P1), j, r, dt),
 }
 
 
@@ -1120,8 +1173,8 @@ def test_box_suite_far_past_the_old_spectrum_limit():
 
 def test_box_suite_at_the_largest_n_refuses_before_copying_its_sites():
     # N = 2^24 is a legal box, but boundary-zeros' table of 2 x (2^24 + 1) entries is
-    # refused.  The peak is the record's own np.arange of the sites (128 MiB); their
-    # int64 copy, made before the count, doubled it to 256 MiB
+    # refused.  Its sites are range(N + 1), counted by len() before any array is made;
+    # as an np.arange they peaked at 128 MiB, and 256 MiB with their int64 copy
     from polymerqm.verify import run_suite
 
     run_suite("box", n_box=8)  # warm up
@@ -1132,7 +1185,7 @@ def test_box_suite_at_the_largest_n_refuses_before_copying_its_sites():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 2**20
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -1609,9 +1662,9 @@ _BOX_SIZE_ROUTES = {
     "apply_hamiltonian": lambda n: apply_hamiltonian(
         LatticeWavefunction(Lattice(P1, 1, 1), np.ones(1)), PropagatorKernel.box(n, P1)),
     "box_spectrum": lambda n: box_spectrum(n, P1),
-    "box_spectral_kernel": lambda n: box_spectral_kernel(1, 1, 0.5, n, P1),
-    "image_sums": lambda n: (periodic_kernel(1, 1, 0.5, n, P1),
-                             box_images_kernel(1, 1, 0.5, n, P1)),
+    "box_spectral_sum": lambda n: spectral_sum(PropagatorKernel.box(n, P1), 1, 1, 0.5),
+    "image_sums": lambda n: (image_sum(PropagatorKernel.periodic(n, P1), 1, 1, 0.5),
+                             image_sum(PropagatorKernel.box(n, P1), 1, 1, 0.5)),
     "PropagatorKernel": lambda n: (PropagatorKernel.box(n, P1),
                                    PropagatorKernel.periodic(n, P1)),
 }

@@ -55,8 +55,8 @@ import numpy as np
 import polymerqm
 from polymerqm import (
     Lattice, LatticeWavefunction, MomentumGrid, PhysicalParams, PropagatorKernel,
-    apply_hamiltonian, bessel_table, evolve, from_momentum, gaussian_packet,
-    kernel_table, periodic_kernel, schrodinger_box_gaussian, to_momentum,
+    apply_hamiltonian, bessel_table, evolve, from_momentum, gaussian_packet, image_sum,
+    kernel_table, schrodinger_box_gaussian, to_momentum,
 )
 from polymerqm.cli import main as cli_main
 from polymerqm.verify import run_suite
@@ -108,8 +108,13 @@ def _kernel_table_free(separation):
 
 
 def _image_sum_periodic(side):
-    sites = np.arange(side)
-    return lambda: periodic_kernel(sites[:, None], sites, 1e3, 4, P)
+    sites, periodic = np.arange(side), PropagatorKernel.periodic(4, P)
+    return lambda: image_sum(periodic, sites[:, None], sites, 1e3)
+
+
+def _image_sum_periodic_z(z):
+    periodic = PropagatorKernel.periodic(1000, P)
+    return lambda: image_sum(periodic, 3, 1, z)
 
 
 def _box_gaussian(points):
@@ -179,8 +184,7 @@ CASES = {
     # the check-route image sum on a side x side grid spanning many periods 2N = 8
     "image_sum_periodic": ("side", [2**k for k in range(4, 8)], _image_sum_periodic),
     # one check-route entry at N = 1000: the fold of the free vector over z
-    "image_sum_periodic_z": ("z", [1e3 * 4**k for k in range(6)],
-                             lambda z: lambda: periodic_kernel(3, 1, z, 1000, P)),
+    "image_sum_periodic_z": ("z", [1e3 * 4**k for k in range(6)], _image_sum_periodic_z),
     # the same entry by the engine's call: the circle step of a delta, O(N log N) at any z
     "kernel_call_periodic_z": ("z", [1e3 * 4**k for k in range(6)],
                                lambda z: lambda: PropagatorKernel.periodic(1000, P)(3, 1, z)),
