@@ -1,18 +1,17 @@
 """The check routes: closed forms, identities and continuum references.
 
-`PropagatorKernel.__call__`, `kernel_table` and `evolve` read the engine; the closed forms
-here are independent routes to the same kernels, each taking the `PropagatorKernel` it
-checks, at integer sites or index arrays through the engine's door `_read`: `spectral_sum`
-(the box's N-1 levels) and `image_sum` (periodic, and the box as its odd part), which folds
-the engine's free vector onto Z_2N and reads it by `_circle_read`, O(W + N + grid); each
-refuses a system it has no construction for.  Identities (composition, Green's residual)
-check the engine, each folding its samples into one float by `_worst`, the one
-reducer of `verify` too: a NaN anywhere makes it NaN, and so fails the check;
-`apply_hamiltonian`, the generator of `evolve` in each system, and the Green's
-residual share the stencil of `dynamics`.  `schrodinger_free_kernel`,
-`schrodinger_box_gaussian` (by images, as the polymer box) and
-`momentum_kernel_phase` are the continuum and momentum references.  Sums add in
-a fixed order, independent of the call's grid: compositions by numpy's pairwise
+`PropagatorKernel.__call__`, `kernel_table` and `evolve` read the engine.  Every route here
+takes the `PropagatorKernel` it checks and reads integer sites or index arrays through the
+engine's door `_read`, one pass per grid.  The closed forms are independent routes to the
+same kernels: `spectral_sum` (the box's N-1 levels) and `image_sum` (periodic, and the box as
+its odd part), which folds the engine's free vector onto Z_2N and reads it by `_circle_read`,
+O(W + N + grid); each refuses a system it has no construction for.  Identities (composition,
+Green's residual) check the engine, each folding its samples into one float by `_worst`, the
+one reducer of `verify` too: a NaN anywhere makes it NaN, and so fails the check.
+`apply_hamiltonian`, the generator of `evolve` in each system, and the Green's residual share
+the stencil of `dynamics`.  `schrodinger_free_kernel`, `schrodinger_box_gaussian` (by images,
+as the polymer box) and `momentum_kernel_phase` are the continuum and momentum references.
+Sums add in a fixed order, independent of the call's grid: compositions by numpy's pairwise
 summation along a contiguous last axis, image sums in site order or out from the packet.
 """
 
@@ -27,8 +26,8 @@ from .bessel import _limit, truncation_window
 from .dynamics import _band, _box_modes, _stencil
 from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, _gaussian_inputs,
                       dimensionless_time)
-from .propagators import (PropagatorKernel, _circle_read, _free_vector, _on_circle, _plan, _read,
-                          _sites, _state_params, kernel_table)
+from .propagators import (PropagatorKernel, _circle_read, _engine, _free_vector, _kernel_rows,
+                          _on_circle, _plan, _read, _state_params, _table, _windows)
 from .spectral import dispersion_energy
 
 
@@ -63,26 +62,25 @@ def spectral_sum(kernel: PropagatorKernel, j, r, dt: float):
 
 def image_sum(kernel: PropagatorKernel, j, r, dt: float):
     """The periodic kernel sum_k k_free(j, r + 2kN, dt), or the box kernel as its odd part
-    k_P(j, r) - k_P(j, -r), built from images of the free kernel: within 1e-10 of the
-    box's spectral sum.
+    k_P(j, r) - k_P(j, -r), from free-kernel images: a box within 1e-10 of its `spectral_sum`.
 
-    k_free is exactly 0 beyond the truncation window W, so the image sum is
-    the free vector at orders -W..W folded onto Z_2N and `_circle_read`:
-    O(W + N + grid), however many images the window spans, 2^16 orders at a time.
+    k_free is exactly 0 beyond the truncation window W, so the image sum is the free vector
+    at orders -W..W folded onto Z_2N, 2^16 orders at a time, and read by `_circle_read`:
+    O(W + N + grid), however many images the window spans.
     """
     if kernel.system == "free":
         raise ValueError(f"image sum not defined for system {kernel.system!r}")
     mirror = kernel.system == "box"
-
-    def reader(*_):  # the fold needs no windows
+    def fold():  # made once the door has counted the grid; it needs no windows
         read = _free_vector(z := dimensionless_time(kernel.params, dt),
                             w := truncation_window(abs(z)))
         circle = np.zeros(2 * kernel.n, dtype=complex)
         for lo in range(-w, w + 1, 2**16):  # in site order, as one `_fold` adds: its bits
             orders = np.arange(lo, min(lo + 2**16, w + 1))
             np.add.at(circle, orders % (2 * kernel.n), read(orders))
-        return lambda js, rs: _circle_read(circle, js, rs, mirror)
-    return _read(j, r, reader, kernel.n if mirror else None)
+        return circle
+    return _read(j, r, lambda *_: lambda js, rs: _circle_read(fold(), js, rs, mirror),
+                 kernel.n if mirror else None)
 
 
 def momentum_kernel_phase(p, dt: float, params: PhysicalParams):
@@ -145,31 +143,30 @@ def apply_hamiltonian(psi: LatticeWavefunction, kernel: PropagatorKernel) -> Lat
     lat, params = psi.lattice, _state_params(psi, kernel)
     lo, hi = (0, kernel.n) if kernel.system == "box" else (lat.n_min - 1, lat.n_max + 1)
     wide = (np.pad(psi.amplitudes, 2) if kernel.system == "free" else
-            _on_circle(psi, kernel)[np.arange(lo - 1, hi + 2) % (2 * kernel.n)])
+            np.take(_on_circle(psi, kernel), np.arange(lo - 1, hi + 2), mode="wrap"))
     return LatticeWavefunction(Lattice(params, lo, hi), _stencil(wide, params))
 
 
-def _index_lists(j_values, r_values):
-    """`_sites` of j and r, each an integer or a 1-d index list, else a ValueError naming it."""
+def _outer_read(j_values, r_values, reader):
+    """`_read` of j x r, each an integer or a 1-d index list, else a ValueError naming it."""
     for name, v in (("j_values", j_values), ("r_values", r_values)):
         if not isinstance(v, range) and np.ndim(v) > 1:
             raise ValueError(f"{name} must be an integer or a 1-d index list, not {np.ndim(v)}-d")
-    return _sites(j_values, r_values)
+    return _read(j_values, r_values, reader, outer=True)
 
 
 def composition_check(kernel: PropagatorKernel, j_values, r_values,
                       t0: float, t1, t: float) -> float:
     """Worst |k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over j x r and every t1.
 
-    j_values (rows) and r_values (columns) are integers or index lists; t1 is
-    one intermediate time or a 1-d sequence of them.  The direct term and the
-    two legs are the engine (`kernel(j, r, dt)` built once, `kernel_table`
-    blocks per t1).  The intermediate sites n are the whole system
-    where it is finite, so the identity then holds to rounding: the box sums
-    over its sites 0..N, the periodic system over one period 0..2N-1 (each
-    image once).  For the free system the window pads the grid's [min(j, r),
-    max(j, r)] by the truncation windows of both legs, outside of which the
-    factors decay super-exponentially.
+    j_values (rows) and r_values (columns) are integers or index lists; t1 is one
+    intermediate time or a 1-d sequence of them.  One door pass reads the grid, and the
+    direct term and each leg are planned once (the early leg read as k(r, n), as tables are
+    symmetric bit for bit).  The intermediate sites n are the whole system where it is
+    finite, so the identity then holds to rounding: the box sums over its sites 0..N, the
+    periodic system over one period 0..2N-1 (each image once).  For the free system the
+    window pads the grid's [min(j, r), max(j, r)] by the truncation windows of both legs,
+    outside of which the factors decay super-exponentially.
     """
     if np.ndim(t1) > 1 or np.size(t1) == 0:
         raise ValueError(f"t1 must be one time or a nonempty 1-d sequence, got {t1!r}")
@@ -177,34 +174,40 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     for mid in t1s:
         if not (t0 <= mid <= t):
             raise ValueError(f"need t0 <= t1 <= t, got {t0}, {mid}, {t}")
-    js, rs, (rows, cols), _ = _index_lists(j_values, r_values)
 
-    def span(dt_late, dt_early):  # planned, so a window over the size limit is refused early
-        if kernel.system != "free":
-            return 0, kernel.n if kernel.system == "box" else 2 * kernel.n - 1
-        pad = sum(_plan(kernel, dt, (0, 0))[1] for dt in (dt_late, dt_early))
-        window = (min(rows[0], cols[0]) - pad, max(rows[1], cols[1]) + pad)
-        _plan(kernel, dt_late, window, rows)
-        return window
+    def reader(rows, cols, _):
+        def legs(mid):  # the plans of k(j, n; t - t1) and k(r, n; t1 - t0), n the sites
+            late, early = (_plan(kernel, dt, (0, 0)) for dt in (t - mid, mid - t0))  # -W..W
+            if kernel.system == "free":  # the grid padded by both legs' W
+                pad = late[1] + early[1]
+                n = _windows(rows, (min(rows[0], cols[0]) - pad, max(rows[1], cols[1]) + pad))[1]
+            else:  # the whole system
+                n = (0, kernel.n if kernel.system == "box" else 2 * kernel.n - 1)
+            return (*late[:2], rows, n), (*early[:2], cols, n)
+        # free, n grows with z: refused before the count; box, periodic: after the direct term
+        free = [legs(mid) for mid in t1s] if kernel.system == "free" else None
 
-    spans = [span(t - mid, mid - t0) for mid in t1s]
-    direct = kernel(js[:, None], rs, t - t0)
-
-    def deviation(mid, lo, hi):  # one t1 at a time, O(R S) per row of paths
-        sites = np.arange(lo, hi + 1)
-        late = kernel_table(kernel, js, sites, t - mid)
-        early = np.ascontiguousarray(kernel_table(kernel, sites, rs, mid - t0).T)
-        return _worst(direct - np.array([np.sum(row * early, axis=-1) for row in late]))
-    return _worst(*(deviation(mid, *span) for mid, span in zip(t1s, spans)))
+        def deviations(js, rs):  # one t1 at a time, O(R S) per row of paths
+            values = _engine(kernel, t - t0, rows, cols)(js, rs)
+            for late, early in free or map(legs, t1s):
+                lo, hi = late[3]
+                _table(js.size, hi - lo + 1)
+                _table(hi - lo + 1, rs.size)
+                sites = np.arange(lo, hi + 1)
+                early = _kernel_rows(kernel, early)(rs[:, None], sites)
+                yield _worst(values - np.array([np.sum(row * early, axis=-1) for row
+                                                in _kernel_rows(kernel, late)(js, sites)]))
+        return deviations
+    return _worst(*_outer_read(j_values, r_values, reader))
 
 
 def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
                   dk_dt, min_dt: float = 0.0) -> float:
     """Worst |i hbar dk/dt - (H k)_j| over j x r x dt, H `dynamics._stencil` in j.
 
-    k at rows j-1, j, j+1 comes from `kernel_table`; dk_dt(kernel, dt,
-    js, rs) supplies the time derivative on the j x r grid.  Box stencil
-    sites must be interior, so that j +- 1 stays inside 0..N.
+    One door pass reads the grid and counts the table of the stencil's rows j - 1, j, j + 1;
+    each dt is planned once.  dk_dt(kernel, dt, js, rs, windows) gives dk/dt on the grid.
+    Box stencil sites must be interior, so that j +- 1 stays inside 0..N.
     """
     dts = [float(dt) for dt in dt_values]
     if not dts:
@@ -212,23 +215,26 @@ def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
     if any(dt <= min_dt for dt in dts):
         raise ValueError(f"grid times must exceed {min_dt} (strictly after t0, "
                          "and beyond any differencing step)")
-    js, rs, ((j_lo, j_hi), _), _ = _index_lists(j_values, r_values)
-    if kernel.system == "box" and (j_lo < 1 or j_hi > kernel.n - 1):
-        raise ValueError(f"stencil sites must be interior to the box 1..{kernel.n - 1}")
 
-    def residual(dt):  # rows j - 1, j, j + 1 on the last axis, where the stencil runs
-        table = np.moveaxis(kernel_table(kernel, js[:, None] + np.arange(-1, 2), rs, dt), 1, -1)
-        return _worst(1j * kernel.params.hbar * dk_dt(kernel, dt, js, rs)
-                      - _stencil(table, kernel.params)[..., 0])
-    return _worst(*map(residual, dts))
+    def reader(rows, cols, shape):
+        if kernel.system == "box" and (rows[0] < 1 or rows[1] > kernel.n - 1):
+            raise ValueError(f"stencil sites must be interior to the box 1..{kernel.n - 1}")
+        wide = _windows((rows[0] - 1, rows[1] + 1), cols)
+        _table(shape[0], 3, shape[1])
+
+        def residual(js, rs, dt):  # rows j - 1, j, j + 1 on the last axis, where the stencil runs
+            table = _engine(kernel, dt, *wide)(js[..., None] + np.arange(-1, 2), rs[:, None])
+            return _worst(1j * kernel.params.hbar * dk_dt(kernel, dt, js, rs, (rows, cols))
+                          - _stencil(table, kernel.params)[..., 0])
+        return lambda js, rs: [residual(js, rs, dt) for dt in dts]
+    return _worst(*_outer_read(j_values, r_values, reader))
 
 
-def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs) -> np.ndarray:
+def _free_dk_dt(kernel: PropagatorKernel, dt: float, js, rs, *_) -> np.ndarray:
     """(dz/dt)((n/z - i) k_n + i k_(n+1)), n = |j - r|, by dJ_n/dz = (n/z) J_n - J_(n+1) on
     the engine's k_n = i^n J_n e^{-iz} (`_free_vector`, exact 0 beyond W: cost free of n)."""
-    params = kernel.params
-    z = dimensionless_time(params, dt)
-    mag = np.abs(np.subtract.outer(js, rs))
+    params, z = kernel.params, dimensionless_time(kernel.params, dt)
+    mag = np.abs(js - rs)
     read = _free_vector(z, int(mag.max()) + 1)
     rate = params.hbar / (params.mass * params.mu0**2)
     k = read(mag)  # n k_n / z: n / z overflows at far orders and tiny z, and inf x 0 is NaN
@@ -244,8 +250,8 @@ def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> 
     Free, it tests the recurrence of J_n, the phases i^|m| e^{-iz}, dz/dt and the stencil,
     not the scale: the equation is linear, so a uniformly rescaled table passes it.
     """
-    dk_dt = {"free": _free_dk_dt, "box": lambda kernel, dt, js, rs: _box_level_sum(
-        kernel, dt, js[:, None], rs, derivative=True)}.get(kernel.system)
+    dk_dt = {"free": _free_dk_dt, "box": lambda kernel, dt, js, rs, _: _box_level_sum(
+        kernel, dt, js, rs, derivative=True)}.get(kernel.system)
     if dk_dt is None:
         raise ValueError(f"analytic residual not defined for system {kernel.system!r}")
     return _greens_worst(kernel, j_values, r_values, dt_values, dk_dt)
@@ -257,9 +263,9 @@ def greens_residual_fd(kernel: PropagatorKernel, j_values, r_values, dt_values,
     if step is None:
         step = 1e-6 * (kernel.params.mu0**2 * kernel.params.mass / kernel.params.hbar)
 
-    def dk_dt(kernel, dt, js, rs):
-        return (kernel_table(kernel, js, rs, dt + step)
-                - kernel_table(kernel, js, rs, dt - step)) / (2.0 * step)
+    def dk_dt(kernel, dt, js, rs, windows):
+        return (_engine(kernel, dt + step, *windows)(js, rs)
+                - _engine(kernel, dt - step, *windows)(js, rs)) / (2.0 * step)
 
     return _greens_worst(kernel, j_values, r_values, dt_values, dk_dt, min_dt=step)
 
@@ -291,16 +297,14 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
     error and of the error against this two-saddle limit;
     demos/05_continuum_limit.py also shows the packet-smeared comparison.
     """
-    dx = float(dx)
-    dt = float(dt)
+    dx, dt = float(dx), float(dt)
     if dx <= 0.0 or dt <= 0.0:
         raise ValueError("need dx > 0 and dt > 0")
     points = []
     for mu0 in mu0_list:
         mu0 = float(mu0)
         params = PhysicalParams(hbar=hbar, mass=mass, mu0=mu0)
-        l_exact = dx / mu0
-        sites = round(l_exact)
+        sites = round(l_exact := dx / mu0)
         if sites < 1 or abs(l_exact - sites) > 1e-9 * max(1.0, abs(l_exact)):
             raise ValueError(f"mu0 = {mu0} does not divide dx = {dx} evenly")
         z = dimensionless_time(params, dt)

@@ -216,10 +216,9 @@ def _json_list(objects):
 def cmd_kernel(args: argparse.Namespace) -> int:
     """Tabulate k(j, r, dt) in O(R + W + N) memory for R columns, any rows.
 
-    Every time is planned first (`_plan`), so an error writes nothing;
-    then each time's kernel vector is built in turn, its rows of j
-    gathered about `_BLOCK` cells at a time, each row turned into Python
-    floats and written once formatted.
+    Every time is planned once, first (`_plan`), so an error writes nothing; then each
+    time's kernel vector is built from its plan in turn (`_kernel_rows`), its rows of j
+    gathered about `_BLOCK` cells at a time, each row written once formatted.
     """
     kernel = _kernel(args, _params(args))
     lo, hi = (0, kernel.n) if kernel.system == "box" else (-4, 4)
@@ -238,7 +237,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
     def blocks():
         for dt, plan in plans:
-            z, read = plan[0], _kernel_rows(kernel, dt, (j_lo, j_hi), (r_lo, r_hi))
+            z, read = plan[0], _kernel_rows(kernel, plan)
             tail = (f',\n    "dt": {dt!r},\n    "z": {z!r},\n    "re": ' if as_json
                     else f",{dt!r},{z!r},")
             for start in range(j_lo, j_hi + 1, step):
@@ -281,8 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = [r for r in results if not r.passed]
     if args.out is not None or args.format == "json":
         for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            sys.stdout.write(f"{mark} {r.suite}/{r.name} "
+            sys.stdout.write(f"{'PASS' if r.passed else 'FAIL'} {r.suite}/{r.name} "
                              f"dev={r.deviation!r} tol={r.tolerance!r}\n")
     for r in failures:
         sys.stderr.write(f"FAIL {r.suite}/{r.name}: deviation {r.deviation!r} "
@@ -298,13 +296,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep needs mu0_list (flag --mu0-list or config)")
     points = continuum_sweep(args.dx, dt, args.mu0_list,
                              hbar=args.hbar, mass=args.mass)
-    rows = []
-    for i, pt in enumerate(points):
-        if i + 1 < len(points) and points[i + 1].abs_error > 0:
-            order = math.log2(pt.abs_error / points[i + 1].abs_error)
-        else:
-            order = None
-        rows.append((pt.mu0, pt.sites, pt.z, pt.abs_error, order))
+    rows = [(pt.mu0, pt.sites, pt.z, pt.abs_error,  # the order against the next spacing
+             math.log2(pt.abs_error / nxt.abs_error) if nxt and nxt.abs_error > 0 else None)
+            for pt, nxt in zip(points, [*points[1:], None])]
     _emit_table(["mu0", "l", "z", "abs_error", "empirical_order"], rows,
                 args.format, args.out)
     return 0

@@ -7,18 +7,16 @@ Systems (`PropagatorKernel.system`):
             equal to twice the odd part of the periodic kernel
   periodic  sum over images k of the free kernel at r + 2kN
 
-Caller sites j (output) and r (input) enter by `_sites`; `_windows` alone checks a window
-(integer arrays or ranges, nonempty, |site| < 2^62, box sites in 0..N).  Every kernel read
-(calls, `kernel_table`, the closed forms of `checks`) passes the door `_read`: `_sites`, its
-broadcast entries counted by `bessel._limit` before any copy (a range by len()), a complex
-for scalars.  `_plan` checks every engine call before any array is made; each kind of
-kernel vector has one reader.  `_free_vector` gives every free kernel value, from one Bessel
-table of at most W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window W:
-calls and tables read it on (j, r) grids, free `evolve` convolves it.  `_circle_read` reads
-every vector on Z_2N at min(d, 2N - d), so tables are symmetric bit for bit: the circle
-step of a delta for periodic and box (an exact sum over 2N momenta by FFT, the box its odd
-part).  `_on_circle` puts a periodic or box state on Z_2N, for `evolve`'s circle step and
-`checks.apply_hamiltonian`'s stencil alike: a fold, or a box's `_odd` image.
+Caller sites j (output) and r (input) enter by one door, `_read`, one pass per grid: it
+checks their windows (`_windows`: nonempty, |site| < 2^62, box sites in 0..N) and counts
+their table (`_table`, a range by len()) before any copy.  `_plan` checks each time of an
+engine call once, before any array of it; `_kernel_rows` reads the plan it is given, and each
+kind of kernel vector has one reader.  `_free_vector` gives every free kernel value, from one
+Bessel table of at most W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window W.
+`_circle_read` reads every vector on Z_2N at min(d, 2N - d), so tables are symmetric bit for
+bit: the circle step of a delta for periodic and box (an exact sum over 2N momenta by FFT,
+the box its odd part).  `_on_circle` puts a periodic or box state on Z_2N for `evolve` and
+`checks.apply_hamiltonian` alike: a fold, or a box's odd image made in place.
 """
 
 from __future__ import annotations
@@ -67,18 +65,28 @@ def _free_vector(z: float, reach: int):
 # ---------------------------------------------------------------------------
 
 def _windows(rows, cols, n_box: int | None = None):
-    """The windows (lo, hi) of j and r, else a ValueError naming one: each must be
-    nonempty, of sites `bessel._limit` takes, inside `bessel._site_domain`
-    and, given a box size N, inside the box 0..N."""
+    """The windows (lo, hi) of j and r, else a ValueError naming one: each nonempty, of sites
+    `bessel._limit` takes, inside `bessel._site_domain` and, given a box size N, `_in_box`."""
     for (name, side), (lo, hi) in zip(_AXES, (rows, cols)):
         if lo > hi:
             raise ValueError(f"empty range of {name}: {lo}..{hi}")
         _limit(hi - lo + 1, "{} window {} has more sites than", side, (lo, hi))
         _site_domain(lo, hi, name)
+    return _in_box(rows, cols, n_box)
+
+
+def _in_box(rows, cols, n_box: int | None):
+    """(rows, cols), else, given a box size N, a ValueError if j or r leave the box 0..N."""
     if n_box is not None and (min(rows[0], cols[0]) < 0 or max(rows[1], cols[1]) > n_box):
         raise ValueError(f"sites j = {rows[0]}..{rows[1]}, r = {cols[0]}..{cols[1]} "
                          f"outside box 0..{n_box}")
     return rows, cols
+
+
+def _table(*shape) -> None:
+    """The size refusal of a table of that shape, its entries counted by `bessel._limit`."""
+    _limit(math.prod(shape), "table of {}" + " x {}" * (len(shape) - 1) + " entries is over",
+           *shape)
 
 
 def _ends(v) -> tuple[int, int]:
@@ -88,11 +96,12 @@ def _ends(v) -> tuple[int, int]:
     return (int(v.min()), int(v.max())) if v.size else (0, -1)
 
 
-def _sites(j, r, n_box: int | None = None, count: bool = False, outer: bool = False):
-    """(js, rs, windows, scalar): j, r as int64 arrays (>= 1-d; int64 ones not copied; a range by
-    np.arange, cast as its stop may pass int64), windows checked by `_windows` and, if count, the
-    broadcast entries (j with a last axis if outer) by `bessel._limit`, both before any cast, and
-    whether both were scalars.  Integer dtypes only (not bool, floats, text), maybe > int64."""
+def _read(j, r, reader, n_box: int | None = None, outer: bool = False):
+    """Every read's door, one pass per grid: j, r of integer dtypes only (not bool, floats,
+    text; maybe > int64), their windows by `_windows` (a range's from its two ends), then
+    read = reader(rows, cols, shape), which may refuse first, and `_table` of that broadcast
+    shape (j with a last axis if outer), all before any cast; then read(js, rs) of int64 arrays
+    (int64 ones not copied, a range by np.arange), a complex for two scalars."""
     scalar = not outer and not any(isinstance(v, range) or np.ndim(v) for v in (j, r))
     given = [v if isinstance(v, range) else np.atleast_1d(np.asarray(v)) for v in (j, r)]
     for (name, _), v in zip(_AXES, given):
@@ -100,20 +109,13 @@ def _sites(j, r, n_box: int | None = None, count: bool = False, outer: bool = Fa
             for x in v.flat if v.dtype == object else v.flat[:1]:
                 _integer(x, name)
     windows = _windows(*map(_ends, given), n_box)
-    if count:  # np.broadcast makes no array, nor does a range's zero-strided view
-        j_like, r_like = (np.broadcast_to(0, len(v)) if isinstance(v, range) else v for v in given)
-        grid = np.broadcast(j_like[..., None] if outer else j_like, r_like)
-        _limit(grid.size, "table of {}" + " x {}" * (grid.ndim - 1) + " entries is over",
-               *grid.shape)
+    j_like, r_like = (np.broadcast_to(0, len(v)) if isinstance(v, range) else v for v in given)
+    shape = np.broadcast(j_like[..., None] if outer else j_like, r_like).shape  # no array made
+    read = reader(*windows, shape)
+    _table(*shape)
     js, rs = ((np.arange(v.start, v.stop, v.step) if isinstance(v, range) else v)
               .astype(np.int64, copy=False) for v in given)
-    return js[..., None] if outer else js, rs, windows, scalar
-
-
-def _read(j, r, reader, n_box: int | None = None, outer: bool = False):
-    """Every kernel read's door: `_sites`, counted, reader(windows)(js, rs), scalars a complex."""
-    js, rs, windows, scalar = _sites(j, r, n_box, count=True, outer=outer)
-    values = reader(*windows)(js, rs)
+    values = read(js[..., None] if outer else js, rs)
     return complex(values.flat[0]) if scalar else values
 
 
@@ -171,7 +173,7 @@ class PropagatorKernel:
         return cls("periodic", params, n=n)
 
     def __call__(self, j, r, dt: float):
-        return _read(j, r, partial(_kernel_rows, self, dt))  # box sites: checked by `_plan`
+        return _read(j, r, partial(_engine, self, dt))  # box sites: checked by `_plan`
 
 
 def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
@@ -190,11 +192,6 @@ def _circle_step(psi: np.ndarray, z: float) -> np.ndarray:
     return np.fft.ifft(phases * np.fft.fft(psi))
 
 
-def _odd(full: np.ndarray) -> np.ndarray:
-    """The odd image on Z_2N of states on sites 0..N (the last axis): -psi_(2N - n) at n > N."""
-    return np.concatenate([full, -full[..., -2:0:-1]], axis=-1)
-
-
 def _state_params(psi: LatticeWavefunction, kernel: PropagatorKernel) -> PhysicalParams:
     """The kernel's params, once psi is a state of its system (a box's: `dynamics._box_walls`)."""
     if psi.lattice.params != kernel.params:
@@ -206,22 +203,24 @@ def _state_params(psi: LatticeWavefunction, kernel: PropagatorKernel) -> Physica
 
 def _on_circle(psi: LatticeWavefunction, kernel: PropagatorKernel) -> np.ndarray:
     """A state on Z_2N: periodic, its fold (sites 2N apart add: any window is one state); box,
-    `_odd` of its amplitudes inside the walls scattered onto 0..N, every bit kept (-0.0 too)."""
-    sites, amps = psi.lattice.sites, psi.amplitudes
+    its amplitudes inside the walls scattered onto 0..N, every bit kept (-0.0 too), and in
+    place their odd image -psi_(2N - n) at n > N."""
+    sites, amps, n = psi.lattice.sites, psi.amplitudes, kernel.n
     if kernel.system == "periodic":
-        return _fold(sites, amps, 2 * kernel.n)
-    full, inside = np.zeros(kernel.n + 1, dtype=complex), (sites > 0) & (sites < kernel.n)
-    full[sites[inside]] = amps[inside]
-    return _odd(full)
+        return _fold(sites, amps, 2 * n)
+    circle, inside = np.zeros(2 * n, dtype=complex), (sites > 0) & (sites < n)
+    circle[sites[inside]] = amps[inside]
+    np.negative(circle[n - 1:0:-1], out=circle[n + 1:])
+    return circle
 
 
-def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
+def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None, checked: bool = False):
     """(z, W, rows, cols) of one engine call, every check run before any array is made.
 
     rows (output sites j) and cols (input sites r) are windows (lo, hi); rows default
     to `evolve`'s: the box 0..N, else cols padded by W, periodic cut to one period 2N.
-    ValueError: a |z| `bessel_table` refuses (one z range for every system), or
-    windows `_windows` refuses.
+    ValueError: a |z| `bessel_table` refuses (one z range for every system), or `_windows`
+    (`_in_box` alone if checked: windows the door `_read` checked).
     """
     z = dimensionless_time(kernel.params, dt)
     _work_orders(abs(z), 0)
@@ -231,16 +230,15 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None):
         cap = c_lo - w + 2 * n - 1 if kernel.system == "periodic" else math.inf
         rows = (0, n) if kernel.system == "box" else (c_lo - w, min(c_hi + w, cap))
     rows = tuple(_integer(v, "output window") for v in rows)
-    return (z, w, *_windows(rows, (c_lo, c_hi), n if kernel.system == "box" else None))
+    check = _in_box if checked else _windows
+    return (z, w, *check(rows, (c_lo, c_hi), n if kernel.system == "box" else None))
 
 
-def _kernel_rows(kernel: PropagatorKernel, dt: float, rows, cols):
-    """`_plan`, then read(j, r) = k(j, r, dt) from one kernel vector, j and r in the windows.
-
-    Free: `_free_vector` out to the largest |j - r| (a window corner), each entry bit
-    for bit the whole grid's.  Periodic, box: `_circle_read` of a circle-stepped delta.
-    """
-    z, _, (j_lo, j_hi), (r_lo, r_hi) = _plan(kernel, dt, cols, rows)
+def _kernel_rows(kernel: PropagatorKernel, plan):
+    """read(j, r) = k(j, r, dt) from the one kernel vector of a `_plan`, j and r in its windows:
+    free, `_free_vector` out to the largest |j - r| (a window corner), each entry bit for bit
+    the whole grid's; periodic and box, `_circle_read` of a circle-stepped delta."""
+    z, _, (j_lo, j_hi), (r_lo, r_hi) = plan
     if kernel.system == "free":
         read = _free_vector(z, max(abs(j_lo - r_hi), abs(j_hi - r_lo)))
         return lambda j, r: read(np.subtract(j, r))
@@ -248,13 +246,16 @@ def _kernel_rows(kernel: PropagatorKernel, dt: float, rows, cols):
     return partial(_circle_read, circle, mirror=kernel.system == "box")
 
 
-def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.ndarray:
-    """k(j, r, dt) for j in j_values (rows) and r in r_values (columns).
+def _engine(kernel: PropagatorKernel, dt: float, rows, cols, *_):
+    """read(j, r) of the engine at one time, planned when read: windows the door checked."""
+    return lambda j, r: _kernel_rows(kernel, _plan(kernel, dt, cols, rows, checked=True))(j, r)
 
-    `_read` on the outer grid, then one kernel vector per dt (`_kernel_rows`): free
-    exactly 0 where |j - r| > W, box walls exactly 0, dt = 0 the exact identity.
-    """
-    return _read(j_values, r_values, partial(_kernel_rows, kernel, dt), outer=True)
+
+def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.ndarray:
+    """k(j, r, dt) for j in j_values (rows) and r in r_values (columns): `_read` on the outer
+    grid, then one plan and one kernel vector (`_engine`): free exactly 0 where |j - r| > W,
+    box walls exactly 0, dt = 0 the exact identity."""
+    return _read(j_values, r_values, partial(_engine, kernel, dt), outer=True)
 
 
 def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,

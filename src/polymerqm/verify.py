@@ -31,7 +31,7 @@ from .checks import (_worst, composition_check, continuum_sweep, greens_residual
 from .dynamics import _box_modes, _box_size, _stencil
 from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, dimensionless_time,
                       gaussian_packet)
-from .propagators import PropagatorKernel, _circle_step, _odd, evolve, kernel_table
+from .propagators import PropagatorKernel, _circle_step, evolve, kernel_table
 from .spectral import (MomentumGrid, box_spectrum, dispersion_energy, dispersion_momentum,
                        from_momentum, momentum_samples, to_momentum)
 
@@ -212,8 +212,9 @@ def suite_box(params: PhysicalParams, n_box: int, seed: int):
             block = max(1, min(16, 2**13 // (2 * n)))  # levels x 2N <= 2^13, or one level
             for lo in range(0, levels.size, block):
                 states = _box_modes(n, np.arange(n + 1), levels[lo:lo + block]).T  # on 0..N
+                odd = np.concatenate([states, -states[:, -2:0:-1]], axis=1)  # their odd images
                 for dt in (z * scale for z in times):
-                    out = _circle_step(_odd(states), dimensionless_time(params, dt))
+                    out = _circle_step(odd, dimensionless_time(params, dt))
                     phases = np.exp(-1j * energies[lo:lo + block] * dt / params.hbar)
                     yield _worst(out[:, 1:n] - phases[:, None] * states[:, 1:n])
     yield "eigenphase", _worst(*eigenphases()), 1e-12

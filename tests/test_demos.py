@@ -1,7 +1,8 @@
-"""Smoke test: every script in demos/ runs to completion on this checkout."""
+"""Smoke tests: every script in demos/ and the README's library tour run on this checkout."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -21,3 +22,11 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs_as_written():
+    # the README's one python block, the library tour, exactly as a reader copies it
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -36,6 +36,14 @@ def test_the_size_limit_has_one_door():
         ['raise ValueError(f"{what.format(*args)} the limit {_MAX_SIZE}")']
 
 
+def test_the_identities_read_through_the_counted_door():
+    # `checks._index_lists` cast the sites of `composition_check` and the Green's residuals
+    # before their tables were counted: a second door, which the size limit did not guard
+    from polymerqm import checks
+
+    assert not hasattr(checks, "_index_lists")
+
+
 def test_no_public_callable_takes_a_box_size_beside_its_kernel():
     # a system is a `PropagatorKernel`: the check routes took (j, r, dt, n_box, params)
     # and checked N again, where the engine and every identity take the kernel

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 from functools import partial
@@ -226,8 +227,6 @@ _DOOR = {
 }
 # the routes that take j and r as index lists and read their outer grid
 _OUTER = {"kernel_table", "composition_check", "greens_residual", "greens_residual_fd"}
-# the identities, which cast their index lists before their tables count them
-_LISTS = {"composition_check", "greens_residual", "greens_residual_fd"}
 
 
 @pytest.mark.parametrize("site,named", [
@@ -256,7 +255,8 @@ def test_every_route_refuses_a_grid_over_the_size_limit_before_allocating(route)
     # read rows j - 1, j, j + 1 of the engine's table.  int64 sites are not copied
     # before the count: 2 x (2^24 + 1) entries made a 128 MiB copy of r, then raised.
     # A range is counted by len() and its window read from its two ends: made into
-    # an array through Python ints, range(2^24 + 1) peaked at 768 MiB
+    # an array through Python ints, range(2^24 + 1) peaked at 768 MiB, and the identities
+    # made it one int64 array (128 MiB) before their tables counted it
     for js, rs in [(np.arange(2**13) % 5, np.arange(2**12 + 1) % 5),
                    (np.array([0, 4]), np.arange(2**24 + 1) % 5),
                    (np.array([0, 4]), range(2**24 + 1))]:
@@ -271,9 +271,69 @@ def test_every_route_refuses_a_grid_over_the_size_limit_before_allocating(route)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # an identity makes a range r one int64 array (128 MiB here), by np.arange
-        cast = 8 * len(rs) if isinstance(rs, range) and route in _LISTS else 0
-        assert peak < 2**20 + cast, (len(rs), peak)
+        assert peak < 2**20, (len(rs), peak)
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda box: composition_check(box, [0, 4], range(2**24 + 1), 0.0, 0.5, 1.0), "2 x 16777217"),
+    (lambda box: greens_residual_fd(box, [1, 4], range(1, 2**24), [1.0]), "2 x 3 x 16777215"),
+], ids=["composition", "greens_residual_fd"])
+def test_an_identity_on_the_largest_box_refuses_before_casting_its_sites(call, named):
+    # j x r (x 3 stencil rows) is counted in the one door pass, before r is made an array:
+    # the sites cast first peaked at 128 MiB, where `kernel_table` refused at 0.008 MiB
+    box = PropagatorKernel.box(2**24, P1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^table of {named} entries is over the limit "):
+            call(box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_each_read_checks_its_windows_once_and_plans_each_time_once(monkeypatch, tmp_path):
+    # a kernel call and a table ran `_windows` twice (at the door, then in `_plan`),
+    # `polymerqm kernel` planned each time twice, one free composition over one t1 cast its
+    # sites 4 times (`_sites`), ran `_windows` 10 times and `_plan` 6 times, and a box
+    # Green's residual over three times cast 10 times, ran `_windows` 19 and `_plan` 9 times
+    from polymerqm import checks, cli, propagators
+
+    calls = collections.Counter()
+    for name in ("_read", "_windows", "_plan"):
+        def counted(*args, _fn=getattr(propagators, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (propagators, checks, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    def count(call):
+        calls.clear()
+        call()
+        return dict(calls)
+
+    once = {"_read": 1, "_windows": 1, "_plan": 1}
+    box = PropagatorKernel.box(6, P1)
+    assert count(lambda: FREE(3, 5, 1.0)) == once
+    assert count(lambda: box([[1], [2]], range(7), 0.4)) == once
+    assert count(lambda: kernel_table(box, [1, 2], range(7), 0.4)) == once
+    config = tmp_path / "times.json"
+    config.write_text('{"times": [0.5, 1.0, 2.0]}')
+    out = str(tmp_path / "k.csv")
+    assert count(lambda: cli.main(["kernel", "--config", str(config), "--out", out])) == \
+        {"_windows": 3, "_plan": 3}
+    # free: the door, then each leg planned as its vector on -W..W and the sites n they pad
+    # checked once; the direct term is planned on the windows the door checked
+    assert count(lambda: composition_check(FREE, [0, 2], [1, 3], 0.0, 0.5, 1.0)) == \
+        {"_read": 1, "_windows": 4, "_plan": 3}
+    # box: the door, the direct term, then the two legs of each t1 on the sites 0..N
+    assert count(lambda: composition_check(box, range(1, 6), range(1, 6), 0.0,
+                                           [0.4, 1.0, 1.1, 2.2, 2.3], 3.0)) == \
+        {"_read": 1, "_windows": 11, "_plan": 11}
+    # the sites and the stencil's rows, then each time and its two differencing steps
+    assert count(lambda: greens_residual_fd(box, range(1, 6), range(1, 6), [0.5, 1.0, 5.0])) == \
+        {"_read": 1, "_windows": 2, "_plan": 9}
 
 
 @pytest.mark.parametrize("route", sorted(set(_DOOR) - _OUTER))
@@ -1082,12 +1142,13 @@ def test_batched_box_step_is_the_per_level_evolve_bit_for_bit(n):
     # the circle step of the odd images of every level at once, inside the walls;
     # only `evolve` sets the walls to exactly 0
     from polymerqm.dynamics import _box_modes
-    from polymerqm.propagators import _circle_step, _odd
+    from polymerqm.propagators import _circle_step
 
-    spectrum = box_spectrum(n, P1)
-    box = PropagatorKernel.box(n, P1)
+    spectrum, box = box_spectrum(n, P1), PropagatorKernel.box(n, P1)
+    modes = _box_modes(n, np.arange(n + 1)).T
+    odd = np.concatenate([modes, -modes[:, -2:0:-1]], axis=1).astype(complex)  # the odd images
     for dt in (0.0, 0.7, 3.1, 250.0):
-        stack = _circle_step(_odd(_box_modes(n, np.arange(n + 1)).T.astype(complex)), dt)[:, 1:n]
+        stack = _circle_step(odd, dt)[:, 1:n]
         each = [evolve(spectrum.eigenstate(level), box, dt).amplitudes[1:n]
                 for level in range(1, n)]
         assert _same_bits(np.ascontiguousarray(stack), np.array(each))
@@ -1347,14 +1408,16 @@ def test_composition_over_several_times_is_the_worst_single_call(kernel):
 
 
 def test_composition_fails_on_a_nan_leg_at_any_time(monkeypatch):
-    # both legs of the second t1 run for dt = 1: its NaN deviation came second to the
-    # first t1's in the builtin max, which returned 1.6e-16 here
+    # both legs of the second t1 run for dt = 1 (z = 1): its NaN deviation came second to
+    # the first t1's in the builtin max, which returned 1.6e-16 here
     from polymerqm import checks
+    from polymerqm.propagators import _kernel_rows
 
-    def nan_at_one(kernel, js, rs, dt):
-        return kernel_table(kernel, js, rs, dt) * (math.nan if dt == 1.0 else 1.0)
+    def nan_at_one(kernel, plan):
+        read = _kernel_rows(kernel, plan)
+        return lambda j, r: read(j, r) * (math.nan if plan[0] == 1.0 else 1.0)
 
-    monkeypatch.setattr(checks, "kernel_table", nan_at_one)
+    monkeypatch.setattr(checks, "_kernel_rows", nan_at_one)
     assert math.isnan(composition_check(FREE, [0, 2], range(0, 4), 0.0, [0.5, 1.0, 1.5], 2.0))
 
 
@@ -1411,11 +1474,13 @@ def test_greens_residual_is_nan_where_it_cannot_be_evaluated(monkeypatch):
         assert math.isnan(greens_residual(FREE, range(-3, 4), range(-3, 4), [1e-310]))
     # a NaN table at the later of two times, which the builtin max dropped
     from polymerqm import checks
+    from polymerqm.propagators import _engine
 
-    def nan_late(kernel, js, rs, dt):
-        return kernel_table(kernel, js, rs, dt) * (math.nan if dt > 0.9 else 1.0)
+    def nan_late(kernel, dt, rows, cols):
+        read = _engine(kernel, dt, rows, cols)
+        return lambda j, r: read(j, r) * (math.nan if dt > 0.9 else 1.0)
 
-    monkeypatch.setattr(checks, "kernel_table", nan_late)
+    monkeypatch.setattr(checks, "_engine", nan_late)
     assert math.isnan(greens_residual_fd(FREE, range(-4, 5), range(-4, 5), [0.5, 1.0]))
 
 
