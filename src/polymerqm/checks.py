@@ -112,9 +112,10 @@ def schrodinger_free_kernel(xj: float, xr: float, dt: float,
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"Schrodinger kernel needs dt > 0, got {dt}")
-    amp = math.sqrt(params.mass / (2.0 * math.pi * params.hbar * dt))
-    phase = (params.mass * (float(xj) - float(xr)) ** 2
-             / (2.0 * params.hbar * dt) - math.pi / 4.0)
+    amp, dx = math.sqrt(params.mass / (2.0 * math.pi * params.hbar * dt)), float(xj) - float(xr)
+    phase = params.mass * (dx * dx) / (2.0 * params.hbar * dt) - math.pi / 4.0  # ** raises
+    if not (math.isfinite(amp) and math.isfinite(phase)):
+        raise ValueError(f"Schrodinger kernel is not finite at dt = {dt}, xj - xr = {dx}")
     return complex(amp * np.exp(1j * phase))
 
 
@@ -160,13 +161,13 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     """Worst |k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over j x r and every t1.
 
     j_values (rows) and r_values (columns) are integers or index lists; t1 is one
-    intermediate time or a 1-d sequence of them.  One door pass reads the grid, and the
-    direct term and each leg are planned once (the early leg read as k(r, n), as tables are
-    symmetric bit for bit).  The intermediate sites n are the whole system where it is
-    finite, so the identity then holds to rounding: the box sums over its sites 0..N, the
-    periodic system over one period 0..2N-1 (each image once).  For the free system the
-    window pads the grid's [min(j, r), max(j, r)] by the truncation windows of both legs,
-    outside of which the factors decay super-exponentially.
+    intermediate time or a 1-d sequence of them.  One door pass reads the grid, the legs'
+    tables are counted before the direct term, and each term is planned once (the early leg
+    read as k(r, n), as tables are symmetric bit for bit).  The intermediate sites n are the
+    whole system where it is finite, so the identity then holds to rounding: the box sums
+    over its sites 0..N, the periodic system over one period 0..2N-1 (each image once).  For
+    the free system the window pads the grid's [min(j, r), max(j, r)] by the truncation
+    windows of both legs, outside of which the factors decay super-exponentially.
     """
     if np.ndim(t1) > 1 or np.size(t1) == 0:
         raise ValueError(f"t1 must be one time or a nonempty 1-d sequence, got {t1!r}")
@@ -175,25 +176,27 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
         if not (t0 <= mid <= t):
             raise ValueError(f"need t0 <= t1 <= t, got {t0}, {mid}, {t}")
 
+    whole = None if kernel.system == "free" else (
+        0, kernel.n if kernel.system == "box" else 2 * kernel.n - 1)
+
     def reader(rows, cols, _):
         def legs(mid):  # the plans of k(j, n; t - t1) and k(r, n; t1 - t0), n the sites
             late, early = (_plan(kernel, dt, (0, 0)) for dt in (t - mid, mid - t0))  # -W..W
-            if kernel.system == "free":  # the grid padded by both legs' W
+            n = whole
+            if n is None:  # free: the grid padded by both legs' W
                 pad = late[1] + early[1]
                 n = _windows(rows, (min(rows[0], cols[0]) - pad, max(rows[1], cols[1]) + pad))[1]
-            else:  # the whole system
-                n = (0, kernel.n if kernel.system == "box" else 2 * kernel.n - 1)
             return (*late[:2], rows, n), (*early[:2], cols, n)
-        # free, n grows with z: refused before the count; box, periodic: after the direct term
+        # free, n grows with z: refused before the count; box, periodic: planned when summed
         free = [legs(mid) for mid in t1s] if kernel.system == "free" else None
 
         def deviations(js, rs):  # one t1 at a time, O(R S) per row of paths
-            values = _engine(kernel, t - t0, rows, cols)(js, rs)
-            for late, early in free or map(legs, t1s):
-                lo, hi = late[3]
+            for lo, hi in [late[3] for late, _ in free] if free else [whole]:  # no plan needed
                 _table(js.size, hi - lo + 1)
                 _table(hi - lo + 1, rs.size)
-                sites = np.arange(lo, hi + 1)
+            values = _engine(kernel, t - t0, rows, cols)(js, rs)
+            for late, early in free or map(legs, t1s):
+                sites = np.arange(late[3][0], late[3][1] + 1)
                 early = _kernel_rows(kernel, early)(rs[:, None], sites)
                 yield _worst(values - np.array([np.sum(row * early, axis=-1) for row
                                                 in _kernel_rows(kernel, late)(js, sites)]))
@@ -262,6 +265,8 @@ def greens_residual_fd(kernel: PropagatorKernel, j_values, r_values, dt_values,
     """Finite-difference cross-check of `greens_residual` (central, step h; 1e-6 in z): a float."""
     if step is None:
         step = 1e-6 * (kernel.params.mu0**2 * kernel.params.mass / kernel.params.hbar)
+    if not (math.isfinite(step) and step > 0.0):  # a NaN compares false: refused
+        raise ValueError(f"step must be finite and > 0, got {step}")
 
     def dk_dt(kernel, dt, js, rs, windows):
         return (_engine(kernel, dt + step, *windows)(js, rs)
@@ -300,11 +305,16 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
     dx, dt = float(dx), float(dt)
     if dx <= 0.0 or dt <= 0.0:
         raise ValueError("need dx > 0 and dt > 0")
+    for name, value in (("dx", dx), ("dt", dt)):
+        if not math.isfinite(value):  # NaN and inf
+            raise ValueError(f"{name} must be finite, got {value}")
     points = []
     for mu0 in mu0_list:
         mu0 = float(mu0)
         params = PhysicalParams(hbar=hbar, mass=mass, mu0=mu0)
-        sites = round(l_exact := dx / mu0)
+        if not math.isfinite(l_exact := dx / mu0):
+            raise ValueError(f"dx / mu0 = {dx} / {mu0} is not finite")
+        sites = round(l_exact)
         if sites < 1 or abs(l_exact - sites) > 1e-9 * max(1.0, abs(l_exact)):
             raise ValueError(f"mu0 = {mu0} does not divide dx = {dx} evenly")
         z = dimensionless_time(params, dt)

@@ -421,6 +421,27 @@ def test_sweep_non_divisor_exits_2(tmp_path):
     assert not (tmp_path / "s.csv").exists()
 
 
+_SWEEP_PAST_THE_FLOATS = {
+    "dx inf": (["--dx", "inf"], "dx must be finite, got inf"),
+    "dx / mu0 inf": (["--dx", "1e308"], "dx / mu0 = 1e+308 / 0.5 is not finite"),
+    "dx nan": (["--dx", "nan"], "dx must be finite, got nan"),
+    "kernel inf": (["--dt", "1e-320"], "Schrodinger kernel is not finite at dt = 1e-320"),
+}
+
+
+@pytest.mark.parametrize("argv,named", _SWEEP_PAST_THE_FLOATS.values(),
+                         ids=_SWEEP_PAST_THE_FLOATS.keys())
+def test_sweep_past_the_floats_exits_2_naming_the_input(tmp_path, capsys, argv, named):
+    # an uncaught OverflowError from round(dx / mu0) (exit 1), numpy's "cannot convert float
+    # NaN to integer", and rows of abs_error nan from an amplitude sqrt(m/(2 pi hbar dt))
+    # past the floats (exit 0)
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--dx", "1", "--dt", "1", *argv, "--mu0-list", "1/2,1/4",
+               "--out", str(out)])
+    assert rc == 2 and named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "box", "N": 4, "times": [0.7, 1.9]}))

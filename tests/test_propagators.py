@@ -277,10 +277,14 @@ def test_every_route_refuses_a_grid_over_the_size_limit_before_allocating(route)
 @pytest.mark.parametrize("call,named", [
     (lambda box: composition_check(box, [0, 4], range(2**24 + 1), 0.0, 0.5, 1.0), "2 x 16777217"),
     (lambda box: greens_residual_fd(box, [1, 4], range(1, 2**24), [1.0]), "2 x 3 x 16777215"),
-], ids=["composition", "greens_residual_fd"])
+    (lambda box: composition_check(box, [0, 4], [0], 0.0, 0.5, 1.0), "2 x 16777217"),
+    (lambda box: composition_check(box, [0], [0, 4], 0.0, 0.5, 1.0), "16777217 x 2"),
+], ids=["composition", "greens_residual_fd", "composition late leg", "composition early leg"])
 def test_an_identity_on_the_largest_box_refuses_before_casting_its_sites(call, named):
     # j x r (x 3 stencil rows) is counted in the one door pass, before r is made an array:
-    # the sites cast first peaked at 128 MiB, where `kernel_table` refused at 0.008 MiB
+    # the sites cast first peaked at 128 MiB, where `kernel_table` refused at 0.008 MiB.
+    # A composition's legs, j x (N + 1) and (N + 1) x r, are counted before its direct
+    # term: the 2N circle of that term took 2 GiB before the late leg was refused
     box = PropagatorKernel.box(2**24, P1)
     tracemalloc.start()
     try:
@@ -1340,6 +1344,14 @@ def test_schrodinger_kernel_needs_positive_time():
         schrodinger_free_kernel(0.0, 0.0, -1.0, P1)
 
 
+@pytest.mark.parametrize("xj,dt", [(1.0, 1e-320), (1e200, 1e-200)],
+                         ids=["amplitude", "phase"])
+def test_schrodinger_kernel_refuses_a_value_past_the_floats(xj, dt):
+    # sqrt(m/(2 pi hbar dt)) or m (xj - xr)^2/(2 hbar dt) past the floats gave nan + nanj
+    with pytest.raises(ValueError, match=rf"^Schrodinger kernel is not finite at dt = {dt}, "):
+        schrodinger_free_kernel(xj, 0.0, dt, P1)
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -1508,6 +1520,14 @@ def test_greens_residual_fd_cross_check():
     assert type(res) is float and res <= 1e-5
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
+def test_greens_residual_fd_refuses_a_step_that_is_not_finite_and_positive(step):
+    # step 0 returned nan after a divide-by-zero warning; -1e-6 was taken, though the
+    # time grid's check min_dt = step assumes h > 0
+    with pytest.raises(ValueError, match=rf"^step must be finite and > 0, got {step}$"):
+        greens_residual_fd(PropagatorKernel.box(6, P1), [1], [1], [1.0], step=step)
+
+
 @pytest.mark.parametrize("mu0", [1e-3, 0.05, 1.0, 1e3])
 def test_greens_residual_fd_default_step_is_in_z(mu0):
     # the default step is 1e-6 in z, 1e-6 * (mu0^2 m / hbar) in dt, the step verify passes.
@@ -1604,6 +1624,20 @@ def test_continuum_sweep_deep_time_regime():
     errs = [continuum_sweep(1.0, dt, [1 / 8])[0].abs_error
             for dt in (1.0, 10.0, 100.0)]
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("dx,dt,named", [
+    (math.inf, 1.0, "^dx must be finite, got inf$"),
+    (1e308, 1.0, r"^dx / mu0 = 1e\+308 / 0\.5 is not finite$"),
+    (math.nan, 1.0, "^dx must be finite, got nan$"),
+    (1.0, math.inf, "^dt must be finite, got inf$"),
+    (1.0, 1e-320, "^Schrodinger kernel is not finite at dt = 1e-320, "),
+], ids=["dx inf", "dx / mu0 inf", "dx nan", "dt inf", "kernel inf"])
+def test_continuum_sweep_refuses_inputs_past_the_floats(dx, dt, named):
+    # round(dx / mu0) raised OverflowError at inf and a bare "cannot convert float NaN to
+    # integer" at nan; dt = 1e-320 returned abs_error nan
+    with pytest.raises(ValueError, match=named):
+        continuum_sweep(dx, dt, [1 / 2, 1 / 4])
 
 
 def test_continuum_sweep_rejects_non_divisor():

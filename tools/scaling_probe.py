@@ -102,6 +102,20 @@ def _hamiltonian_periodic(n):
     return lambda: apply_hamiltonian(psi, periodic)
 
 
+def _kernel_call(system):
+    """One kernel entry k(5, 7, 1.0) of a box or periodic system of size n."""
+    def make(n):
+        kernel = PropagatorKernel(system, P, n=n)
+        return lambda: kernel(5, 7, 1.0)
+    return make
+
+
+def _evolve_periodic_small(n):
+    """A 64-site packet at z = 10 in a ring of period 2n."""
+    psi, periodic = _packet(64), PropagatorKernel.periodic(n, P)
+    return lambda: evolve(psi, periodic, 10.0)
+
+
 def _kernel_table_free(separation):
     free = PropagatorKernel.free(P)
     return lambda: kernel_table(free, [0], [separation], 100.0)
@@ -188,6 +202,11 @@ CASES = {
     # the same entry by the engine's call: the circle step of a delta, O(N log N) at any z
     "kernel_call_periodic_z": ("z", [1e3 * 4**k for k in range(6)],
                                lambda z: lambda: PropagatorKernel.periodic(1000, P)(3, 1, z)),
+    # one entry and one small state at fixed z in a growing system: what the circle costs
+    # where nothing wraps
+    "kernel_call_periodic_n": ("N", [2**k for k in range(10, 19, 2)], _kernel_call("periodic")),
+    "kernel_call_box_n": ("N", [2**k for k in range(10, 19, 2)], _kernel_call("box")),
+    "evolve_periodic_small_n": ("N", [2**k for k in range(10, 19, 2)], _evolve_periodic_small),
     # the continuum box reference by images: a fixed count of images, O(points) each
     "box_gaussian_points": ("points", [2**k for k in range(8, 16)], _box_gaussian),
     "bessel_table": ("z", [1e3 * 2**k for k in range(11)],
