@@ -88,6 +88,8 @@ def truncation_window(z: float) -> int:
     constant covers small arguments.
     """
     z = abs(float(z))
+    if not math.isfinite(z):
+        raise ValueError(f"Bessel argument z must be finite, got {z}")
     return math.ceil(z + 12.0 * z ** (1.0 / 3.0) + 20.0)
 
 
@@ -96,8 +98,9 @@ def _work_orders(z: float, max_order: int) -> int:
     its refusal names z, and sets the z range of every system."""
     n_start = max(truncation_window(z), max_order) + 15
     at = "at order {1} " if max_order else ""
-    return _limit(n_start, "z = {0!r} " + at + "is out of range: {2} working orders, above",
-                  z, max_order, n_start)
+    count = "{2:.3g}" if n_start < 2 ** 1024 - 2 ** 970 else "{2}"  # exact if no float holds it
+    return _limit(n_start, "z = {0!r} " + at + "is out of range: " + count
+                  + " working orders, above", z, max_order, n_start)
 
 
 def _integer(value, name: str, least: int | None = None) -> int:

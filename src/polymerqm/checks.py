@@ -160,13 +160,13 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
                       t0: float, t1, t: float) -> float:
     """Worst |k(j,t;r,t0) - sum_n k(j,t;n,t1) k(n,t1;r,t0)| over j x r and every t1.
 
-    j_values (rows) and r_values (columns) are integers or index lists; t1 is one
-    intermediate time or a 1-d sequence of them.  One door pass reads the grid, the legs'
-    tables are counted before the direct term, and each term is planned once (the early leg
-    read as k(r, n), as tables are symmetric bit for bit).  The intermediate sites n are the
-    whole system where it is finite, so the identity then holds to rounding: the box sums
-    over its sites 0..N, the periodic system over one period 0..2N-1 (each image once).  For
-    the free system the window pads the grid's [min(j, r), max(j, r)] by the truncation
+    j_values (rows) and r_values (columns) are integers or index lists; t1 is one intermediate
+    time or a 1-d sequence of them.  One door pass reads the grid and plans every leg of every
+    t1, any system, in its reader; the legs' tables are counted before the direct term (the
+    early leg read as k(r, n), as tables are symmetric bit for bit).  The intermediate sites n
+    are the whole system where it is finite, so the identity then holds to rounding: the box
+    sums over its sites 0..N, the periodic system over one period 0..2N-1 (each image once).
+    For the free system the window pads the grid's [min(j, r), max(j, r)] by the truncation
     windows of both legs, outside of which the factors decay super-exponentially.
     """
     if np.ndim(t1) > 1 or np.size(t1) == 0:
@@ -176,30 +176,27 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
         if not (t0 <= mid <= t):
             raise ValueError(f"need t0 <= t1 <= t, got {t0}, {mid}, {t}")
 
-    whole = None if kernel.system == "free" else (
-        0, kernel.n if kernel.system == "box" else 2 * kernel.n - 1)
-
     def reader(rows, cols, _):
         def legs(mid):  # the plans of k(j, n; t - t1) and k(r, n; t1 - t0), n the sites
             late, early = (_plan(kernel, dt, (0, 0)) for dt in (t - mid, mid - t0))  # -W..W
-            n = whole
-            if n is None:  # free: the grid padded by both legs' W
-                pad = late[1] + early[1]
+            if kernel.system == "free":  # the grid padded by both legs' W
+                pad = late.w + early.w
                 n = _windows(rows, (min(rows[0], cols[0]) - pad, max(rows[1], cols[1]) + pad))[1]
-            return (*late[:2], rows, n), (*early[:2], cols, n)
-        # free, n grows with z: refused before the count; box, periodic: planned when summed
-        free = [legs(mid) for mid in t1s] if kernel.system == "free" else None
+            else:  # the whole system
+                n = (0, kernel.n if kernel.system == "box" else 2 * kernel.n - 1)
+            return late._replace(rows=rows, cols=n), early._replace(rows=cols, cols=n)
+        plans = [legs(mid) for mid in t1s]  # refused before the count: free n grows with z
 
         def deviations(js, rs):  # one t1 at a time, O(R S) per row of paths
-            for lo, hi in [late[3] for late, _ in free] if free else [whole]:  # no plan needed
+            for lo, hi in (late.cols for late, _ in plans):
                 _table(js.size, hi - lo + 1)
                 _table(hi - lo + 1, rs.size)
             values = _engine(kernel, t - t0, rows, cols)(js, rs)
-            for late, early in free or map(legs, t1s):
-                sites = np.arange(late[3][0], late[3][1] + 1)
-                early = _kernel_rows(kernel, early)(rs[:, None], sites)
+            for late, early in plans:
+                sites = np.arange(late.cols[0], late.cols[1] + 1)
+                early = _kernel_rows(early)(rs[:, None], sites)
                 yield _worst(values - np.array([np.sum(row * early, axis=-1) for row
-                                                in _kernel_rows(kernel, late)(js, sites)]))
+                                                in _kernel_rows(late)(js, sites)]))
         return deviations
     return _worst(*_outer_read(j_values, r_values, reader))
 

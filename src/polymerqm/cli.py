@@ -237,7 +237,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
     def blocks():
         for dt, plan in plans:
-            z, read = plan[0], _kernel_rows(kernel, plan)
+            z, read = plan.z, _kernel_rows(plan)
             tail = (f',\n    "dt": {dt!r},\n    "z": {z!r},\n    "re": ' if as_json
                     else f",{dt!r},{z!r},")
             for start in range(j_lo, j_hi + 1, step):

@@ -7,12 +7,12 @@ Systems (`PropagatorKernel.system`):
             equal to twice the odd part of the periodic kernel
   periodic  sum over images k of the free kernel at r + 2kN
 
-Caller sites j (output) and r (input) enter by one door, `_read`, one pass per grid: it
-checks their windows (`_windows`: nonempty, |site| < 2^62, box sites in 0..N) and counts
-their table (`_table`, a range by len()) before any copy.  `_plan` checks each time of an
-engine call once, before any array of it; `_kernel_rows` reads the plan it is given, and each
-kind of kernel vector has one reader.  `_free_vector` gives every free kernel value, from one
-Bessel table of at most W(z) + 1 orders read by |m|, exactly 0 beyond the truncation window W.
+Caller sites j (output) and r (input) enter by one door, `_read`, one pass per grid: it checks
+their windows (`_windows`: nonempty, |site| < 2^62, box sites in 0..N) and counts their table
+(`_table`, a range by len()) before any copy.  `_plan` checks each time of an engine call once,
+before any array, into one `_Plan(kernel, z, w, rows, cols)`; `_kernel_rows` reads the plan
+alone, and each kind of kernel vector has one reader.  `_free_vector` gives every free kernel
+value from one Bessel table of at most W(z) + 1 orders read by |m|, exactly 0 beyond W.
 `_circle_read` reads every vector on Z_2N at min(d, 2N - d), so tables are symmetric bit for
 bit: the circle step of a delta for periodic and box (an exact sum over 2N momenta by FFT,
 the box its odd part).  `_on_circle` puts a periodic or box state on Z_2N for `evolve` and
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,6 +155,8 @@ class PropagatorKernel:
         if self.system not in _SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; "
                              f"expected one of {_SYSTEMS}")
+        if not isinstance(self.params, PhysicalParams):
+            raise ValueError(f"params must be a PhysicalParams, got {self.params!r}")
         if self.system != "free":
             object.__setattr__(self, "n", _box_size(self.n))
         elif self.n is not None:
@@ -214,13 +217,22 @@ def _on_circle(psi: LatticeWavefunction, kernel: PropagatorKernel) -> np.ndarray
     return circle
 
 
-def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None, checked: bool = False):
-    """(z, W, rows, cols) of one engine call, every check run before any array is made.
+class _Plan(NamedTuple):
+    """One engine call at one time: kernel, z, its window W, and (lo, hi) of j (rows), r (cols)."""
+    kernel: PropagatorKernel
+    z: float
+    w: int
+    rows: tuple[int, int]
+    cols: tuple[int, int]
+
+
+def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None, checked: bool = False) -> _Plan:
+    """The `_Plan` of one engine call, every check run before any array is made.
 
     rows (output sites j) and cols (input sites r) are windows (lo, hi); rows default
     to `evolve`'s: the box 0..N, else cols padded by W, periodic cut to one period 2N.
-    ValueError: a |z| `bessel_table` refuses (one z range for every system), or `_windows`
-    (`_in_box` alone if checked: windows the door `_read` checked).
+    ValueError: a |z| `bessel_table` refuses (one z range for every system), rows not a
+    pair, or `_windows` (`_in_box` alone if checked: windows the door `_read` checked).
     """
     z = dimensionless_time(kernel.params, dt)
     _work_orders(abs(z), 0)
@@ -229,26 +241,28 @@ def _plan(kernel: PropagatorKernel, dt: float, cols, rows=None, checked: bool = 
     if rows is None:
         cap = c_lo - w + 2 * n - 1 if kernel.system == "periodic" else math.inf
         rows = (0, n) if kernel.system == "box" else (c_lo - w, min(c_hi + w, cap))
+    if np.asarray(rows, dtype=object).shape != (2,):  # any entries: `_integer` names them
+        raise ValueError(f"output window must be a pair (lo, hi), got {rows!r}")
     rows = tuple(_integer(v, "output window") for v in rows)
     check = _in_box if checked else _windows
-    return (z, w, *check(rows, (c_lo, c_hi), n if kernel.system == "box" else None))
+    return _Plan(kernel, z, w, *check(rows, (c_lo, c_hi), n if kernel.system == "box" else None))
 
 
-def _kernel_rows(kernel: PropagatorKernel, plan):
-    """read(j, r) = k(j, r, dt) from the one kernel vector of a `_plan`, j and r in its windows:
+def _kernel_rows(plan: _Plan):
+    """read(j, r) = k(j, r, dt) from the one kernel vector of a `_Plan`, j and r in its windows:
     free, `_free_vector` out to the largest |j - r| (a window corner), each entry bit for bit
     the whole grid's; periodic and box, `_circle_read` of a circle-stepped delta."""
-    z, _, (j_lo, j_hi), (r_lo, r_hi) = plan
+    kernel, (j_lo, j_hi), (r_lo, r_hi) = plan.kernel, plan.rows, plan.cols
     if kernel.system == "free":
-        read = _free_vector(z, max(abs(j_lo - r_hi), abs(j_hi - r_lo)))
+        read = _free_vector(plan.z, max(abs(j_lo - r_hi), abs(j_hi - r_lo)))
         return lambda j, r: read(np.subtract(j, r))
-    circle = _circle_step((np.arange(2 * kernel.n) == 0).astype(complex), z)
+    circle = _circle_step((np.arange(2 * kernel.n) == 0).astype(complex), plan.z)
     return partial(_circle_read, circle, mirror=kernel.system == "box")
 
 
 def _engine(kernel: PropagatorKernel, dt: float, rows, cols, *_):
     """read(j, r) of the engine at one time, planned when read: windows the door checked."""
-    return lambda j, r: _kernel_rows(kernel, _plan(kernel, dt, cols, rows, checked=True))(j, r)
+    return lambda j, r: _kernel_rows(_plan(kernel, dt, cols, rows, checked=True))(j, r)
 
 
 def kernel_table(kernel: PropagatorKernel, j_values, r_values, dt: float) -> np.ndarray:
@@ -272,9 +286,11 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
     """
     lat, params, amps = psi0.lattice, _state_params(psi0, kernel), psi0.amplitudes
     cols = (0, kernel.n) if kernel.system == "box" else (lat.n_min, lat.n_max)  # zeros past walls
-    if kernel.system == "box" and out_window is not None and tuple(out_window) != cols:
+    if kernel.system == "box" and (np.asarray(out_window, dtype=object).shape == (2,)
+                                   and tuple(out_window) != cols):  # else `_plan` refuses it
         raise ValueError(f"box evolution always produces sites 0..{kernel.n}")
-    z, w, (lo, hi), _ = _plan(kernel, dt, cols, out_window)
+    plan = _plan(kernel, dt, cols, out_window)
+    z, w, (lo, hi) = plan.z, plan.w, plan.rows
     if kernel.system != "free":
         out = _circle_step(_on_circle(psi0, kernel), z)[np.arange(lo, hi + 1) % (2 * kernel.n)]
         if kernel.system == "box":

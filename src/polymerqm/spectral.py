@@ -99,6 +99,8 @@ class MomentumGrid:
 def momentum_samples(psi: LatticeWavefunction, p_values: np.ndarray) -> np.ndarray:
     """Dense sum psi~(p) = sum_n psi_n exp(i n mu0 p / hbar); p x n counted by `bessel._limit`."""
     p, sites = np.atleast_1d(np.asarray(p_values, dtype=float)), psi.lattice.num_sites
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"momentum must be finite, got {p}")
     _limit(p.size * sites, "{} momenta x {} sites is over", p.size, sites)
     n = psi.lattice.sites
     phase = np.exp(1j * np.outer(p, n) * psi.lattice.params.mu0

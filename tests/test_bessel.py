@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,8 @@ from polymerqm.bessel import (
     truncation_window,
     unit_imaginary_power,
 )
+from polymerqm.checks import greens_residual_fd
+from polymerqm.propagators import PropagatorKernel
 from polymerqm.verify import bessel_series_reference
 
 # frozen against the exact-rational series oracle
@@ -369,3 +372,29 @@ def test_table_above_work_limit_raises_before_allocating(case):
         tracemalloc.stop()
     assert f"z = {z!r} " in str(exc.value) and f"limit {limit}" in str(exc.value)
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("z,count", [(1e300, "1e+300"), (1.7976931348623157e308, "1.8e+308")],
+                         ids=["1e300", "largest"])
+def test_a_z_out_of_range_is_refused_in_a_short_message(z, count):
+    # the count of working orders was printed exactly: 301 digits at z = 1e300
+    for call in (lambda: bessel_table(z, 0),
+                 lambda: greens_residual_fd(PropagatorKernel.free(), 0, 1, [z], step=z / 10)):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"z = {z!r} is out of range: {count} working orders, above the limit ")) as exc:
+            call()
+        assert len(str(exc.value)) < 100
+
+
+def test_an_order_beyond_any_float_is_refused_with_its_count():
+    # a count that no float holds keeps every digit, as the order it comes from
+    with pytest.raises(ValueError, match=f"^z = 1.0 at order {10**400} is out of range: "
+                                         f"{10**400 + 15} working orders"):
+        bessel_table(1.0, 10**400)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_truncation_window_refuses_a_z_that_is_not_finite(z):
+    # inf raised OverflowError and NaN "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=f"^Bessel argument z must be finite, got {abs(z)}$"):
+        truncation_window(z)

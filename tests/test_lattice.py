@@ -235,6 +235,15 @@ def test_momentum_function_periodicity():
                          - momentum_samples(psi, p + period))) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_momentum_samples_refuses_a_momentum_that_is_not_finite(p):
+    # each gave nan+nanj with no error, where dispersion_energy refuses them
+    psi = LatticeWavefunction(Lattice(PhysicalParams(), 0, 3), np.ones(4))
+    with pytest.raises(ValueError, match=r"^momentum must be finite, got \[") as exc:
+        momentum_samples(psi, [0.5, p])
+    assert str(exc.value).endswith(f" {p}]")
+
+
 def test_momentum_samples_refuses_phases_over_the_size_limit_before_allocating():
     # the dense phases take 32 bytes an entry: 2^13 momenta x 2^13 sites would ask for 2 GiB
     psi = LatticeWavefunction(Lattice(PhysicalParams(), 0, 2**13 - 1), np.ones(2**13))

@@ -399,6 +399,25 @@ def test_evolve_dt_zero_restricts():
             evolve(psi, PropagatorKernel.free(P1), 0.0, out_window=(bad, 2))
 
 
+@pytest.mark.parametrize("window", [(-5, 5, 7), (3,), 5], ids=["three", "one", "int"])
+@pytest.mark.parametrize("system", ["free", "box", "periodic"])
+def test_evolve_refuses_an_output_window_that_is_not_a_pair(system, window):
+    # (-5, 5, 7) and (3,) failed to unpack into (lo, hi), and 5 was not iterable
+    kernel = PropagatorKernel(system, P1, n=None if system == "free" else 4)
+    psi = LatticeWavefunction(Lattice(P1, 1, 3), np.ones(3))
+    with pytest.raises(ValueError, match=re.escape(
+            f"output window must be a pair (lo, hi), got {window!r}")):
+        evolve(psi, kernel, 1.0, window)
+
+
+def test_a_plan_is_one_record_read_by_name():
+    plan = _plan(PropagatorKernel.periodic(4, P1), 2.0, (1, 3))
+    assert plan._fields == ("kernel", "z", "w", "rows", "cols")
+    assert (plan.kernel, plan.z, plan.w, plan.cols) == (PropagatorKernel.periodic(4, P1), 2.0,
+                                                         truncation_window(2.0), (1, 3))
+    assert plan.rows == (1 - plan.w, 1 - plan.w + 7)  # cols padded by W, cut to one period
+
+
 def test_evolve_plane_wave_phase():
     z = 2.0
     pad = truncation_window(z)
@@ -1425,12 +1444,25 @@ def test_composition_fails_on_a_nan_leg_at_any_time(monkeypatch):
     from polymerqm import checks
     from polymerqm.propagators import _kernel_rows
 
-    def nan_at_one(kernel, plan):
-        read = _kernel_rows(kernel, plan)
-        return lambda j, r: read(j, r) * (math.nan if plan[0] == 1.0 else 1.0)
+    def nan_at_one(plan):
+        read = _kernel_rows(plan)
+        return lambda j, r: read(j, r) * (math.nan if plan.z == 1.0 else 1.0)
 
     monkeypatch.setattr(checks, "_kernel_rows", nan_at_one)
     assert math.isnan(composition_check(FREE, [0, 2], range(0, 4), 0.0, [0.5, 1.0, 1.5], 2.0))
+
+
+@pytest.mark.parametrize("kernel", [FREE, PropagatorKernel.box(4, P1),
+                                    PropagatorKernel.periodic(4, P1)], ids=lambda k: k.system)
+def test_composition_refuses_in_one_order_for_every_system(kernel):
+    # every leg is planned in the door's reader, so a z out of range is refused before the
+    # grid is counted; box and periodic planned their legs after the direct term, and
+    # refused the 2^13 x (2^12 + 1) grid first
+    js, rs = np.arange(2**13) % 5, np.arange(2**12 + 1) % 5
+    with pytest.raises(ValueError, match=r"^z = 1e\+30 is out of range"):
+        composition_check(kernel, js, rs, 0.0, 1e30, 2e30)
+    with pytest.raises(ValueError, match="^table of 8192 x 4097 entries is over the limit"):
+        composition_check(kernel, js, rs, 0.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("t1,named", [
@@ -1788,6 +1820,17 @@ def test_box_size_is_an_integer_of_at_least_two(route, n):
     _BOX_SIZE_ROUTES[route](np.int64(4))
     assert type(PropagatorKernel.box(np.int64(4), P1).n) is int
     assert PropagatorKernel.periodic(limit // 2, P1).n == limit // 2
+
+
+@pytest.mark.parametrize("params", ["x", None, {"hbar": 1.0}])
+def test_kernel_refuses_params_that_are_not_physical_params(params):
+    # a plan carries its kernel: "x" and None were taken, and the first read failed with
+    # "AttributeError: 'str' object has no attribute 'hbar'"
+    for make in (lambda: PropagatorKernel("free", params), lambda: PropagatorKernel.free(params),
+                 lambda: PropagatorKernel.box(4, params)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"params must be a PhysicalParams, got {params!r}")):
+            make()
 
 
 def test_kernel_selector_validation():
