@@ -87,9 +87,7 @@ def truncation_window(z: float) -> int:
     n ~ z; the z**(1/3) term covers the Airy transition region and the
     constant covers small arguments.
     """
-    z = abs(float(z))
-    if not math.isfinite(z):
-        raise ValueError(f"Bessel argument z must be finite, got {z}")
+    z = abs(_real(z, "z"))
     return math.ceil(z + 12.0 * z ** (1.0 / 3.0) + 20.0)
 
 
@@ -116,6 +114,20 @@ def _integer(value, name: str, least: int | None = None) -> int:
     return number
 
 
+def _real(value, name: str, positive: bool = False) -> float:
+    """value as a float: a Python or numpy int or float scalar, bool excepted, finite and,
+    if positive, > 0; else a ValueError naming the input (never a coercion of text)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the floats
+        number = math.inf
+    if not (math.isfinite(number) and (number > 0.0 or not positive)):
+        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
+    return number
+
+
 def _site_domain(lo, hi, name: str) -> None:
     """ValueError naming the sites lo..hi unless -2**62 < lo and hi < 2**62 (NaN fails).
 
@@ -124,18 +136,6 @@ def _site_domain(lo, hi, name: str) -> None:
     """
     if not (-2**62 < lo and hi < 2**62):
         raise ValueError(f"{name} {lo}..{hi} outside the site domain |site| < 2**62")
-
-
-def _validate_argument(z: float) -> float:
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"Bessel argument must be finite, got {z}")
-    if z < 0.0:
-        raise ValueError(
-            f"Bessel argument must be >= 0, got {z}; "
-            "use J_n(-z) = (-1)^n J_n(z) on the caller side"
-        )
-    return z
 
 
 def _leading_series_values(z: float, max_order: int) -> np.ndarray:
@@ -268,7 +268,9 @@ def bessel_table(z: float, max_order: int) -> np.ndarray:
     keeping only orders up to max_order: memory is O(max_order + sqrt(z)).
     A pass over more orders than `_limit` allows is a ValueError.
     """
-    z = _validate_argument(z)
+    if (z := _real(z, "z")) < 0.0:
+        raise ValueError(f"Bessel argument must be >= 0, got {z}; "
+                         "use J_n(-z) = (-1)^n J_n(z) on the caller side")
     max_order = _integer(max_order, "max_order", 0)
     n_start = _work_orders(z, max_order)
 
@@ -330,11 +332,7 @@ def jacobi_anger(z: float, phi: float, window: int) -> complex:
     For window >= truncation_window(z) this reproduces e^{iz cos(phi)}
     to better than 1e-10.
     """
-    window = _integer(window, "window", 0)
-    z = float(z)
-    phi = float(phi)
-    if not (math.isfinite(z) and math.isfinite(phi)):
-        raise ValueError("jacobi_anger arguments must be finite")
+    window, z, phi = _integer(window, "window", 0), _real(z, "z"), _real(phi, "phi")
 
     # J_n(-z) = (-1)^n J_n(z) is equivalent to shifting phi by pi.
     if z < 0.0:

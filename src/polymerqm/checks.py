@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _limit, truncation_window
+from .bessel import _limit, _real, truncation_window
 from .dynamics import _band, _box_modes, _stencil
 from .lattice import (Lattice, LatticeWavefunction, PhysicalParams, _gaussian_inputs,
                       dimensionless_time)
@@ -91,7 +91,7 @@ def momentum_kernel_phase(p, dt: float, params: PhysicalParams):
     multiplication by this phase.  p is a momentum or an array of them,
     each in the open zone; a scalar gives a complex.
     """
-    p, dt = np.asarray(p, dtype=float), float(dt)
+    p, dt = np.asarray(p, dtype=float), _real(dt, "dt")
     if not math.isfinite(2.0 * params.energy_scale * dt / params.hbar):
         raise ValueError(f"dt must be finite, with E dt/hbar finite at the band top, got {dt}")
     edge = params.brillouin_edge
@@ -109,10 +109,8 @@ def schrodinger_free_kernel(xj: float, xr: float, dt: float,
 
     Principal branch: sqrt(1/i) = e^{-i pi/4}.  Defined for dt > 0 only.
     """
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"Schrodinger kernel needs dt > 0, got {dt}")
-    amp, dx = math.sqrt(params.mass / (2.0 * math.pi * params.hbar * dt)), float(xj) - float(xr)
+    dt, dx = _real(dt, "dt", positive=True), _real(xj, "xj") - _real(xr, "xr")
+    amp = math.sqrt(params.mass / (2.0 * math.pi * params.hbar * dt))
     phase = params.mass * (dx * dx) / (2.0 * params.hbar * dt) - math.pi / 4.0  # ** raises
     if not (math.isfinite(amp) and math.isfinite(phase)):
         raise ValueError(f"Schrodinger kernel is not finite at dt = {dt}, xj - xr = {dx}")
@@ -171,7 +169,8 @@ def composition_check(kernel: PropagatorKernel, j_values, r_values,
     """
     if np.ndim(t1) > 1 or np.size(t1) == 0:
         raise ValueError(f"t1 must be one time or a nonempty 1-d sequence, got {t1!r}")
-    t1s = np.atleast_1d(t1).tolist()
+    t0, t = _real(t0, "t0"), _real(t, "t")
+    t1s = [_real(mid, "t1") for mid in (t1 if np.ndim(t1) else [t1])]
     for mid in t1s:
         if not (t0 <= mid <= t):
             raise ValueError(f"need t0 <= t1 <= t, got {t0}, {mid}, {t}")
@@ -209,7 +208,7 @@ def _greens_worst(kernel: PropagatorKernel, j_values, r_values, dt_values,
     each dt is planned once.  dk_dt(kernel, dt, js, rs, windows) gives dk/dt on the grid.
     Box stencil sites must be interior, so that j +- 1 stays inside 0..N.
     """
-    dts = [float(dt) for dt in dt_values]
+    dts = [_real(dt, "dt") for dt in dt_values]
     if not dts:
         raise ValueError("empty time grid")
     if any(dt <= min_dt for dt in dts):
@@ -260,10 +259,9 @@ def greens_residual(kernel: PropagatorKernel, j_values, r_values, dt_values) -> 
 def greens_residual_fd(kernel: PropagatorKernel, j_values, r_values, dt_values,
                        step: float | None = None) -> float:
     """Finite-difference cross-check of `greens_residual` (central, step h; 1e-6 in z): a float."""
-    if step is None:
-        step = 1e-6 * (kernel.params.mu0**2 * kernel.params.mass / kernel.params.hbar)
-    if not (math.isfinite(step) and step > 0.0):  # a NaN compares false: refused
-        raise ValueError(f"step must be finite and > 0, got {step}")
+    params = kernel.params
+    step = _real(1e-6 * (params.mu0**2 * params.mass / params.hbar) if step is None else step,
+                 "step", positive=True)
 
     def dk_dt(kernel, dt, js, rs, windows):
         return (_engine(kernel, dt + step, *windows)(js, rs)
@@ -299,16 +297,11 @@ def continuum_sweep(dx: float, dt: float, mu0_list,
     error and of the error against this two-saddle limit;
     demos/05_continuum_limit.py also shows the packet-smeared comparison.
     """
-    dx, dt = float(dx), float(dt)
-    if dx <= 0.0 or dt <= 0.0:
-        raise ValueError("need dx > 0 and dt > 0")
-    for name, value in (("dx", dx), ("dt", dt)):
-        if not math.isfinite(value):  # NaN and inf
-            raise ValueError(f"{name} must be finite, got {value}")
+    dx, dt = _real(dx, "dx", positive=True), _real(dt, "dt", positive=True)
     points = []
     for mu0 in mu0_list:
-        mu0 = float(mu0)
         params = PhysicalParams(hbar=hbar, mass=mass, mu0=mu0)
+        mu0 = params.mu0
         if not math.isfinite(l_exact := dx / mu0):
             raise ValueError(f"dx / mu0 = {dx} / {mu0} is not finite")
         sites = round(l_exact)
@@ -333,9 +326,8 @@ def schrodinger_box_gaussian(x_eval, dt: float, length: float, center: float, si
     55 s/L + 5 for the width s = sigma |a| (e^-746 underflows); `bessel._limit` counts terms.
     """
     center, sigma, momentum = _gaussian_inputs(center, sigma, momentum)
-    dt, length, x = float(dt), float(length), np.asarray(x_eval, dtype=float)
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValueError(f"box length must be finite and > 0, got {length}")
+    dt, length = _real(dt, "dt"), _real(length, "box length", positive=True)
+    x = np.asarray(x_eval, dtype=float)
     if not np.all((0.0 <= x) & (x <= length)):  # NaN compares false: refused
         raise ValueError(f"points must lie in the box [0, {length}]")
     a = complex(1.0, params.hbar * dt / (2.0 * params.mass) / sigma / sigma)  # never / 0

@@ -224,7 +224,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     lo, hi = (0, kernel.n) if kernel.system == "box" else (-4, 4)
     j_lo, j_hi, r_lo, r_hi = (default if v is None else v for v, default in (
         (args.j_min, lo), (args.j_max, hi), (args.r_min, lo), (args.r_max, hi)))
-    plans = [(float(dt), _plan(kernel, dt, (r_lo, r_hi), (j_lo, j_hi))) for dt in args.times]
+    plans = [(dt, _plan(kernel, dt, (r_lo, r_hi), (j_lo, j_hi))) for dt in args.times]
     rs = np.arange(r_lo, r_hi + 1)
     # one f-string per cell, a CSV line or a JSON object laid out as
     # json.dumps(rows, indent=2) would: dt and z are formatted once per

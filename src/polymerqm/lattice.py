@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _integer, _site_domain
+from .bessel import _integer, _real, _site_domain
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,7 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("hbar", "mass", "mu0"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and 0 < v <= sys.float_info.max):  # a larger int overflows float()
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _real(getattr(self, name), name, positive=True))
         try:
             ok = self.mass * self.mu0**2 > 0.0 and 0.0 < self.energy_scale < math.inf
         except OverflowError:
@@ -55,7 +51,7 @@ class PhysicalParams:
 
 def dimensionless_time(params: PhysicalParams, dt: float) -> float:
     """z = hbar * dt / (m * mu0^2); the argument of every Bessel kernel."""
-    z = params.hbar * float(dt) / (params.mass * params.mu0**2)
+    z = params.hbar * (dt := _real(dt, "dt")) / (params.mass * params.mu0**2)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z} at dt = {dt!r}")
     return z
@@ -139,15 +135,15 @@ def gaussian_packet(lattice: Lattice, center: float, sigma: float,
 
 
 def _gaussian_inputs(center, sigma, momentum) -> tuple[float, float, float]:
-    """center, sigma, momentum as floats, else a ValueError naming one: finite, sigma > 0,
-    and sigma^2, a divisor of the exponent, a normal float."""
-    values = tuple(map(float, (center, sigma, momentum)))
-    for name, v in zip(("center", "sigma", "momentum"), values):
-        if not math.isfinite(v) or (name == "sigma" and v <= 0.0):
-            raise ValueError(f"{name} must be {'> 0' if math.isfinite(v) else 'finite'}, got {v}")
-    if not sys.float_info.min <= values[1] * values[1] < math.inf:
-        raise ValueError(f"sigma = {values[1]} is out of range: sigma^2 is not a normal float")
-    return values
+    """center, sigma, momentum as floats by `bessel._real`, else a ValueError naming one:
+    sigma > 0, and sigma^2, a divisor of the exponent, a normal float."""
+    center, sigma, momentum = (_real(v, name) for v, name in (
+        (center, "center"), (sigma, "sigma"), (momentum, "momentum")))
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not sys.float_info.min <= sigma * sigma < math.inf:
+        raise ValueError(f"sigma = {sigma} is out of range: sigma^2 is not a normal float")
+    return center, sigma, momentum
 
 
 def inner_product(a: LatticeWavefunction, b: LatticeWavefunction) -> complex:

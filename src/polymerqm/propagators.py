@@ -283,8 +283,17 @@ def evolve(psi0: LatticeWavefunction, kernel: PropagatorKernel, dt: float,
     Periodic and box: the exact circle step moves the state `_on_circle` and any window
     reads it mod 2N, a box at 0..N with the walls exactly 0.  Circle-step error is about
     z * eps (see _circle_step).  At dt = 0 every system returns its input exactly.
+    Every sum the step forms is at most c sum|psi| in modulus, c = 1 free (|k| <= 1), 2N on
+    the circle (the inverse FFT adds 2N terms of at most sum|psi| before it scales) and 4N
+    in a box (its odd image doubles sum|psi|): c sum|psi| >= 2^1023, half the float range,
+    is refused before any array of the system.
     """
     lat, params, amps = psi0.lattice, _state_params(psi0, kernel), psi0.amplitudes
+    c = 1 if kernel.system == "free" else (4 if kernel.system == "box" else 2) * kernel.n
+    with np.errstate(over="ignore"):  # a sum past the floats: inf, refused
+        if not (bound := c * float(np.sum(np.abs(amps)))) < 2.0**1023:
+            raise ValueError(f"psi0 too large to evolve: {c} sum|psi| = {bound!r} "
+                             "is not below 2^1023")
     cols = (0, kernel.n) if kernel.system == "box" else (lat.n_min, lat.n_max)  # zeros past walls
     if kernel.system == "box" and (np.asarray(out_window, dtype=object).shape == (2,)
                                    and tuple(out_window) != cols):  # else `_plan` refuses it

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _integer, _limit
+from .bessel import _integer, _limit, _real
 from .dynamics import _band, _box_modes, _box_size
 from .lattice import Lattice, LatticeWavefunction, PhysicalParams, _fold
 
@@ -33,12 +33,9 @@ def dispersion_energy(params: PhysicalParams, p):
 
 def dispersion_momentum(params: PhysicalParams, energy: float) -> float:
     """Inverse dispersion p_E = (hbar/mu0) arccos(1 - m mu0^2 E / hbar^2) in [0, pi hbar/mu0]."""
-    energy = float(energy)
-    band_top = 2.0 * params.energy_scale
-    if not math.isfinite(energy) or energy < 0.0 or energy > band_top * (1.0 + 1e-12):
-        raise ValueError(
-            f"energy {energy} outside the polymer band [0, {band_top}]"
-        )
+    energy, band_top = _real(energy, "energy"), 2.0 * params.energy_scale
+    if energy < 0.0 or energy > band_top * (1.0 + 1e-12):
+        raise ValueError(f"energy {energy} outside the polymer band [0, {band_top}]")
     x = 1.0 - energy / params.energy_scale
     x = min(1.0, max(-1.0, x))  # guard rounding at the band edges
     return (params.hbar / params.mu0) * math.acos(x)

@@ -135,8 +135,9 @@ def test_domain_errors():
         bessel_table(1.0, -1)
     with pytest.raises(ValueError):
         jacobi_anger(1.0, 0.0, -1)
-    for z, phi in ((math.nan, 0.0), (1.0, math.inf)):
-        with pytest.raises(ValueError, match="^jacobi_anger arguments must be finite$"):
+    for z, phi, named in ((math.nan, 0.0, "z must be finite, got nan"),
+                          (1.0, math.inf, "phi must be finite, got inf")):
+        with pytest.raises(ValueError, match=f"^{named}$"):
             jacobi_anger(z, phi, 3)
     # orders and windows are integers, never truncated by int(): 2.5 is not 2
     for name, call in (("max_order", lambda v: bessel_table(1.0, v)),
@@ -396,5 +397,5 @@ def test_an_order_beyond_any_float_is_refused_with_its_count():
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
 def test_truncation_window_refuses_a_z_that_is_not_finite(z):
     # inf raised OverflowError and NaN "cannot convert float NaN to integer"
-    with pytest.raises(ValueError, match=f"^Bessel argument z must be finite, got {abs(z)}$"):
+    with pytest.raises(ValueError, match=f"^z must be finite, got {z}$"):
         truncation_window(z)

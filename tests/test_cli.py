@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -422,9 +423,9 @@ def test_sweep_non_divisor_exits_2(tmp_path):
 
 
 _SWEEP_PAST_THE_FLOATS = {
-    "dx inf": (["--dx", "inf"], "dx must be finite, got inf"),
+    "dx inf": (["--dx", "inf"], "dx must be finite and > 0, got inf"),
     "dx / mu0 inf": (["--dx", "1e308"], "dx / mu0 = 1e+308 / 0.5 is not finite"),
-    "dx nan": (["--dx", "nan"], "dx must be finite, got nan"),
+    "dx nan": (["--dx", "nan"], "dx must be finite and > 0, got nan"),
     "kernel inf": (["--dt", "1e-320"], "Schrodinger kernel is not finite at dt = 1e-320"),
 }
 
@@ -906,6 +907,29 @@ def test_evolve_of_a_state_beyond_the_site_domain_exits_2(tmp_path, capsys):
     assert "lattice sites 9223372036854775795..9223372036854775798 outside the site " \
         "domain" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("system,argv,c", [("free", [], 1), ("periodic", ["--N", "8"], 16),
+                                           ("box", ["--N", "8"], 32)])
+def test_evolve_of_a_state_whose_step_would_overflow_exits_2(tmp_path, capsys, system, argv, c):
+    # nine sites of 1e308 (box: seven) printed overflow warnings, then "amplitudes must be
+    # finite" (exit 2), and free exited 0 printing norm_before=inf; a state whose bound
+    # c sum|psi| is just below 2^1023 evolves without a warning
+    lo, hi = (1, 7) if system == "box" else (0, 8)
+    sites = hi - lo + 1
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    for amp, rc in ((1e308, 2), (2.0**1023 / (c * sites) * (1.0 + 2.0**-20), 2),
+                    (2.0**1023 / (c * sites) * (1.0 - 2.0**-20), 0)):
+        save_wavefunction(LatticeWavefunction(Lattice(PhysicalParams(), lo, hi),
+                                              np.full(sites, amp)), src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["evolve", str(src), "--system", system, *argv, "--dt", "0.5",
+                         "--out", str(out)]) == rc
+        captured = capsys.readouterr()
+        assert out.exists() == (rc == 0)
+        assert ("psi0 too large to evolve" in captured.err) == (rc == 2)
+        assert rc == 2 or "norm_before=inf" not in captured.out
 
 
 def test_evolve_of_a_state_shorter_than_its_declared_window_exits_2(tmp_path, capsys):

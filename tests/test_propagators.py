@@ -5,6 +5,7 @@ from functools import partial
 import random
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -475,6 +476,44 @@ def test_evolve_box_plans_before_it_embeds():
     try:
         with pytest.raises(ValueError, match=r"^z = 1e\+18 is out of range"):
             evolve(psi, box, 1e18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# c of each system's step bound c sum|psi| < 2^1023 (`evolve`) at N = 8: 1, 2N and 4N
+_STEP_BOUND = {"free": 1, "periodic": 16, "box": 32}
+
+
+@pytest.mark.parametrize("system", sorted(_STEP_BOUND))
+def test_evolve_refuses_a_state_whose_step_would_overflow(system):
+    # nine sites of 1e308 under periodic N = 8 warned of overflow and then refused the
+    # output ("amplitudes must be finite"); free gave a state of norm inf.  Seven sites at
+    # 2^1023 / (7 c) times 1 + 2^-20 are refused, times 1 - 2^-20 evolve without a warning
+    kernel = PropagatorKernel(system, P1, n=None if system == "free" else 8)
+    c = _STEP_BOUND[system]
+    for dt in (1e-9, 0.5):
+        above, below = (LatticeWavefunction(Lattice(P1, 1, 7), np.full(
+            7, 2.0**1023 / (7 * c) * (1.0 + side * 2.0**-20))) for side in (1, -1))
+        with pytest.raises(ValueError, match=rf"^psi0 too large to evolve: {c} sum\|psi\| = "
+                                             r"8\.98847\d*e\+307 is not below 2\^1023$"):
+            evolve(above, kernel, dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = evolve(below, kernel, dt)
+        assert math.isfinite(out.norm())
+
+
+@pytest.mark.parametrize("system", ["periodic", "box"])
+def test_evolve_refuses_an_overflowing_state_before_any_array_of_the_system(system):
+    # at N = 2^24 the circle takes 256 MiB: the bound 2N sum|psi| is read first
+    psi = LatticeWavefunction(Lattice(P1, 1, 4), np.full(4, 1e300))
+    kernel = PropagatorKernel(system, P1, n=2**24)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^psi0 too large to evolve"):
+            evolve(psi, kernel, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1659,10 +1698,10 @@ def test_continuum_sweep_deep_time_regime():
 
 
 @pytest.mark.parametrize("dx,dt,named", [
-    (math.inf, 1.0, "^dx must be finite, got inf$"),
+    (math.inf, 1.0, "^dx must be finite and > 0, got inf$"),
     (1e308, 1.0, r"^dx / mu0 = 1e\+308 / 0\.5 is not finite$"),
-    (math.nan, 1.0, "^dx must be finite, got nan$"),
-    (1.0, math.inf, "^dt must be finite, got inf$"),
+    (math.nan, 1.0, "^dx must be finite and > 0, got nan$"),
+    (1.0, math.inf, "^dt must be finite and > 0, got inf$"),
     (1.0, 1e-320, "^Schrodinger kernel is not finite at dt = 1e-320, "),
 ], ids=["dx inf", "dx / mu0 inf", "dx nan", "dt inf", "kernel inf"])
 def test_continuum_sweep_refuses_inputs_past_the_floats(dx, dt, named):
@@ -1675,8 +1714,9 @@ def test_continuum_sweep_refuses_inputs_past_the_floats(dx, dt, named):
 def test_continuum_sweep_rejects_non_divisor():
     with pytest.raises(ValueError):
         continuum_sweep(1.0, 1.0, [0.3])
-    for dx, dt in ((0.0, 1.0), (1.0, -1.0)):
-        with pytest.raises(ValueError, match="^need dx > 0 and dt > 0$"):
+    for dx, dt, named in ((0.0, 1.0, "dx must be finite and > 0, got 0.0"),
+                          (1.0, -1.0, "dt must be finite and > 0, got -1.0")):
+        with pytest.raises(ValueError, match=f"^{named}$"):
             continuum_sweep(dx, dt, [0.5])
 
 

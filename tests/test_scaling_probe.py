@@ -35,6 +35,25 @@ def test_every_case_runs_at_its_two_smallest_sizes(name):
     assert all(p["time_s"] > 0 and p["peak_bytes"] > 0 for p in case["points"])
 
 
+# a peak may exceed its law by this factor: tracemalloc peaks of one call vary by about 2%
+# between runs, and a doubling that breaks the law (a linear case turned quadratic, or a
+# constant one linear) overshoots it by a factor of 2
+_MEMORY_MARGIN = 1.25
+
+
+@pytest.mark.parametrize("name", sorted(probe.CASES))
+def test_every_case_keeps_its_memory_law(name):
+    # peak(s2) <= (s2/s1)**law * peak(s1) * margin at two sizes past the fixed overhead;
+    # s1 runs once untraced first, and its traced call warms the code for s2
+    case = probe.CASES[name]
+    (s1, s2), law = case.gate, case.memory
+    assert s1 < s2 and {s1, s2} <= set(case.sizes) and law in (0.0, 0.5, 1.0, 2.0)
+    first = case.make(s1)
+    first()
+    peaks = [probe.peak(first), probe.peak(case.make(s2))]
+    assert peaks[1] <= (s2 / s1) ** law * peaks[0] * _MEMORY_MARGIN, peaks
+
+
 def test_state_io_case_peaks_below_three_amplitude_arrays():
     # save plus load holds one block of Python objects at a time; the whole-state
     # lists peaked at 7.3 MiB for 2^16 sites (1 MiB of amplitudes)

@@ -18,7 +18,9 @@ linear, 2 quadratic, 0 flat.  Everything runs in this one process; a full
 run took 55 s on a 2-vCPU VM, about 19 s each in `state_io` and
 `verify_box_far_n`, and about twice that when the host was busy.
 Wall-time slopes are a report, not a gate: on a shared host the times of
-single calls are noisy.
+single calls are noisy.  Peaks are a gate: each case declares its memory
+law (`Case.memory`), and tests/test_scaling_probe.py holds every case to
+it between its two `gate` sizes.
 
 The output JSON holds the slopes and raw points of every case, the line
 count of the polymerqm sources it imported, the git commit of their
@@ -49,6 +51,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,55 +186,90 @@ def _state_io(m):
     return call
 
 
-# name -> (what is doubled, its sizes, size -> the call to measure)
+class Case(NamedTuple):
+    """What is doubled, its sizes, size -> the call to measure, and the memory law: the
+    tracemalloc peak grows at most as size**memory (CONSTANT, LINEAR, or the power the
+    algorithm states).  Tier-1 holds the law between the two `gate` sizes, taken from the
+    case's points past its fixed overhead (BENCH_37.json)."""
+    size: str
+    sizes: list
+    make: Callable
+    memory: float
+    gate: tuple[int, int]
+
+
+CONSTANT, LINEAR = 0.0, 1.0
+
 CASES = {
-    "evolve_free_z10": ("M", [2**k for k in range(12, 18)], _evolve_free(10.0)),
-    "evolve_free_z1e4": ("M", [2**k for k in range(9, 15)], _evolve_free(1e4)),
-    "evolve_box": ("N", [2**k for k in range(10, 17)], _evolve_box),
-    "hamiltonian_box": ("N", [2**k for k in range(10, 17)], _hamiltonian_box),
-    "evolve_periodic": ("N", [2**k for k in range(10, 17)], _evolve_periodic),
-    "hamiltonian_periodic": ("N", [2**k for k in range(10, 17)], _hamiltonian_periodic),
+    "evolve_free_z10": Case("M", [2**k for k in range(12, 18)], _evolve_free(10.0),
+                            LINEAR, (4096, 8192)),
+    "evolve_free_z1e4": Case("M", [2**k for k in range(9, 15)], _evolve_free(1e4),
+                             LINEAR, (4096, 8192)),
+    "evolve_box": Case("N", [2**k for k in range(10, 17)], _evolve_box, LINEAR, (4096, 8192)),
+    "hamiltonian_box": Case("N", [2**k for k in range(10, 17)], _hamiltonian_box,
+                            LINEAR, (4096, 8192)),
+    "evolve_periodic": Case("N", [2**k for k in range(10, 17)], _evolve_periodic,
+                            LINEAR, (4096, 8192)),
+    "hamiltonian_periodic": Case("N", [2**k for k in range(10, 17)], _hamiltonian_periodic,
+                                 LINEAR, (8192, 16384)),
     # the direct convolution's (2W + 1) M multiply-adds at fixed M, W growing with z
-    "evolve_free_m4096_z": ("z", [1e3 * 2**k for k in range(7)],
-                            lambda z: _evolve_free(z)(4096)),
-    "kernel_table_free": ("|j - r|", [2**k for k in range(6, 21, 2)], _kernel_table_free),
-    # the check-route image sum on a side x side grid spanning many periods 2N = 8
-    "image_sum_periodic": ("side", [2**k for k in range(4, 8)], _image_sum_periodic),
+    "evolve_free_m4096_z": Case("z", [1e3 * 2**k for k in range(7)],
+                                lambda z: _evolve_free(z)(4096), LINEAR, (4000.0, 8000.0)),
+    "kernel_table_free": Case("|j - r|", [2**k for k in range(6, 21, 2)], _kernel_table_free,
+                              CONSTANT, (1024, 4096)),
+    # the check-route image sum on a side x side grid spanning many periods 2N = 8: its
+    # memory is linear in the grid, side**2
+    "image_sum_periodic": Case("side", [2**k for k in range(4, 8)], _image_sum_periodic,
+                               2 * LINEAR, (64, 128)),
     # one check-route entry at N = 1000: the fold of the free vector over z
-    "image_sum_periodic_z": ("z", [1e3 * 4**k for k in range(6)], _image_sum_periodic_z),
+    "image_sum_periodic_z": Case("z", [1e3 * 4**k for k in range(6)], _image_sum_periodic_z,
+                                 LINEAR, (16000.0, 64000.0)),
     # the same entry by the engine's call: the circle step of a delta, O(N log N) at any z
-    "kernel_call_periodic_z": ("z", [1e3 * 4**k for k in range(6)],
-                               lambda z: lambda: PropagatorKernel.periodic(1000, P)(3, 1, z)),
+    "kernel_call_periodic_z": Case(
+        "z", [1e3 * 4**k for k in range(6)],
+        lambda z: lambda: PropagatorKernel.periodic(1000, P)(3, 1, z), CONSTANT, (1e3, 4e3)),
     # one entry and one small state at fixed z in a growing system: what the circle costs
     # where nothing wraps
-    "kernel_call_periodic_n": ("N", [2**k for k in range(10, 19, 2)], _kernel_call("periodic")),
-    "kernel_call_box_n": ("N", [2**k for k in range(10, 19, 2)], _kernel_call("box")),
-    "evolve_periodic_small_n": ("N", [2**k for k in range(10, 19, 2)], _evolve_periodic_small),
+    "kernel_call_periodic_n": Case("N", [2**k for k in range(10, 19, 2)],
+                                   _kernel_call("periodic"), LINEAR, (4096, 16384)),
+    "kernel_call_box_n": Case("N", [2**k for k in range(10, 19, 2)], _kernel_call("box"),
+                              LINEAR, (4096, 16384)),
+    "evolve_periodic_small_n": Case("N", [2**k for k in range(10, 19, 2)],
+                                    _evolve_periodic_small, LINEAR, (4096, 16384)),
     # the continuum box reference by images: a fixed count of images, O(points) each
-    "box_gaussian_points": ("points", [2**k for k in range(8, 16)], _box_gaussian),
-    "bessel_table": ("z", [1e3 * 2**k for k in range(11)],
-                     lambda z: lambda: bessel_table(z, 2)),
-    "momentum_roundtrip": ("M", [2**k for k in range(6, 11)], _momentum),
+    "box_gaussian_points": Case("points", [2**k for k in range(8, 16)], _box_gaussian,
+                                LINEAR, (1024, 2048)),
+    # O(max_order + sqrt(z)) memory
+    "bessel_table": Case("z", [1e3 * 2**k for k in range(11)],
+                         lambda z: lambda: bessel_table(z, 2), LINEAR / 2, (16000.0, 64000.0)),
+    "momentum_roundtrip": Case("M", [2**k for k in range(6, 11)], _momentum,
+                               LINEAR, (256, 512)),
     # past the fixed per-call cost, where the FFT route's O(M + P log P) shows
-    "momentum_roundtrip_large": ("M", [2**k for k in range(12, 17)], _momentum),
-    "verify_all": ("N", [2**k for k in range(3, 9)],
-                   lambda n: lambda: run_suite("all", n_box=n)),
+    "momentum_roundtrip_large": Case("M", [2**k for k in range(12, 17)], _momentum,
+                                     LINEAR, (4096, 8192)),
+    "verify_all": Case("N", [2**k for k in range(3, 9)],
+                       lambda n: lambda: run_suite("all", n_box=n), LINEAR, (64, 128)),
     # the box suite at the caller's N: eigenphase's 48 levels, each block of them made
     # before its circle steps
-    "verify_box_n": ("N", [2**k for k in range(7, 13)],
-                     lambda n: lambda: run_suite("box", n_box=n)),
+    "verify_box_n": Case("N", [2**k for k in range(7, 13)],
+                         lambda n: lambda: run_suite("box", n_box=n), LINEAR, (128, 256)),
     # the same past N = 5,793, where a dense spectrum was refused: one level per step
-    "verify_box_far_n": ("N", [2**k for k in range(13, 18)],
-                         lambda n: lambda: run_suite("box", n_box=n)),
-    "kernel_csv": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv")),
-    "kernel_json": ("rows", [64 * 2**k for k in range(6, 10)], _kernel_text("json")),
-    "kernel_csv_j": ("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv", "j")),
-    "kernel_periodic_j": ("rows", [64 * 2**k for k in range(6, 11)],
-                          _kernel_text("csv", "j", ("--system", "periodic", "--N", "4096"))),
-    # times of one table: a kernel vector per time, built as its rows are written
-    "kernel_periodic_times": ("T", [1, 2, 4, 8, 16], _kernel_times),
+    "verify_box_far_n": Case("N", [2**k for k in range(13, 18)],
+                             lambda n: lambda: run_suite("box", n_box=n), LINEAR, (8192, 16384)),
+    "kernel_csv": Case("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv"),
+                       LINEAR, (4096, 8192)),
+    "kernel_json": Case("rows", [64 * 2**k for k in range(6, 10)], _kernel_text("json"),
+                        LINEAR, (4096, 8192)),
+    "kernel_csv_j": Case("rows", [64 * 2**k for k in range(6, 12)], _kernel_text("csv", "j"),
+                         CONSTANT, (16384, 32768)),
+    "kernel_periodic_j": Case("rows", [64 * 2**k for k in range(6, 11)],
+                              _kernel_text("csv", "j", ("--system", "periodic", "--N", "4096")),
+                              CONSTANT, (4096, 8192)),
+    # times of one table: a kernel vector per time, built as its rows are written; from
+    # two times on, the last vector is held while the next is built
+    "kernel_periodic_times": Case("T", [1, 2, 4, 8, 16], _kernel_times, CONSTANT, (2, 4)),
     # state files streamed a block of sites at a time: the peak is the amplitude arrays
-    "state_io": ("M", [2**k for k in range(12, 19)], _state_io),
+    "state_io": Case("M", [2**k for k in range(12, 19)], _state_io, LINEAR, (16384, 32768)),
 }
 
 
@@ -286,6 +324,16 @@ def startup() -> dict:
             "runs": STARTUP_RUNS, "commands": commands}
 
 
+def peak(call) -> int:
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def measure(call) -> tuple[float, int]:
     """Median seconds of 3 calls (5 when they are quick) and one call's tracemalloc peak."""
     call()
@@ -294,13 +342,7 @@ def measure(call) -> tuple[float, int]:
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return statistics.median(times), peak
+    return statistics.median(times), peak(call)
 
 
 def slope(sizes, values) -> float:
@@ -313,13 +355,13 @@ def slope(sizes, values) -> float:
 
 
 def run_case(name: str, sizes=None) -> dict:
-    unit, default_sizes, make = CASES[name]
+    case = CASES[name]
     points = []
-    for size in sizes or default_sizes:
-        seconds, peak = measure(make(size))
-        points.append({"size": size, "time_s": seconds, "peak_bytes": peak})
+    for size in sizes or case.sizes:
+        seconds, peak_bytes = measure(case.make(size))
+        points.append({"size": size, "time_s": seconds, "peak_bytes": peak_bytes})
     sizes = [p["size"] for p in points]
-    return {"size": unit,
+    return {"size": case.size,
             "time_slope": slope(sizes, [p["time_s"] for p in points]),
             "peak_slope": slope(sizes, [p["peak_bytes"] for p in points]),
             "points": points}
